@@ -22,7 +22,7 @@ from .intervals import (
     PrecisionExhausted,
     refine,
 )
-from .rational import QuadExt, parse_rational, quad, sqrt_bounds
+from .rational import parse_rational, sqrt_bounds
 from .separation import Verdict
 
 __all__ = [
@@ -55,52 +55,54 @@ def _require_n(n: int) -> None:
         )
 
 
-# -- exact special values ----------------------------------------------
+# -- the one cosine comparison -------------------------------------------
 
-_HALF = Fraction(1, 2)
-
-# cos(m*pi/n) for m = 0..n, exact, at the three radicand-friendly n.
-_EXACT_COS = {
-    3: (
-        QuadExt.rational(1),
-        QuadExt.rational(_HALF),
-        QuadExt.rational(-_HALF),
-        QuadExt.rational(-1),
-    ),
-    4: (
-        QuadExt.rational(1),
-        quad(0, _HALF, 2),
-        QuadExt.rational(0),
-        quad(0, -_HALF, 2),
-        QuadExt.rational(-1),
-    ),
-    6: (
-        QuadExt.rational(1),
-        quad(0, _HALF, 3),
-        QuadExt.rational(_HALF),
-        QuadExt.rational(0),
-        QuadExt.rational(-_HALF),
-        quad(0, -_HALF, 3),
-        QuadExt.rational(-1),
-    ),
+# cos(f*pi) for the reduced f in [0, 1] whose cosine is rational; by
+# Niven's theorem there are no others.
+_RATIONAL_COS = {
+    Fraction(0): Fraction(1),
+    Fraction(1, 3): Fraction(1, 2),
+    Fraction(1, 2): Fraction(0),
+    Fraction(2, 3): Fraction(-1, 2),
+    Fraction(1): Fraction(-1),
 }
 
 
-def _exact_cos(n: int, m: int) -> QuadExt:
-    """cos(m*pi/n) for n in the exact table."""
-    m = m % (2 * n)
-    if m > n:
-        m = 2 * n - m
-    return _EXACT_COS[n][m]
+def _fold(m: int, n: int) -> int:
+    """The f in [0, n] with cos(f*pi/n) == cos(m*pi/n)."""
+    m %= 2 * n
+    return 2 * n - m if m > n else m
 
 
-def _enclose_quad(value: QuadExt, prec: int) -> Enclosure:
-    if value.is_rational():
-        return Enclosure.point(value.as_fraction())
-    lo, hi = sqrt_bounds(Fraction(value.d), bits=prec)
-    if value.b >= 0:
-        return Enclosure(value.a + value.b * lo, value.a + value.b * hi)
-    return Enclosure(value.a + value.b * hi, value.a + value.b * lo)
+def _rational_cos(m: int, n: int) -> Fraction | None:
+    """cos(m*pi/n) if it is rational, else None."""
+    return _RATIONAL_COS.get(Fraction(_fold(m, n), n))
+
+
+def _cos_enclosure(session: IntervalSession, m: int, n: int) -> Enclosure:
+    """Enclosure of cos(m*pi/n); a point when the cosine is rational."""
+    exact = _rational_cos(m, n)
+    if exact is not None:
+        return Enclosure.point(exact)
+    return session.enclosure(session.cos_pi_frac(m, n))
+
+
+def _above_cos(h: Fraction, m: int, n: int) -> bool:
+    """Whether h > cos(m*pi/n), decided exactly.
+
+    A rational cosine is compared directly.  An irrational one never
+    equals h, so refining a single enclosure always separates them,
+    unless the precision cap runs out first (PrecisionExhausted).
+    """
+    exact = _rational_cos(m, n)
+    if exact is not None:
+        return h > exact
+
+    def decide(session: IntervalSession):
+        cos = session.enclosure(session.cos_pi_frac(m, n))
+        return None if h in cos else (cos.hi < h,)
+
+    return refine(decide)[0]
 
 
 # -- range endpoints and boundary functions ----------------------------
@@ -114,16 +116,8 @@ def valid_h_range(n: int, *, prec: int = DEFAULT_PREC) -> tuple[Enclosure, Enclo
     Rational endpoints come back as exact point enclosures.
     """
     _require_n(n)
-    if n in _EXACT_COS:
-        return (
-            _enclose_quad(_exact_cos(n, 2), prec),
-            _enclose_quad(_exact_cos(n, 1), prec),
-        )
     session = IntervalSession(prec)
-    return (
-        session.enclosure(session.cos_pi_frac(2, n)),
-        session.enclosure(session.cos_pi_frac(1, n)),
-    )
+    return _cos_enclosure(session, 2, n), _cos_enclosure(session, 1, n)
 
 
 def boundary_functions(
@@ -171,25 +165,6 @@ class NJamConfig:
     detail: str = ""
 
 
-def _h_in_range_exact(n: int, h: Fraction) -> bool:
-    lower = _exact_cos(n, 2)
-    upper = _exact_cos(n, 1)
-    return lower < h and not upper < h
-
-
-def _h_in_range_certified(n: int, h: Fraction):
-    def decide(session: IntervalSession):
-        lower = session.enclosure(session.cos_pi_frac(2, n))
-        upper = session.enclosure(session.cos_pi_frac(1, n))
-        above = lower.lt(h)
-        below = upper.ge(h)
-        if above is None or below is None:
-            return None
-        return (above and below,)
-
-    return refine(decide)[0]
-
-
 def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
     """Assemble the configuration and certify whether h is admissible."""
     _require_n(n)
@@ -197,21 +172,16 @@ def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
     if not 0 < h < 1:
         raise ValueError("jammer height h must satisfy 0 < h < 1")
     detail = ""
-    if n in _EXACT_COS:
-        in_range = _h_in_range_exact(n, h)
-    else:
-        try:
-            in_range = _h_in_range_certified(n, h)
-        except PrecisionExhausted as exc:
-            in_range = None
-            detail = str(exc)
+    try:
+        # The window (cos(2pi/n), cos(pi/n)] is open below, closed above.
+        in_range = _above_cos(h, 2, n) and not _above_cos(h, 1, n)
+    except PrecisionExhausted as exc:
+        in_range = None
+        detail = str(exc)
     session = IntervalSession(prec)
     points = tuple(
-        (
-            session.enclosure(session.cos_pi_frac(2 * j, n)),
-            session.enclosure(session.sin_pi_frac(2 * j, n)),
-        )
-        for j in range(n)
+        (session.enclosure(x), session.enclosure(y))
+        for x, y in _receivers(session, n)
     )
     return NJamConfig(
         n=n, h=h, prec=prec, points=points, h_in_range=in_range, detail=detail
@@ -314,49 +284,13 @@ def timeslice_max_radius(
     return Enclosure(max(Fraction(0), lo), sqrt_bounds(upper, bits=prec)[1])
 
 
-def _directional_limit_exact(n: int, J) -> QuadExt:
-    best = None
-    for k in range(2 * n):
-        worst = None
-        for j in J:
-            value = _exact_cos(n, k - 2 * j)
-            if worst is None or value < worst:
-                worst = value
-        if best is None or best < worst:
-            best = worst
-    return -best
+def _limit_index(n: int, J) -> int:
+    """m* = min_k max_{j in J} fold(k - 2j).
 
-
-def _directional_limit_enclosure(session: IntervalSession, n: int, J) -> Enclosure:
-    table = [
-        session.enclosure(session.cos_pi_frac(m, n)) for m in range(2 * n)
-    ]
-    best: Enclosure | None = None
-    for k in range(2 * n):
-        los, his = [], []
-        for j in J:
-            cell = table[(k - 2 * j) % (2 * n)]
-            los.append(cell.lo)
-            his.append(cell.hi)
-        worst = Enclosure(min(los), min(his))
-        if best is None:
-            best = worst
-        else:
-            best = Enclosure(max(best.lo, worst.lo), max(best.hi, worst.hi))
-    return Enclosure(-best.hi, -best.lo)
-
-
-def _escapes_in_the_limit(n: int, h: Fraction, J) -> bool:
-    """Whether late slices certainly leak: h above the directional limit."""
-    if n in _EXACT_COS:
-        return _directional_limit_exact(n, J) < h
-
-    def decide(session: IntervalSession):
-        limit = _directional_limit_enclosure(session, n, J)
-        certainly = limit.lt(h)
-        return None if certainly is None else (certainly,)
-
-    return refine(decide)[0]
+    cos(f*pi/n) decreases in f on [0, n], so the directional limit
+    -max_k min_{j in J} cos((k - 2j)*pi/n) equals cos((n - m*)*pi/n).
+    """
+    return min(max(_fold(k - 2 * j, n) for j in J) for k in range(2 * n))
 
 
 def _oracle_verdict(
@@ -372,7 +306,8 @@ def _oracle_verdict(
             escape_at = t
             break
     try:
-        tail_escape = _escapes_in_the_limit(n, h, J)
+        # late slices certainly leak iff h is above the directional limit
+        tail_escape = _above_cos(h, n - _limit_index(n, J), n)
     except PrecisionExhausted as exc:
         return Verdict.UNKNOWN, str(exc)
     if escape_at is not None:
@@ -386,38 +321,6 @@ def _oracle_verdict(
     if tail_escape:
         return Verdict.SEPARATED, "escape certified by the directional limit"
     return Verdict.NOT_SEPARATED, "height certainly below the directional limit"
-
-
-def _closed_form_full(n: int, h: Fraction) -> Verdict:
-    # Not separated iff h <= cos(pi/n); the window is closed on top.
-    if n in _EXACT_COS:
-        upper = _exact_cos(n, 1)
-        return Verdict.NOT_SEPARATED if not upper < h else Verdict.SEPARATED
-
-    def decide(session: IntervalSession):
-        upper = session.enclosure(session.cos_pi_frac(1, n))
-        at_most = upper.ge(h)
-        if at_most is None:
-            return None
-        return (Verdict.NOT_SEPARATED if at_most else Verdict.SEPARATED,)
-
-    return refine(decide)[0]
-
-
-def _closed_form_sub(n: int, h: Fraction) -> Verdict:
-    # Separated iff h > cos(2pi/n); the window is open at the bottom.
-    if n in _EXACT_COS:
-        lower = _exact_cos(n, 2)
-        return Verdict.SEPARATED if lower < h else Verdict.NOT_SEPARATED
-
-    def decide(session: IntervalSession):
-        lower = session.enclosure(session.cos_pi_frac(2, n))
-        above = lower.lt(h)
-        if above is None:
-            return None
-        return (Verdict.SEPARATED if above else Verdict.NOT_SEPARATED,)
-
-    return refine(decide)[0]
 
 
 # -- verdict bundle ------------------------------------------------------
@@ -455,8 +358,12 @@ def verify_config(
     notes: list[str] = []
 
     try:
-        closed_full = _closed_form_full(n, h)
-        closed_sub = _closed_form_sub(n, h)
+        # The full tuple escapes iff h > cos(pi/n), a subtuple iff
+        # h > cos(2pi/n): the window is closed on top, open at the bottom.
+        closed_full, closed_sub = (
+            Verdict.SEPARATED if _above_cos(h, m, n) else Verdict.NOT_SEPARATED
+            for m in (1, 2)
+        )
     except PrecisionExhausted as exc:
         closed_full = closed_sub = Verdict.UNKNOWN
         notes.append(f"closed form: {exc}")

@@ -78,14 +78,6 @@ def sqrt_bounds(q: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def sqrt_lower(q: Fraction, bits: int = 64) -> Fraction:
-    return sqrt_bounds(q, bits)[0]
-
-
-def sqrt_upper(q: Fraction, bits: int = 64) -> Fraction:
-    return sqrt_bounds(q, bits)[1]
-
-
 def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .boxes import Alphabet, CorrelationBox, Srv, ValidationReport, canonical_box
+from .boxes import Alphabet, CorrelationBox, Srv, canonical_box
 from .casestudies import (
     AffectsReport,
     ContradictionTrace,
@@ -107,13 +107,23 @@ def order_to_json(order: CausalOrder) -> dict:
     raise ScenarioError(f"unknown backend {type(order).__name__}")
 
 
+def _json_int(value, what: str, size: int | None = None) -> int:
+    """An integer field, below size when one is given.  A JSON 1.5 or
+    true is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise ScenarioError(f"{what} {value} out of range for {size} entries")
+    return value
+
+
 def order_from_json(obj: Mapping) -> CausalOrder:
     try:
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ScenarioError("backend needs a 'kind' field") from None
     if kind == "minkowski":
-        return Minkowski(int(obj["dim"]))
+        return Minkowski(_json_int(obj["dim"], "minkowski dim"))
     if kind == "terminated_diagram":
         return TerminatedDiagram([tuple(v) for v in obj["vertices"]])
     if kind == "finite_order":
@@ -169,7 +179,12 @@ def box_from_json(obj: Mapping) -> tuple[CausalOrder, CorrelationBox]:
         order = order_from_json(obj["backend"])
         inputs = tuple(srv_from_json(s, order) for s in obj.get("inputs", []))
         outputs = tuple(srv_from_json(s, order) for s in obj.get("outputs", []))
-        pairing = {int(i): int(j) for i, j in obj.get("pairing", [])}
+        pairing = {
+            _json_int(i, "pairing input", len(inputs)): _json_int(
+                j, "pairing output", len(outputs)
+            )
+            for i, j in obj.get("pairing", [])
+        }
         table = {
             _split(x): {_split(a): p for a, p in row.items()}
             for x, row in obj.get("table", {}).items()
@@ -309,13 +324,6 @@ def load_scenario(text: str, name: str = "scenario") -> Scenario:
 
 # ----------------------------------------------------------------------
 # report serializers
-
-
-def validation_to_json(report: ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "issues": [{"kind": i.kind, "where": i.where} for i in report.issues],
-    }
 
 
 def separation_to_json(result: SeparationResult) -> dict:

@@ -113,6 +113,25 @@ class TestCheck:
         assert code == USAGE
         assert "failed validation" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pairing", [[0, 99]]),
+            ("backend", {"kind": "minkowski", "dim": 1.5}),
+        ],
+    )
+    def test_malformed_field_is_usage_error(self, capsys, tmp_path, field, value):
+        scen = sc.preset("bell_standard")
+        doc = sc.box_to_json(scen.order, scen.box)
+        doc[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(sc.dumps(doc))
+        code, out, err = run(capsys, "check", "--scenario", str(path))
+        assert code == USAGE
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestConstraints:
     def test_box_scenario_lists_instances(self, capsys, triangle_file):

@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 from causalbox.geometry import DomainError, Event, Minkowski
+from causalbox.intervals import Enclosure, IntervalSession
 from causalbox.jamming import (
     NJamConfig,
     Unsupported,
+    _above_cos,
+    _limit_index,
+    _oracle_verdict,
     boundary_functions,
     build_config,
     oracle_grid,
@@ -230,3 +234,70 @@ class TestEngineCrossValidation:
         for drop in range(4):
             sub = tuple(q for j, q in enumerate(qs) if j != drop)
             assert separated(M2, sub, (p,)).verdict is Verdict.SEPARATED
+
+
+def _cos_table(session: IntervalSession, n: int) -> list[Enclosure]:
+    return [session.enclosure(session.cos_pi_frac(m, n)) for m in range(2 * n)]
+
+
+def _reference_limit(table, n: int, J) -> Enclosure:
+    """The directional limit -max_k min_{j in J} cos((k - 2j)*pi/n) as
+    a max-min over interval enclosures, with no integer reasoning."""
+    best: Enclosure | None = None
+    for k in range(2 * n):
+        los, his = [], []
+        for j in J:
+            cell = table[(k - 2 * j) % (2 * n)]
+            los.append(cell.lo)
+            his.append(cell.hi)
+        worst = Enclosure(min(los), min(his))
+        if best is None:
+            best = worst
+        else:
+            best = Enclosure(max(best.lo, worst.lo), max(best.hi, worst.hi))
+    return Enclosure(-best.hi, -best.lo)
+
+
+def _limit_cases():
+    """Every J for n <= 8; for n = 9..12, every J of at most three or at
+    least n - 2 receivers."""
+    for n in range(3, 13):
+        for size in range(1, n + 1):
+            if n > 8 and 3 < size < n - 2:
+                continue
+            for J in itertools.combinations(range(n), size):
+                yield n, J
+
+
+GRID_HEIGHTS = tuple(F(k, 6) for k in range(-5, 6))
+
+
+class TestDirectionalLimit:
+    def test_rational_tie_is_decided(self):
+        # J = (0, 3, 6) at n = 9 is a triangle: its limit is cos(pi/3) = 1/2.
+        verdict, _ = _oracle_verdict(9, F(1, 2), (0, 3, 6))
+        assert verdict is Verdict.NOT_SEPARATED
+        assert _limit_index(9, (0, 3, 6)) == 6
+        assert not _above_cos(F(1, 2), 9 - 6, 9)
+        assert _above_cos(F(1, 2) + F(1, 10**40), 9 - 6, 9)
+
+    def test_integer_index_matches_interval_reference(self):
+        session = IntervalSession(128)
+        tables = {n: _cos_table(session, n) for n in range(3, 13)}
+        decided = 0
+        for n, J in _limit_cases():
+            reference = _reference_limit(tables[n], n, J)
+            m = n - _limit_index(n, J)
+            value = tables[n][m]
+            assert max(value.lo, reference.lo) <= min(value.hi, reference.hi)
+            near = F(float(reference.midpoint)).limit_denominator(10**12)
+            heights = (near - F(1, 10**9), near + F(1, 10**9))
+            if n <= 8:
+                heights += GRID_HEIGHTS
+            for h in heights:
+                below = reference.lt(h)
+                if below is None:
+                    continue
+                decided += 1
+                assert _above_cos(h, m, n) is below, (n, J, h)
+        assert decided > 8000
