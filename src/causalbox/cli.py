@@ -31,7 +31,7 @@ from .casestudies import (
 )
 from .geometry import FiniteOrder, GeometryError, TerminatedDiagram
 from .intervals import PrecisionExhausted
-from .jamming import Unsupported, build_config, verify_config
+from .jamming import NJamConfig, Unsupported, build_config, verify_config
 from .monogamy import (
     XorGame,
     ns_monogamy_lp,
@@ -167,23 +167,22 @@ def _scenario_points(scen: sc.Scenario) -> list[tuple]:
     ]
 
 
-def _njam_figure(n: int, h, t) -> str:
-    config = build_config(n, h)
+def _njam_figure(config: NJamConfig, t) -> str:
     receivers = [
         (float(cx.midpoint), float(cy.midpoint)) for cx, cy in config.points
     ]
     return svg.disc_timeslice(
-        n,
+        config.n,
         receivers,
-        float(parse_rational(h)),
+        float(config.h),
         float(parse_rational(t)),
-        f"reach discs, n={n}",
+        f"reach discs, n={config.n}",
     )
 
 
 def _figure_for(scen: sc.Scenario, t) -> str:
     if "n" in scen.detail:
-        return _njam_figure(scen.detail["n"], scen.detail["h"], t)
+        return _njam_figure(build_config(scen.detail["n"], scen.detail["h"]), t)
     points = _scenario_points(scen)
     if isinstance(scen.order, FiniteOrder):
         return svg.hasse_diagram(scen.order, scen.name)
@@ -290,7 +289,7 @@ def cmd_jam_geometry(args) -> int:
     config = build_config(args.n, args.h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
     t = parse_rational(args.t)
-    figure = _njam_figure(args.n, args.h, t)
+    figure = _njam_figure(config, t)
     filename = _safe_name(f"njam-n{args.n}-h{args.h}-t{args.t}") + ".svg"
     path = _write_svg(args.out, filename, figure)
     _emit({"bundle": sc.bundle_to_json(bundle), "svg": path})

@@ -8,6 +8,7 @@ by a terminal spacelike boundary.  All coordinate comparisons are exact
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
@@ -133,10 +134,9 @@ class Minkowski(CausalOrder):
         return dt * dt - sum(c * c for c in dx)
 
     def strictly_precedes(self, p: Event, q: Event) -> bool:
-        dt, dx = self.delta(p, q)
-        if p == q or dt < 0:
-            return False
-        return dt * dt >= sum(c * c for c in dx)
+        self.validate_event(p)
+        self.validate_event(q)
+        return _cone_precedes(p, q)
 
     def common_future(self, events: Sequence[Event]) -> Event | None:
         if not events:
@@ -152,6 +152,21 @@ class Minkowski(CausalOrder):
             for e in events
         )
         return Event(t=t, x=base)
+
+
+def _cone_precedes(p: Event, q: Event) -> bool:
+    """Strict precedence of two validated point events of equal dimension.
+
+    dt = 0 never qualifies: it would need dx = 0, that is p == q.
+    """
+    dt = q.t - p.t  # type: ignore[operator]
+    if dt <= 0:
+        return False
+    reach = 0
+    for a, b in zip(p.x, q.x):  # type: ignore[arg-type]
+        d = b - a
+        reach += d * d
+    return dt * dt >= reach
 
 
 class FiniteOrder(CausalOrder):
@@ -250,20 +265,23 @@ class TerminatedDiagram(CausalOrder):
                     f"boundary segment from x={x0} to x={x1} is not spacelike"
                 )
         self.vertices = pts
+        self._xs = [x for x, _ in pts]
+        self._slopes = [
+            (s1 - s0) / (x1 - x0) for (x0, s0), (x1, s1) in zip(pts, pts[1:])
+        ]
         self._ambient = Minkowski(1)
 
     def sigma(self, x) -> Fraction:
         """Boundary height above spatial position x."""
         x = parse_rational(x)
         pts = self.vertices
-        if x <= pts[0][0]:
+        i = bisect_right(self._xs, x)
+        if i == 0:
             return pts[0][1]
-        if x >= pts[-1][0]:
+        if i == len(pts):
             return pts[-1][1]
-        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
-            if x0 <= x <= x1:
-                return s0 + (s1 - s0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable: x inside vertex span")
+        x0, s0 = pts[i - 1]
+        return s0 + self._slopes[i - 1] * (x - x0)
 
     def in_domain(self, e: Event) -> bool:
         self._ambient.validate_event(e)
@@ -271,14 +289,13 @@ class TerminatedDiagram(CausalOrder):
         return e.t < self.sigma(e.x[0])
 
     def validate_event(self, e: Event) -> None:
-        self._ambient.validate_event(e)
         if not self.in_domain(e):
             raise DomainError(f"{e!r} is not below the terminal boundary")
 
     def strictly_precedes(self, p: Event, q: Event) -> bool:
         self.validate_event(p)
         self.validate_event(q)
-        return self._ambient.strictly_precedes(p, q)
+        return _cone_precedes(p, q)
 
     def phi(self, u: Fraction, v: Fraction) -> Fraction:
         """Margin sigma(x) - t of the point with lightcone coordinates

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .boxes import CorrelationBox, Srv, marginalize
 from .geometry import CausalOrder, Event
@@ -124,46 +124,53 @@ def _move_pairs(
     return sorted(pairs, key=key)
 
 
-def _sorted_instances(
-    inputs: Sequence[Srv], instances: Iterable[ConstraintInstance]
-) -> list[ConstraintInstance]:
-    return sorted(
-        instances,
-        key=lambda c: (
-            c.F,
-            c.G,
-            _label_indices(inputs, c.x),
-            _label_indices(inputs, c.x_prime),
-        ),
-    )
-
-
 def enumerate_constraints(
     order: CausalOrder, box: CorrelationBox, *, budget: int = 8
 ) -> list[ConstraintInstance]:
-    """All constraint instances this scenario generates.
+    """All constraint instances this scenario generates, sorted by
+    (F, G) and then by move pair.
 
-    Every nonempty (F, G) pair is tried; separation verdicts gate which
-    pairs emit instances.  Any Unknown verdict aborts the enumeration
-    with UndecidableScenario naming the offending pairs, because a
-    partial constraint set would silently under-report.
+    Nonempty (F, G) pairs are visited with G, then F, in order of size,
+    so every sub-pair of a pair comes first.  A pair that contains a
+    NOT_SEPARATED pair (F a superset of F0 and G of G0) is skipped
+    without a separated() call: any witness for Separated(G; F) also
+    witnesses every smaller G and F, so the pair is NOT_SEPARATED too.
+    Every other pair is decided, and SEPARATED pairs emit instances.
+    Any Unknown verdict aborts the enumeration with UndecidableScenario
+    naming the undecided pairs, because a partial constraint set would
+    silently under-report; a pair containing a NOT_SEPARATED pair is
+    decided, so it is never among them.
     """
     n_in, n_out = len(box.inputs), len(box.outputs)
     instances: list[ConstraintInstance] = []
     pending: list[tuple[tuple, tuple]] = []
+    # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
+    # ones are ever added, because every other one is skipped.
+    blocked: list[tuple[int, int]] = []
+    moves: dict[tuple[int, ...], list] = {}
     for size_g in range(1, n_out + 1):
         for G in itertools.combinations(range(n_out), size_g):
+            g_mask = sum(1 << g for g in G)
             gather = [box.outputs[g].location for g in G]
             for size_f in range(1, n_in + 1):
                 for F in itertools.combinations(range(n_in), size_f):
+                    f_mask = sum(1 << f for f in F)
+                    if any(
+                        f0 & f_mask == f0 and g0 & g_mask == g0
+                        for f0, g0 in blocked
+                    ):
+                        continue
                     avoid = [box.inputs[f].location for f in F]
                     result = separated(order, gather, avoid, budget=budget)
                     if result.verdict is Verdict.UNKNOWN:
                         pending.append((F, G))
                         continue
                     if result.verdict is Verdict.NOT_SEPARATED:
+                        blocked.append((f_mask, g_mask))
                         continue
-                    for x, y in _move_pairs(box.inputs, F):
+                    if F not in moves:
+                        moves[F] = _move_pairs(box.inputs, F)
+                    for x, y in moves[F]:
                         instances.append(
                             ConstraintInstance(F, G, x, y, result)
                         )
@@ -173,7 +180,10 @@ def enumerate_constraints(
             + ", ".join(f"F={f} G={g}" for f, g in pending),
             pending,
         )
-    return _sorted_instances(box.inputs, instances)
+    # Each (F, G) already lists its moves in _move_pairs' sorted order,
+    # so a stable sort on (F, G) gives the canonical order.
+    instances.sort(key=lambda c: (c.F, c.G))
+    return instances
 
 
 def check_instances(

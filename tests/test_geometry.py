@@ -43,7 +43,19 @@ class TestMinkowski:
         with pytest.raises(GeometryError):
             m.strictly_precedes(ev(0, 0), ev(1, 0))
         with pytest.raises(GeometryError):
+            m.strictly_precedes(ev(0, 0, 0), ev(1, 0))
+        with pytest.raises(GeometryError):
+            m.strictly_precedes(Event.named("a"), ev(1, 0, 0))
+        with pytest.raises(GeometryError):
             Minkowski(0)
+
+    @given(st.tuples(coord, coord, coord), st.tuples(coord, coord, coord))
+    def test_precedence_is_the_closed_cone(self, a, b):
+        m = Minkowski(2)
+        p, q = ev(*a), ev(*b)
+        dt = q.t - p.t
+        reach = (q.x[0] - p.x[0]) ** 2 + (q.x[1] - p.x[1]) ** 2
+        assert m.strictly_precedes(p, q) == (p != q and dt >= 0 and dt * dt >= reach)
 
     @given(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=5))
     def test_common_future_dominates_everyone(self, pts):
@@ -118,6 +130,48 @@ class TestTerminatedDiagram:
         assert td.sigma(-2) == 2
         assert td.sigma(100) == 3
         assert td.sigma(-100) == 3
+
+    def test_sigma_matches_linear_formula(self):
+        vertices = [(-5, 2), (Fraction(-7, 2), Fraction(5, 2)), (1, Fraction(1, 3)), (6, 4)]
+        td = TerminatedDiagram(vertices)
+        pts = [(Fraction(x), Fraction(s)) for x, s in vertices]
+
+        def linear(x):
+            if x <= pts[0][0]:
+                return pts[0][1]
+            if x >= pts[-1][0]:
+                return pts[-1][1]
+            for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
+                if x0 <= x <= x1:
+                    return s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+
+        probes = [x for x, _ in pts]  # vertices
+        for (x0, _), (x1, _) in zip(pts, pts[1:]):
+            probes += [x0 + (x1 - x0) * Fraction(k, 7) for k in range(1, 7)]
+        probes += [pts[0][0] - Fraction(1, 3), Fraction(-100), pts[-1][0] + Fraction(1, 5), Fraction(100)]
+        for x in probes:
+            assert td.sigma(x) == linear(x), x
+        assert td.sigma("1") == Fraction(1, 3)
+        assert td.sigma(0.5) == linear(Fraction(1, 2))
+
+    def test_event_on_boundary_is_rejected_by_every_query(self):
+        td = TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
+        inside = ev(-2, 0)
+        # At a vertex, inside a segment and on the flat extension.
+        for on in (ev(1, 0), ev(2, 2), ev(3, -7)):
+            assert not td.in_domain(on)
+            with pytest.raises(DomainError):
+                td.validate_event(on)
+            with pytest.raises(DomainError):
+                td.strictly_precedes(inside, on)
+            with pytest.raises(DomainError):
+                td.strictly_precedes(on, inside)
+        just_below = ev(Fraction(7, 4) - Fraction(1, 1000), Fraction(3, 2))
+        td.validate_event(just_below)
+        with pytest.raises(GeometryError):
+            td.strictly_precedes(inside, ev(0, 0, 0))
+        with pytest.raises(GeometryError):
+            td.strictly_precedes(Event.named("a"), inside)
 
     def test_domain_is_strictly_below_boundary(self):
         td = self.vee()

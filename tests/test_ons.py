@@ -1,10 +1,12 @@
 """Constraint generation, exact checking, and the named families."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import causalbox.ons
 from causalbox.boxes import (
     Alphabet,
     CorrelationBox,
@@ -12,7 +14,7 @@ from causalbox.boxes import (
     canonical_box,
     marginalize,
 )
-from causalbox.geometry import Event, Minkowski
+from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import (
     ConstraintInstance,
     LayoutMismatch,
@@ -23,7 +25,9 @@ from causalbox.ons import (
     check_standard_ns,
     enumerate_constraints,
     named_constraints,
+    _move_pairs,
 )
+from causalbox.separation import SeparationResult, Verdict, separated
 
 M1 = Minkowski(1)
 M2 = Minkowski(2)
@@ -160,6 +164,145 @@ class TestEnumeration:
         with pytest.raises(UndecidableScenario) as exc:
             enumerate_constraints(M2, box, budget=2)
         assert ((0, 1), (0, 1)) in exc.value.pending
+
+
+# ----------------------------------------------------------------------
+# lattice pruning against the unpruned all-pairs enumeration
+
+
+def all_pairs_reference(order, box, budget=8):
+    """The enumeration without pruning: separated() on every nonempty
+    (F, G) pair, sorted by (F, G, x, x') label indices."""
+    n_in, n_out = len(box.inputs), len(box.outputs)
+    instances, pending = [], []
+    for size_g in range(1, n_out + 1):
+        for G in itertools.combinations(range(n_out), size_g):
+            gather = [box.outputs[g].location for g in G]
+            for size_f in range(1, n_in + 1):
+                for F in itertools.combinations(range(n_in), size_f):
+                    avoid = [box.inputs[f].location for f in F]
+                    result = separated(order, gather, avoid, budget=budget)
+                    if result.verdict is Verdict.UNKNOWN:
+                        pending.append((F, G))
+                    elif result.verdict is Verdict.SEPARATED:
+                        for x, y in _move_pairs(box.inputs, F):
+                            instances.append(
+                                ConstraintInstance(F, G, x, y, result)
+                            )
+
+    def label_indices(x):
+        return tuple(s.alphabet.index(v) for s, v in zip(box.inputs, x))
+
+    instances.sort(
+        key=lambda c: (c.F, c.G, label_indices(c.x), label_indices(c.x_prime))
+    )
+    return instances, pending
+
+
+def _rat(rng, lo, hi):
+    den = rng.choice((1, 2, 4))
+    return Fraction(rng.randrange(lo * den, hi * den + 1), den)
+
+
+def _points(rng, k, t_lo, t_hi):
+    """k 1+1 events; about a quarter repeat an earlier location."""
+    pts = []
+    for _ in range(k):
+        if pts and rng.random() < 0.25:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append(Event.at(_rat(rng, t_lo, t_hi), _rat(rng, -4, 4)))
+    return pts
+
+
+def seeded_layout(backend, seed):
+    rng = random.Random(f"{backend}:{seed}")
+    n_in, n_out = rng.randint(1, 4), rng.randint(1, 3)
+    k = n_in + n_out
+    if backend == "minkowski1":
+        order, pts = M1, _points(rng, k, -2, 2)
+    elif backend == "terminated":
+        order = TerminatedDiagram([(x, _rat(rng, 3, 5)) for x in (-8, -3, 2, 7)])
+        pts = _points(rng, k, -2, 1)
+    else:
+        labels = [f"e{i}" for i in range(k)]
+        order = FiniteOrder(
+            [(a, b) for a, b in itertools.combinations(labels, 2) if rng.random() < 0.3],
+            labels,
+        )
+        pts = [Event.named(rng.choice(labels[: i + 1])) for i in range(k)]
+    ins = tuple(Srv(f"X{i}", BITS, e) for i, e in enumerate(pts[:n_in]))
+    outs = tuple(Srv(f"A{i}", BITS, e) for i, e in enumerate(pts[n_in:]))
+    table = {x: {} for x in itertools.product("01", repeat=n_in)}
+    return order, CorrelationBox(ins, outs, table)
+
+
+class TestLatticePruning:
+    @pytest.mark.parametrize("backend", ["minkowski1", "terminated", "finite"])
+    def test_matches_all_pairs_reference(self, backend, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return separated(*args, **kwargs)
+
+        lattice = 0
+        for seed in range(40):
+            order, box = seeded_layout(backend, seed)
+            expected, pending = all_pairs_reference(order, box)
+            assert pending == []
+            with monkeypatch.context() as patch:
+                patch.setattr(causalbox.ons, "separated", counting)
+                assert enumerate_constraints(order, box) == expected
+            lattice += (2 ** len(box.inputs) - 1) * (2 ** len(box.outputs) - 1)
+        assert len(calls) < lattice
+
+    def test_agents_box_skips_most_of_the_lattice(self, monkeypatch):
+        # Input i sits below output i, so each ({i}, {i}) is NOT_SEPARATED
+        # and every pair with i in both F and G contains it.  Only the 12
+        # pairs with F and G disjoint and the 3 blocking pairs are asked.
+        xs = (-4, 0, 4)
+        ins = tuple(Srv(f"X{i}", BITS, Event.at(0, x)) for i, x in enumerate(xs))
+        outs = tuple(Srv(f"A{i}", BITS, Event.at(1, x)) for i, x in enumerate(xs))
+        table = {x: {} for x in itertools.product("01", repeat=3)}
+        box = CorrelationBox(ins, outs, table, {i: i for i in range(3)})
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return separated(*args, **kwargs)
+
+        monkeypatch.setattr(causalbox.ons, "separated", counting)
+        got = enumerate_constraints(M1, box)
+        monkeypatch.undo()
+        assert got == all_pairs_reference(M1, box)[0]
+        assert len(calls) == 15  # of the 7 * 7 pairs in the lattice
+
+    def test_pending_omits_pairs_containing_a_not_separated_pair(self, monkeypatch):
+        # A stand-in engine: ({0}, {0}) is NOT_SEPARATED, all else UNKNOWN.
+        box = CorrelationBox(
+            tuple(Srv(f"X{i}", BITS, Event.at(0, i)) for i in range(2)),
+            tuple(Srv(f"A{i}", BITS, Event.at(1, i)) for i in range(2)),
+            {x: {} for x in itertools.product("01", repeat=2)},
+        )
+        blocked_gather = [box.outputs[0].location]
+        blocked_avoid = [box.inputs[0].location]
+
+        def engine(order, gather, avoid, budget=8):
+            if gather == blocked_gather and avoid == blocked_avoid:
+                return SeparationResult(Verdict.NOT_SEPARATED)
+            return SeparationResult(Verdict.UNKNOWN)
+
+        monkeypatch.setattr(causalbox.ons, "separated", engine)
+        with pytest.raises(UndecidableScenario) as exc:
+            enumerate_constraints(M1, box)
+        assert exc.value.pending == (
+            ((1,), (0,)),
+            ((0,), (1,)),
+            ((1,), (1,)),
+            ((0, 1), (1,)),
+            ((1,), (0, 1)),
+        )
 
 
 class TestChecking:
