@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the requested check passes or a value is computed,
 1 when a violation or contradiction is found (expected in the demo
-studies), 2 when the layout could not be decided at the configured
-precision or budget, 3 for usage errors including malformed input.
+studies), 2 when a Minkowski layout with three or more spatial
+dimensions defeats the witness search or the precision cap is reached,
+3 for usage errors including malformed input.
 
 All reports go to stdout as canonical JSON; figures are written
 atomically under --out.  The only randomized subcommand is simulate and
@@ -221,7 +222,7 @@ def _write_svg(out_dir: str, filename: str, content: str) -> str:
 def cmd_check(args) -> int:
     scen = _load_scenario(args)
     box = _validated_box(scen)
-    instances = enumerate_constraints(scen.order, box, budget=args.budget)
+    instances = enumerate_constraints(scen.order, box)
     violations = check_instances(box, instances)
     _emit(sc.check_report_to_json(instances, violations))
     return FOUND if violations else PASS
@@ -235,11 +236,11 @@ def cmd_constraints(args) -> int:
         outputs = scen.box.outputs if scen.box is not None else scen.outputs
         if not inputs or not outputs:
             _fail(USAGE, f"scenario {scen.name!r} has no SRVs to build a family over")
-        fam = named_constraints(family, scen.order, inputs, outputs, budget=args.budget)
+        fam = named_constraints(family, scen.order, inputs, outputs)
         _emit(sc.family_to_json(fam))
         return PASS
     box = _require_box(scen)
-    instances = enumerate_constraints(scen.order, box, budget=args.budget)
+    instances = enumerate_constraints(scen.order, box)
     _emit({"instances": [sc.instance_to_json(i) for i in instances]})
     return PASS
 
@@ -247,11 +248,11 @@ def cmd_constraints(args) -> int:
 def _find_protocol(args):
     scen = _load_scenario(args)
     box = _validated_box(scen)
-    instances = enumerate_constraints(scen.order, box, budget=args.budget)
+    instances = enumerate_constraints(scen.order, box)
     violations = check_instances(box, instances)
     proto = None
     if violations:
-        proto = exhaustive_protocol_search(scen.order, box, instances, budget=args.budget)
+        proto = exhaustive_protocol_search(scen.order, box, instances)
     return violations, proto
 
 
@@ -359,15 +360,11 @@ def cmd_render(args) -> int:
 # parser
 
 
-def _scenario_flags(p, *, budget: bool = True) -> None:
+def _scenario_flags(p) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario JSON document")
     p.add_argument("--preset", choices=sc.PRESETS, help="named built-in layout")
     p.add_argument("--n", type=int, help="receiver count, njam preset only")
     p.add_argument("--h", metavar="RAT", help="jammer delay, njam preset only")
-    if budget:
-        p.add_argument(
-            "--budget", type=int, default=8, help="separation search budget"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_case_study)
 
     p = sub.add_parser("render", help="draw a scenario as a deterministic SVG")
-    _scenario_flags(p, budget=False)
+    _scenario_flags(p)
     p.add_argument("--t", default="2", metavar="RAT", help="time slice for njam figures")
     p.add_argument("--out", default=".", metavar="DIR", help="figure directory")
     p.set_defaults(func=cmd_render)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath.ctx_iv import MPIntervalContext
 
@@ -154,13 +155,20 @@ class IntervalSession:
         return Enclosure(_raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw))
 
 
+@lru_cache(maxsize=None)
+def _session(bits: int) -> IntervalSession:
+    # A session holds nothing but its context, which is slow to build,
+    # so every refine call at one rung shares it.
+    return IntervalSession(bits)
+
+
 def refine(decide):
     """Run decide(session) up the precision ladder until it returns
     something other than None.  Raises PrecisionExhausted if the ladder
     ends first."""
     ladder = precision_ladder()
     for bits in ladder:
-        outcome = decide(IntervalSession(bits))
+        outcome = decide(_session(bits))
         if outcome is not None:
             return outcome
     raise PrecisionExhausted(

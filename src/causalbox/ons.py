@@ -61,11 +61,10 @@ class ConstraintInstance:
             return False
         gather = [box.outputs[g].location for g in self.G]
         avoid = [box.inputs[f].location for f in self.F]
-        if self.certificate.witness is not None:
-            return verify_separation_witness(
-                order, gather, avoid, self.certificate.witness
-            )
-        return separated(order, gather, avoid).verdict is Verdict.SEPARATED
+        witness = self.certificate.witness
+        return witness is not None and verify_separation_witness(
+            order, gather, avoid, witness
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def _move_pairs(
 
 
 def enumerate_constraints(
-    order: CausalOrder, box: CorrelationBox, *, budget: int = 8
+    order: CausalOrder, box: CorrelationBox
 ) -> list[ConstraintInstance]:
     """All constraint instances this scenario generates, sorted by
     (F, G) and then by move pair.
@@ -161,7 +160,7 @@ def enumerate_constraints(
                     ):
                         continue
                     avoid = [box.inputs[f].location for f in F]
-                    result = separated(order, gather, avoid, budget=budget)
+                    result = separated(order, gather, avoid)
                     if result.verdict is Verdict.UNKNOWN:
                         pending.append((F, G))
                         continue
@@ -207,10 +206,8 @@ def check_instances(
     return reports
 
 
-def check_ons(
-    order: CausalOrder, box: CorrelationBox, *, budget: int = 8
-) -> list[ViolationReport]:
-    return check_instances(box, enumerate_constraints(order, box, budget=budget))
+def check_ons(order: CausalOrder, box: CorrelationBox) -> list[ViolationReport]:
+    return check_instances(box, enumerate_constraints(order, box))
 
 
 def check_standard_ns(box: CorrelationBox) -> bool:
@@ -276,16 +273,16 @@ class NamedFamily:
         raise KeyError(label)
 
 
-def _require_separated(order, gather, avoid, what, *, budget):
-    res = separated(order, gather, avoid, budget=budget)
+def _require_separated(order, gather, avoid, what):
+    res = separated(order, gather, avoid)
     if res.verdict is Verdict.UNKNOWN:
         raise UndecidableScenario(f"cannot decide separation for {what}", [])
     if res.verdict is not Verdict.SEPARATED:
         raise LayoutMismatch(f"{what}: outputs are not separated from the inputs")
     return res
 
-def _require_jammed(order, gather, avoid, what, *, budget):
-    res = separated(order, gather, avoid, budget=budget)
+def _require_jammed(order, gather, avoid, what):
+    res = separated(order, gather, avoid)
     if res.verdict is Verdict.UNKNOWN:
         raise UndecidableScenario(f"cannot decide separation for {what}", [])
     if res.verdict is not Verdict.NOT_SEPARATED:
@@ -297,8 +294,6 @@ def named_constraints(
     order: CausalOrder,
     inputs: Sequence[Srv],
     outputs: Sequence[Srv],
-    *,
-    budget: int = 8,
 ) -> NamedFamily:
     """Instantiate a named constraint family on concrete SRVs.
 
@@ -358,11 +353,9 @@ def named_constraints(
     for label, F, G, jammer in pair_lines:
         gather = [outputs[g].location for g in G]
         cert = _require_separated(
-            order, gather, [inputs[f].location for f in F], label, budget=budget
+            order, gather, [inputs[f].location for f in F], label
         )
-        _require_jammed(
-            order, gather, [inputs[jammer].location], f"{label} (jam)", budget=budget
-        )
+        _require_jammed(order, gather, [inputs[jammer].location], f"{label} (jam)")
         insts = tuple(
             ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(inputs, F)
         )
@@ -370,7 +363,7 @@ def named_constraints(
     for label, F, G in single_lines:
         gather = [outputs[g].location for g in G]
         cert = _require_separated(
-            order, gather, [inputs[f].location for f in F], label, budget=budget
+            order, gather, [inputs[f].location for f in F], label
         )
         insts = tuple(
             ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(inputs, F)

@@ -22,9 +22,9 @@ import mpmath
 
 from .boxes import CorrelationBox, marginalize
 from .geometry import CausalOrder, Event, Minkowski
-from .ons import ConstraintInstance, UndecidableScenario, ViolationReport
+from .ons import ConstraintInstance, ViolationReport
 from .poincare import PoincareMap, find_loop_transform
-from .separation import Verdict, separated, verify_separation_witness
+from .separation import verify_separation_witness
 
 
 class PreconditionViolated(ValueError):
@@ -95,33 +95,23 @@ def _gathering_point_avoiding(
     box: CorrelationBox,
     inst: ConstraintInstance,
     sender: int,
-    budget: int,
 ) -> Event:
     gather = [box.outputs[g].location for g in inst.G]
     avoid = [box.inputs[sender].location]
     witness = inst.certificate.witness
-    if witness is not None and verify_separation_witness(
+    if witness is None or not verify_separation_witness(
         order, gather, avoid, witness
     ):
-        return witness
-    res = separated(order, gather, avoid, budget=budget)
-    if res.verdict is Verdict.NOT_SEPARATED:
         raise PreconditionViolated(
             "instance certificate does not cover the localized sender"
         )
-    if res.verdict is Verdict.UNKNOWN or res.witness is None:
-        raise UndecidableScenario(
-            "no explicit gathering point available for the protocol", []
-        )
-    return res.witness
+    return witness
 
 
 def build_protocol(
     order: CausalOrder,
     box: CorrelationBox,
     violation: ViolationReport,
-    *,
-    budget: int = 8,
 ) -> SignallingProtocol:
     """Assemble and re-verify the protocol extracted from a violation."""
     if not violation.recompute(box):
@@ -131,7 +121,7 @@ def build_protocol(
     sender = inst.F[k - 1]
     dist_a = marginalize(box, inst.G, x_a)
     dist_b = marginalize(box, inst.G, x_b)
-    point = _gathering_point_avoiding(order, box, inst, sender, budget)
+    point = _gathering_point_avoiding(order, box, inst, sender)
     if order.strictly_precedes(box.inputs[sender].location, point):
         raise PreconditionViolated("gathering point is after the sender")
     for g in inst.G:
@@ -152,8 +142,6 @@ def exhaustive_protocol_search(
     order: CausalOrder,
     box: CorrelationBox,
     instances: Sequence[ConstraintInstance],
-    *,
-    budget: int = 8,
 ) -> SignallingProtocol | None:
     """Try every instance and every hybrid step; first protocol wins.
 
@@ -168,7 +156,7 @@ def exhaustive_protocol_search(
         for a in left:
             if left[a] != right[a]:
                 report = ViolationReport(inst, a, left[a], right[a])
-                return build_protocol(order, box, report, budget=budget)
+                return build_protocol(order, box, report)
     return None
 
 
@@ -345,7 +333,6 @@ def loop_paradox_certificate(
     violation: ViolationReport,
     *,
     allow_reflection: bool = False,
-    budget: int = 8,
 ):
     """Close the protocol into a causal loop when an isometry permits.
 
@@ -354,7 +341,7 @@ def loop_paradox_certificate(
     (one spatial dimension without reflections, or a relay point that
     is not spacelike from the sender).
     """
-    protocol = build_protocol(order, box, violation, budget=budget)
+    protocol = build_protocol(order, box, violation)
     p = box.inputs[protocol.sender].location
     q = protocol.gathering_point
     transform = find_loop_transform(order, p, q, allow_reflection)

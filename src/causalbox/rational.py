@@ -110,11 +110,14 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """Exact number a + b*sqrt(d) with a, b rational and d a squarefree
-    nonnegative integer (d == 0 encodes a plain rational).
+    """Exact number a + b*sqrt(d) with a, b rational and d a nonnegative
+    integer (d == 0 or b == 0 encodes a plain rational).
 
-    Construct through :func:`quad` or :func:`quad_sqrt`, which normalise the
-    radicand; the raw constructor trusts its inputs.
+    Signs and comparisons are exact for any radicand, squarefree or not,
+    so the raw constructor may take d = n*m for sqrt(n/m) = sqrt(n*m)/m
+    without factoring.  :func:`quad` and :func:`quad_sqrt` normalise d to
+    its squarefree part by trial division, which is what ring operations
+    (equal radicands only), ``is_rational`` and hashing rely on.
     """
 
     a: Fraction
@@ -180,9 +183,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def square(self) -> "QuadExt":
-        return self * self
-
     # -- exact ordering ------------------------------------------------
 
     def sign(self) -> int:
@@ -200,8 +200,23 @@ class QuadExt:
             return 0
         return sa if lhs > rhs else sb
 
+    def _grid(self) -> int:
+        """An integer n with n <= value * 2**64 < n + 2."""
+        a, b = self.a, self.b
+        n = (a.numerator << 64) // a.denominator
+        if b and self.d:
+            root = math.isqrt(b.numerator**2 * self.d << 128) // b.denominator
+            n += root if b > 0 else -root - 1
+        return n
+
     def cmp(self, other: "QuadExt | Fraction | int") -> int:
         o = self._coerce(other)
+        # Integer enclosures settle all but near ties without Fractions.
+        n, m = self._grid(), o._grid()
+        if n + 2 <= m:
+            return -1
+        if m + 2 <= n:
+            return 1
         if self.is_rational() or o.is_rational() or self.d == o.d:
             return (self - o).sign()
         return sign3(self.a - o.a, self.b, self.d, -o.b, o.d)
@@ -284,30 +299,31 @@ def sign3(A: Fraction, B: Fraction, d1: int, C: Fraction, d2: int) -> int:
     """Exact sign of A + B*sqrt(d1) + C*sqrt(d2) for rational A, B, C and
     nonnegative integer radicands.
 
-    Reduces to two-term signs by comparing (A + B*sqrt(d1))^2 with C^2 d2
-    when the two sides pull in opposite directions.
+    Perfect-square radicands fold into A and equal radicands merge; two
+    radical terms left pulling in opposite directions are compared by
+    (A + B*sqrt(d1))^2 against C^2 d2.  Nothing is factored, so radicands
+    of any size cost only a few multiplications.
     """
-    A, B, C = Fraction(A), Fraction(B), Fraction(C)
+    A = Fraction(A)
     if d1 < 0 or d2 < 0:
         raise ValueError("negative radicand")
-    left = quad(A, B, d1)
-    right = quad(0, C, d2)
-    if right.is_rational():
-        return (left + right.a).sign()
-    if left.is_rational():
-        return quad(left.a + right.a, right.b, right.d).sign()
-    if left.d == right.d:
-        return (left + right).sign()
-    sl, sr = left.sign(), right.sign()
-    if sl == 0:
-        return sr
-    if sr == 0:
-        return sl
+    terms: dict[int, Fraction] = {}
+    for coef, d in ((Fraction(B), d1), (Fraction(C), d2)):
+        root = isqrt_exact(d)
+        if root is not None:
+            A += coef * root
+        elif coef:
+            terms[d] = terms.get(d, Fraction(0)) + coef
+    radicals = [(d, coef) for d, coef in terms.items() if coef]
+    if len(radicals) < 2:
+        d, b = radicals[0] if radicals else (0, Fraction(0))
+        return QuadExt(A, b, d).sign()
+    (d1, B), (d2, C) = radicals
+    # A + B*sqrt(d1) is nonzero: sqrt(d1) is irrational.
+    sl, sr = QuadExt(A, B, d1).sign(), _sign(C)
     if sl == sr:
         return sl
-    # Opposite strict signs: compare magnitudes via left^2 vs C^2 d2.
-    diff = left.square() - right.square().a
-    s = diff.sign()
+    s = QuadExt(A * A + B * B * d1 - C * C * d2, 2 * A * B, d1).sign()
     if s == 0:
         return 0
     return sl if s > 0 else sr

@@ -2,16 +2,18 @@
 that stays outside the strict causal future of every member of a second
 family.
 
-Verdicts are exact for finite orders, for both 1+1 backends, and for the
-plane with at most one avoided event; the remaining plane cases and
-higher dimensions fall back to certificate search and report UNKNOWN
-rather than guess.  SEPARATED results carry a rational witness event
-whenever the search finds one, and every witness re-verifies against the
-raw causal relation.
+Verdicts are exact for finite orders (exhaustive scan), for both 1+1
+backends (a quadrant sweep in lightcone coordinates) and for the plane
+(a rational sweep over the critical lines of the light-cone conics).
+Only Minkowski(d) with d >= 3 falls back to a grid search for a
+certificate and reports UNKNOWN, rather than guess, when it finds none.
+Every SEPARATED result carries a rational witness event that re-verifies
+against the raw causal relation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,9 +30,12 @@ from .geometry import (
     event_from_null,
     null_coords,
 )
-from .rational import QuadExt, quad_sqrt
+from .rational import QuadExt
 
 Vec = tuple[Fraction, ...]
+
+# Time steps of the grid witness search used beyond the plane.
+SEARCH_STEPS = 8
 
 
 class Verdict(Enum):
@@ -87,180 +92,8 @@ def _norm2(a: Vec) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# exact plane slice test: do closed discs have a common point?
-
-
-def _vertex_in_disc(
-    base: Vec, eperp: Vec, mu_sq: Fraction, sign: int, center: Vec, r: Fraction
-) -> bool:
-    """Membership of base + sign*sqrt(mu_sq)*eperp in the closed disc
-    (center, r), decided exactly in the quadratic extension."""
-    g = _vsub(base, center)
-    const = _norm2(g) + mu_sq * _norm2(eperp) - r * r
-    lin = 2 * sign * _dot(g, eperp)
-    val = QuadExt.rational(const) + quad_sqrt(mu_sq) * Fraction(lin)
-    return val.cmp(0) <= 0
-
-
-def _triple_discs_nonempty(cs: Sequence[Vec], rs: Sequence[Fraction]) -> bool:
-    """Common point of up to three pairwise-intersecting closed discs.
-
-    If the intersection is nonempty it contains a disc center or a
-    boundary crossing of two of the circles, so checking those finitely
-    many candidates is a complete test.
-    """
-    n = len(cs)
-    for a in range(n):
-        if all(_norm2(_vsub(cs[a], cs[b])) <= rs[b] * rs[b] for b in range(n)):
-            return True
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = _vsub(cs[b], cs[a])
-            d2 = _norm2(e)
-            if d2 == 0:
-                continue
-            alpha = (d2 + rs[a] * rs[a] - rs[b] * rs[b]) / (2 * d2)
-            h2 = rs[a] * rs[a] - alpha * alpha * d2
-            if h2 < 0:
-                continue
-            base = tuple(ca + alpha * ei for ca, ei in zip(cs[a], e))
-            eperp = (-e[1], e[0])
-            mu_sq = h2 / d2
-            for sign in (1, -1):
-                if all(
-                    _vertex_in_disc(base, eperp, mu_sq, sign, cs[m], rs[m])
-                    for m in range(n)
-                ):
-                    return True
-    return False
-
-
-def slice_gather_nonempty(centers: Sequence[Vec], radii: Sequence[Fraction]) -> bool:
-    """Whether the closed discs (centers[j], radii[j]) share a point.
-
-    Negative radii mean an unreachable member and give False.  With three
-    or more discs, pairwise checks plus exact triple checks decide the
-    whole family (Helly in the plane).
-    """
-    if any(r < 0 for r in radii):
-        return False
-    m = len(centers)
-    for i, k in combinations(range(m), 2):
-        gap = _norm2(_vsub(centers[i], centers[k]))
-        if gap > (radii[i] + radii[k]) ** 2:
-            return False
-    if m <= 2:
-        return True
-    for i, j, k in combinations(range(m), 3):
-        if not _triple_discs_nonempty(
-            [centers[i], centers[j], centers[k]], [radii[i], radii[j], radii[k]]
-        ):
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# exact late-time escape threshold in the plane
-
-
-def escape_threshold(ws: Sequence[Vec], ts: Sequence[Fraction]) -> QuadExt:
-    """min over unit directions y of max_j (ts[j] - ws[j].y), exactly.
-
-    This is the late-time limit of (t - farthest reach) for the growing
-    common-contact region relative to the origin of the ws.  The minimum
-    is attained either where a single term is smallest (y along that w)
-    or where two terms tie, so evaluating those candidate directions in
-    quadratic extensions and taking the exact minimum is complete.
-    """
-    best_t: dict[Vec, Fraction] = {}
-    for w, t in zip(ws, ts):
-        if w not in best_t or t > best_t[w]:
-            best_t[w] = t
-    items = sorted(best_t.items())
-    ws = [w for w, _ in items]
-    ts = [t for _, t in items]
-    zero = tuple(Fraction(0) for _ in ws[0])
-    if all(w == zero for w in ws):
-        return QuadExt.rational(max(ts))
-
-    values: list[QuadExt] = []
-
-    def evaluate(const_of: list[Fraction], coeff_of: list[Fraction], root: QuadExt):
-        vals = [QuadExt.rational(c) + root * k for c, k in zip(const_of, coeff_of)]
-        cur = vals[0]
-        for v in vals[1:]:
-            if v.cmp(cur) > 0:
-                cur = v
-        values.append(cur)
-
-    for j, wj in enumerate(ws):
-        dj = _norm2(wj)
-        if dj == 0:
-            continue
-        # y = wj / |wj|: each term becomes t_k - (w_k.wj)/dj * sqrt(dj)
-        evaluate(
-            list(ts),
-            [-_dot(wk, wj) / dj for wk in ws],
-            quad_sqrt(dj),
-        )
-    for i, k in combinations(range(len(ws)), 2):
-        u = _vsub(ws[i], ws[k])
-        if u == zero:
-            continue
-        c = ts[i] - ts[k]
-        n2 = _norm2(u)
-        disc = n2 - c * c
-        if disc < 0:
-            continue
-        uperp = (-u[1], u[0])
-        root = quad_sqrt(disc)
-        for sign in (1, -1):
-            # y = (c/n2) u + sign*(sqrt(disc)/n2) uperp is a unit vector
-            # on which terms i and k tie.
-            evaluate(
-                [ts[m] - c * _dot(wm, u) / n2 for m, wm in enumerate(ws)],
-                [Fraction(-sign) * _dot(wm, uperp) / n2 for wm in ws],
-                root,
-            )
-
-    assert values, "at least one nonzero w yields a candidate direction"
-    best = values[0]
-    for v in values[1:]:
-        if v.cmp(best) < 0:
-            best = v
-    return best
-
-
-# ----------------------------------------------------------------------
-# exact single-avoid decision in the plane
-
-
-def _plane_single_avoid(
-    order: Minkowski, gather: Sequence[Event], p: Event
-) -> tuple[str, QuadExt | None]:
-    """Exact trichotomy for Minkowski(2) against one avoided event.
-
-    "slice": a gathering event exists at or before the avoided time, and
-    any such event is automatically outside the avoided strict future.
-    "escape": gathering must happen later, but the common-contact region
-    outruns the avoided lightcone.  "blocked": neither, hence every
-    gathering event sits in the avoided strict future.
-    """
-    assert p.t is not None and p.x is not None
-    centers = [q.x for q in gather]
-    radii = [p.t - q.t for q in gather]  # type: ignore[operator]
-    if slice_gather_nonempty(centers, radii):  # type: ignore[arg-type]
-        return "slice", None
-    ws = [_vsub(q.x, p.x) for q in gather]  # type: ignore[arg-type]
-    ts = [q.t for q in gather]
-    threshold = escape_threshold(ws, ts)  # type: ignore[arg-type]
-    if threshold.cmp(p.t) < 0:
-        return "escape", threshold
-    return "blocked", threshold
-
-
-# ----------------------------------------------------------------------
-# rational witness search (certificates only; never used for NOT verdicts)
+# rational witness search beyond the plane (certificates only, never
+# used for NOT verdicts; tests also run it on the plane as an oracle)
 
 
 def _tangency_points(ci: Vec, ri: Fraction, ck: Vec, rk: Fraction) -> list[Vec]:
@@ -310,7 +143,6 @@ def _search_witness(
     order: Minkowski,
     gather: Sequence[Event],
     avoid: Sequence[Event],
-    budget: int,
 ) -> Event | None:
     candidates: list[Event] = list(avoid)
     cf = order.common_future(gather)
@@ -332,11 +164,195 @@ def _search_witness(
     times = [e.t for e in [*gather, *avoid]]
     tbase = max(times) + 1  # type: ignore[operator]
     levels = 5 if order.dim == 2 else 3
-    for step in range(budget):
+    for step in range(SEARCH_STEPS):
         t = tbase + 2**step - 1
         for cand in _grid_candidates(order, gather, t, levels):
             if verify_separation_witness(order, gather, avoid, cand):
                 return cand
+    return None
+
+
+# ----------------------------------------------------------------------
+# exact plane sweep
+#
+# Gathered events are (t_i, a_i), avoided ones (s_k, b_k).  Unless an
+# avoided event is itself a witness, (tau, x) separates exactly when
+# T(x) <= tau < S(x), with T(x) = max_i t_i + |x - a_i| and
+# S(x) = min_k s_k + |x - b_k|.  So the question is whether the open set
+# W = {x : T(x) < S(x)} is empty.  Its boundary lies on the curves
+# t_i + |x - a_i| = s_k + |x - b_k|, whose squares are conics, and its
+# corners, where the maximum or the minimum changes hands, project from
+# points on three light cones.  Hence every component of W projects to
+# an open x1-interval whose finite ends are event abscissae, vertical
+# tangents or asymptotes of the conics, or triple-cone abscissae, all of
+# the form a + b*sqrt(R).  A rational line in each gap between them
+# meets every component, and on that line W is a union of gaps between
+# the conics' roots in y, so testing one rational point per gap decides.
+
+
+def _cross(u: Vec, v: Vec) -> Vec:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _roots(c2: Fraction, c1: Fraction, c0: Fraction) -> list[QuadExt]:
+    """Real roots of c2*z^2 + c1*z + c0; none when it vanishes identically."""
+    if c2 == 0:
+        return [QuadExt.rational(-c0 / c1)] if c1 else []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    mid = -c1 / (2 * c2)
+    if disc == 0:
+        return [QuadExt.rational(mid)]
+    # sqrt(n/d) = sqrt(n*d)/d: the radicand stays raw, nothing is factored.
+    half = 1 / (2 * c2 * disc.denominator)
+    rad = disc.numerator * disc.denominator
+    return [QuadExt(mid, -half, rad), QuadExt(mid, half, rad)]
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with the smallest denominator strictly inside (lo, hi)."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_between(-hi, -lo)
+    whole = math.floor(lo)
+    if whole + 1 < hi:
+        return Fraction(whole + 1)
+    if lo == whole:
+        return whole + Fraction(1, math.floor(1 / (hi - whole)) + 1)
+    return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
+
+
+def _between(v: QuadExt, w: QuadExt) -> Fraction:
+    """A simple rational strictly between v < w."""
+    bits = 32
+    while True:
+        lo, hi = v.bounds(bits)[1], w.bounds(bits)[0]
+        if lo < hi:
+            return _simplest_between(lo, hi)
+        bits *= 2
+
+
+def _samples(values: list[QuadExt]) -> list[Fraction]:
+    """A rational in each gap between the distinct values, then one beyond
+    each end: every open interval whose ends are among the values, or
+    infinite, contains one of them."""
+    if not values:
+        return [Fraction(0)]
+    values = sorted(values)
+    out = [_between(v, w) for v, w in zip(values, values[1:]) if v < w]
+    out.append(Fraction(math.floor(values[0].bounds(32)[0]) - 1))
+    out.append(Fraction(math.ceil(values[-1].bounds(32)[1]) + 1))
+    return out
+
+
+def _pair_conic(g: Event, p: Event) -> tuple[Fraction, ...]:
+    """Coefficients (al, b1, b0, g2, g1, g0) of the conic
+    al*y^2 + (b1*x1 + b0)*y + g2*x1^2 + g1*x1 + g0 = 0 that holds on the
+    curve t + |x - a| = s + |x - b| of gathered (t, a) and avoided (s, b).
+
+    With c = t - s and L = |x - b|^2 - |x - a|^2, which is linear in x,
+    the curve gives L - c^2 = 2c|x - a|; squaring yields the conic.
+    """
+    (a1, a2), (b1, b2) = g.x, p.x  # type: ignore[misc]
+    c = g.t - p.t  # type: ignore[operator]
+    l1, l2 = 2 * (a1 - b1), 2 * (a2 - b2)
+    l0 = b1 * b1 + b2 * b2 - a1 * a1 - a2 * a2 - c * c
+    k = 4 * c * c
+    return (
+        l2 * l2 - k,
+        2 * l2 * l1,
+        2 * l2 * l0 + 2 * k * a2,
+        l1 * l1 - k,
+        2 * l1 * l0 + 2 * k * a1,
+        l0 * l0 - k * (a1 * a1 + a2 * a2),
+    )
+
+
+def _vertical_tangents(conic: tuple[Fraction, ...]) -> list[QuadExt]:
+    """x1 where the conic, as a quadratic in y, has a double root or loses
+    its y^2 term: vertical tangents and asymptotes.  A double line has a
+    double root everywhere; then the roots of the y-free part give its
+    x1 if it is vertical."""
+    al, b1, b0, g2, g1, g0 = conic
+    disc = (b1 * b1 - 4 * al * g2, 2 * b1 * b0 - 4 * al * g1, b0 * b0 - 4 * al * g0)
+    return _roots(*disc) if any(disc) else _roots(g2, g1, g0)
+
+
+def _triple_abscissae(e0: Event, e1: Event, e2: Event) -> list[QuadExt]:
+    """x1 of the points where the future light cones of three events meet.
+
+    Subtracting the cone equations leaves two planes in (x1, y, tau);
+    their common line meets the first cone at most twice.  Parallel
+    planes mean collinear events: either no common point, or all three
+    on one light ray, where two of one kind are causally related and the
+    earlier gathered (later avoided) one never bounds W on its own.
+    """
+    (x0, y0), t0 = e0.x, e0.t  # type: ignore[misc]
+    rows = [
+        (
+            (2 * (e.x[0] - x0), 2 * (e.x[1] - y0), -2 * (e.t - t0)),  # type: ignore
+            _norm2(e.x) - x0 * x0 - y0 * y0 - e.t * e.t + t0 * t0,  # type: ignore
+        )
+        for e in (e1, e2)
+    ]
+    (n1, c1), (n2, c2) = rows
+    d = _cross(n1, n2)
+    dd = _dot(d, d)
+    if dd == 0:
+        return []
+    base = tuple(
+        (c1 * u + c2 * v) / dd for u, v in zip(_cross(n2, d), _cross(d, n1))
+    )
+    w = (base[0] - x0, base[1] - y0, base[2] - t0)
+
+    def mink(u: Vec, v: Vec) -> Fraction:
+        return u[2] * v[2] - u[0] * v[0] - u[1] * v[1]
+
+    latest = max(e0.t, e1.t, e2.t)  # type: ignore[type-var]
+    return [
+        lam * d[0] + base[0]
+        for lam in _roots(mink(d, d), 2 * mink(w, d), mink(w, w))
+        if (lam * d[2] + base[2]).cmp(latest) >= 0  # future sheets only
+    ]
+
+
+def _arrival(e: Event, x: Vec) -> QuadExt:
+    """e.t + |x - e.x| exactly, with a raw radicand."""
+    dx, dy = x[0] - e.x[0], x[1] - e.x[1]  # type: ignore[index]
+    r2 = dx * dx + dy * dy
+    rad = r2.numerator * r2.denominator
+    return QuadExt(e.t, Fraction(1, r2.denominator), rad)  # type: ignore[arg-type]
+
+
+def _plane_sweep(gather: Sequence[Event], avoid: Sequence[Event]) -> Event | None:
+    """A rational witness (tau, x) with x in W, or None when W is empty."""
+    conics = [_pair_conic(g, p) for g in gather for p in avoid if g.x != p.x]
+    events = [*gather, *avoid]
+    crit = [QuadExt.rational(e.x[0]) for e in events]  # type: ignore[index]
+    for conic in conics:
+        crit += _vertical_tangents(conic)
+    n = len(gather)
+    for i, j, k in combinations(range(len(events)), 3):
+        if i < n <= k:  # at least one gathered and one avoided event
+            crit += _triple_abscissae(events[i], events[j], events[k])
+    for x1 in _samples(crit):
+        ys: list[QuadExt] = []
+        for al, b1, b0, g2, g1, g0 in conics:
+            ys += _roots(al, b1 * x1 + b0, (g2 * x1 + g1) * x1 + g0)
+        for y in _samples(ys):
+            x = (x1, y)
+            late = max(_arrival(g, x) for g in gather)
+            early = min(_arrival(p, x) for p in avoid)
+            if late < early:
+                lo, hi = late.bounds()
+                tau = lo if lo == hi else _between(late, early)
+                return Event(t=tau, x=x)
     return None
 
 
@@ -398,8 +414,6 @@ def separated(
     order: CausalOrder,
     gather: Sequence[Event],
     avoid: Sequence[Event],
-    *,
-    budget: int = 8,
 ) -> SeparationResult:
     """Decide Separated(gather; avoid) over the given causal order.
 
@@ -452,48 +466,24 @@ def separated(
         )
 
     if order.dim == 2:
-        kinds: dict[Event, str] = {}
-        for p in avoid:
-            kind, threshold = _plane_single_avoid(order, gather, p)
-            if kind == "blocked":
-                return SeparationResult(
-                    Verdict.NOT_SEPARATED,
-                    reason="cone_closure",
-                    detail=(
-                        f"every gathering event lies in the strict future of "
-                        f"{p!r}; late-time threshold {threshold!r} is not below "
-                        f"its time {p.t}"
-                    ),
-                )
-            kinds[p] = kind
-        witness = _search_witness(order, gather, avoid, budget)
-        if witness is not None:
-            reason = (
-                {"slice": "gather_before_avoid", "escape": "asymptotic_escape"}[
-                    kinds[avoid[0]]
-                ]
-                if len(avoid) == 1
-                else "witness_search"
-            )
-            return SeparationResult(Verdict.SEPARATED, witness=witness, reason=reason)
-        if len(avoid) == 1:
-            # The trichotomy already decided this instance; only the
-            # explicit rational certificate is missing.
+        witness = next(
+            (p for p in avoid if verify_separation_witness(order, gather, avoid, p)),
+            None,
+        ) or _plane_sweep(gather, avoid)
+        if witness is None:
             return SeparationResult(
-                Verdict.SEPARATED,
-                witness=None,
-                reason="gather_before_avoid"
-                if kinds[avoid[0]] == "slice"
-                else "asymptotic_escape",
-                detail="no rational witness found within the search budget",
+                Verdict.NOT_SEPARATED,
+                reason="cone_closure",
+                detail="every gathering event is strictly after an avoided event",
             )
+        early = witness.t <= min(p.t for p in avoid)  # type: ignore[type-var]
         return SeparationResult(
-            Verdict.UNKNOWN,
-            reason="joint_avoidance_undecided",
-            detail="each avoided event is escapable alone; joint escape unresolved",
+            Verdict.SEPARATED,
+            witness=witness,
+            reason="gather_before_avoid" if early else "plane_sweep",
         )
 
-    witness = _search_witness(order, gather, avoid, budget)
+    witness = _search_witness(order, gather, avoid)
     if witness is not None:
         return SeparationResult(
             Verdict.SEPARATED, witness=witness, reason="witness_search"

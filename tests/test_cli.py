@@ -38,17 +38,24 @@ def triangle_file(tmp_path):
 
 @pytest.fixture
 def undecidable_file(tmp_path):
-    # plane, two avoided events flanking the joint future: the engine
-    # declines to decide rather than guess
-    ins = (Srv("X1", BITS, Event.at(0, 0, 1)), Srv("X2", BITS, Event.at(0, 0, -1)))
-    outs = (Srv("A", BITS, Event.at(0, -4, 0)), Srv("B", BITS, Event.at(0, 4, 0)))
+    # 3+1 dimensions, two avoided events flanking the joint future: only
+    # the grid search runs there, and the engine declines to decide
+    # rather than guess
+    ins = (
+        Srv("X1", BITS, Event.at(0, 0, 1, 0)),
+        Srv("X2", BITS, Event.at(0, 0, -1, 0)),
+    )
+    outs = (
+        Srv("A", BITS, Event.at(0, -4, 0, 0)),
+        Srv("B", BITS, Event.at(0, 4, 0, 0)),
+    )
     table = {
         (x1, x2): {(a, b): Fraction(1, 4) for a, b in product("01", repeat=2)}
         for x1, x2 in product("01", repeat=2)
     }
     box = CorrelationBox(inputs=ins, outputs=outs, table=table)
     path = tmp_path / "undecidable.json"
-    path.write_text(sc.dumps(sc.box_to_json(Minkowski(2), box)))
+    path.write_text(sc.dumps(sc.box_to_json(Minkowski(3), box)))
     return str(path)
 
 
@@ -78,6 +85,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--scenario", undecidable_file)
         assert code == UNDECIDED
         assert "undecided" in err
+
+    def test_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--preset", "bell_standard", "--budget", "8"])
+        assert exc.value.code == USAGE
+        assert "--budget" in capsys.readouterr().err
 
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

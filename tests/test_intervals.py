@@ -118,6 +118,18 @@ class TestRefine:
 
         assert refine(decide) == (256,)
 
+    def test_calls_at_one_rung_share_the_session(self):
+        seen = []
+
+        def decide(session):
+            seen.append(session)
+            return True
+
+        refine(decide)
+        refine(decide)
+        assert seen[0] is seen[1]
+        assert seen[0].prec == 64
+
     def test_exhaustion_carries_hint(self, monkeypatch):
         monkeypatch.setenv("CAUSALBOX_PRECISION", "128")
         with pytest.raises(PrecisionExhausted) as err:

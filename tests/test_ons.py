@@ -151,18 +151,20 @@ class TestEnumeration:
         assert (("1", "1"), ("0", "0")) not in moves
 
     def test_undecidable_scenario_raised_with_pending_pairs(self):
+        # 3+1 dimensions: only the grid search runs there, and it finds no
+        # witness for the joint avoidance.
         ins = (
-            Srv("V1", BITS, Event.at(0, 0, Fraction(-1, 2))),
-            Srv("V2", BITS, Event.at(0, 0, Fraction(1, 2))),
+            Srv("V1", BITS, Event.at(0, 0, Fraction(-1, 2), 0)),
+            Srv("V2", BITS, Event.at(0, 0, Fraction(1, 2), 0)),
         )
         outs = (
-            Srv("A", BITS, Event.at(0, -1, 0)),
-            Srv("B", BITS, Event.at(0, 1, 0)),
+            Srv("A", BITS, Event.at(0, -1, 0, 0)),
+            Srv("B", BITS, Event.at(0, 1, 0, 0)),
         )
         table = {x: {} for x in itertools.product("01", repeat=2)}
         box = CorrelationBox(ins, outs, table)
         with pytest.raises(UndecidableScenario) as exc:
-            enumerate_constraints(M2, box, budget=2)
+            enumerate_constraints(Minkowski(3), box)
         assert ((0, 1), (0, 1)) in exc.value.pending
 
 
@@ -170,7 +172,7 @@ class TestEnumeration:
 # lattice pruning against the unpruned all-pairs enumeration
 
 
-def all_pairs_reference(order, box, budget=8):
+def all_pairs_reference(order, box):
     """The enumeration without pruning: separated() on every nonempty
     (F, G) pair, sorted by (F, G, x, x') label indices."""
     n_in, n_out = len(box.inputs), len(box.outputs)
@@ -181,7 +183,7 @@ def all_pairs_reference(order, box, budget=8):
             for size_f in range(1, n_in + 1):
                 for F in itertools.combinations(range(n_in), size_f):
                     avoid = [box.inputs[f].location for f in F]
-                    result = separated(order, gather, avoid, budget=budget)
+                    result = separated(order, gather, avoid)
                     if result.verdict is Verdict.UNKNOWN:
                         pending.append((F, G))
                     elif result.verdict is Verdict.SEPARATED:
@@ -288,7 +290,7 @@ class TestLatticePruning:
         blocked_gather = [box.outputs[0].location]
         blocked_avoid = [box.inputs[0].location]
 
-        def engine(order, gather, avoid, budget=8):
+        def engine(order, gather, avoid):
             if gather == blocked_gather and avoid == blocked_avoid:
                 return SeparationResult(Verdict.NOT_SEPARATED)
             return SeparationResult(Verdict.UNKNOWN)

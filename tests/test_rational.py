@@ -143,6 +143,15 @@ def test_sign3_exact_cancellations():
     assert sign3(Fraction(-4), Fraction(1), 2, Fraction(1), 3) == -1
 
 
+def test_sign3_needs_no_factoring():
+    # Products of two large primes: trial division would not finish.
+    p, q = 1000000007, 1000000009
+    assert sign3(Fraction(0), Fraction(2), p * q, Fraction(-1), 4 * p * q) == 0
+    assert sign3(Fraction(-p), Fraction(1), p * p + 1, Fraction(0), 0) == 1
+    assert sign3(Fraction(1), Fraction(1), p * q, Fraction(-1), p * q + 1) == 1
+    assert sign3(Fraction(3), Fraction(5), 9, Fraction(-2), p * p) == -1
+
+
 def test_bounds_direction_respects_sign():
     v = quad(0, -3, 2)
     lo, hi = v.bounds(40)

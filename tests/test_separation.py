@@ -1,5 +1,8 @@
+import math
+import random
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +15,12 @@ from causalbox.geometry import (
     event_from_null,
     null_coords,
 )
+from causalbox.rational import QuadExt, quad_sqrt
 from causalbox.separation import (
     SeparationResult,
     Verdict,
-    escape_threshold,
+    _search_witness,
     separated,
-    slice_gather_nonempty,
     verify_separation_witness,
 )
 
@@ -256,6 +259,167 @@ class TestTerminatedKnownLayout:
         assert res.reason == "no_common_future"
 
 
+# ----------------------------------------------------------------------
+# reference for one avoided event in the plane: the slice / escape /
+# blocked trichotomy.  "slice": closed discs of the gathered reach at the
+# avoided time share a point; "escape": the late-time threshold
+# min_y max_j (t_j - w_j.y) lies below the avoided time; "blocked":
+# neither, so every gathering event is in the avoided strict future.
+
+def _vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _norm2(a):
+    return _dot(a, a)
+
+
+def _vertex_in_disc(base, eperp, mu_sq, sign, center, r):
+    """Membership of base + sign*sqrt(mu_sq)*eperp in the closed disc
+    (center, r), decided exactly in the quadratic extension."""
+    g = _vsub(base, center)
+    const = _norm2(g) + mu_sq * _norm2(eperp) - r * r
+    lin = 2 * sign * _dot(g, eperp)
+    val = QuadExt.rational(const) + quad_sqrt(mu_sq) * Fraction(lin)
+    return val.cmp(0) <= 0
+
+
+def _triple_discs_nonempty(cs, rs):
+    """Common point of up to three pairwise-intersecting closed discs: a
+    nonempty intersection contains a disc center or a boundary crossing
+    of two of the circles."""
+    n = len(cs)
+    for a in range(n):
+        if all(_norm2(_vsub(cs[a], cs[b])) <= rs[b] * rs[b] for b in range(n)):
+            return True
+    for a in range(n):
+        for b in range(a + 1, n):
+            e = _vsub(cs[b], cs[a])
+            d2 = _norm2(e)
+            if d2 == 0:
+                continue
+            alpha = (d2 + rs[a] * rs[a] - rs[b] * rs[b]) / (2 * d2)
+            h2 = rs[a] * rs[a] - alpha * alpha * d2
+            if h2 < 0:
+                continue
+            base = tuple(ca + alpha * ei for ca, ei in zip(cs[a], e))
+            eperp = (-e[1], e[0])
+            for sign in (1, -1):
+                if all(
+                    _vertex_in_disc(base, eperp, h2 / d2, sign, cs[m], rs[m])
+                    for m in range(n)
+                ):
+                    return True
+    return False
+
+
+def slice_gather_nonempty(centers, radii):
+    """Whether the closed discs (centers[j], radii[j]) share a point
+    (pairwise plus triple checks decide the family, by Helly)."""
+    if any(r < 0 for r in radii):
+        return False
+    m = len(centers)
+    for i, k in combinations(range(m), 2):
+        if _norm2(_vsub(centers[i], centers[k])) > (radii[i] + radii[k]) ** 2:
+            return False
+    return all(
+        _triple_discs_nonempty([centers[i] for i in ijk], [radii[i] for i in ijk])
+        for ijk in combinations(range(m), 3)
+    )
+
+
+def escape_threshold(ws, ts):
+    """min over unit directions y of max_j (ts[j] - ws[j].y), exactly: the
+    minimum sits where one term is smallest or where two terms tie."""
+    best_t = {}
+    for w, t in zip(ws, ts):
+        if w not in best_t or t > best_t[w]:
+            best_t[w] = t
+    items = sorted(best_t.items())
+    ws = [w for w, _ in items]
+    ts = [t for _, t in items]
+    zero = tuple(Fraction(0) for _ in ws[0])
+    if all(w == zero for w in ws):
+        return QuadExt.rational(max(ts))
+    values = []
+
+    def evaluate(const_of, coeff_of, root):
+        vals = [QuadExt.rational(c) + root * k for c, k in zip(const_of, coeff_of)]
+        values.append(max(vals))
+
+    for wj in ws:
+        dj = _norm2(wj)
+        if dj:
+            evaluate(list(ts), [-_dot(wk, wj) / dj for wk in ws], quad_sqrt(dj))
+    for i, k in combinations(range(len(ws)), 2):
+        u = _vsub(ws[i], ws[k])
+        if u == zero:
+            continue
+        c = ts[i] - ts[k]
+        n2 = _norm2(u)
+        disc = n2 - c * c
+        if disc < 0:
+            continue
+        uperp = (-u[1], u[0])
+        for sign in (1, -1):
+            evaluate(
+                [ts[m] - c * _dot(wm, u) / n2 for m, wm in enumerate(ws)],
+                [Fraction(-sign) * _dot(wm, uperp) / n2 for wm in ws],
+                quad_sqrt(disc),
+            )
+    return min(values)
+
+
+def single_avoid_reference(gather, p):
+    """Expected verdict for one avoided event p in the plane."""
+    order = Minkowski(2)
+    if any(order.strictly_precedes(p, q) for q in gather):
+        return Verdict.NOT_SEPARATED
+    if slice_gather_nonempty([q.x for q in gather], [p.t - q.t for q in gather]):
+        return Verdict.SEPARATED
+    ws = [_vsub(q.x, p.x) for q in gather]
+    if escape_threshold(ws, [q.t for q in gather]).cmp(p.t) < 0:
+        return Verdict.SEPARATED
+    return Verdict.NOT_SEPARATED
+
+
+def probe_witness(order, gather, avoid):
+    """Dense probe for a witness: the avoided events, a 1/4 grid around
+    the layout and a far ring of directions.  Floats only propose a time
+    inside the gathering window; the exact relation confirms."""
+    for p in avoid:
+        if verify_separation_witness(order, gather, avoid, p):
+            return p
+    pts = [e.x for e in [*gather, *avoid]]
+    lo = [min(p[a] for p in pts) - 3 for a in range(2)]
+    hi = [max(p[a] for p in pts) + 3 for a in range(2)]
+    xs = [
+        (lo[0] + Fraction(i, 4), lo[1] + Fraction(j, 4))
+        for i in range(int((hi[0] - lo[0]) * 4) + 1)
+        for j in range(int((hi[1] - lo[1]) * 4) + 1)
+    ]
+    xs += [
+        (Fraction(round(1000 * math.cos(k * math.pi / 360))),
+         Fraction(round(1000 * math.sin(k * math.pi / 360))))
+        for k in range(720)
+    ]
+    cones = [(float(e.t), float(e.x[0]), float(e.x[1])) for e in gather]
+    blocks = [(float(e.t), float(e.x[0]), float(e.x[1])) for e in avoid]
+    for x in xs:
+        fx, fy = float(x[0]), float(x[1])
+        late = max(t + math.hypot(fx - a, fy - b) for t, a, b in cones)
+        early = min(t + math.hypot(fx - a, fy - b) for t, a, b in blocks)
+        if early - late > 1e-9:
+            q = Event(t=Fraction((late + early) / 2), x=x)
+            if verify_separation_witness(order, gather, avoid, q):
+                return q
+    return None
+
+
 class TestExactPlaneHelpers:
     def test_slice_nonempty_tangent_pair(self):
         c = [(Fraction(0), Fraction(0)), (Fraction(4), Fraction(0))]
@@ -339,3 +503,110 @@ def test_plane_verdict_invariant_under_rotation(gather_pts, p_pt, m):
         order, [rot.apply(e) for e in gather], [rot.apply(p)]
     )
     assert before.verdict == after.verdict
+
+
+def plane_layouts(n, seed):
+    """Seeded plane layouts: 2-4 gathered and 1-3 avoided events on a
+    small grid, with avoided events often co-located with a gathered
+    one or on its light cone (3-4-5 and axis null directions)."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        gather = [
+            ev(rng.randint(0, 1), rng.randint(-3, 3), rng.randint(-3, 3))
+            for _ in range(rng.randint(2, 4))
+        ]
+        avoid = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.5:
+                t, x, y = rng.randint(0, 1), rng.randint(-2, 2), rng.randint(-2, 2)
+                avoid.append(ev(t, x, y))
+                continue
+            q = rng.choice(gather)
+            if roll < 0.7:
+                dt, dx, dy = rng.randint(0, 1), 0, 0
+            else:
+                k = Fraction(rng.randint(1, 2), 2)
+                dx, dy = rng.choice(((3, 4), (-4, 3), (0, -5), (5, 0)))
+                dt, dx, dy = 5 * k, dx * k, dy * k
+            avoid.append(ev(q.t + dt, q.x[0] + dx, q.x[1] + dy))
+        yield gather, avoid
+
+
+def test_plane_engine_matches_references_on_seeded_layouts():
+    order = Minkowski(2)
+    counts = {Verdict.SEPARATED: 0, Verdict.NOT_SEPARATED: 0}
+    for n, (gather, avoid) in enumerate(plane_layouts(240, seed=20240601)):
+        res = separated(order, gather, avoid)
+        counts[res.verdict] += 1
+        if len(avoid) == 1:
+            assert res.verdict is single_avoid_reference(gather, avoid[0])
+        if res.is_separated:
+            assert verify_separation_witness(order, gather, avoid, res.witness)
+            continue
+        assert res.verdict is Verdict.NOT_SEPARATED
+        assert probe_witness(order, gather, avoid) is None
+        if n % 8 == 0:  # the grid search takes up to a second to give up
+            assert _search_witness(order, gather, avoid) is None
+    assert min(counts.values()) >= 80
+
+
+def _finite_order(rng):
+    labels = [f"e{i}" for i in range(5)]
+    pairs = [(a, b) for a, b in combinations(labels, 2) if rng.random() < 0.4]
+    return FiniteOrder(pairs, labels)
+
+
+@pytest.mark.parametrize("backend", ["line", "terminated", "finite", "plane"])
+def test_every_separated_verdict_carries_a_witness(backend):
+    rng = random.Random(backend)
+    for _ in range(60):
+        if backend == "finite":
+            order = _finite_order(rng)
+            pool = [Event.named(label) for label in sorted(order.elements)]
+            gather = rng.sample(pool, rng.randint(1, 3))
+            avoid = rng.sample(pool, rng.randint(0, 2))
+        elif backend == "plane":
+            order = Minkowski(2)
+            gather, avoid = next(plane_layouts(1, rng.random()))
+        else:
+            order = (
+                Minkowski(1)
+                if backend == "line"
+                else TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
+            )
+            pts = [
+                ev(Fraction(rng.randint(-6, 4), 2), Fraction(rng.randint(-8, 8), 2))
+                for _ in range(5)
+            ]
+            if backend == "terminated":
+                pts = [e for e in pts if order.in_domain(e)] or [ev(-3, 0)]
+            gather, avoid = pts[: rng.randint(1, 3)], pts[3:]
+        res = separated(order, gather, avoid)
+        assert res.is_decided
+        if res.is_separated:
+            assert res.witness is not None
+            assert verify_separation_witness(order, gather, avoid, res.witness)
+
+
+def test_single_line_samples_find_the_window():
+    # Only the lines through event abscissae and vertical tangents of
+    # the conic meet this gathering window.
+    order = Minkowski(2)
+    gather = [ev(0, Fraction(1, 2), 3), ev(Fraction(3, 2), Fraction(1, 2), 2)]
+    p = ev(Fraction(3, 2), 3, Fraction(-3, 2))
+    assert single_avoid_reference(gather, p) is Verdict.SEPARATED
+    res = separated(order, gather, [p])
+    assert res.is_separated
+    assert verify_separation_witness(order, gather, [p], res.witness)
+
+
+def test_large_radicands_are_not_factored():
+    q = 1000000007
+    gather = [ev(0, -1, Fraction(1, q)), ev(0, 1, Fraction(2, q))]
+    avoid = [ev(Fraction(1, 2), 10, Fraction(3, q))]
+    start = time.perf_counter()
+    res = separated(Minkowski(2), gather, avoid)
+    assert time.perf_counter() - start < 2
+    assert res.is_separated
+    assert verify_separation_witness(Minkowski(2), gather, avoid, res.witness)
