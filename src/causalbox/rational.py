@@ -200,7 +200,7 @@ class QuadExt:
             return 0
         return sa if lhs > rhs else sb
 
-    def _grid(self) -> int:
+    def _floor64(self) -> int:
         """An integer n with n <= value * 2**64 < n + 2."""
         a, b = self.a, self.b
         n = (a.numerator << 64) // a.denominator
@@ -212,7 +212,7 @@ class QuadExt:
     def cmp(self, other: "QuadExt | Fraction | int") -> int:
         o = self._coerce(other)
         # Integer enclosures settle all but near ties without Fractions.
-        n, m = self._grid(), o._grid()
+        n, m = self._floor64(), o._floor64()
         if n + 2 <= m:
             return -1
         if m + 2 <= n:
