@@ -546,7 +546,9 @@ def test_plane_engine_matches_references_on_seeded_layouts():
             continue
         assert res.verdict is Verdict.NOT_SEPARATED
         assert probe_witness(order, gather, avoid) is None
-        if n % 8 == 0:  # the grid search takes up to a second to give up
+        # The grid search takes up to a second to give up, so it checks
+        # every fourth layout that reached the sweep.
+        if res.reason == "cone_closure" and n % 4 == 0:
             assert _search_witness(order, gather, avoid) is None
     assert min(counts.values()) >= 80
 
