@@ -1,21 +1,24 @@
 """Regenerate the golden CLI outputs under tests/golden/<corpus>/.
 
-Two corpora share this harness:
+Three corpora share this harness:
 
 - jam: `jam-geometry <args> --out fig` for each case in jam/cases.json;
 - ons: the full argument list of each case in ons/cases.json (`check`,
-  `constraints` and `protocol` on the built-in presets).
+  `constraints` and `protocol` on the built-in presets);
+- simulate: the full argument list of each case in simulate/cases.json
+  (both test branches, a clean box and an out-of-range seed).
 
 Each case runs through the CLI from a fresh working directory, so the
 relative figure directory `fig` keeps the `svg` path in a report stable.
 Stdout is stored byte for byte as <case>.stdout and the exit code as
-<case>.exit.  tests/test_golden_jam.py and tests/test_golden_ons.py
-compare the current CLI against these files.
+<case>.exit.  tests/test_golden_jam.py, tests/test_golden_ons.py and
+tests/test_golden_simulate.py compare the current CLI against these
+files.
 
 Run from the repository root, naming the corpora to rewrite (default:
 all of them):
 
-    PYTHONPATH=src python tests/golden/regen.py [jam] [ons]
+    PYTHONPATH=src python tests/golden/regen.py [jam] [ons] [simulate]
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ OUT_DIR = "fig"
 CORPORA = {
     "jam": lambda args: ["jam-geometry", *args, "--out", OUT_DIR],
     "ons": lambda args: list(args),
+    "simulate": lambda args: list(args),
 }
 
 
