@@ -184,34 +184,24 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 
 
 class _Sampler:
-    """Inverse-CDF sampling with exact cut points.
+    """Inverse-CDF sampling with exact integer cut points.
 
-    Dyadic cumulative weights map to exact 53-bit integer thresholds;
-    anything else falls back to exact Fraction comparisons.
+    A 53-bit draw r stands for u = r / 2**53, and u lies below a running
+    total c of the probabilities exactly when r < ceil(c * 2**53).  So
+    the first cell whose cut exceeds r is the exact inverse-CDF cell, for
+    every rational distribution.
     """
 
     def __init__(self, dist: Mapping[tuple[str, ...], Fraction]):
         self.outcomes = list(dist)
         cum = Fraction(0)
-        self.cuts: list[Fraction] = []
+        self.cuts: list[int] = []
         for a in self.outcomes:
             cum += dist[a]
-            self.cuts.append(cum)
-        scaled = [c * 2**53 for c in self.cuts]
-        if all(c.denominator == 1 for c in scaled):
-            self.int_cuts = [int(c) for c in scaled]
-        else:
-            self.int_cuts = None
+            self.cuts.append(math.ceil(cum * 2**53))
 
     def draw(self, rng: random.Random) -> tuple[str, ...]:
-        r = rng.getrandbits(53)
-        if self.int_cuts is not None:
-            return self.outcomes[bisect_right(self.int_cuts, r)]
-        u = Fraction(r, 2**53)
-        for a, c in zip(self.outcomes, self.cuts):
-            if u < c:
-                return a
-        return self.outcomes[-1]
+        return self.outcomes[bisect_right(self.cuts, rng.getrandbits(53))]
 
 
 def _g_statistic(counts: Sequence[Mapping], pooled_freq, totals) -> float:

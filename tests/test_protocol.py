@@ -9,6 +9,7 @@ from causalbox.boxes import Alphabet, CorrelationBox, Srv, canonical_box
 from causalbox.geometry import Event, Minkowski
 from causalbox.ons import ViolationReport, check_ons, enumerate_constraints
 from causalbox.protocol import (
+    _Sampler,
     LoopCertificate,
     LoopObstruction,
     PreconditionViolated,
@@ -161,6 +162,59 @@ def toy_protocol(tv_half=True):
         dist_a=dist_a,
         dist_b=dist_b,
     )
+
+
+def reference_cell(dist, r):
+    """Exact inverse-CDF cell of the 53-bit draw r, by Fraction comparison."""
+    u = Fraction(r, 2**53)
+    cum = Fraction(0)
+    for i, p in enumerate(dist.values()):
+        cum += p
+        if u < cum:
+            return i
+    raise AssertionError("distribution sums to less than 1")
+
+
+class ScriptedBits:
+    """Stand-in for random.Random that returns the given 53-bit draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def getrandbits(self, k):
+        assert k == 53
+        return next(self.draws)
+
+
+def cells_of(dist, draws):
+    sampler = _Sampler(dist)
+    rng = ScriptedBits(draws)
+    return [sampler.outcomes.index(sampler.draw(rng)) for _ in draws]
+
+
+NON_DYADIC = {
+    "thirds": [Fraction(1, 3)] * 3,
+    "sevenths": [Fraction(k, 7) for k in (1, 2, 0, 4)],
+    "near_2^-53": [Fraction(1, 2**53 + 1), Fraction(2**53, 2**53 + 1)],
+    "tiny_last": [Fraction(2**53, 2**53 + 1), Fraction(1, 2**53 + 1)],
+    "mixed": [Fraction(1, 10), Fraction(1, 4), Fraction(0), Fraction(13, 20)],
+}
+
+
+class TestSampler:
+    @pytest.mark.parametrize("name", sorted(NON_DYADIC))
+    def test_cuts_match_fraction_inverse_cdf(self, name):
+        dist = {(str(i),): p for i, p in enumerate(NON_DYADIC[name])}
+        cuts = _Sampler(dist).cuts
+        assert cuts[-1] == 2**53
+        draws = sorted(
+            {r for c in cuts for r in (c - 1, c) if 0 <= r < 2**53} | {0, 2**53 - 1}
+        )
+        assert cells_of(dist, draws) == [reference_cell(dist, r) for r in draws]
+
+    def test_dyadic_cuts_are_exact(self):
+        dist = {("0",): Fraction(1, 4), ("1",): Fraction(3, 4)}
+        assert _Sampler(dist).cuts == [2**51, 2**53]
 
 
 class TestSimulate:
