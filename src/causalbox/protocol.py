@@ -180,7 +180,7 @@ class SimulationResult:
 
 def _trial_rng(seed: int, index: int) -> random.Random:
     # Deterministic per-trial stream, independent of draw scheduling.
-    return random.Random((seed & (2**64 - 1)) * 0x1000193 + index)
+    return random.Random(seed * 0x1000193 + index)
 
 
 class _Sampler:
@@ -227,9 +227,17 @@ def simulate(
     Pearson's two-sample chi-square on pooled expected counts decides;
     when some expected count drops below 5 the p-value comes from a
     Monte-Carlo likelihood-ratio test instead.
+
+    Raises ValueError unless trials is positive, seed lies in
+    [0, 2**64) and each arm's distribution is nonnegative and sums to 1.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    for name, dist in (("dist_a", protocol.dist_a), ("dist_b", protocol.dist_b)):
+        if any(p < 0 for p in dist.values()) or sum(dist.values()) != 1:
+            raise ValueError(f"{name} must be nonnegative and sum to 1")
     samplers = (_Sampler(dict(protocol.dist_a)), _Sampler(dict(protocol.dist_b)))
     counts: list[dict[tuple[str, ...], int]] = [{}, {}]
     for t in range(trials):

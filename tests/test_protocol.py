@@ -1,5 +1,6 @@
 """Protocol extraction, finite-sample testing, and causal loops."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -263,6 +264,29 @@ class TestSimulate:
     def test_bad_trial_count(self):
         with pytest.raises(ValueError):
             simulate(toy_protocol(), 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(toy_protocol(), 10, seed=seed)
+
+    def test_largest_seed_is_accepted(self):
+        assert simulate(toy_protocol(), 10, seed=2**64 - 1).trials == 10
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {("0",): Fraction(1, 2), ("1",): Fraction(1, 3)},
+            {("0",): Fraction(3, 2), ("1",): Fraction(-1, 2)},
+            {("0",): Fraction(1), ("1",): Fraction(1, 7)},
+            {},
+        ],
+    )
+    @pytest.mark.parametrize("arm", ["dist_a", "dist_b"])
+    def test_arm_that_is_not_a_distribution_is_rejected(self, arm, dist):
+        proto = dataclasses.replace(toy_protocol(), **{arm: dist})
+        with pytest.raises(ValueError, match=arm):
+            simulate(proto, 10, seed=1)
 
 
 class TestLoop:
