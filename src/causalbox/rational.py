@@ -82,42 +82,16 @@ def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
-def square_free_split(n: int) -> tuple[int, int]:
-    """Write ``n = s*s*f`` with f squarefree; returns ``(s, f)``.
-
-    Trial division; intended for the modest radicands produced by squared
-    coordinate norms, not for cryptographic-size inputs.
-    """
-    if n < 0:
-        raise ValueError("radicand must be nonnegative")
-    if n == 0:
-        return 0, 1
-    s, f = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
-        p += 1 if p == 2 else 2
-    f *= n
-    return s, f
-
-
 @dataclass(frozen=True)
 class QuadExt:
     """Exact number a + b*sqrt(d) with a, b rational and d a nonnegative
     integer (d == 0 or b == 0 encodes a plain rational).
 
     Signs and comparisons are exact for any radicand, squarefree or not,
-    so the raw constructor may take d = n*m for sqrt(n/m) = sqrt(n*m)/m
-    without factoring.  :func:`quad` and :func:`quad_sqrt` normalise d to
-    its squarefree part by trial division, which is what ring operations
-    (equal radicands only), ``is_rational`` and hashing rely on.
+    so the constructor may take d = n*m for sqrt(n/m) = sqrt(n*m)/m
+    without factoring.  d is kept as given, so ring operations need equal
+    radicands (or one rational side), and ``is_rational`` and hashing read
+    the stored fields: a perfect-square d with b != 0 counts as irrational.
     """
 
     a: Fraction
@@ -265,34 +239,6 @@ class QuadExt:
             f"QuadExt({format_rational(self.a)} + "
             f"{format_rational(self.b)}*sqrt({self.d}))"
         )
-
-
-def quad(a: Fraction | int, b: Fraction | int, d: int) -> QuadExt:
-    """Normalised a + b*sqrt(d): extracts square factors from d and collapses
-    to a rational when the radical vanishes."""
-    a, b = Fraction(a), Fraction(b)
-    if d < 0:
-        raise ValueError("negative radicand")
-    if b == 0 or d == 0:
-        return QuadExt(a, Fraction(0), 0)
-    s, f = square_free_split(d)
-    if f == 1:
-        return QuadExt(a + b * s, Fraction(0), 0)
-    return QuadExt(a, b * s, f)
-
-
-def quad_sqrt(q: Fraction | int) -> QuadExt:
-    """Exact sqrt(q) for rational q >= 0 as a QuadExt."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
-    if q == 0:
-        return QuadExt.rational(0)
-    n, d = q.numerator, q.denominator
-    s, f = square_free_split(n * d)  # sqrt(q) = sqrt(n d)/d = (s/d) sqrt(f)
-    if f == 1:
-        return QuadExt.rational(Fraction(s, d))
-    return QuadExt(Fraction(0), Fraction(s, d), f)
 
 
 def sign3(A: Fraction, B: Fraction, d1: int, C: Fraction, d2: int) -> int:

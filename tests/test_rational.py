@@ -9,12 +9,10 @@ from causalbox.rational import (
     format_rational,
     isqrt_exact,
     parse_rational,
-    quad,
-    quad_sqrt,
     sign3,
     sqrt_bounds,
-    square_free_split,
 )
+from quad_helpers import quad, quad_sqrt, square_free_split
 
 
 def test_parse_rational_accepts_common_forms():

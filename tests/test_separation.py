@@ -15,7 +15,7 @@ from causalbox.geometry import (
     event_from_null,
     null_coords,
 )
-from causalbox.rational import QuadExt, quad_sqrt
+from causalbox.rational import QuadExt
 from causalbox.separation import (
     SeparationResult,
     Verdict,
@@ -23,6 +23,7 @@ from causalbox.separation import (
     separated,
     verify_separation_witness,
 )
+from quad_helpers import quad_sqrt
 
 
 def ev(t, *xs):
