@@ -178,9 +178,11 @@ class SimulationResult:
     method: str
 
 
-def _trial_rng(seed: int, index: int) -> random.Random:
-    # Deterministic per-trial stream, independent of draw scheduling.
-    return random.Random(seed * 0x1000193 + index)
+def _stream(seed: int, label: str) -> random.Random:
+    """The Mersenne Twister stream for one part of a simulate call: arm
+    "a", arm "b" or the Monte-Carlo rounds "mc".  The string key is
+    hashed into the generator's state, so the streams are unrelated."""
+    return random.Random(f"simulate:{seed}:{label}")
 
 
 class _Sampler:
@@ -200,17 +202,21 @@ class _Sampler:
             cum += dist[a]
             self.cuts.append(math.ceil(cum * 2**53))
 
-    def draw(self, rng: random.Random) -> tuple[str, ...]:
-        return self.outcomes[bisect_right(self.cuts, rng.getrandbits(53))]
+    def tally(self, rng: random.Random, trials: int) -> list[int]:
+        """Cell counts of `trials` draws from rng, in outcome order."""
+        counts = [0] * len(self.cuts)
+        cuts, bits = self.cuts, rng.getrandbits
+        for _ in range(trials):
+            counts[bisect_right(cuts, bits(53))] += 1
+        return counts
 
 
-def _g_statistic(counts: Sequence[Mapping], pooled_freq, totals) -> float:
+def _g_statistic(arms: Sequence[Sequence[int]], expected: Sequence[float]) -> float:
     g = 0.0
-    for arm, n in zip(counts, totals):
-        for cell, freq in pooled_freq.items():
-            o = arm.get(cell, 0)
+    for arm in arms:
+        for o, e in zip(arm, expected):
             if o:
-                g += 2.0 * o * math.log(o / (n * freq))
+                g += 2.0 * o * math.log(o / e)
     return g
 
 
@@ -224,9 +230,10 @@ def simulate(
 ) -> SimulationResult:
     """Run both arms of the protocol and test sample homogeneity.
 
-    Pearson's two-sample chi-square on pooled expected counts decides;
-    when some expected count drops below 5 the p-value comes from a
-    Monte-Carlo likelihood-ratio test instead.
+    Each arm's counts come from its own seeded stream, and the
+    Monte-Carlo rounds share a third.  Pearson's two-sample chi-square on
+    pooled expected counts decides; when some expected count drops below
+    5 the p-value comes from a Monte-Carlo likelihood-ratio test instead.
 
     Raises ValueError unless trials is positive, seed lies in
     [0, 2**64) and each arm's distribution is nonnegative and sums to 1.
@@ -238,55 +245,38 @@ def simulate(
     for name, dist in (("dist_a", protocol.dist_a), ("dist_b", protocol.dist_b)):
         if any(p < 0 for p in dist.values()) or sum(dist.values()) != 1:
             raise ValueError(f"{name} must be nonnegative and sum to 1")
-    samplers = (_Sampler(dict(protocol.dist_a)), _Sampler(dict(protocol.dist_b)))
-    counts: list[dict[tuple[str, ...], int]] = [{}, {}]
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        for arm in (0, 1):
-            a = samplers[arm].draw(rng)
-            counts[arm][a] = counts[arm].get(a, 0) + 1
-    tv = Fraction(
-        sum(
-            abs(counts[0].get(k, 0) - counts[1].get(k, 0))
-            for k in set(counts[0]) | set(counts[1])
-        ),
-        2 * trials,
-    )
-    pooled = {
-        k: Fraction(counts[0].get(k, 0) + counts[1].get(k, 0), 2 * trials)
-        for k in set(counts[0]) | set(counts[1])
-    }
-    cells = sorted(pooled)
+    counts: list[dict[tuple[str, ...], int]] = []
+    for label, dist in (("a", protocol.dist_a), ("b", protocol.dist_b)):
+        sampler = _Sampler(dist)
+        tally = sampler.tally(_stream(seed, label), trials)
+        counts.append({a: n for a, n in zip(sampler.outcomes, tally) if n})
+    cells = sorted(set(counts[0]) | set(counts[1]))
+    observed = [[arm.get(c, 0) for c in cells] for arm in counts]
+    tv = Fraction(sum(abs(o - q) for o, q in zip(*observed)), 2 * trials)
     df = len(cells) - 1
     if df == 0:
         return SimulationResult(
             trials, seed, counts[0], counts[1], tv, 0.0, 1.0, alpha, False, "degenerate"
         )
-    min_expected = min(float(trials * pooled[c]) for c in cells)
-    if min_expected >= 5.0:
+    pooled = [Fraction(o + q, 2 * trials) for o, q in zip(*observed)]
+    expected = [float(trials * f) for f in pooled]
+    if min(expected) >= 5.0:
         x2 = 0.0
-        for arm in (0, 1):
-            for c in cells:
-                e = float(trials * pooled[c])
-                o = counts[arm].get(c, 0)
+        for arm in observed:
+            for o, e in zip(arm, expected):
                 x2 += (o - e) ** 2 / e
         # chi-square survival function: the regularized upper incomplete gamma
         p = float(mpmath.gammainc(df / 2, x2 / 2, mpmath.inf, regularized=True))
         method = "chi2"
         stat = x2
     else:
-        stat = _g_statistic(counts, {c: float(pooled[c]) for c in cells}, (trials, trials))
+        stat = _g_statistic(observed, expected)
+        pooled_sampler = _Sampler(dict(zip(cells, pooled)))
+        rng = _stream(seed, "mc")
         hits = 0
-        pooled_sampler = _Sampler({c: pooled[c] for c in cells})
-        for b in range(mc_rounds):
-            rng = _trial_rng(seed, 2**61 + b)
-            sim: list[dict] = [{}, {}]
-            for _ in range(trials):
-                for arm in (0, 1):
-                    a = pooled_sampler.draw(rng)
-                    sim[arm][a] = sim[arm].get(a, 0) + 1
-            s = _g_statistic(sim, {c: float(pooled[c]) for c in cells}, (trials, trials))
-            if s >= stat - 1e-12:
+        for _ in range(mc_rounds):
+            sim = (pooled_sampler.tally(rng, trials), pooled_sampler.tally(rng, trials))
+            if _g_statistic(sim, expected) >= stat - 1e-12:
                 hits += 1
         p = (hits + 1) / (mc_rounds + 1)
         method = "exact_mc"

@@ -271,20 +271,23 @@ def test_ac10_violation_protocol_correspondence():
 
 
 def test_ac11_simulation_statistics():
-    protocol = degenerate_embedding_check().protocol
-    errors = []
-    rejections = 0
-    for seed in range(100):
-        result = simulate(protocol, 10_000, seed)
-        errors.append(abs(result.empirical_tv - Fraction(1, 2)))
-        rejections += result.reject
-    assert sum(errors) / len(errors) < Fraction(2, 100)
-    assert rejections >= 99
-    null = dataclasses.replace(
-        protocol, setting_b=protocol.setting_a, dist_b=protocol.dist_a
-    )
-    null_rejections = sum(simulate(null, 10_000, seed).reject for seed in range(100))
-    assert null_rejections <= 3
+    with Budget(5):
+        protocol = degenerate_embedding_check().protocol
+        errors = []
+        rejections = 0
+        for seed in range(100):
+            result = simulate(protocol, 10_000, seed)
+            errors.append(abs(result.empirical_tv - Fraction(1, 2)))
+            rejections += result.reject
+        assert sum(errors) / len(errors) < Fraction(2, 100)
+        assert rejections >= 99
+        null = dataclasses.replace(
+            protocol, setting_b=protocol.setting_a, dist_b=protocol.dist_a
+        )
+        null_rejections = sum(
+            simulate(null, 10_000, seed).reject for seed in range(100)
+        )
+        assert null_rejections <= 3
 
 
 def test_ac12_terminated_diagram_gathering():

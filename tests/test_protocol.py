@@ -9,8 +9,10 @@ import pytest
 from causalbox.boxes import Alphabet, CorrelationBox, Srv, canonical_box
 from causalbox.geometry import Event, Minkowski
 from causalbox.ons import ViolationReport, check_ons, enumerate_constraints
+from causalbox import protocol as protocol_module
 from causalbox.protocol import (
     _Sampler,
+    _stream,
     LoopCertificate,
     LoopObstruction,
     PreconditionViolated,
@@ -189,8 +191,7 @@ class ScriptedBits:
 
 def cells_of(dist, draws):
     sampler = _Sampler(dist)
-    rng = ScriptedBits(draws)
-    return [sampler.outcomes.index(sampler.draw(rng)) for _ in draws]
+    return [sampler.tally(ScriptedBits([r]), 1).index(1) for r in draws]
 
 
 NON_DYADIC = {
@@ -216,6 +217,61 @@ class TestSampler:
     def test_dyadic_cuts_are_exact(self):
         dist = {("0",): Fraction(1, 4), ("1",): Fraction(3, 4)}
         assert _Sampler(dist).cuts == [2**51, 2**53]
+
+    def test_tally_counts_every_draw(self):
+        dist = {(str(i),): p for i, p in enumerate(NON_DYADIC["sevenths"])}
+        draws = [0, 2**53 - 1, 2**52, 5, 2**51 * 3]
+        tally = _Sampler(dist).tally(ScriptedBits(draws), len(draws))
+        expected = [0] * len(dist)
+        for r in draws:
+            expected[reference_cell(dist, r)] += 1
+        assert tally == expected
+
+
+def uniform_protocol(cells):
+    dist = {(str(i),): Fraction(1, cells) for i in range(cells)}
+    return SignallingProtocol(
+        sender=0,
+        setting_a=("0",),
+        setting_b=("0",),
+        G=(0,),
+        gathering_point=Event.at(0, 0),
+        dist_a=dist,
+        dist_b=dict(dist),
+    )
+
+
+class TestStreams:
+    def test_null_protocol_arms_draw_different_counts(self):
+        proto = uniform_protocol(7)
+        for seed in range(5):
+            res = simulate(proto, 700, seed=seed)
+            assert res.counts_a != res.counts_b
+
+    @pytest.mark.parametrize(
+        "trials, labels", [(700, ["a", "b"]), (4, ["a", "b", "mc"])]
+    )
+    def test_one_stream_per_arm_and_one_for_all_rounds(
+        self, monkeypatch, trials, labels
+    ):
+        made = []
+
+        def recording(seed, label):
+            made.append((seed, label))
+            return _stream(seed, label)
+
+        monkeypatch.setattr(protocol_module, "_stream", recording)
+        res = simulate(uniform_protocol(7), trials, seed=5, mc_rounds=50)
+        assert res.method == ("chi2" if trials == 700 else "exact_mc")
+        assert made == [(5, label) for label in labels]
+
+    def test_streams_differ_by_label_and_seed(self):
+        firsts = {
+            _stream(seed, label).getrandbits(64)
+            for seed in (0, 1, 2**64 - 1)
+            for label in ("a", "b", "mc")
+        }
+        assert len(firsts) == 9
 
 
 class TestSimulate:
