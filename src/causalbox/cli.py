@@ -4,7 +4,8 @@ Exit codes: 0 when the requested check passes or a value is computed,
 1 when a violation or contradiction is found (expected in the demo
 studies), 2 when a Minkowski layout with three or more spatial
 dimensions defeats the witness search or the precision cap is reached,
-3 for usage errors including malformed input.
+3 for usage errors including malformed input, 4 for an internal error
+(an uncaught exception, reported as one line rather than a traceback).
 
 All reports go to stdout as canonical JSON; figures are written
 atomically under --out.  The only randomized subcommand is simulate and
@@ -58,6 +59,7 @@ PASS = 0
 FOUND = 1
 UNDECIDED = 2
 USAGE = 3
+INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -463,6 +465,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

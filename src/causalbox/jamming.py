@@ -4,25 +4,27 @@ A jammer sits at p = (h, 0, 0) above n receivers spread evenly on the
 unit circle of the t = 0 slice.  For h in a certified window the full
 receiver tuple cannot be gathered outside the jammer's future, while
 every proper subtuple can.  Two independent routes certify this: a
-closed-form comparison of h against the boundary-function limits, and a
-timeslice oracle that bounds the largest radial coordinate of the
-disc-intersection directly.
+closed-form comparison of h against the window ends cos(2pi/n) and
+cos(pi/n), and an oracle that treats each receiver subset J on its own.
+
+The oracle compares h with J's directional limit: the value that t minus
+the largest radial coordinate of the receivers' radius-t disc
+intersection decreases to, so no timeslice escapes unless h is above it.
+Not above the limit, the verdict is NOT_SEPARATED with the integer limit
+index as certificate; above it, SEPARATED with a rational witness event.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import DomainError
-from .intervals import (
-    Enclosure,
-    IntervalSession,
-    PrecisionExhausted,
-    refine,
-)
-from .rational import parse_rational, sqrt_bounds
+from .intervals import Enclosure, IntervalSession, PrecisionExhausted, refine
+from .rational import format_rational, parse_rational
 from .separation import Verdict
 
 __all__ = [
@@ -32,8 +34,6 @@ __all__ = [
     "VerdictBundle",
     "boundary_functions",
     "build_config",
-    "oracle_grid",
-    "timeslice_max_radius",
     "valid_h_range",
     "verify_config",
 ]
@@ -180,147 +180,97 @@ def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
         detail = str(exc)
     session = IntervalSession(prec)
     points = tuple(
-        (session.enclosure(x), session.enclosure(y))
-        for x, y in _receivers(session, n)
+        (
+            session.enclosure(session.cos_pi_frac(2 * j, n)),
+            session.enclosure(session.sin_pi_frac(2 * j, n)),
+        )
+        for j in range(n)
     )
     return NJamConfig(
         n=n, h=h, prec=prec, points=points, h_in_range=in_range, detail=detail
     )
 
 
-# -- timeslice oracle ----------------------------------------------------
+# -- directional-limit oracle ---------------------------------------------
+
+# (t, x, y): an event in every receiver's future, outside the jammer's
+Witness = tuple[Fraction, Fraction, Fraction]
 
 
-def oracle_grid() -> tuple[Fraction, ...]:
-    """Timeslices probed by the oracle: 1 + 2^i for i = -2..20."""
-    return tuple(1 + Fraction(2) ** i for i in range(-2, 21))
-
-
-def _receivers(session: IntervalSession, n: int):
-    return [
-        (session.cos_pi_frac(2 * j, n), session.sin_pi_frac(2 * j, n))
-        for j in range(n)
-    ]
-
-
-def _candidates(session: IntervalSession, cs, J, t: Fraction):
-    """Extremal points of the radial coordinate over the disc intersection.
-
-    Yields (x, y, skip) where skip lists the discs the candidate sits on
-    by construction; membership there is exact and must not be re-tested
-    through rounded arithmetic.
-    """
-    tv = session.rational(t)
-    t2 = tv * tv
-    far_scale = session.rational(1 + t)
-    for j in J:
-        yield far_scale * cs[j][0], far_scale * cs[j][1], frozenset((j,))
-    for i, j in itertools.combinations(J, 2):
-        wx = cs[i][0] - cs[j][0]
-        wy = cs[i][1] - cs[j][1]
-        norm_sq = wx * wx + wy * wy
-        norm = session.sqrt_clamped(norm_sq)
-        mx = (cs[i][0] + cs[j][0]) / 2
-        my = (cs[i][1] + cs[j][1]) / 2
-        span = session.sqrt_clamped(t2 - norm_sq / 4)
-        ux = -wy / norm
-        uy = wx / norm
-        for sgn in (1, -1):
-            yield mx + sgn * ux * span, my + sgn * uy * span, frozenset((i, j))
-
-
-def _max_radial_sq_bounds(
-    session: IntervalSession, cs, J, t: Fraction
-) -> tuple[Fraction | None, Fraction]:
-    """Bounds on the squared max radial coordinate of the intersection.
-
-    The upper bound ranges over every candidate not certainly outside
-    some disc; the lower bound over candidates certainly inside all of
-    them, None if no candidate certifies.
-    """
-    t_sq = t * t
-    lower: Fraction | None = None
-    upper: Fraction | None = None
-    for vx, vy, skip in _candidates(session, cs, J, t):
-        certainly_out = False
-        certainly_in = True
-        for k in J:
-            if k in skip:
-                continue
-            dx = vx - cs[k][0]
-            dy = vy - cs[k][1]
-            dist_sq = session.enclosure(dx * dx + dy * dy)
-            verdict = dist_sq.le(t_sq)
-            if verdict is False:
-                certainly_out = True
-                break
-            if verdict is None:
-                certainly_in = False
-        if certainly_out:
-            continue
-        radial_sq = session.enclosure(vx * vx + vy * vy)
-        upper = radial_sq.hi if upper is None else max(upper, radial_sq.hi)
-        if certainly_in:
-            lower = radial_sq.lo if lower is None else max(lower, radial_sq.lo)
-    if upper is None:
-        raise RuntimeError("disc intersection lost every extremal candidate")
-    return lower, upper
-
-
-def timeslice_max_radius(
-    n: int, J, t, *, prec: int = DEFAULT_PREC
-) -> Enclosure:
-    """Certified enclosure of the max radial coordinate at slice t."""
-    _require_n(n)
-    t = parse_rational(t)
-    if t < 1:
-        raise DomainError("timeslice oracle runs on t >= 1")
-    J = tuple(sorted(set(J)))
-    if not J or any(not 0 <= j < n for j in J):
-        raise ValueError("J must be a nonempty subset of range(n)")
-    session = IntervalSession(prec)
-    lower, upper = _max_radial_sq_bounds(session, _receivers(session, n), J, t)
-    lo = Fraction(0) if lower is None else sqrt_bounds(lower, bits=prec)[0]
-    return Enclosure(max(Fraction(0), lo), sqrt_bounds(upper, bits=prec)[1])
-
-
-def _limit_index(n: int, J) -> int:
-    """m* = min_k max_{j in J} fold(k - 2j).
+def _limit_index(n: int, J) -> tuple[int, int]:
+    """(m*, k) with m* = min_k max_{j in J} fold(k - 2j) attained at k.
 
     cos(f*pi/n) decreases in f on [0, n], so the directional limit
-    -max_k min_{j in J} cos((k - 2j)*pi/n) equals cos((n - m*)*pi/n).
+    -max_k min_{j in J} cos((k - 2j)*pi/n) equals cos((n - m*)*pi/n),
+    and it is approached going outward along the angle k*pi/n.
     """
-    return min(max(_fold(k - 2 * j, n) for j in J) for k in range(2 * n))
+    return min((max(_fold(k - 2 * j, n) for j in J), k) for k in range(2 * n))
 
 
-def _oracle_verdict(
-    n: int, h: Fraction, J, *, prec: int = DEFAULT_PREC
-) -> tuple[Verdict, str]:
-    session = IntervalSession(prec)
-    cs = _receivers(session, n)
-    escape_at: Fraction | None = None
-    for t in oracle_grid():
-        threshold_sq = (t - h) ** 2
-        lower, _ = _max_radial_sq_bounds(session, cs, J, t)
-        if lower is not None and lower > threshold_sq:
-            escape_at = t
-            break
-    try:
-        # late slices certainly leak iff h is above the directional limit
-        tail_escape = _above_cos(h, n - _limit_index(n, J), n)
-    except PrecisionExhausted as exc:
-        return Verdict.UNKNOWN, str(exc)
-    if escape_at is not None:
-        if not tail_escape:
-            return (
-                Verdict.UNKNOWN,
-                f"grid slice t={escape_at} escapes but the directional"
-                " limit disagrees",
+@lru_cache(maxsize=None)
+def _unit_bounds(session: IntervalSession, n: int) -> tuple[tuple[int, ...], ...]:
+    """Integers (cos_lo, cos_hi, sin_lo, sin_hi) bracketing 2^prec times
+    cos(m*pi/n) and sin(m*pi/n), for m in range(2n)."""
+    scale = 1 << session.prec
+
+    def bracket(value) -> tuple[int, int]:
+        enc = session.enclosure(value)
+        return math.floor(enc.lo * scale), math.ceil(enc.hi * scale)
+
+    return tuple(
+        bracket(session.cos_pi_frac(m, n)) + bracket(session.sin_pi_frac(m, n))
+        for m in range(2 * n)
+    )
+
+
+def _escape_witness(n: int, h: Fraction, J, k: int) -> Witness:
+    """A witness event far out along the angle k*pi/n; h must lie above
+    the directional limit of J, which is attained along that angle.
+
+    At radius rho = 2^i, (x, y) is the integer point nearest to rho times
+    the direction, and t bounds its distance to every receiver from above
+    on the grid 2^-(i+4).  Rounding costs O(1/rho) of the escape margin,
+    which tends to h minus the limit, so doubling rho ends once rho is
+    large against the gap; each precision rung stops while its enclosures
+    stay finer than the grid.
+    """
+
+    def decide(session: IntervalSession):
+        bits = session.prec
+        units = _unit_bounds(session, n)
+        c_lo, c_hi, s_lo, s_hi = units[k]
+        for i in range(bits - 8):
+            x = round(Fraction((c_lo + c_hi) << i, 2 << bits))
+            y = round(Fraction((s_lo + s_hi) << i, 2 << bits))
+            # |(x, y) - c|^2 = x^2 + y^2 + 1 - 2 (x, y).c for c on the unit
+            # circle; reach bounds 2^bits min_j (x, y).c_j from below.
+            reach = min(
+                x * (cl if x >= 0 else ch) + y * (sl if y >= 0 else sh)
+                for cl, ch, sl, sh in (units[2 * j] for j in J)
             )
-        return Verdict.SEPARATED, f"escape certified at slice t={escape_at}"
-    if tail_escape:
-        return Verdict.SEPARATED, "escape certified by the directional limit"
-    return Verdict.NOT_SEPARATED, "height certainly below the directional limit"
+            dist_sq = ((x * x + y * y + 1) << bits) - 2 * reach
+            grid = i + 4
+            t = Fraction(math.isqrt((dist_sq << 2 * grid) >> bits) + 2, 1 << grid)
+            if t < h or (t - h) ** 2 < x * x + y * y:
+                return t, Fraction(x), Fraction(y)
+        return None
+
+    return refine(decide)
+
+
+def _oracle_verdict(n: int, h: Fraction, J) -> tuple[Verdict, str, Witness | None]:
+    """NOT_SEPARATED iff h is not above the directional limit of J, with
+    the limit index as certificate; otherwise SEPARATED with a witness."""
+    m, k = _limit_index(n, J)
+    try:
+        if not _above_cos(h, n - m, n):
+            note = f"height not above the directional limit cos({n - m}*pi/{n})"
+            return Verdict.NOT_SEPARATED, note, None
+        t, x, y = witness = _escape_witness(n, h, J, k)
+    except PrecisionExhausted as exc:
+        return Verdict.UNKNOWN, str(exc), None
+    note = f"escape witnessed at (t, x, y) = ({format_rational(t)}, {x}, {y})"
+    return Verdict.SEPARATED, note, witness
 
 
 # -- verdict bundle ------------------------------------------------------
@@ -369,42 +319,33 @@ def verify_config(
         notes.append(f"closed form: {exc}")
     closed = RouteVerdicts(full=closed_full, subtuples=(closed_sub,) * n)
 
-    full_verdict, note = _oracle_verdict(n, h, tuple(range(n)), prec=config.prec)
+    full_verdict, note, _ = _oracle_verdict(n, h, tuple(range(n)))
     notes.append(f"oracle full: {note}")
     subs = []
     for drop in range(n):
         J = tuple(j for j in range(n) if j != drop)
-        verdict, note = _oracle_verdict(n, h, J, prec=config.prec)
+        verdict, note, _ = _oracle_verdict(n, h, J)
         subs.append(verdict)
         notes.append(f"oracle drop {drop}: {note}")
     oracle = RouteVerdicts(full=full_verdict, subtuples=tuple(subs))
 
-    agreement = closed.full is oracle.full and all(
-        a is b for a, b in zip(closed.subtuples, oracle.subtuples)
-    )
+    agreement = closed == oracle
     if not agreement:
         notes.append("routes disagree")
-    decided = Verdict.UNKNOWN not in (
-        closed.full,
-        oracle.full,
-        *closed.subtuples,
-        *oracle.subtuples,
-    )
+    # with the routes agreeing, these verdicts leave no Unknown anywhere
     ok = (
         agreement
-        and decided
         and closed.full is Verdict.NOT_SEPARATED
         and all(v is Verdict.SEPARATED for v in closed.subtuples)
     )
 
     sweep = None
     if full_subset_sweep:
-        rows = []
-        for size in range(1, n):
-            for J in itertools.combinations(range(n), size):
-                verdict, _ = _oracle_verdict(n, h, J, prec=config.prec)
-                rows.append((J, verdict))
-        sweep = tuple(rows)
+        sweep = tuple(
+            (J, _oracle_verdict(n, h, J)[0])
+            for size in range(1, n)
+            for J in itertools.combinations(range(n), size)
+        )
 
     return VerdictBundle(
         config=config,

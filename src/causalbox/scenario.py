@@ -77,11 +77,16 @@ def event_to_json(e: Event):
 
 
 def event_from_json(obj, order: CausalOrder) -> Event:
+    """The event a scenario names, checked against its backend here where
+    it enters; a short point or an unknown element raises GeometryError."""
     if isinstance(order, FiniteOrder):
-        return Event.named(obj)
-    if not isinstance(obj, list) or not obj:
+        event = Event.named(obj)
+    elif not isinstance(obj, list) or not obj:
         raise ScenarioError(f"point event must be a coordinate list, got {obj!r}")
-    return Event.at(obj[0], *obj[1:])
+    else:
+        event = Event.at(obj[0], *obj[1:])
+    order.validate_event(event)
+    return event
 
 
 def order_to_json(order: CausalOrder) -> dict:

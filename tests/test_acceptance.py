@@ -18,12 +18,7 @@ from causalbox.casestudies import (
     safe_embedding_check,
 )
 from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
-from causalbox.jamming import (
-    boundary_functions,
-    build_config,
-    oracle_grid,
-    verify_config,
-)
+from causalbox.jamming import boundary_functions, build_config, verify_config
 from causalbox.monogamy import (
     XorGame,
     brute_force_signalling,
@@ -43,6 +38,7 @@ from causalbox.protocol import (
 )
 from causalbox.separation import Verdict, separated
 from causalbox.simplex import verify_lp_certificate
+from jam_grid import oracle_grid
 
 BITS = Alphabet.binary()
 M1 = Minkowski(1)

@@ -6,13 +6,14 @@ from itertools import product
 
 import pytest
 
+from causalbox import cli
 from causalbox import scenario as sc
 from causalbox import svg
 from causalbox.boxes import Alphabet, CorrelationBox, Srv
 from causalbox.cli import main
 from causalbox.geometry import Event, Minkowski
 
-PASS, FOUND, UNDECIDED, USAGE = 0, 1, 2, 3
+PASS, FOUND, UNDECIDED, USAGE, INTERNAL = 0, 1, 2, 3, 4
 
 BITS = Alphabet.binary()
 
@@ -131,6 +132,14 @@ class TestCheck:
         [
             ("pairing", [[0, 99]]),
             ("backend", {"kind": "minkowski", "dim": 1.5}),
+            # a 1+1 point with no spatial coordinate
+            (
+                "inputs",
+                [
+                    {"name": "X", "alphabet": ["0", "1"], "point": ["0"]},
+                    {"name": "Y", "alphabet": ["0", "1"], "point": ["0", "6"]},
+                ],
+            ),
         ],
     )
     def test_malformed_field_is_usage_error(self, capsys, tmp_path, field, value):
@@ -139,11 +148,15 @@ class TestCheck:
         doc[field] = value
         path = tmp_path / "malformed.json"
         path.write_text(sc.dumps(doc))
-        code, out, err = run(capsys, "check", "--scenario", str(path))
-        assert code == USAGE
-        assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+        for command in ("check", "constraints", "protocol", "render"):
+            argv = [command, "--scenario", str(path)]
+            if command == "render":
+                argv += ["--out", str(tmp_path / "fig")]
+            code, out, err = run(capsys, *argv)
+            assert code == USAGE, command
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
 
 
 class TestConstraints:
@@ -503,3 +516,16 @@ class TestRender:
         )
         assert code == PASS
         assert target.is_dir()
+
+
+class TestInternalError:
+    def test_uncaught_exception_exits_four_with_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        code, out, err = run(capsys, "check", "--preset", "bell_standard")
+        assert code == INTERNAL
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError(")
+        assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
 """Symmetric jammer configurations and their dual-route certification."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -15,13 +16,13 @@ from causalbox.jamming import (
     _oracle_verdict,
     boundary_functions,
     build_config,
-    oracle_grid,
-    timeslice_max_radius,
     valid_h_range,
     verify_config,
 )
 from causalbox.poincare import PoincareMap
 from causalbox.separation import Verdict, separated
+from jam_grid import grid_lower_bounds, grid_verdict, oracle_grid, timeslice_max_radius
+from test_acceptance import Budget
 
 F = Fraction
 M2 = Minkowski(2)
@@ -275,9 +276,9 @@ GRID_HEIGHTS = tuple(F(k, 6) for k in range(-5, 6))
 class TestDirectionalLimit:
     def test_rational_tie_is_decided(self):
         # J = (0, 3, 6) at n = 9 is a triangle: its limit is cos(pi/3) = 1/2.
-        verdict, _ = _oracle_verdict(9, F(1, 2), (0, 3, 6))
-        assert verdict is Verdict.NOT_SEPARATED
-        assert _limit_index(9, (0, 3, 6)) == 6
+        verdict, _, witness = _oracle_verdict(9, F(1, 2), (0, 3, 6))
+        assert verdict is Verdict.NOT_SEPARATED and witness is None
+        assert _limit_index(9, (0, 3, 6))[0] == 6
         assert not _above_cos(F(1, 2), 9 - 6, 9)
         assert _above_cos(F(1, 2) + F(1, 10**40), 9 - 6, 9)
 
@@ -287,7 +288,7 @@ class TestDirectionalLimit:
         decided = 0
         for n, J in _limit_cases():
             reference = _reference_limit(tables[n], n, J)
-            m = n - _limit_index(n, J)
+            m = n - _limit_index(n, J)[0]
             value = tables[n][m]
             assert max(value.lo, reference.lo) <= min(value.hi, reference.hi)
             near = F(float(reference.midpoint)).limit_denominator(10**12)
@@ -301,3 +302,115 @@ class TestDirectionalLimit:
                 decided += 1
                 assert _above_cos(h, m, n) is below, (n, J, h)
         assert decided > 8000
+
+
+def _dihedral_representative(n: int, J) -> tuple[int, ...]:
+    """The least image of J under the rotations and reflections of the ring."""
+    return min(
+        tuple(sorted((s * j + r) % n for j in J))
+        for r in range(n)
+        for s in (1, -1)
+    )
+
+
+def _near(session: IntervalSession, m: int, n: int) -> Fraction:
+    """A rational within 1e-12 of cos(m*pi/n), exact when it is rational."""
+    cos = session.enclosure(session.cos_pi_frac(m, n))
+    return cos.lo if cos.width == 0 else F(float(cos.midpoint)).limit_denominator(10**12)
+
+
+def _oracle_cases():
+    """(n, J, h) for every J at n <= 8, h just below and just above J's
+    directional limit and both window ends."""
+    session = IntervalSession(128)
+    eps = F(1, 10**6)
+    for n in range(3, 9):
+        ends = (_near(session, 2, n), _near(session, 1, n))
+        for size in range(1, n + 1):
+            for J in itertools.combinations(range(n), size):
+                m = _limit_index(n, J)[0]
+                for base in (_near(session, n - m, n), *ends):
+                    for h in (base - eps, base + eps):
+                        yield n, J, h
+
+
+@functools.lru_cache(maxsize=None)
+def _verifier_ring(n: int, prec: int):
+    """A session of the verifier's own and the receivers' enclosures in it."""
+    session = IntervalSession(prec)
+    ring = [(session.cos_pi_frac(2 * j, n), session.sin_pi_frac(2 * j, n)) for j in range(n)]
+    return session, ring
+
+
+def reverify_witness(n: int, h: Fraction, J, witness, prec: int = 256) -> None:
+    """Check a witness (t, x, y) against the raw geometry, independently of
+    the oracle: inside every receiver's future, outside the jammer's."""
+    t, x, y = witness
+    session, ring = _verifier_ring(n, prec)
+    assert t >= 0
+    for j in J:
+        dx = session.rational(x) - ring[j][0]
+        dy = session.rational(y) - ring[j][1]
+        assert session.enclosure(dx * dx + dy * dy).hi <= t * t, (n, J, j, witness)
+    assert t < h or (t - h) ** 2 < x * x + y * y, (n, h, J, witness)
+
+
+class TestOracle:
+    def test_matches_grid_reference_and_witnesses_reverify(self):
+        # The ring is invariant under its dihedral group, so the grid's
+        # slice bounds are computed once per orbit of J; the oracle itself
+        # runs on every J.
+        bounds: dict = {}
+        separated_count = 0
+        for n, J, h in _oracle_cases():
+            rep = _dihedral_representative(n, J)
+            if (n, rep) not in bounds:
+                bounds[n, rep] = grid_lower_bounds(n, rep)
+            verdict, _, witness = _oracle_verdict(n, h, J)
+            assert verdict is grid_verdict(n, h, rep, bounds[n, rep]), (n, J, h)
+            if verdict is Verdict.SEPARATED:
+                separated_count += 1
+                reverify_witness(n, h, J, witness)
+            else:
+                assert witness is None
+        assert separated_count > 1000
+
+    def test_bundle_verdicts_carry_witnesses(self):
+        for n, h in ((3, F(3, 4)), (5, F(3, 5)), (8, F(19, 20))):
+            bundle = verify_config(build_config(n, h), full_subset_sweep=True)
+            rows = [(tuple(range(n)), bundle.oracle.full)]
+            rows += [
+                (tuple(j for j in range(n) if j != drop), v)
+                for drop, v in enumerate(bundle.oracle.subtuples)
+            ]
+            for J, verdict in rows + list(bundle.sweep):
+                again, _, witness = _oracle_verdict(n, h, J)
+                assert again is verdict
+                if verdict is Verdict.SEPARATED:
+                    reverify_witness(n, h, J, witness)
+
+    def test_witness_just_above_a_limit(self):
+        h = F(1, 2) + F(1, 10**30)
+        verdict, note, witness = _oracle_verdict(9, h, (0, 3, 6))
+        assert verdict is Verdict.SEPARATED
+        assert note.startswith("escape witnessed at (t, x, y) = (")
+        reverify_witness(9, h, (0, 3, 6), witness, prec=512)
+
+    def test_witness_is_not_on_the_jammer_cone(self):
+        # At rho = 1 the walk meets (1/8, 1, 0), exactly on the cone of a
+        # jammer at h = -7/8; only the next point is a witness.
+        verdict, _, witness = _oracle_verdict(3, F(-7, 8), (0,))
+        assert verdict is Verdict.SEPARATED
+        assert witness == (F(17, 16), 2, 0)
+        reverify_witness(3, F(-7, 8), (0,), witness)
+
+    def test_nine_receiver_sweep_is_fast_and_matches_closed_form(self):
+        # At h = 1/2 = cos(3pi/9) a subset escapes iff its largest cyclic
+        # gap spans more than three receiver steps.
+        with Budget(5):
+            bundle = verify_config(build_config(9, "1/2"), full_subset_sweep=True)
+        assert len(bundle.sweep) == 510
+        for J, verdict in bundle.sweep:
+            gap = max((b - a) % 9 for a, b in zip(J, J[1:] + J[:1])) or 9
+            expected = Verdict.SEPARATED if gap > 3 else Verdict.NOT_SEPARATED
+            assert verdict is expected, J
