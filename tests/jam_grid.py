@@ -129,11 +129,9 @@ def grid_lower_bounds(n: int, J, *, prec: int = DEFAULT_PREC):
     ]
 
 
-def grid_verdict(n: int, h: Fraction, J, bounds=None) -> Verdict:
-    """The grid-plus-limit verdict; bounds may reuse grid_lower_bounds(n, J)
-    across heights."""
-    if bounds is None:
-        bounds = grid_lower_bounds(n, J)
+def grid_verdict(n: int, h: Fraction, J, bounds) -> Verdict:
+    """The grid-plus-limit verdict, with bounds = grid_lower_bounds(n, J)
+    shared across heights."""
     escapes = any(
         lower is not None and lower > (t - h) ** 2 for t, lower in bounds
     )

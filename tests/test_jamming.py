@@ -320,8 +320,8 @@ def _near(session: IntervalSession, m: int, n: int) -> Fraction:
 
 
 def _oracle_cases():
-    """(n, J, h) for every J at n <= 8, h just below and just above J's
-    directional limit and both window ends."""
+    """(n, J, h) for every J at n <= 8, h at (within 1e-12), just below and
+    just above J's directional limit and both window ends."""
     session = IntervalSession(128)
     eps = F(1, 10**6)
     for n in range(3, 9):
@@ -330,7 +330,7 @@ def _oracle_cases():
             for J in itertools.combinations(range(n), size):
                 m = _limit_index(n, J)[0]
                 for base in (_near(session, n - m, n), *ends):
-                    for h in (base - eps, base + eps):
+                    for h in (base - eps, base, base + eps):
                         yield n, J, h
 
 
