@@ -2,10 +2,9 @@
 
 Exit codes: 0 when the requested check passes or a value is computed,
 1 when a violation or contradiction is found (expected in the demo
-studies), 2 when a Minkowski layout with three or more spatial
-dimensions defeats the witness search or the precision cap is reached,
-3 for usage errors including malformed input, 4 for an internal error
-(an uncaught exception, reported as one line rather than a traceback).
+studies), 2 when the precision cap is reached before a verdict, 3 for
+usage errors including malformed input, 4 for an internal error (an
+uncaught exception, reported as one line rather than a traceback).
 
 All reports go to stdout as canonical JSON; figures are written
 atomically under --out.  The only randomized subcommand is simulate and
@@ -42,7 +41,6 @@ from .monogamy import (
 )
 from .ons import (
     LayoutMismatch,
-    UndecidableScenario,
     check_instances,
     enumerate_constraints,
     named_constraints,
@@ -296,17 +294,16 @@ def cmd_jam_geometry(args) -> int:
     filename = _safe_name(f"njam-n{args.n}-h{args.h}-t{args.t}") + ".svg"
     path = _write_svg(args.out, filename, figure)
     _emit({"bundle": sc.bundle_to_json(bundle), "svg": path})
-    if not bundle.agreement:
-        return FOUND
     verdicts = (
         bundle.closed_form.full,
         *bundle.closed_form.subtuples,
         bundle.oracle.full,
         *bundle.oracle.subtuples,
     )
+    # A capped route disagrees with a decided one without contradicting it.
     if any(v is Verdict.UNKNOWN for v in verdicts):
         return UNDECIDED
-    return PASS
+    return PASS if bundle.agreement else FOUND
 
 
 def cmd_monogamy(args) -> int:
@@ -452,7 +449,7 @@ def main(argv=None) -> int:
     except _CliError as err:
         print(err.message, file=sys.stderr)
         return err.code
-    except (UndecidableScenario, PrecisionExhausted) as exc:
+    except PrecisionExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return UNDECIDED
     except (

@@ -66,7 +66,7 @@ class Enclosure:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("enclosure endpoints out of order")
+            raise ArithmeticError("enclosure endpoints out of order")
 
     @staticmethod
     def point(value: Fraction | int) -> "Enclosure":
@@ -145,7 +145,7 @@ class IntervalSession:
         """
         enc = self.enclosure(x)
         if enc.hi < 0:
-            raise ValueError("radicand certainly negative")
+            raise ArithmeticError("radicand certainly negative")
         if enc.lo < 0:
             x = self.ctx.mpf([0, x.b])
         return self.ctx.sqrt(x)

@@ -26,7 +26,10 @@ from .separation import (
 
 
 class UndecidableScenario(RuntimeError):
-    """Separation could not be decided for at least one (F, G) pair."""
+    """Separation could not be decided for at least one (F, G) pair.
+
+    No separation engine leaves a pair undecided, so nothing in causalbox
+    raises this; it stays importable for callers that catch it."""
 
     def __init__(self, message: str, pending: Sequence[tuple[tuple, tuple]]):
         super().__init__(message)
@@ -135,14 +138,9 @@ def enumerate_constraints(
     without a separated() call: any witness for Separated(G; F) also
     witnesses every smaller G and F, so the pair is NOT_SEPARATED too.
     Every other pair is decided, and SEPARATED pairs emit instances.
-    Any Unknown verdict aborts the enumeration with UndecidableScenario
-    naming the undecided pairs, because a partial constraint set would
-    silently under-report; a pair containing a NOT_SEPARATED pair is
-    decided, so it is never among them.
     """
     n_in, n_out = len(box.inputs), len(box.outputs)
     instances: list[ConstraintInstance] = []
-    pending: list[tuple[tuple, tuple]] = []
     # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
     # ones are ever added, because every other one is skipped.
     blocked: list[tuple[int, int]] = []
@@ -161,9 +159,6 @@ def enumerate_constraints(
                         continue
                     avoid = [box.inputs[f].location for f in F]
                     result = separated(order, gather, avoid)
-                    if result.verdict is Verdict.UNKNOWN:
-                        pending.append((F, G))
-                        continue
                     if result.verdict is Verdict.NOT_SEPARATED:
                         blocked.append((f_mask, g_mask))
                         continue
@@ -173,12 +168,6 @@ def enumerate_constraints(
                         instances.append(
                             ConstraintInstance(F, G, x, y, result)
                         )
-    if pending:
-        raise UndecidableScenario(
-            f"separation undecided for {len(pending)} (F, G) pairs: "
-            + ", ".join(f"F={f} G={g}" for f, g in pending),
-            pending,
-        )
     # Each (F, G) already lists its moves in _move_pairs' sorted order,
     # so a stable sort on (F, G) gives the canonical order.
     instances.sort(key=lambda c: (c.F, c.G))
@@ -275,16 +264,12 @@ class NamedFamily:
 
 def _require_separated(order, gather, avoid, what):
     res = separated(order, gather, avoid)
-    if res.verdict is Verdict.UNKNOWN:
-        raise UndecidableScenario(f"cannot decide separation for {what}", [])
     if res.verdict is not Verdict.SEPARATED:
         raise LayoutMismatch(f"{what}: outputs are not separated from the inputs")
     return res
 
 def _require_jammed(order, gather, avoid, what):
     res = separated(order, gather, avoid)
-    if res.verdict is Verdict.UNKNOWN:
-        raise UndecidableScenario(f"cannot decide separation for {what}", [])
     if res.verdict is not Verdict.NOT_SEPARATED:
         raise LayoutMismatch(f"{what}: the jammer does not cover the outputs")
 

@@ -194,9 +194,10 @@ def box_from_json(obj: Mapping) -> tuple[CausalOrder, CorrelationBox]:
             _split(x): {_split(a): p for a, p in row.items()}
             for x, row in obj.get("table", {}).items()
         }
+        box = CorrelationBox(inputs=inputs, outputs=outputs, table=table, pairing=pairing)
     except (KeyError, TypeError, ValueError, AttributeError, GeometryError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
-    return order, CorrelationBox(inputs=inputs, outputs=outputs, table=table, pairing=pairing)
+    return order, box
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,12 @@
 that stays outside the strict causal future of every member of a second
 family.
 
-Verdicts are exact for finite orders (exhaustive scan), for both 1+1
-backends (a quadrant sweep in lightcone coordinates) and for the plane
-(a rational sweep over the critical lines of the light-cone conics).
-Only Minkowski(d) with d >= 3 falls back to a grid search for a
-certificate and reports UNKNOWN, rather than guess, when it finds none.
-Every SEPARATED result carries a rational witness event that re-verifies
-against the raw causal relation.
+Every verdict is exact: finite orders by an exhaustive scan, both 1+1
+backends by a quadrant sweep in lightcone coordinates, and Minkowski(d)
+with d >= 2 by a rational sweep that cuts at the critical values of x1
+and recurses one dimension lower, down to lines of the plane.  No engine
+returns UNKNOWN.  Every SEPARATED result carries a rational witness
+event that re-verifies against the raw causal relation.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .geometry import (
@@ -33,9 +33,6 @@ from .geometry import (
 from .rational import QuadExt
 
 Vec = tuple[Fraction, ...]
-
-# Time steps of the grid witness search used beyond the plane.
-SEARCH_STEPS = 8
 
 
 class Verdict(Enum):
@@ -78,123 +75,145 @@ def verify_separation_witness(
 
 
 # ----------------------------------------------------------------------
-# small exact vector helpers (spatial tuples of Fractions)
-
-
-def _vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-def _dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-def _norm2(a: Vec) -> Fraction:
-    return _dot(a, a)
-
-
-# ----------------------------------------------------------------------
-# rational witness search beyond the plane (certificates only, never
-# used for NOT verdicts; tests also run it on the plane as an oracle)
-
-
-def _tangency_points(ci: Vec, ri: Fraction, ck: Vec, rk: Fraction) -> list[Vec]:
-    e = _vsub(ck, ci)
-    d2 = _norm2(e)
-    pts: list[Vec] = []
-    if d2 == (ri + rk) ** 2 and ri + rk > 0:
-        lam = ri / (ri + rk)
-        pts.append(tuple(a + lam * d for a, d in zip(ci, e)))
-    if ri != rk and d2 == (ri - rk) ** 2 and d2 > 0:
-        lam = ri / (ri - rk)
-        pts.append(tuple(a + lam * d for a, d in zip(ci, e)))
-    return pts
-
-
-def _grid_candidates(
-    order: Minkowski, gather: Sequence[Event], t: Fraction, levels: int
-):
-    radii = [t - q.t for q in gather]  # type: ignore[operator]
-    if any(r < 0 for r in radii):
-        return
-    lo = [
-        max(q.x[a] - r for q, r in zip(gather, radii))  # type: ignore[index]
-        for a in range(order.dim)
-    ]
-    hi = [
-        min(q.x[a] + r for q, r in zip(gather, radii))  # type: ignore[index]
-        for a in range(order.dim)
-    ]
-    if any(l > h for l, h in zip(lo, hi)):
-        return
-    seen: set[Vec] = set()
-    for level in range(levels + 1):
-        n = 2**level
-        axes = [
-            [l + (h - l) * Fraction(i, n) for i in range(n + 1)]
-            for l, h in zip(lo, hi)
-        ]
-        for combo in product(*axes):
-            if combo in seen:
-                continue
-            seen.add(combo)
-            yield Event(t=t, x=tuple(combo))
-
-
-def _search_witness(
-    order: Minkowski,
-    gather: Sequence[Event],
-    avoid: Sequence[Event],
-) -> Event | None:
-    candidates: list[Event] = list(avoid)
-    cf = order.common_future(gather)
-    if cf is not None:
-        candidates.append(cf)
-    for p in avoid:
-        assert p.t is not None
-        radii = [p.t - q.t for q in gather]  # type: ignore[operator]
-        if any(r < 0 for r in radii):
-            continue
-        for q in gather:
-            candidates.append(Event(t=p.t, x=q.x))
-        for (qi, ri), (qk, rk) in combinations(zip(gather, radii), 2):
-            for pt in _tangency_points(qi.x, ri, qk.x, rk):  # type: ignore[arg-type]
-                candidates.append(Event(t=p.t, x=pt))
-    for cand in candidates:
-        if verify_separation_witness(order, gather, avoid, cand):
-            return cand
-    times = [e.t for e in [*gather, *avoid]]
-    tbase = max(times) + 1  # type: ignore[operator]
-    levels = 5 if order.dim == 2 else 3
-    for step in range(SEARCH_STEPS):
-        t = tbase + 2**step - 1
-        for cand in _grid_candidates(order, gather, t, levels):
-            if verify_separation_witness(order, gather, avoid, cand):
-                return cand
-    return None
-
-
-# ----------------------------------------------------------------------
-# exact plane sweep
+# exact sweep for Minkowski(d), d >= 2
 #
 # Gathered events are (t_i, a_i), avoided ones (s_k, b_k).  Unless an
 # avoided event is itself a witness, (tau, x) separates exactly when
 # T(x) <= tau < S(x), with T(x) = max_i t_i + |x - a_i| and
 # S(x) = min_k s_k + |x - b_k|.  So the question is whether the open set
-# W = {x : T(x) < S(x)} is empty.  Its boundary lies on the curves
-# t_i + |x - a_i| = s_k + |x - b_k|, whose squares are conics, and its
-# corners, where the maximum or the minimum changes hands, project from
-# points on three light cones.  Hence every component of W projects to
-# an open x1-interval whose finite ends are event abscissae, vertical
-# tangents or asymptotes of the conics, or triple-cone abscissae, all of
-# the form a + b*sqrt(R).  A rational line in each gap between them
-# meets every component, and on that line W is a union of gaps between
-# the conics' roots in y, so testing one rational point per gap decides.
+# W = {x : T(x) < S(x)} is empty.
+#
+# Cut at x1 = c.  An event (t, a) then arrives at a point y of the cut
+# at t + sqrt(|y - a'|^2 + delta) with a' = (a2, ..., ad) and
+# delta = (c - a1)^2: the same problem one dimension lower, for events
+# that carry an offset delta >= 0 (one more cut adds to it).  Every
+# component of W projects to an open x1-interval whose finite ends are
+# critical values of x1: at the lower end the closure of the component
+# reaches a point x* where T = S, and x* is a cone apex, or a point of
+# the tie set {arrivals of J all equal} of some event set J with at
+# least one gathered and one avoided event at which x1 is critical
+# (Lagrange or singular), or x* escapes to infinity along such a tie
+# set's asymptote.  A rational cut in each gap between the critical
+# values, and one beyond each end, therefore meets every component, and
+# W is empty exactly when it is empty on every cut.  The recursion runs
+# down to the plane, whose cuts are lines: there W is a union of gaps
+# between the roots in y of the gathered/avoided pair conics, so one
+# rational point per gap decides.
+#
+# In (tau, y) with u = (tau, y) - (t0, a0), the tie set of J is
+# <d_j, u> = (<d_j, d_j> - delta_j + delta_0)/2 for the differences d_j
+# of the other events from the first, on the quadric <u, u> = delta_0
+# (<,> the Minkowski form), future sheets only.  Its critical points
+# solve linear equations and one quadratic, so every critical value is
+# a + b*sqrt(R) and sorts exactly.  Cone apices are only at the top
+# level: a cut never passes through a critical value, so deeper offsets
+# are positive.  On the plane, pairs keep their conic's vertical
+# tangents and asymptotes (the discriminant in y), which also gives one
+# harmless extra abscissa where a double line meets y = 0.
+
+Ev = tuple[Fraction, Vec, Fraction]  # (t, a, delta) on a cut
 
 
-def _cross(u: Vec, v: Vec) -> Vec:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+def _mink(u: Vec, v: Vec) -> Fraction:
+    return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
+
+
+def _solve(rows: list[list[Fraction]], n: int) -> tuple[Vec, list[Vec]] | None:
+    """A point and a basis of directions of the solutions in n unknowns of
+    the rows (coefficients, then right-hand side); None if inconsistent."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][col]
+        rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    point = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        point[col] = rows[r][n]
+    dirs = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free]
+        dirs.append(tuple(v))
+    return tuple(point), dirs
+
+
+def _critical(
+    form, lin, const, base: Vec, dirs: list[Vec], y: tuple, tau: tuple,
+    latest: Fraction, tie: bool,
+) -> list[QuadExt]:
+    """Critical values of y on {q = 0}, where q(u) = form(u, u) +
+    2 lin(u) + const and u runs over base + span(dirs).
+
+    y and tau are affine in u, given as (constant, linear part).  On a
+    line the critical points are the roots themselves, kept on the
+    future sheets (tau >= latest).  A constant y is one critical value,
+    attained or approached at infinity.  Otherwise the Lagrange points
+    (A theta + b = mu * Y) form a smaller family, and the search repeats
+    on it; a family as large as the space means q depends on y alone.
+    """
+    A = [[form(v, w) for w in dirs] for v in dirs]
+    b = [form(v, base) + lin(v) for v in dirs]
+    c = form(base, base) + 2 * lin(base) + const
+    y0, ys = y[0] + y[1](base), [y[1](v) for v in dirs]
+    t0, ts = tau[0] + tau[1](base), [tau[1](v) for v in dirs]
+    p = len(dirs)
+    if p == 1 and (tie or ys[0]):
+        return [
+            r * ys[0] + y0
+            for r in _roots(A[0][0], 2 * b[0], c)
+            if (r * ts[0] + t0).cmp(latest) >= 0
+        ]
+    if not any(ys):
+        return [QuadExt.rational(y0)]
+    sol = _solve([[*A[i], -ys[i], -b[i]] for i in range(p)], p + 1)
+    if sol is None:
+        return []
+    point, family = sol
+    if len(family) == p:
+        i = next(i for i, k in enumerate(ys) if k)
+        return [r + y0 for r in _roots(A[i][i] / ys[i] ** 2, 2 * b[i] / ys[i], c)]
+    return _critical(
+        lambda u, v: sum(u[i] * sum(map(mul, A[i], v)) for i in range(p)),
+        lambda u: sum(map(mul, b, u)),
+        c,
+        point[:p],
+        [v[:p] for v in family],
+        (y0, lambda u: sum(map(mul, ys, u))),
+        (t0, lambda u: sum(map(mul, ts, u))),
+        latest,
+        False,
+    )
+
+
+def _tie_extrema(tie: Sequence[Ev]) -> list[QuadExt]:
+    """Critical values of y1 on the future tie set of the events."""
+    (t0, a0, d0), rest = tie[0], tie[1:]
+    rows = []
+    for t, a, d in rest:
+        diff = (t - t0, *(x - x0 for x, x0 in zip(a, a0)))
+        rows.append([diff[0], *(-x for x in diff[1:]), (_mink(diff, diff) - d + d0) / 2])
+    k = len(a0)
+    sol = _solve(rows, k + 1)
+    if sol is None or len(sol[1]) != k + 2 - len(tie):
+        # Dependent equations: the tie set is a smaller set's, or empty.
+        return []
+    return _critical(
+        _mink, lambda u: 0, -d0, *sol, (a0[0], itemgetter(1)), (t0, itemgetter(0)),
+        max(e[0] for e in tie), True,
     )
 
 
@@ -251,18 +270,19 @@ def _samples(values: list[QuadExt]) -> list[Fraction]:
     return out
 
 
-def _pair_conic(g: Event, p: Event) -> tuple[Fraction, ...]:
+def _pair_conic(g: Ev, p: Ev) -> tuple[Fraction, ...]:
     """Coefficients (al, b1, b0, g2, g1, g0) of the conic
     al*y^2 + (b1*x1 + b0)*y + g2*x1^2 + g1*x1 + g0 = 0 that holds on the
-    curve t + |x - a| = s + |x - b| of gathered (t, a) and avoided (s, b).
+    curve t + |x - a|_g = s + |x - b|_p of gathered (t, a) and avoided
+    (s, b) on a plane cut, where |x - a|_e^2 = |x - a|^2 + delta_e.
 
-    With c = t - s and L = |x - b|^2 - |x - a|^2, which is linear in x,
-    the curve gives L - c^2 = 2c|x - a|; squaring yields the conic.
+    With c = t - s and L = |x - b|_p^2 - |x - a|_g^2, which is linear in
+    x, the curve gives L - c^2 = 2c|x - a|_g; squaring yields the conic.
     """
-    (a1, a2), (b1, b2) = g.x, p.x  # type: ignore[misc]
-    c = g.t - p.t  # type: ignore[operator]
+    (t, (a1, a2), da), (s, (b1, b2), db) = g, p
+    c = t - s
     l1, l2 = 2 * (a1 - b1), 2 * (a2 - b2)
-    l0 = b1 * b1 + b2 * b2 - a1 * a1 - a2 * a2 - c * c
+    l0 = b1 * b1 + b2 * b2 + db - a1 * a1 - a2 * a2 - da - c * c
     k = 4 * c * c
     return (
         l2 * l2 - k,
@@ -270,7 +290,7 @@ def _pair_conic(g: Event, p: Event) -> tuple[Fraction, ...]:
         2 * l2 * l0 + 2 * k * a2,
         l1 * l1 - k,
         2 * l1 * l0 + 2 * k * a1,
-        l0 * l0 - k * (a1 * a1 + a2 * a2),
+        l0 * l0 - k * (a1 * a1 + a2 * a2 + da),
     )
 
 
@@ -284,64 +304,48 @@ def _vertical_tangents(conic: tuple[Fraction, ...]) -> list[QuadExt]:
     return _roots(*disc) if any(disc) else _roots(g2, g1, g0)
 
 
-def _triple_abscissae(e0: Event, e1: Event, e2: Event) -> list[QuadExt]:
-    """x1 of the points where the future light cones of three events meet.
-
-    Subtracting the cone equations leaves two planes in (x1, y, tau);
-    their common line meets the first cone at most twice.  Parallel
-    planes mean collinear events: either no common point, or all three
-    on one light ray, where two of one kind are causally related and the
-    earlier gathered (later avoided) one never bounds W on its own.
-    """
-    (x0, y0), t0 = e0.x, e0.t  # type: ignore[misc]
-    rows = [
-        (
-            (2 * (e.x[0] - x0), 2 * (e.x[1] - y0), -2 * (e.t - t0)),  # type: ignore
-            _norm2(e.x) - x0 * x0 - y0 * y0 - e.t * e.t + t0 * t0,  # type: ignore
-        )
-        for e in (e1, e2)
-    ]
-    (n1, c1), (n2, c2) = rows
-    d = _cross(n1, n2)
-    dd = _dot(d, d)
-    if dd == 0:
-        return []
-    base = tuple(
-        (c1 * u + c2 * v) / dd for u, v in zip(_cross(n2, d), _cross(d, n1))
-    )
-    w = (base[0] - x0, base[1] - y0, base[2] - t0)
-
-    def mink(u: Vec, v: Vec) -> Fraction:
-        return u[2] * v[2] - u[0] * v[0] - u[1] * v[1]
-
-    latest = max(e0.t, e1.t, e2.t)  # type: ignore[type-var]
-    return [
-        lam * d[0] + base[0]
-        for lam in _roots(mink(d, d), 2 * mink(w, d), mink(w, w))
-        if (lam * d[2] + base[2]).cmp(latest) >= 0  # future sheets only
-    ]
+def _arrival(e: Ev, x: Vec) -> QuadExt:
+    """t + |x - a|_e exactly, with a raw radicand."""
+    t, (a1, a2), d = e
+    dx, dy = x[0] - a1, x[1] - a2
+    r2 = dx * dx + dy * dy + d
+    return QuadExt(t, Fraction(1, r2.denominator), r2.numerator * r2.denominator)
 
 
-def _arrival(e: Event, x: Vec) -> QuadExt:
-    """e.t + |x - e.x| exactly, with a raw radicand."""
-    dx, dy = x[0] - e.x[0], x[1] - e.x[1]  # type: ignore[index]
-    r2 = dx * dx + dy * dy
-    rad = r2.numerator * r2.denominator
-    return QuadExt(e.t, Fraction(1, r2.denominator), rad)  # type: ignore[arg-type]
+def _cut(e: Ev, c: Fraction) -> Ev:
+    t, a, d = e
+    return t, a[1:], d + (c - a[0]) ** 2
 
 
-def _plane_sweep(gather: Sequence[Event], avoid: Sequence[Event]) -> Event | None:
-    """A rational witness (tau, x) with x in W, or None when W is empty."""
-    conics = [_pair_conic(g, p) for g in gather for p in avoid if g.x != p.x]
+def _critical_x1(gather: list[Ev], avoid: list[Ev]) -> tuple[list[QuadExt], list]:
+    """The critical x1 values of a cut problem, and on the plane the
+    gathered/avoided pair conics."""
+    k = len(gather[0][1])
     events = [*gather, *avoid]
-    crit = [QuadExt.rational(e.x[0]) for e in events]  # type: ignore[index]
-    for conic in conics:
-        crit += _vertical_tangents(conic)
+    crit = [QuadExt.rational(a[0]) for _, a, d in events if not d]
+    conics = []
+    if k == 2:
+        conics = [_pair_conic(g, p) for g in gather for p in avoid if g[1:] != p[1:]]
+        for conic in conics:
+            crit += _vertical_tangents(conic)
     n = len(gather)
-    for i, j, k in combinations(range(len(events)), 3):
-        if i < n <= k:  # at least one gathered and one avoided event
-            crit += _triple_abscissae(events[i], events[j], events[k])
+    for size in range(3 if k == 2 else 2, k + 2):
+        for tie in combinations(range(len(events)), size):
+            if tie[0] < n <= tie[-1]:  # at least one gathered and one avoided
+                crit += _tie_extrema([events[i] for i in tie])
+    return crit, conics
+
+
+def _sweep(gather: list[Ev], avoid: list[Ev]) -> tuple[Fraction, Vec] | None:
+    """A rational (tau, x) with x in W, or None when W is empty."""
+    crit, conics = _critical_x1(gather, avoid)
+    k = len(gather[0][1])
     for x1 in _samples(crit):
+        if k > 2:
+            found = _sweep([_cut(e, x1) for e in gather], [_cut(e, x1) for e in avoid])
+            if found is not None:
+                return found[0], (x1, *found[1])
+            continue
         ys: list[QuadExt] = []
         for al, b1, b0, g2, g1, g0 in conics:
             ys += _roots(al, b1 * x1 + b0, (g2 * x1 + g1) * x1 + g0)
@@ -351,8 +355,7 @@ def _plane_sweep(gather: Sequence[Event], avoid: Sequence[Event]) -> Event | Non
             early = min(_arrival(p, x) for p in avoid)
             if late < early:
                 lo, hi = late.bounds()
-                tau = lo if lo == hi else _between(late, early)
-                return Event(t=tau, x=x)
+                return (lo if lo == hi else _between(late, early)), x
     return None
 
 
@@ -465,31 +468,25 @@ def separated(
             reason="common_future",
         )
 
-    if order.dim == 2:
-        witness = next(
-            (p for p in avoid if verify_separation_witness(order, gather, avoid, p)),
-            None,
-        ) or _plane_sweep(gather, avoid)
-        if witness is None:
+    witness = next(
+        (p for p in avoid if verify_separation_witness(order, gather, avoid, p)),
+        None,
+    )
+    if witness is None:
+        found = _sweep(
+            [(g.t, g.x, Fraction(0)) for g in gather],  # type: ignore[misc]
+            [(p.t, p.x, Fraction(0)) for p in avoid],  # type: ignore[misc]
+        )
+        if found is None:
             return SeparationResult(
                 Verdict.NOT_SEPARATED,
                 reason="cone_closure",
                 detail="every gathering event is strictly after an avoided event",
             )
-        early = witness.t <= min(p.t for p in avoid)  # type: ignore[type-var]
-        return SeparationResult(
-            Verdict.SEPARATED,
-            witness=witness,
-            reason="gather_before_avoid" if early else "plane_sweep",
-        )
-
-    witness = _search_witness(order, gather, avoid)
-    if witness is not None:
-        return SeparationResult(
-            Verdict.SEPARATED, witness=witness, reason="witness_search"
-        )
+        witness = Event(t=found[0], x=found[1])
+    early = witness.t <= min(p.t for p in avoid)  # type: ignore[type-var]
     return SeparationResult(
-        Verdict.UNKNOWN,
-        reason="high_dimension_undecided",
-        detail="no exact decision procedure beyond the plane; search found no witness",
+        Verdict.SEPARATED,
+        witness=witness,
+        reason="gather_before_avoid" if early else "plane_sweep",
     )

@@ -38,10 +38,10 @@ def triangle_file(tmp_path):
 
 
 @pytest.fixture
-def undecidable_file(tmp_path):
-    # 3+1 dimensions, two avoided events flanking the joint future: only
-    # the grid search runs there, and the engine declines to decide
-    # rather than guess
+def joint_avoidance_file(tmp_path):
+    # 3+1 dimensions, two avoided events flanking the joint future: the
+    # bisector half-spaces force y < -7.5 and y > 7.5 at once, so the
+    # outputs cannot be gathered while avoiding both inputs
     ins = (
         Srv("X1", BITS, Event.at(0, 0, 1, 0)),
         Srv("X2", BITS, Event.at(0, 0, -1, 0)),
@@ -55,7 +55,7 @@ def undecidable_file(tmp_path):
         for x1, x2 in product("01", repeat=2)
     }
     box = CorrelationBox(inputs=ins, outputs=outs, table=table)
-    path = tmp_path / "undecidable.json"
+    path = tmp_path / "joint_avoidance.json"
     path.write_text(sc.dumps(sc.box_to_json(Minkowski(3), box)))
     return str(path)
 
@@ -82,10 +82,16 @@ class TestCheck:
         assert code == USAGE
         assert "no correlation box" in err
 
-    def test_undecidable_scenario_exits_two(self, capsys, undecidable_file):
-        code, _, err = run(capsys, "check", "--scenario", undecidable_file)
-        assert code == UNDECIDED
-        assert "undecided" in err
+    def test_joint_avoidance_in_space_is_decided(self, capsys, joint_avoidance_file):
+        code, doc = out_json(capsys, "check", "--scenario", joint_avoidance_file)
+        assert code == PASS
+        # Each input alone leaves room, both together do not: 8 of the 9
+        # (F, G) pairs emit instances, and the uniform box violates none.
+        assert doc == {"instances": 24, "violations": []}
+        code, doc = out_json(capsys, "constraints", "--scenario", joint_avoidance_file)
+        pairs = {(tuple(i["F"]), tuple(i["G"])) for i in doc["instances"]}
+        assert ((0, 1), (0, 1)) not in pairs
+        assert len(pairs) == 8
 
     def test_budget_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,6 +146,8 @@ class TestCheck:
                     {"name": "Y", "alphabet": ["0", "1"], "point": ["0", "6"]},
                 ],
             ),
+            # a null probability; it once escaped as TypeError, exit 4
+            ("table", {"0,0": {"0,0": None}}),
         ],
     )
     def test_malformed_field_is_usage_error(self, capsys, tmp_path, field, value):
@@ -290,6 +298,19 @@ class TestJamGeometry:
             capsys, "jam-geometry", "--n", "2", "--h", "1/2", "--out", str(tmp_path)
         )
         assert code == USAGE
+
+    def test_precision_cap_exits_two(self, capsys, tmp_path, monkeypatch):
+        # The capped closed form is all unknown while the oracle decides
+        # the full tuple: the routes differ without contradicting.
+        monkeypatch.setenv("CAUSALBOX_PRECISION", "8")
+        code, out, _ = run(
+            capsys, "jam-geometry", "--n", "5", "--h", "3/10", "--out", str(tmp_path)
+        )
+        assert code == UNDECIDED
+        bundle = json.loads(out)["bundle"]
+        assert bundle["closed_form"]["full"] == "unknown"
+        assert bundle["oracle"]["full"] == "not_separated"
+        assert bundle["agreement"] is False
 
     def test_deterministic_output(self, capsys, tmp_path):
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))
@@ -528,4 +549,19 @@ class TestInternalError:
         assert code == INTERNAL
         assert out == ""
         assert err.startswith("internal error: RuntimeError(")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_interval_logic_fault_exits_four(self, capsys, monkeypatch):
+        # An out-of-order enclosure is a fault in causalbox, not in the
+        # input, so it must not pass for a usage error.
+        from causalbox.intervals import Enclosure
+
+        def faulty(order, box):
+            Enclosure(Fraction(1), Fraction(0))
+
+        monkeypatch.setattr(cli, "enumerate_constraints", faulty)
+        code, out, err = run(capsys, "check", "--preset", "bell_standard")
+        assert code == INTERNAL
+        assert out == ""
+        assert err.startswith("internal error: ArithmeticError(")
         assert len(err.strip().splitlines()) == 1

@@ -18,7 +18,6 @@ from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import (
     ConstraintInstance,
     LayoutMismatch,
-    UndecidableScenario,
     check_family,
     check_instances,
     check_ons,
@@ -27,7 +26,7 @@ from causalbox.ons import (
     named_constraints,
     _move_pairs,
 )
-from causalbox.separation import SeparationResult, Verdict, separated
+from causalbox.separation import Verdict, separated
 
 M1 = Minkowski(1)
 M2 = Minkowski(2)
@@ -150,9 +149,9 @@ class TestEnumeration:
         # Unordered pairs appear exactly once, in label order.
         assert (("1", "1"), ("0", "0")) not in moves
 
-    def test_undecidable_scenario_raised_with_pending_pairs(self):
-        # 3+1 dimensions: only the grid search runs there, and it finds no
-        # witness for the joint avoidance.
+    def test_joint_avoidance_in_space_is_decided(self):
+        # 3+1 dimensions: the two inputs jointly block every gathering
+        # point of the two outputs, and the sweep proves it.
         ins = (
             Srv("V1", BITS, Event.at(0, 0, Fraction(-1, 2), 0)),
             Srv("V2", BITS, Event.at(0, 0, Fraction(1, 2), 0)),
@@ -163,9 +162,16 @@ class TestEnumeration:
         )
         table = {x: {} for x in itertools.product("01", repeat=2)}
         box = CorrelationBox(ins, outs, table)
-        with pytest.raises(UndecidableScenario) as exc:
-            enumerate_constraints(Minkowski(3), box)
-        assert ((0, 1), (0, 1)) in exc.value.pending
+        gather = [s.location for s in outs]
+        avoid = [s.location for s in ins]
+        res = separated(Minkowski(3), gather, avoid)
+        assert res.verdict is Verdict.NOT_SEPARATED
+        assert res.reason == "cone_closure"
+        instances = enumerate_constraints(Minkowski(3), box)
+        assert instances == all_pairs_reference(Minkowski(3), box)
+        assert {(i.F, i.G) for i in instances} == {
+            (F, G) for F in ((0,), (1,), (0, 1)) for G in ((0,), (1,), (0, 1))
+        } - {((0, 1), (0, 1))}
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +182,7 @@ def all_pairs_reference(order, box):
     """The enumeration without pruning: separated() on every nonempty
     (F, G) pair, sorted by (F, G, x, x') label indices."""
     n_in, n_out = len(box.inputs), len(box.outputs)
-    instances, pending = [], []
+    instances = []
     for size_g in range(1, n_out + 1):
         for G in itertools.combinations(range(n_out), size_g):
             gather = [box.outputs[g].location for g in G]
@@ -184,9 +190,7 @@ def all_pairs_reference(order, box):
                 for F in itertools.combinations(range(n_in), size_f):
                     avoid = [box.inputs[f].location for f in F]
                     result = separated(order, gather, avoid)
-                    if result.verdict is Verdict.UNKNOWN:
-                        pending.append((F, G))
-                    elif result.verdict is Verdict.SEPARATED:
+                    if result.verdict is Verdict.SEPARATED:
                         for x, y in _move_pairs(box.inputs, F):
                             instances.append(
                                 ConstraintInstance(F, G, x, y, result)
@@ -198,7 +202,7 @@ def all_pairs_reference(order, box):
     instances.sort(
         key=lambda c: (c.F, c.G, label_indices(c.x), label_indices(c.x_prime))
     )
-    return instances, pending
+    return instances
 
 
 def _rat(rng, lo, hi):
@@ -251,8 +255,7 @@ class TestLatticePruning:
         lattice = 0
         for seed in range(40):
             order, box = seeded_layout(backend, seed)
-            expected, pending = all_pairs_reference(order, box)
-            assert pending == []
+            expected = all_pairs_reference(order, box)
             with monkeypatch.context() as patch:
                 patch.setattr(causalbox.ons, "separated", counting)
                 assert enumerate_constraints(order, box) == expected
@@ -277,34 +280,8 @@ class TestLatticePruning:
         monkeypatch.setattr(causalbox.ons, "separated", counting)
         got = enumerate_constraints(M1, box)
         monkeypatch.undo()
-        assert got == all_pairs_reference(M1, box)[0]
+        assert got == all_pairs_reference(M1, box)
         assert len(calls) == 15  # of the 7 * 7 pairs in the lattice
-
-    def test_pending_omits_pairs_containing_a_not_separated_pair(self, monkeypatch):
-        # A stand-in engine: ({0}, {0}) is NOT_SEPARATED, all else UNKNOWN.
-        box = CorrelationBox(
-            tuple(Srv(f"X{i}", BITS, Event.at(0, i)) for i in range(2)),
-            tuple(Srv(f"A{i}", BITS, Event.at(1, i)) for i in range(2)),
-            {x: {} for x in itertools.product("01", repeat=2)},
-        )
-        blocked_gather = [box.outputs[0].location]
-        blocked_avoid = [box.inputs[0].location]
-
-        def engine(order, gather, avoid):
-            if gather == blocked_gather and avoid == blocked_avoid:
-                return SeparationResult(Verdict.NOT_SEPARATED)
-            return SeparationResult(Verdict.UNKNOWN)
-
-        monkeypatch.setattr(causalbox.ons, "separated", engine)
-        with pytest.raises(UndecidableScenario) as exc:
-            enumerate_constraints(M1, box)
-        assert exc.value.pending == (
-            ((1,), (0,)),
-            ((0,), (1,)),
-            ((1,), (1,)),
-            ((0, 1), (1,)),
-            ((1,), (0, 1)),
-        )
 
 
 class TestChecking:

@@ -19,10 +19,13 @@ from causalbox.rational import QuadExt
 from causalbox.separation import (
     SeparationResult,
     Verdict,
-    _search_witness,
+    _critical_x1,
+    _samples,
+    _tie_extrema,
     separated,
     verify_separation_witness,
 )
+from plane_reference import plane_critical_x1, search_witness
 from quad_helpers import quad_sqrt
 
 
@@ -388,32 +391,42 @@ def single_avoid_reference(gather, p):
     return Verdict.NOT_SEPARATED
 
 
-def probe_witness(order, gather, avoid):
-    """Dense probe for a witness: the avoided events, a 1/4 grid around
-    the layout and a far ring of directions.  Floats only propose a time
-    inside the gathering window; the exact relation confirms."""
+def probe_witness(order, gather, avoid, step=Fraction(1, 4), pad=3, far=720):
+    """Dense probe for a witness: the avoided events, a grid of the given
+    step around the layout and far points in spread-out directions.
+    Floats only propose a time inside the gathering window; the exact
+    relation confirms."""
     for p in avoid:
         if verify_separation_witness(order, gather, avoid, p):
             return p
+    dim = len(gather[0].x)
     pts = [e.x for e in [*gather, *avoid]]
-    lo = [min(p[a] for p in pts) - 3 for a in range(2)]
-    hi = [max(p[a] for p in pts) + 3 for a in range(2)]
-    xs = [
-        (lo[0] + Fraction(i, 4), lo[1] + Fraction(j, 4))
-        for i in range(int((hi[0] - lo[0]) * 4) + 1)
-        for j in range(int((hi[1] - lo[1]) * 4) + 1)
+    axes = [
+        [lo + step * i for i in range(int((hi - lo) / step) + 1)]
+        for lo, hi in (
+            (min(p[a] for p in pts) - pad, max(p[a] for p in pts) + pad)
+            for a in range(dim)
+        )
     ]
-    xs += [
-        (Fraction(round(1000 * math.cos(k * math.pi / 360))),
-         Fraction(round(1000 * math.sin(k * math.pi / 360))))
-        for k in range(720)
-    ]
-    cones = [(float(e.t), float(e.x[0]), float(e.x[1])) for e in gather]
-    blocks = [(float(e.t), float(e.x[0]), float(e.x[1])) for e in avoid]
+    xs = list(product(*axes))
+    for k in range(far):
+        if dim == 2:
+            v = (math.cos(k * math.pi / 360), math.sin(k * math.pi / 360))
+        else:  # a spiral over the sphere, in the first three coordinates
+            z = 1 - 2 * (k + 0.5) / far
+            r = math.sqrt(1 - z * z)
+            v = (r * math.cos(2.4 * k), r * math.sin(2.4 * k), z) + (0,) * (dim - 3)
+        xs.append(tuple(Fraction(round(1000 * c)) for c in v))
+    cones = [(float(e.t), [float(c) for c in e.x]) for e in gather]
+    blocks = [(float(e.t), [float(c) for c in e.x]) for e in avoid]
+
+    def reach(t, a, fx):
+        return t + math.sqrt(sum((u - v) ** 2 for u, v in zip(fx, a)))
+
     for x in xs:
-        fx, fy = float(x[0]), float(x[1])
-        late = max(t + math.hypot(fx - a, fy - b) for t, a, b in cones)
-        early = min(t + math.hypot(fx - a, fy - b) for t, a, b in blocks)
+        fx = [float(c) for c in x]
+        late = max(reach(t, a, fx) for t, a in cones)
+        early = min(reach(t, a, fx) for t, a in blocks)
         if early - late > 1e-9:
             q = Event(t=Fraction((late + early) / 2), x=x)
             if verify_separation_witness(order, gather, avoid, q):
@@ -550,8 +563,226 @@ def test_plane_engine_matches_references_on_seeded_layouts():
         # The grid search takes up to a second to give up, so it checks
         # every fourth layout that reached the sweep.
         if res.reason == "cone_closure" and n % 4 == 0:
-            assert _search_witness(order, gather, avoid) is None
+            assert search_witness(order, gather, avoid) is None
     assert min(counts.values()) >= 80
+
+
+def _cut_events(events):
+    return [(e.t, e.x, Fraction(0)) for e in events]
+
+
+def _distinct(values):
+    out = []
+    for v in sorted(values):
+        if not out or out[-1] < v:
+            out.append(v)
+    return out
+
+
+def test_generic_critical_values_are_the_plane_engines():
+    """On the plane the generic sweep cuts at exactly the plane engine's
+    critical x1 values, so it tests the same samples in the same order."""
+    for gather, avoid in plane_layouts(240, seed=20240601):
+        plane = plane_critical_x1(gather, avoid)
+        generic, _ = _critical_x1(_cut_events(gather), _cut_events(avoid))
+        assert _distinct(generic) == _distinct(plane)
+        assert _samples(generic) == _samples(plane)
+
+
+class TestTieExtrema:
+    """Critical x1 values of single tie sets, worked by hand."""
+
+    Z = Fraction(0)
+
+    def test_pair_hyperboloid_vertex(self):
+        # t + |x| = 1 + |x - (4, 0, 0)|: the branch's vertex is at x1 = 5/2;
+        # the squared equation's other branch (x1 = 3/2) is in the past.
+        z = self.Z
+        got = _tie_extrema([(z, (z, z, z), z), (Fraction(1), (Fraction(4), z, z), z)])
+        assert got == [Fraction(5, 2)]
+
+    def test_equal_times_give_the_bisector(self):
+        z = self.Z
+        upright = _tie_extrema([(z, (z, z, z), z), (z, (Fraction(4), z, z), z)])
+        assert upright == [2]
+        assert _tie_extrema([(z, (z, z, z), z), (z, (Fraction(4), Fraction(1), z), z)]) == []
+
+    def test_plane_triple_is_the_circumcentre(self):
+        z = self.Z
+        tie = [(z, (z, z), z), (z, (Fraction(4), z), z), (z, (z, Fraction(2)), z)]
+        assert _tie_extrema(tie) == [2]
+
+    def test_offsets_shift_the_vertex(self):
+        # sqrt(x^2 + 1) - sqrt((4 - x)^2 + 1) = 1 at x = 2 + sqrt(285)/30.
+        z, one = self.Z, Fraction(1)
+        (got,) = _tie_extrema([(z, (z, z), one), (one, (Fraction(4), z), one)])
+        assert got == QuadExt(Fraction(2), Fraction(1, 30), 285)
+
+    def test_collinear_triple_has_no_points(self):
+        z = self.Z
+        tie = [(z, (z, z), z), (z, (Fraction(1), z), z), (z, (Fraction(2), z), z)]
+        assert _tie_extrema(tie) == []
+
+    def test_apices_are_critical_only_at_the_top(self):
+        z, one = self.Z, Fraction(1)
+        top = [(z, (one, z, z), z), (z, (-one, z, z), z)]
+        crit, _ = _critical_x1(top[:1], top[1:])
+        assert {one, -one} <= set(crit)
+        cut = [(z, (one, z, z), one), (z, (-one, z, z), one)]
+        assert one not in _critical_x1(cut[:1], cut[1:])[0]
+
+
+def space_layouts(n, seed, dim=3):
+    """Seeded small-integer layouts: 2-3 gathered and 1-2 avoided events,
+    t in 0..3 and every spatial coordinate in -3..3."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        counts = rng.randint(2, 3), rng.randint(1, 2)
+        gather, avoid = (
+            [
+                Event.at(*(rng.randint(-3, 3) if i else rng.randint(0, 3) for i in range(dim + 1)))
+                for _ in range(k)
+            ]
+            for k in counts
+        )
+        yield gather, avoid
+
+
+def test_space_engine_decides_seeded_layouts():
+    """The grid search that served 3+1 before left 34 of these layouts
+    UNKNOWN and found witnesses for 241; every layout is decided now."""
+    order = Minkowski(3)
+    reasons = {}
+    for gather, avoid in space_layouts(300, seed=2025):
+        res = separated(order, gather, avoid)
+        reasons[res.reason] = reasons.get(res.reason, 0) + 1
+        if res.is_separated:
+            assert verify_separation_witness(order, gather, avoid, res.witness)
+            continue
+        assert res.verdict is Verdict.NOT_SEPARATED
+        if res.reason == "cone_closure":
+            assert probe_witness(order, gather, avoid, step=Fraction(1, 2)) is None
+            assert search_witness(order, gather, avoid) is None
+    assert reasons == {"plane_sweep": 262, "blocked_by_strict_past": 25, "cone_closure": 13}
+
+
+# A unit vector with rational coordinates: line layouts off the axes.
+_SLANT = (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(event_1p1, min_size=2, max_size=3),
+    st.lists(event_1p1, min_size=1, max_size=2),
+)
+def test_space_line_layouts_agree_with_plane_and_line(gather, avoid):
+    """On one spatial line only the distance from the line matters, so
+    3+1 decides as the plane does; against 1+1 it only adds room."""
+    line, plane, space = Minkowski(1), Minkowski(2), Minkowski(3)
+    flat = lambda e: ev(e.t, e.x[0], 0)
+    slant = lambda e: ev(e.t, *(1 + e.x[0] * u for u in _SLANT))
+    res1 = separated(line, gather, avoid)
+    res2 = separated(plane, [flat(e) for e in gather], [flat(e) for e in avoid])
+    lifted = [slant(e) for e in gather], [slant(e) for e in avoid]
+    res3 = separated(space, *lifted)
+    assert res3.verdict is res2.verdict
+    if res1.is_separated:
+        assert res3.is_separated
+    if res3.is_separated:
+        assert verify_separation_witness(space, *lifted, res3.witness)
+    else:
+        assert res1.verdict is Verdict.NOT_SEPARATED
+
+
+def test_separated_plane_layouts_stay_separated_in_space():
+    plane, space = Minkowski(2), Minkowski(3)
+    lift = lambda e: ev(e.t, *e.x, 0)
+    for n, (gather, avoid) in enumerate(plane_layouts(240, seed=20240601)):
+        if n % 3 or not separated(plane, gather, avoid).is_separated:
+            continue
+        lifted = [lift(e) for e in gather], [lift(e) for e in avoid]
+        res = separated(space, *lifted)
+        assert res.is_separated
+        assert verify_separation_witness(space, *lifted, res.witness)
+
+
+def cayley_rotation(skew):
+    """(I - K)(I + K)^-1 for a rational skew matrix K: a rational rotation."""
+    n = len(skew)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[eye[i][j] + skew[i][j] for j in range(n)] + eye[i] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    inverse = [row[n:] for row in rows]
+    return [
+        [sum(((eye[i][k] - skew[i][k]) * inverse[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def null_layouts(n, seed, dim=3):
+    """Layouts with avoided events co-located with a gathered one or on
+    its light cone, where tie sets degenerate."""
+    rng = random.Random(seed)
+    nulls = ((1, 1, 0, 0), (1, 0, -1, 0), (1, 0, 0, 1), (3, 1, 2, 2), (3, -2, 1, 2), (5, 3, 4, 0))
+    for _ in range(n):
+        point = lambda: ev(rng.randint(0, 1), *(rng.randint(-2, 2) for _ in range(dim)))
+        gather = [point() for _ in range(rng.randint(2, 3))]
+        avoid = []
+        for _ in range(rng.randint(1, 3)):
+            roll, q = rng.random(), rng.choice(gather)
+            if roll < 0.5:
+                avoid.append(point())
+            elif roll < 0.65:
+                avoid.append(Event(t=q.t + rng.randint(0, 1), x=q.x))
+            else:
+                v = rng.choice(nulls) + (0,) * dim
+                avoid.append(Event(t=q.t + v[0], x=tuple(a + b for a, b in zip(q.x, v[1:]))))
+        yield gather, avoid
+
+
+def test_space_verdict_invariant_under_rotation_and_translation():
+    order = Minkowski(3)
+    rng = random.Random(3)
+    for gather, avoid in null_layouts(40, seed=11):
+        skew = [[Fraction(0)] * 3 for _ in range(3)]
+        for i, j in combinations(range(3), 2):
+            skew[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            skew[j][i] = -skew[i][j]
+        rot = cayley_rotation(skew)
+        shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+
+        def move(e):
+            x = [sum((r * c for r, c in zip(row, e.x)), Fraction(0)) for row in rot]
+            return Event(t=e.t + shift[0], x=tuple(c + s for c, s in zip(x, shift[1:])))
+
+        before = separated(order, gather, avoid)
+        moved = [move(e) for e in gather], [move(e) for e in avoid]
+        after = separated(order, *moved)
+        assert after.verdict is before.verdict
+        if after.is_separated:
+            assert verify_separation_witness(order, *moved, after.witness)
+        elif after.reason == "cone_closure":
+            assert probe_witness(order, gather, avoid, step=Fraction(1, 2), pad=2) is None
+
+
+def test_four_space_layouts_are_decided():
+    order = Minkowski(4)
+    verdicts = set()
+    for gather, avoid in space_layouts(6, seed=4, dim=4):
+        res = separated(order, gather, avoid)
+        verdicts.add(res.verdict)
+        if res.is_separated:
+            assert verify_separation_witness(order, gather, avoid, res.witness)
+        else:
+            assert res.verdict is Verdict.NOT_SEPARATED
+    assert Verdict.UNKNOWN not in verdicts
 
 
 def _finite_order(rng):
