@@ -158,12 +158,15 @@ def _critical(
     """Critical values of y on {q = 0}, where q(u) = form(u, u) +
     2 lin(u) + const and u runs over base + span(dirs).
 
-    y and tau are affine in u, given as (constant, linear part).  On a
-    line the critical points are the roots themselves, kept on the
-    future sheets (tau >= latest).  A constant y is one critical value,
-    attained or approached at infinity.  Otherwise the Lagrange points
-    (A theta + b = mu * Y) form a smaller family, and the search repeats
-    on it; a family as large as the space means q depends on y alone.
+    y and tau are affine in u, given as (constant, linear part).  If u
+    runs over a line of tie equations' solutions (tie), its roots are
+    the tie points, all critical; on a line of Lagrange points along
+    which y moves, the roots are the critical points.  Roots are kept on
+    the future sheets (tau >= latest).  A constant y is one critical
+    value, attained or approached at infinity.  Otherwise the Lagrange
+    points (A theta + b = mu * Y) form a smaller family, and the search
+    repeats on it; a family as large as the space means q depends on y
+    alone.
     """
     A = [[form(v, w) for w in dirs] for v in dirs]
     b = [form(v, base) + lin(v) for v in dirs]
