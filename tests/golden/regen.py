@@ -1,24 +1,28 @@
 """Regenerate the golden CLI outputs under tests/golden/<corpus>/.
 
-Three corpora share this harness:
+Four corpora share this harness:
 
 - jam: `jam-geometry <args> --out fig` for each case in jam/cases.json;
 - ons: the full argument list of each case in ons/cases.json (`check`,
   `constraints` and `protocol` on the built-in presets);
 - simulate: the full argument list of each case in simulate/cases.json
-  (both test branches, a clean box and an out-of-range seed).
+  (both test branches, a clean box and an out-of-range seed);
+- monogamy: the full argument list of each case in monogamy/cases.json
+  (every theory on the four named games, and the no-signalling LP on a
+  3x3 game file); an argument ending in `.json` names a file in
+  monogamy/ and is passed on as its absolute path.
 
 Each case runs through the CLI from a fresh working directory, so the
 relative figure directory `fig` keeps the `svg` path in a report stable.
 Stdout is stored byte for byte as <case>.stdout and the exit code as
-<case>.exit.  tests/test_golden_jam.py, tests/test_golden_ons.py and
-tests/test_golden_simulate.py compare the current CLI against these
-files.
+<case>.exit.  tests/test_golden_jam.py, tests/test_golden_ons.py,
+tests/test_golden_simulate.py and tests/test_golden_monogamy.py compare
+the current CLI against these files.
 
 Run from the repository root, naming the corpora to rewrite (default:
 all of them):
 
-    PYTHONPATH=src python tests/golden/regen.py [jam] [ons] [simulate]
+    PYTHONPATH=src python tests/golden/regen.py [jam] [ons] [simulate] [monogamy]
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ CORPORA = {
     "jam": lambda args: ["jam-geometry", *args, "--out", OUT_DIR],
     "ons": lambda args: list(args),
     "simulate": lambda args: list(args),
+    "monogamy": lambda args: [
+        str(GOLDEN_DIR / "monogamy" / a) if a.endswith(".json") else a
+        for a in args
+    ],
 }
 
 

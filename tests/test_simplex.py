@@ -1,11 +1,20 @@
-"""Exact simplex: optima, certificates, and a float cross-check."""
+"""Exact simplex: optima, certificates, and a float cross-check.
 
+`reference_dual` is the dense solve the simplex once used for its dual:
+B^T y = c_B by Gaussian elimination on the final basis.  The tests keep
+it as a reference that the dual read from the final tableau must match
+exactly.
+"""
+
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import causalbox.simplex as simplex
+from causalbox.monogamy import XorGame, build_ns_lp
 from causalbox.simplex import (
     InfeasibleError,
     LpResult,
@@ -15,6 +24,59 @@ from causalbox.simplex import (
 )
 
 F = Fraction
+
+
+def _solve_dual(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve B^T y = c_B by Gaussian elimination, exactly."""
+    m = len(rhs)
+    M = [[columns[j][i] for i in range(m)] + [rhs[j]] for j in range(m)]
+    for col in range(m):
+        row = next(r for r in range(col, m) if M[r][col] != 0)
+        M[col], M[row] = M[row], M[col]
+        piv = M[col][col]
+        M[col] = [v / piv for v in M[col]]
+        for r in range(m):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    return [M[i][m] for i in range(m)]
+
+
+def solve_with_basis(monkeypatch, A, b, c, *, maximize=True):
+    """solve_lp's result together with its final basis.
+
+    Every phase runs through `_run_simplex(T, basis, ...)` on one basis
+    list, which the pivots update in place; the spy keeps a reference.
+    """
+    seen = []
+    run = simplex._run_simplex
+
+    def spy(T, basis, *args):
+        seen.append(basis)
+        return run(T, basis, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_run_simplex", spy)
+        result = solve_lp(A, b, c, maximize=maximize)
+    return result, list(seen[-1])
+
+
+def reference_dual(A, b, c, basis, *, maximize=True):
+    """B^-T c_B for the final basis over the columns [A | I], mapped back
+    through the rows solve_lp negates (b_i < 0) and the sign of a
+    minimization."""
+    m, n = len(A), len(c)
+    signs = [-1 if F(v) < 0 else 1 for v in b]
+    obj = [F(v) if maximize else -F(v) for v in c]
+    cols = [
+        [signs[i] * F(A[i][j]) for i in range(m)]
+        if j < n
+        else [F(int(k == j - n)) for k in range(m)]
+        for j in basis
+    ]
+    y = _solve_dual(cols, [obj[j] if j < n else F(0) for j in basis])
+    y = [s * v for s, v in zip(signs, y)]
+    return tuple(y if maximize else [-v for v in y])
 
 
 def test_simple_maximum():
@@ -119,3 +181,37 @@ def test_against_float_solver():
             [F(int(v)) for v in c],
             res,
         )
+
+
+def _random_lps():
+    """The seeded LPs of test_against_float_solver that have an optimum."""
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        m, n = 3, 6
+        A = rng.integers(-3, 4, size=(m, n))
+        x0 = rng.integers(0, 4, size=n)
+        b = A @ x0
+        c = rng.integers(-5, 6, size=n)
+        yield A.tolist(), b.tolist(), c.tolist()
+
+
+def test_dual_matches_reference_on_random_lps(monkeypatch):
+    solved = 0
+    for A, b, c in _random_lps():
+        for maximize in (True, False):
+            try:
+                res, basis = solve_with_basis(monkeypatch, A, b, c, maximize=maximize)
+            except UnboundedError:
+                continue
+            assert res.y == reference_dual(A, b, c, basis, maximize=maximize)
+            solved += 1
+    assert solved >= 30
+
+
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=4)))
+def test_dual_matches_reference_on_two_input_games(monkeypatch, bits):
+    game = XorGame(2, (bits[:2], bits[2:]))
+    A, b, c, _ = build_ns_lp(game)
+    res, basis = solve_with_basis(monkeypatch, A, b, c)
+    assert res.y == reference_dual(A, b, c, basis)
+    assert verify_lp_certificate(A, b, c, res)
