@@ -44,28 +44,42 @@ def verify_lp_certificate(
         return False
     if any(v < 0 for v in x):
         return False
-    for i in range(m):
-        if sum(A[i][j] * x[j] for j in range(n)) != b[i]:
+    aty = [Fraction(0)] * n
+    for i, row in enumerate(A):
+        if sum(a * x[j] for j, a in enumerate(row) if a and x[j]) != b[i]:
             return False
+        if y[i]:
+            for j, a in enumerate(row):
+                if a:
+                    aty[j] += a * y[i]
     for j in range(n):
-        reduced = c[j] - sum(A[i][j] * y[i] for i in range(m))
+        reduced = c[j] - aty[j]
         if maximize and reduced > 0:
             return False
         if not maximize and reduced < 0:
             return False
-    primal = sum(c[j] * x[j] for j in range(n))
-    dual = sum(b[i] * y[i] for i in range(m))
+    primal = sum(c[j] * x[j] for j in range(n) if x[j])
+    dual = sum(b[i] * y[i] for i in range(m) if y[i])
     return primal == dual == result.value
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    for r, line in enumerate(T):
-        if r != row and line[col]:
-            factor = line[col]
-            T[r] = [v - factor * w for v, w in zip(line, T[row])]
+def _pivot(
+    T: list[list[Fraction]], basis: list[int], row: int, col: int
+) -> list[tuple[int, Fraction]]:
+    """Pivot on T[row][col] in place; only the columns of the returned
+    support (j, T[row][j] != 0) of the new pivot row change elsewhere."""
+    line = T[row]
+    piv = line[col]
+    support = [(j, w / piv) for j, w in enumerate(line) if w]
+    for j, w in support:
+        line[j] = w
+    for r, other in enumerate(T):
+        factor = other[col]
+        if r != row and factor:
+            for j, w in support:
+                other[j] -= factor * w
     basis[row] = col
+    return support
 
 
 def _run_simplex(
@@ -73,23 +87,23 @@ def _run_simplex(
     basis: list[int],
     cost: list[Fraction],
     allowed: Sequence[bool],
-) -> None:
-    """Maximize cost.x on the tableau in place (Bland's rule)."""
+) -> list[Fraction]:
+    """Maximize cost.x on the tableau in place (Bland's rule) and return
+    the final reduced-cost row: cost minus c_B B^-1 times every column,
+    the rhs last."""
     m = len(basis)
     width = len(T[0])
     z = list(cost) + [Fraction(0)]
     for r in range(m):
         cb = z[basis[r]]
         if cb:
-            z = [zj - cb * tj for zj, tj in zip(z, T[r])]
+            for j, t in enumerate(T[r]):
+                if t:
+                    z[j] -= cb * t
     while True:
-        enter = -1
-        for j in range(width - 1):
-            if allowed[j] and z[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(width - 1) if allowed[j] and z[j] > 0), -1)
         if enter < 0:
-            return
+            return z
         leave, best = -1, None
         for r in range(m):
             a = T[r][enter]
@@ -101,26 +115,11 @@ def _run_simplex(
                     best, leave = ratio, r
         if leave < 0:
             raise UnboundedError("objective unbounded above")
-        _pivot(T, basis, leave, enter)
+        support = _pivot(T, basis, leave, enter)
         factor = z[enter]
         if factor:
-            z = [zj - factor * tj for zj, tj in zip(z, T[leave])]
-
-
-def _solve_dual(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve B^T y = c_B by Gaussian elimination, exactly."""
-    m = len(rhs)
-    M = [[columns[j][i] for i in range(m)] + [rhs[j]] for j in range(m)]
-    for col in range(m):
-        row = next(r for r in range(col, m) if M[r][col] != 0)
-        M[col], M[row] = M[row], M[col]
-        piv = M[col][col]
-        M[col] = [v / piv for v in M[col]]
-        for r in range(m):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
-    return [M[i][m] for i in range(m)]
+            for j, w in support:
+                z[j] -= factor * w
 
 
 def solve_lp(
@@ -142,14 +141,10 @@ def solve_lp(
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
     obj = c if maximize else [-v for v in c]
-    signs = []
+    signs = [-1 if v < 0 else 1 for v in b]
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-            signs.append(Fraction(-1))
-        else:
-            signs.append(Fraction(1))
+        if signs[i] < 0:
+            A[i], b[i] = [-v for v in A[i]], -b[i]
 
     # Tableau columns: n originals, m artificials, then the rhs.
     T = [A[i] + [Fraction(int(i == k)) for k in range(m)] + [b[i]] for i in range(m)]
@@ -169,7 +164,7 @@ def solve_lp(
 
     phase2 = obj + [Fraction(0)] * m
     allowed = [True] * n + [False] * m
-    _run_simplex(T, basis, phase2, allowed)
+    z = _run_simplex(T, basis, phase2, allowed)
 
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
@@ -177,15 +172,11 @@ def solve_lp(
             x[j] = T[r][-1]
     value = sum(obj[j] * x[j] for j in range(n))
 
-    unit = lambda i: [Fraction(int(k == i)) for k in range(m)]
-    cols = [
-        [A[i][j] for i in range(m)] if j < n else unit(j - n) for j in basis
-    ]
-    y_flipped = _solve_dual(cols, [phase2[j] for j in basis])
-    y = [s * v for s, v in zip(signs, y_flipped)]
+    # The artificial columns started as I and now hold B^-1, and each has
+    # phase-2 cost 0, so z there is -c_B B^-1: the dual, negated.
+    y = [-s * z[n + i] for i, s in enumerate(signs)]
 
     if not maximize:
         value = -value
         y = [-v for v in y]
-    result = LpResult(value, tuple(x), tuple(y))
-    return result
+    return LpResult(value, tuple(x), tuple(y))

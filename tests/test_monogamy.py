@@ -148,6 +148,23 @@ class TestNoSignallingLp:
             ns = ns_monogamy_lp(game).value
             assert ns <= signalling_monogamy(game).value
 
+    def test_three_input_game_matches_float_solver(self):
+        from scipy.optimize import linprog
+
+        game = XorGame(3, ((0, 0, 0), (0, 1, 1), (0, 1, 0)))
+        rep = ns_monogamy_lp(game)
+        A, b, c, _ = build_ns_lp(game)
+        assert verify_lp_certificate(A, b, c, rep.lp)
+        ref = linprog(
+            [-float(v) for v in c],
+            A_eq=[[float(v) for v in row] for row in A],
+            b_eq=[float(v) for v in b],
+            bounds=[(0, None)] * len(c),
+            method="highs",
+        )
+        assert ref.status == 0
+        assert abs(float(rep.value) + ref.fun) < 1e-9
+
 
 class TestSpecificInput:
     def test_chsh_fixed_zero(self):
