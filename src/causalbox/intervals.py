@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.ctx_iv import MPIntervalContext
-
 __all__ = [
     "Enclosure",
     "IntervalSession",
@@ -116,6 +114,8 @@ class IntervalSession:
     """One directed-rounding context at a fixed working precision."""
 
     def __init__(self, prec: int):
+        from mpmath.ctx_iv import MPIntervalContext
+
         ctx = MPIntervalContext()
         ctx.prec = prec
         self.ctx = ctx

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .boxes import Srv
 from .geometry import CausalOrder
 from .ons import LayoutMismatch, named_constraints
@@ -381,6 +379,7 @@ def _triangle_rows() -> tuple[np.ndarray, np.ndarray]:
     (x, y, z, a, b, c) table: row normalization plus, for each pair of
     readers, invariance of their joint marginal under the two inputs
     that are not their own jammer."""
+    import numpy as np
 
     def flat(x, y, z, a, b, c):
         return (((((x * 2 + y) * 2 + z) * 2 + a) * 2 + b) * 2) + c
@@ -417,6 +416,8 @@ def _triangle_rows() -> tuple[np.ndarray, np.ndarray]:
 
 def _information_sum_batch(tables: np.ndarray) -> np.ndarray:
     """Objective for a batch of flattened tables, in bits."""
+    import numpy as np
+
     T = tables.reshape(-1, 2, 2, 2, 2, 2, 2)  # (n, x, y, z, a, b, c)
 
     def mi(joint):  # joint shape (n, u, v, s): pair outcomes u, v and setting s
@@ -454,6 +455,8 @@ def entropic_probe(
     hill climbing.  The report asserts nothing: callers compare
     max_sampled against bound themselves via ok.
     """
+    import numpy as np
+
     named_constraints("six_config_triangle", order, inputs, outputs)
     for s in (*inputs, *outputs):
         if len(s.alphabet) != 2:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import mpmath
-
 from .boxes import CorrelationBox, marginalize
 from .geometry import CausalOrder, Event, Minkowski
 from .ons import ConstraintInstance, ViolationReport
@@ -266,6 +264,8 @@ def simulate(
             for o, e in zip(arm, expected):
                 x2 += (o - e) ** 2 / e
         # chi-square survival function: the regularized upper incomplete gamma
+        import mpmath
+
         p = float(mpmath.gammainc(df / 2, x2 / 2, mpmath.inf, regularized=True))
         method = "chi2"
         stat = x2

@@ -1,11 +1,16 @@
 """Command line contract: exit codes, JSON reports, figure files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from itertools import product
 
 import pytest
 
+import causalbox
 from causalbox import cli
 from causalbox import scenario as sc
 from causalbox import svg
@@ -565,3 +570,20 @@ class TestInternalError:
         assert out == ""
         assert err.startswith("internal error: ArithmeticError(")
         assert len(err.strip().splitlines()) == 1
+
+
+def test_check_imports_neither_numpy_nor_mpmath():
+    # numpy serves only the entropic probe and mpmath only the interval
+    # and chi-square paths, so a plain `check` must not pay for either.
+    script = (
+        "import sys, causalbox, causalbox.cli\n"
+        "causalbox.cli.main(['check', '--preset', 'bell_standard'])\n"
+        "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))\n"
+    )
+    src = str(Path(causalbox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
