@@ -474,7 +474,8 @@ def game_to_json(game: XorGame) -> dict:
 
 def game_from_json(obj: Mapping) -> XorGame:
     try:
-        return XorGame(int(obj["m"]), tuple(tuple(row) for row in obj["f"]))
+        f = [[_json_int(v, "game table entry") for v in row] for row in obj["f"]]
+        return XorGame(_json_int(obj["m"], "game m"), f)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad game document: {exc}") from exc
 

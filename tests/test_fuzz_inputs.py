@@ -15,6 +15,7 @@ import io
 import json
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalbox import scenario as sc
@@ -126,3 +127,27 @@ def test_mutated_games_exit_cleanly(index, data):
             json.dump(doc, handle)
         for theory in ("signalling", "ns", "specific"):
             _check_outcome("monogamy", *_run(("monogamy", "--game", path, "--theory", theory)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": 2.9, "f": [[0, 0], [0, 1.7]]},
+        {"m": 2.0, "f": [[0, 0], [0, 1]]},
+        {"m": 2, "f": [[0, 0], [0, 1.0]]},
+        {"m": True, "f": [[0]]},
+        {"m": 2, "f": [[False, False], [False, True]]},
+        {"m": "2", "f": [[0, 0], [0, 1]]},
+        {"m": 2, "f": [["0", "0"], ["0", "1"]]},
+        {"m": 2, "f": ["00", "01"]},
+    ],
+)
+def test_game_file_rejects_non_integers(doc, tmp_path):
+    # int() would truncate or coerce each of these into a valid game.
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for theory in ("signalling", "ns", "specific"):
+        code, out, err = _run(("monogamy", "--game", str(path), "--theory", theory))
+        assert code == 3, (doc, theory, out)
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
