@@ -40,9 +40,9 @@ def verify_lp_certificate(
     objective values equal.  All comparisons exact."""
     m, n = len(A), len(c)
     x, y = result.x, result.y
-    if len(x) != n or len(y) != m:
+    if len(x) != n or len(y) != m or len(b) != m:
         return False
-    if any(v < 0 for v in x):
+    if any(len(row) != n for row in A) or any(v < 0 for v in x):
         return False
     aty = [Fraction(0)] * n
     for i, row in enumerate(A):

@@ -123,6 +123,14 @@ class TestNoSignallingLp:
         A, b, c, _ = build_ns_lp(game)
         assert verify_lp_certificate(A, b, c, rep.lp)
 
+    def test_certificate_rejects_misshapen_rows(self):
+        game = XorGame.chsh()
+        rep = ns_monogamy_lp(game)
+        A, b, c, _ = build_ns_lp(game)
+        for bad in ([row[:-1] for row in A], [row + [F(1)] for row in A]):
+            assert not verify_lp_certificate(bad, b, c, rep.lp)
+        assert not verify_lp_certificate(A, b[:-1], c, rep.lp)
+
     def test_witness_is_ns_and_scores_the_value(self):
         game = XorGame.chsh()
         rep = ns_monogamy_lp(game)
