@@ -1,176 +1,127 @@
 """Exact causal-separation verdicts, correlation-box constraint checks,
 and supporting geometry over flat spacetimes, finite orders, and
-terminated diagrams."""
+terminated diagrams.
 
-from .boxes import (
-    IDLE,
-    Alphabet,
-    CorrelationBox,
-    InterventionExtension,
-    Srv,
-    ValidationError,
-    ValidationReport,
-    canonical_box,
-    do_label,
-    embed_general,
-    extend_with_intervention,
-    marginalize,
-    restrict_embedded,
-    undo_label,
-    validate_box,
-)
-from .casestudies import (
-    affects_relations,
-    build_model,
-    compass_contradiction,
-    degenerate_embedding_check,
-    safe_embedding_check,
-)
-from .geometry import (
-    CausalOrder,
-    CycleError,
-    DomainError,
-    Event,
-    FiniteOrder,
-    GeometryError,
-    Minkowski,
-    TerminatedDiagram,
-)
-from .intervals import Enclosure, IntervalSession, PrecisionExhausted, refine
-from .jamming import (
-    NJamConfig,
-    Unsupported,
-    VerdictBundle,
-    boundary_functions,
-    build_config,
-    valid_h_range,
-    verify_config,
-)
-from .monogamy import (
-    GameValueReport,
-    XorGame,
-    brute_force_signalling,
-    classify,
-    entropic_probe,
-    ns_monogamy_lp,
-    signalling_monogamy,
-    specific_input_value,
-)
-from .ons import (
-    ConstraintInstance,
-    LayoutMismatch,
-    UndecidableScenario,
-    ViolationReport,
-    check_family,
-    check_instances,
-    check_ons,
-    check_standard_ns,
-    enumerate_constraints,
-    named_constraints,
-)
-from .poincare import PoincareMap, find_loop_transform
-from .protocol import (
-    PreconditionViolated,
-    SignallingProtocol,
-    SimulationResult,
-    build_protocol,
-    exhaustive_protocol_search,
-    loop_paradox_certificate,
-    simulate,
-)
-from .rational import format_rational, parse_rational
-from .separation import (
-    SeparationResult,
-    Verdict,
-    separated,
-    verify_separation_witness,
-)
-from .simplex import (
-    InfeasibleError,
-    LpResult,
-    UnboundedError,
-    solve_lp,
-    verify_lp_certificate,
-)
+Submodules load on first use: `import causalbox` imports none of them,
+and each public name is looked up in its defining module on every
+access (PEP 562), so a caller pays only for the modules it reaches and
+always sees that module's current attribute.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IDLE",
-    "Alphabet",
-    "CausalOrder",
-    "ConstraintInstance",
-    "CorrelationBox",
-    "CycleError",
-    "DomainError",
-    "Enclosure",
-    "Event",
-    "FiniteOrder",
-    "GameValueReport",
-    "GeometryError",
-    "InterventionExtension",
-    "IntervalSession",
-    "InfeasibleError",
-    "LayoutMismatch",
-    "LpResult",
-    "Minkowski",
-    "NJamConfig",
-    "PoincareMap",
-    "PrecisionExhausted",
-    "PreconditionViolated",
-    "SeparationResult",
-    "SignallingProtocol",
-    "SimulationResult",
-    "Srv",
-    "TerminatedDiagram",
-    "UnboundedError",
-    "UndecidableScenario",
-    "Unsupported",
-    "ValidationError",
-    "ValidationReport",
-    "Verdict",
-    "VerdictBundle",
-    "ViolationReport",
-    "XorGame",
-    "affects_relations",
-    "boundary_functions",
-    "brute_force_signalling",
-    "build_config",
-    "build_model",
-    "build_protocol",
-    "canonical_box",
-    "check_family",
-    "check_instances",
-    "check_ons",
-    "check_standard_ns",
-    "classify",
-    "compass_contradiction",
-    "degenerate_embedding_check",
-    "do_label",
-    "embed_general",
-    "entropic_probe",
-    "enumerate_constraints",
-    "exhaustive_protocol_search",
-    "extend_with_intervention",
-    "find_loop_transform",
-    "format_rational",
-    "loop_paradox_certificate",
-    "marginalize",
-    "named_constraints",
-    "ns_monogamy_lp",
-    "parse_rational",
-    "refine",
-    "restrict_embedded",
-    "safe_embedding_check",
-    "separated",
-    "signalling_monogamy",
-    "simulate",
-    "solve_lp",
-    "specific_input_value",
-    "undo_label",
-    "valid_h_range",
-    "validate_box",
-    "verify_config",
-    "verify_lp_certificate",
-    "verify_separation_witness",
-]
+# defining module -> the public names it exports at package level
+_EXPORTS = {
+    "boxes": (
+        "IDLE",
+        "Alphabet",
+        "CorrelationBox",
+        "InterventionExtension",
+        "Srv",
+        "ValidationError",
+        "ValidationReport",
+        "canonical_box",
+        "do_label",
+        "embed_general",
+        "extend_with_intervention",
+        "marginalize",
+        "restrict_embedded",
+        "undo_label",
+        "validate_box",
+    ),
+    "casestudies": (
+        "affects_relations",
+        "build_model",
+        "compass_contradiction",
+        "degenerate_embedding_check",
+        "safe_embedding_check",
+    ),
+    "geometry": (
+        "CausalOrder",
+        "CycleError",
+        "DomainError",
+        "Event",
+        "FiniteOrder",
+        "GeometryError",
+        "Minkowski",
+        "TerminatedDiagram",
+    ),
+    "intervals": ("Enclosure", "IntervalSession", "PrecisionExhausted", "refine"),
+    "jamming": (
+        "NJamConfig",
+        "Unsupported",
+        "VerdictBundle",
+        "boundary_functions",
+        "build_config",
+        "valid_h_range",
+        "verify_config",
+    ),
+    "monogamy": (
+        "GameValueReport",
+        "XorGame",
+        "brute_force_signalling",
+        "classify",
+        "entropic_probe",
+        "ns_monogamy_lp",
+        "signalling_monogamy",
+        "specific_input_value",
+    ),
+    "ons": (
+        "ConstraintInstance",
+        "LayoutMismatch",
+        "UndecidableScenario",
+        "ViolationReport",
+        "check_family",
+        "check_instances",
+        "check_ons",
+        "check_standard_ns",
+        "enumerate_constraints",
+        "named_constraints",
+    ),
+    "poincare": ("PoincareMap", "find_loop_transform"),
+    "protocol": (
+        "PreconditionViolated",
+        "SignallingProtocol",
+        "SimulationResult",
+        "build_protocol",
+        "exhaustive_protocol_search",
+        "loop_paradox_certificate",
+        "simulate",
+    ),
+    "rational": ("format_rational", "parse_rational"),
+    "separation": (
+        "SeparationResult",
+        "Verdict",
+        "separated",
+        "verify_separation_witness",
+    ),
+    "simplex": (
+        "InfeasibleError",
+        "LpResult",
+        "UnboundedError",
+        "solve_lp",
+        "verify_lp_certificate",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset((*_EXPORTS, "cli", "scenario", "svg"))
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # The value is not stored in the package namespace: a wrapper patched
+    # onto the defining module would otherwise outlive its removal here.
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(import_module(f".{module}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -255,6 +255,10 @@ def marginalize(
 # ----------------------------------------------------------------------
 # canonical constructions
 
+# The stock three-output mechanisms that casestudies.build_model
+# assembles, named here so the CLI can offer them without loading it.
+MODELS = ("otp", "jam", "loop")
+
 
 def _loop_table() -> dict:
     row = {}

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .boxes import (
     IDLE,
+    MODELS,
     Alphabet,
     CorrelationBox,
     InterventionExtension,
@@ -41,8 +42,6 @@ from .ons import (
 from .protocol import SignallingProtocol, build_protocol
 from .rational import format_rational, parse_rational
 from .separation import SeparationResult, Verdict, separated
-
-MODELS = ("otp", "jam", "loop")
 
 _BITS = Alphabet.binary()
 

@@ -18,40 +18,20 @@ import json
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
+# Only what the box commands share is imported here; every other module
+# is imported by the command that runs it, so a child process compiles
+# only what its command needs.
 from . import scenario as sc
-from . import svg
-from .boxes import validate_box
-from .casestudies import (
-    MODELS,
-    affects_relations,
-    build_model,
-    compass_contradiction,
-    degenerate_embedding_check,
-    safe_embedding_check,
-)
-from .geometry import FiniteOrder, GeometryError, TerminatedDiagram
+from .boxes import MODELS, validate_box
 from .intervals import PrecisionExhausted
-from .jamming import NJamConfig, Unsupported, build_config, verify_config
-from .monogamy import (
-    XorGame,
-    ns_monogamy_lp,
-    signalling_monogamy,
-    specific_input_value,
-)
-from .ons import (
-    LayoutMismatch,
-    check_instances,
-    enumerate_constraints,
-    named_constraints,
-)
-from .protocol import (
-    PreconditionViolated,
-    exhaustive_protocol_search,
-    simulate,
-)
+from .ons import check_instances, enumerate_constraints, named_constraints
 from .rational import parse_rational
-from .separation import Verdict
+
+if TYPE_CHECKING:
+    from .jamming import NJamConfig
+    from .monogamy import XorGame
 
 PASS = 0
 FOUND = 1
@@ -128,22 +108,21 @@ def _validated_box(scen: sc.Scenario):
     return box
 
 
-_GAMES = {
-    "chsh": XorGame.chsh,
-    "input_copy": XorGame.input_copy,
-    "constant0": lambda: XorGame.constant(0),
-    "constant1": lambda: XorGame.constant(1),
-}
+_GAMES = ("chsh", "constant0", "constant1", "input_copy")
 
 
 def _load_game(spec: str) -> XorGame:
     if spec in _GAMES:
-        return _GAMES[spec]()
+        from .monogamy import XorGame
+
+        if spec.startswith("constant"):
+            return XorGame.constant(int(spec[-1]))
+        return getattr(XorGame, spec)()
     try:
         with open(spec, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        names = ", ".join(sorted(_GAMES))
+        names = ", ".join(_GAMES)
         _fail(USAGE, f"game {spec!r} is neither one of [{names}] nor a readable file ({exc})")
     try:
         return sc.game_from_json(json.loads(text))
@@ -169,6 +148,8 @@ def _scenario_points(scen: sc.Scenario) -> list[tuple]:
 
 
 def _njam_figure(config: NJamConfig, t) -> str:
+    from . import svg
+
     receivers = [
         (float(cx.midpoint), float(cy.midpoint)) for cx, cy in config.points
     ]
@@ -183,7 +164,12 @@ def _njam_figure(config: NJamConfig, t) -> str:
 
 def _figure_for(scen: sc.Scenario, t) -> str:
     if "n" in scen.detail:
+        from .jamming import build_config
+
         return _njam_figure(build_config(scen.detail["n"], scen.detail["h"]), t)
+    from . import svg
+    from .geometry import FiniteOrder, TerminatedDiagram
+
     points = _scenario_points(scen)
     if isinstance(scen.order, FiniteOrder):
         return svg.hasse_diagram(scen.order, scen.name)
@@ -252,6 +238,8 @@ def _find_protocol(args):
     violations = check_instances(box, instances)
     proto = None
     if violations:
+        from .protocol import exhaustive_protocol_search
+
         proto = exhaustive_protocol_search(scen.order, box, instances)
     return violations, proto
 
@@ -280,6 +268,8 @@ def cmd_simulate(args) -> int:
         "simulation": None,
     }
     if proto is not None:
+        from .protocol import simulate
+
         result = simulate(proto, args.trials, args.seed, alpha=alpha)
         report["simulation"] = sc.simulation_to_json(result)
     _emit(report)
@@ -287,6 +277,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_jam_geometry(args) -> int:
+    from .jamming import build_config, verify_config
+    from .separation import Verdict
+
     config = build_config(args.n, args.h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
     t = parse_rational(args.t)
@@ -300,13 +293,15 @@ def cmd_jam_geometry(args) -> int:
         bundle.oracle.full,
         *bundle.oracle.subtuples,
     )
-    # A capped route disagrees with a decided one without contradicting it.
+    # A capped route leaves the pattern undecided even where the routes agree.
     if any(v is Verdict.UNKNOWN for v in verdicts):
         return UNDECIDED
     return PASS if bundle.agreement else FOUND
 
 
 def cmd_monogamy(args) -> int:
+    from .monogamy import ns_monogamy_lp, signalling_monogamy, specific_input_value
+
     game = _load_game(args.game)
     if args.theory == "signalling":
         report = signalling_monogamy(game)
@@ -327,6 +322,14 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_case_study(args) -> int:
+    from .casestudies import (
+        affects_relations,
+        build_model,
+        compass_contradiction,
+        degenerate_embedding_check,
+        safe_embedding_check,
+    )
+
     if args.study == "loop":
         if args.layout == "degenerate":
             report = degenerate_embedding_check()
@@ -452,14 +455,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return UNDECIDED
-    except (
-        sc.ScenarioError,
-        GeometryError,
-        LayoutMismatch,
-        Unsupported,
-        PreconditionViolated,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:

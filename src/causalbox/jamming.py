@@ -300,9 +300,12 @@ def verify_config(
 ) -> VerdictBundle:
     """Check the jamming pattern along both certification routes.
 
-    ok means: routes agree, the full tuple is NotSeparated, and every
-    subtuple dropping one receiver is Separated.  Disagreements and
-    Unknowns are reported, never papered over.
+    The routes disagree only where both decide a verdict and the two
+    differ; an Unknown (a capped route) contradicts nothing.  ok means:
+    no verdict on either route is Unknown, the routes agree, the full
+    tuple is NotSeparated, and every subtuple dropping one receiver is
+    Separated.  Disagreements and Unknowns are reported, never papered
+    over.
     """
     n, h = config.n, config.h
     notes: list[str] = []
@@ -329,12 +332,16 @@ def verify_config(
         notes.append(f"oracle drop {drop}: {note}")
     oracle = RouteVerdicts(full=full_verdict, subtuples=tuple(subs))
 
-    agreement = closed == oracle
+    closed_all = (closed.full, *closed.subtuples)
+    oracle_all = (oracle.full, *oracle.subtuples)
+    agreement = all(
+        a == b or Verdict.UNKNOWN in (a, b) for a, b in zip(closed_all, oracle_all)
+    )
     if not agreement:
         notes.append("routes disagree")
-    # with the routes agreeing, these verdicts leave no Unknown anywhere
     ok = (
         agreement
+        and Verdict.UNKNOWN not in closed_all + oracle_all
         and closed.full is Verdict.NOT_SEPARATED
         and all(v is Verdict.SEPARATED for v in closed.subtuples)
     )

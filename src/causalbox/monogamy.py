@@ -21,6 +21,10 @@ from .ons import LayoutMismatch, named_constraints
 from .simplex import LpResult, solve_lp, verify_lp_certificate
 
 
+def _plain_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class XorGame:
     """Total predicate table f[x][y] in {0, 1} on inputs 0..m-1."""
@@ -29,12 +33,15 @@ class XorGame:
     f: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.f)
+        # a float, bool or string is rejected, not converted to a bit
+        if not _plain_int(self.m):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
+        rows = tuple(tuple(row) for row in self.f)
         object.__setattr__(self, "f", rows)
         if self.m < 1 or len(rows) != self.m:
             raise ValueError("f must have m rows")
         for row in rows:
-            if len(row) != self.m or any(v not in (0, 1) for v in row):
+            if len(row) != self.m or not all(_plain_int(v) and v in (0, 1) for v in row):
                 raise ValueError("f entries must be bits in an m by m table")
 
     @staticmethod

@@ -15,20 +15,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .boxes import Alphabet, CorrelationBox, Srv, canonical_box
-from .casestudies import (
-    AffectsReport,
-    ContradictionTrace,
-    DegenerateReport,
-    LoopLayout,
-    SafeReport,
-    build_model,
-    compass_layout,
-    degenerate_layout,
-    fig5_layout,
-)
 from .geometry import (
     CausalOrder,
     Event,
@@ -37,13 +26,21 @@ from .geometry import (
     Minkowski,
     TerminatedDiagram,
 )
-from .intervals import Enclosure
-from .jamming import NJamConfig, VerdictBundle
-from .monogamy import GameValueReport, XorGame
-from .ons import ConstraintInstance, FamilyLine, NamedFamily, ViolationReport
-from .protocol import SignallingProtocol, SimulationResult
 from .rational import format_rational, parse_rational
-from .separation import SeparationResult
+
+if TYPE_CHECKING:
+    from .casestudies import (
+        AffectsReport,
+        ContradictionTrace,
+        DegenerateReport,
+        SafeReport,
+    )
+    from .intervals import Enclosure
+    from .jamming import NJamConfig, VerdictBundle
+    from .monogamy import GameValueReport, XorGame
+    from .ons import ConstraintInstance, FamilyLine, NamedFamily, ViolationReport
+    from .protocol import SignallingProtocol, SimulationResult
+    from .separation import SeparationResult
 
 
 class ScenarioError(ValueError):
@@ -263,7 +260,10 @@ def _jamming_triangle_scenario() -> Scenario:
     return Scenario("jamming_triangle", Minkowski(1), box=box)
 
 
-def _loop_scenario(name: str, layout: LoopLayout) -> Scenario:
+def _loop_scenario(name: str) -> Scenario:
+    from .casestudies import build_model, degenerate_layout, fig5_layout
+
+    layout = fig5_layout() if name == "fig5" else degenerate_layout()
     ext = build_model("loop", layout)
     return Scenario(name, layout.order, box=ext.box)
 
@@ -289,6 +289,8 @@ def _six_config_scenario() -> Scenario:
 
 
 def _compass_scenario() -> Scenario:
+    from .casestudies import compass_layout
+
     order, inputs, outputs = compass_layout()
     return Scenario("compass", order, inputs=inputs, outputs=outputs, family="compass")
 
@@ -312,10 +314,8 @@ def preset(name: str, *, n: int | None = None, h=None) -> Scenario:
         return _bell_scenario()
     if name == "jamming_triangle":
         return _jamming_triangle_scenario()
-    if name == "fig5":
-        return _loop_scenario("fig5", fig5_layout())
-    if name == "degenerate_loop":
-        return _loop_scenario("degenerate_loop", degenerate_layout())
+    if name in ("fig5", "degenerate_loop"):
+        return _loop_scenario(name)
     if name == "six_config":
         return _six_config_scenario()
     return _compass_scenario()
@@ -473,6 +473,8 @@ def game_to_json(game: XorGame) -> dict:
 
 
 def game_from_json(obj: Mapping) -> XorGame:
+    from .monogamy import XorGame
+
     try:
         f = [[_json_int(v, "game table entry") for v in row] for row in obj["f"]]
         return XorGame(_json_int(obj["m"], "game m"), f)

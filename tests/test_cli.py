@@ -306,7 +306,8 @@ class TestJamGeometry:
 
     def test_precision_cap_exits_two(self, capsys, tmp_path, monkeypatch):
         # The capped closed form is all unknown while the oracle decides
-        # the full tuple: the routes differ without contradicting.
+        # the full tuple: the routes differ without contradicting, so they
+        # agree, and the capped verdicts keep the bundle from being ok.
         monkeypatch.setenv("CAUSALBOX_PRECISION", "8")
         code, out, _ = run(
             capsys, "jam-geometry", "--n", "5", "--h", "3/10", "--out", str(tmp_path)
@@ -315,7 +316,9 @@ class TestJamGeometry:
         bundle = json.loads(out)["bundle"]
         assert bundle["closed_form"]["full"] == "unknown"
         assert bundle["oracle"]["full"] == "not_separated"
-        assert bundle["agreement"] is False
+        assert bundle["agreement"] is True
+        assert bundle["ok"] is False
+        assert "routes disagree" not in bundle["detail"]
 
     def test_deterministic_output(self, capsys, tmp_path):
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))

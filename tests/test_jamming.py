@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import causalbox.jamming as jamming
 from causalbox.geometry import DomainError, Event, Minkowski
 from causalbox.intervals import Enclosure, IntervalSession
 from causalbox.jamming import (
@@ -156,6 +157,29 @@ class TestVerifyConfig:
 
     def test_sweep_off_by_default(self):
         assert verify_config(build_config(3, F(1, 2))).sweep is None
+
+    @pytest.mark.parametrize(
+        "oracle_full, agreement",
+        [(Verdict.UNKNOWN, True), (Verdict.SEPARATED, False)],
+    )
+    def test_only_decided_verdicts_disagree(self, monkeypatch, oracle_full, agreement):
+        # The closed form decides the in-window pattern; the oracle's full
+        # tuple is forced to a capped or a contradicting verdict.
+        def forced(n, h, J):
+            if len(J) == n:
+                return oracle_full, "forced", None
+            return _oracle_verdict(n, h, J)
+
+        monkeypatch.setattr(jamming, "_oracle_verdict", forced)
+        bundle = verify_config(build_config(3, F(1, 2)))
+        assert bundle.closed_form.full is Verdict.NOT_SEPARATED
+        assert all(v is Verdict.SEPARATED for v in bundle.closed_form.subtuples)
+        assert bundle.oracle.full is oracle_full
+        assert bundle.agreement is agreement
+        assert ("routes disagree" in bundle.detail) is not agreement
+        # ok needs every verdict on both routes decided, agreement alone
+        # does not give that
+        assert not bundle.ok
 
 
 class TestTimesliceOracle:

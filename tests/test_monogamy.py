@@ -42,6 +42,34 @@ def random_game(rng, m):
     return XorGame(m, rows)
 
 
+class TestXorGame:
+    @pytest.mark.parametrize(
+        "m, f",
+        [
+            (2, ((0, 0), (0, 1.7))),
+            (2, ((0, 0), (0, 1.0))),
+            (2, ((0, 0), (0, True))),
+            (2, ((0, 0), (0, "0"))),
+            (2.0, ((0, 0), (0, 1))),
+            (True, ((0,),)),
+            ("2", ((0, 0), (0, 1))),
+            (0, ()),
+            (2, ((0, 0),)),
+            (2, ((0, 0), (0,))),
+            (2, ((0, 0), (0, 2))),
+        ],
+    )
+    def test_non_integer_or_misshapen_game_rejected(self, m, f):
+        # a float, bool or string is never coerced into a bit or a size
+        with pytest.raises(ValueError):
+            XorGame(m, f)
+
+    def test_rows_stored_as_tuples(self):
+        game = XorGame(2, [[0, 0], [0, 1]])
+        assert game.f == ((0, 0), (0, 1))
+        assert game == XorGame.chsh()
+
+
 class TestClassify:
     def test_chsh(self):
         c = classify(XorGame.chsh())
