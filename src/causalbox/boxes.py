@@ -8,7 +8,9 @@ pure table algebra; geometric questions stay in `separation`.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -127,7 +129,16 @@ class CorrelationBox:
                 _as_key(a): parse_rational(p) for a, p in dict(row).items()
             }
         object.__setattr__(self, "table", table)
+        # The exact integer view: every entry is n / D over one common
+        # denominator D of the whole table.
+        object.__setattr__(
+            self,
+            "_denominator",
+            math.lcm(*(p.denominator for row in table.values() for p in row.values())),
+        )
+        object.__setattr__(self, "_integer_rows", {})
         object.__setattr__(self, "_marginal_cache", {})
+        object.__setattr__(self, "_marginal_dicts", {})
 
     # -- enumeration ---------------------------------------------------
 
@@ -223,6 +234,92 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def _outcomes_of(box: CorrelationBox, G: Sequence[int]) -> Iterator[tuple[str, ...]]:
+    """The outcomes of the outputs G in canonical order."""
+    return itertools.product(*(box.outputs[g].alphabet.labels for g in G))
+
+
+def _integer_row(box: CorrelationBox, x: tuple[str, ...]) -> list[tuple[int, int]]:
+    """The row at setting x as (i, n) pairs: n / D is the probability of
+    the i-th outcome of the box in canonical order.  Raises
+    ValidationError for a key that is not an outcome of the box."""
+    rows = box._integer_rows
+    if x in rows:
+        return rows[x]
+    positions = [
+        {v: i for i, v in enumerate(s.alphabet.labels)} for s in box.outputs
+    ]
+    D = box._denominator
+    out = []
+    for a, p in box.row(x).items():
+        if len(a) != len(positions) or any(
+            v not in pos for pos, v in zip(positions, a)
+        ):
+            raise ValidationError(
+                f"x={','.join(x) or '()'}: {a!r} is not an outcome of the box"
+            )
+        i = 0
+        for pos, v in zip(positions, a):
+            i = i * len(pos) + pos[v]
+        out.append((i, p.numerator * (D // p.denominator)))
+    rows[x] = out
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _projection(sizes: tuple[int, ...], G: tuple[int, ...]) -> tuple[int, ...]:
+    """For each outcome of outputs with alphabet sizes `sizes`, in
+    canonical order, the position of its restriction to G among the
+    outcomes of G."""
+    strides = [math.prod(sizes[h] for h in G[k + 1 :]) for k in range(len(G))]
+    return tuple(
+        sum(idx[g] * s for g, s in zip(G, strides))
+        for idx in itertools.product(*map(range, sizes))
+    )
+
+
+def _marginal_vector(box: CorrelationBox, G: Sequence[int], x) -> tuple[int, ...]:
+    """Exact marginal of the row at setting x onto the output indices G,
+    as integers over the box's common denominator D: entry i is D times
+    the probability of the i-th outcome of G in canonical order.
+
+    Two vectors compare as distributions only within one box, whose D
+    they share.  Every key in the row must be an outcome of the box,
+    whether G covers the offending output or not.
+    """
+    G = tuple(G)
+    x = _as_key(x)
+    cache = box._marginal_cache
+    key = (G, x)
+    if key in cache:
+        return cache[key]
+    sizes = tuple(len(s.alphabet) for s in box.outputs)
+    for g in G:
+        if not 0 <= g < len(sizes):
+            raise IndexError(f"output index {g} out of range")
+    proj = _projection(sizes, G)
+    out = [0] * math.prod(sizes[g] for g in G)
+    for i, n in _integer_row(box, x):
+        out[proj[i]] += n
+    vec = cache[key] = tuple(out)
+    return vec
+
+
+def _first_difference(
+    box: CorrelationBox,
+    G: tuple[int, ...],
+    left: tuple[int, ...],
+    right: tuple[int, ...],
+) -> tuple[tuple[str, ...], Fraction, Fraction]:
+    """The first outcome of G, in canonical order, where two differing
+    marginal vectors of the box differ, with both probabilities."""
+    for i, (m, n) in enumerate(zip(left, right)):
+        if m != n:
+            break
+    outcome = next(itertools.islice(_outcomes_of(box, G), i, None))
+    return outcome, Fraction(m, box._denominator), Fraction(n, box._denominator)
+
+
 def marginalize(
     box: CorrelationBox, G: Sequence[int], x
 ) -> dict[tuple[str, ...], Fraction]:
@@ -230,26 +327,18 @@ def marginalize(
 
     Returns a complete vector (every outcome combination of G present,
     zeros included) so callers can compare distributions directly.
+    Raises ValidationError when the row holds a key that is not an
+    outcome of the box.
     """
     G = tuple(G)
-    for g in G:
-        if not 0 <= g < len(box.outputs):
-            raise IndexError(f"output index {g} out of range")
     x = _as_key(x)
-    cache = box._marginal_cache
+    cache = box._marginal_dicts
     key = (G, x)
-    if key in cache:
-        return cache[key]
-    out: dict[tuple[str, ...], Fraction] = {
-        combo: Fraction(0)
-        for combo in itertools.product(*(box.outputs[g].alphabet.labels for g in G))
-    }
-    for a, p in box.row(x).items():
-        if len(a) != len(box.outputs):
-            continue
-        out[tuple(a[g] for g in G)] += p
-    cache[key] = out
-    return out
+    if key not in cache:
+        vec = _marginal_vector(box, G, x)
+        D = box._denominator
+        cache[key] = {a: Fraction(n, D) for a, n in zip(_outcomes_of(box, G), vec)}
+    return cache[key]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boxes import CorrelationBox, Srv, marginalize
+from .boxes import (
+    CorrelationBox,
+    Srv,
+    _first_difference,
+    _marginal_vector,
+    marginalize,
+)
 from .geometry import CausalOrder, Event
 from .separation import (
     SeparationResult,
@@ -82,13 +88,13 @@ class ViolationReport:
         return self.p_x_prime - self.p_x
 
     def recompute(self, box: CorrelationBox) -> bool:
-        """Confirm the two stored probabilities against the table."""
+        """Confirm the two stored probabilities against the table; False
+        when the outcome is not an outcome of G."""
         inst = self.instance
-        return (
-            marginalize(box, inst.G, inst.x)[self.outcome] == self.p_x
-            and marginalize(box, inst.G, inst.x_prime)[self.outcome]
-            == self.p_x_prime
-        )
+        left = marginalize(box, inst.G, inst.x)
+        right = marginalize(box, inst.G, inst.x_prime)
+        a = self.outcome
+        return a in left and left[a] == self.p_x and right[a] == self.p_x_prime
 
 
 def _label_indices(inputs: Sequence[Srv], x: tuple[str, ...]) -> tuple[int, ...]:
@@ -178,20 +184,25 @@ def check_instances(
     box: CorrelationBox, instances: Sequence[ConstraintInstance]
 ) -> list[ViolationReport]:
     """Exact check of each instance; one report per violated instance,
-    carrying the first differing outcome in canonical order."""
+    carrying the first differing outcome in canonical order.
+
+    Marginals are compared as integer vectors over the box's common
+    denominator, and each distinct (G, x, x') is decided once.
+    """
     reports = []
+    decided: dict = {}
     for inst in instances:
-        left = marginalize(box, inst.G, inst.x)
-        right = marginalize(box, inst.G, inst.x_prime)
-        if left == right:
-            continue
-        combos = itertools.product(
-            *(box.outputs[g].alphabet.labels for g in inst.G)
-        )
-        for a in combos:
-            if left[a] != right[a]:
-                reports.append(ViolationReport(inst, a, left[a], right[a]))
-                break
+        key = (inst.G, inst.x, inst.x_prime)
+        if key in decided:
+            diff = decided[key]
+        else:
+            left = _marginal_vector(box, inst.G, inst.x)
+            right = _marginal_vector(box, inst.G, inst.x_prime)
+            diff = decided[key] = (
+                None if left == right else _first_difference(box, inst.G, left, right)
+            )
+        if diff is not None:
+            reports.append(ViolationReport(inst, *diff))
     return reports
 
 
@@ -224,7 +235,7 @@ def check_standard_ns(box: CorrelationBox) -> bool:
                 for i, val in zip(non_j, ctx):
                     x[i] = val
                 x[j] = v
-                m = marginalize(box, others, tuple(x))
+                m = _marginal_vector(box, others, tuple(x))
                 if base is None:
                     base = m
                 elif m != base:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .boxes import CorrelationBox, marginalize
+from .boxes import CorrelationBox, _first_difference, _marginal_vector, marginalize
 from .geometry import CausalOrder, Event, Minkowski
 from .ons import ConstraintInstance, ViolationReport
 from .poincare import PoincareMap, find_loop_transform
@@ -77,9 +77,9 @@ def hybrid_localize(
     for f in inst.F:
         current[f] = inst.x_prime[f]
         settings.append(tuple(current))
-    previous = marginalize(box, inst.G, settings[0])
+    previous = _marginal_vector(box, inst.G, settings[0])
     for k in range(1, len(settings)):
-        here = marginalize(box, inst.G, settings[k])
+        here = _marginal_vector(box, inst.G, settings[k])
         if here != previous:
             return k, settings[k - 1], settings[k]
         previous = here
@@ -147,14 +147,11 @@ def exhaustive_protocol_search(
     a box that satisfies every constraint admits no protocol at all.
     """
     for inst in instances:
-        left = marginalize(box, inst.G, inst.x)
-        right = marginalize(box, inst.G, inst.x_prime)
-        if left == right:
-            continue
-        for a in left:
-            if left[a] != right[a]:
-                report = ViolationReport(inst, a, left[a], right[a])
-                return build_protocol(order, box, report)
+        left = _marginal_vector(box, inst.G, inst.x)
+        right = _marginal_vector(box, inst.G, inst.x_prime)
+        if left != right:
+            diff = _first_difference(box, inst.G, left, right)
+            return build_protocol(order, box, ViolationReport(inst, *diff))
     return None
 
 

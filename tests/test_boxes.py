@@ -173,6 +173,47 @@ class TestMarginalize:
         box = canonical_box("loop_box", loop_locations())
         assert marginalize(box, (1,), ()) is marginalize(box, (1,), ())
 
+    def test_non_dyadic_entries_are_exact(self):
+        box = CorrelationBox(
+            (Srv("X", BITS, Event.at(0, 0)),),
+            (Srv("A", BITS, Event.at(1, 0)), Srv("B", BITS, Event.at(1, 2))),
+            {
+                ("0",): {("0", "0"): Fraction(1, 3), ("1", "1"): Fraction(2, 3)},
+                ("1",): {("0", "1"): Fraction(3, 7), ("1", "0"): Fraction(-1, 10)},
+            },
+        )
+        assert marginalize(box, (0,), ("1",)) == {
+            ("0",): Fraction(3, 7),
+            ("1",): Fraction(-1, 10),
+        }
+        assert marginalize(box, (), ("0",)) == {(): Fraction(1)}
+        assert all(
+            type(p) is Fraction for p in marginalize(box, (1,), ("1",)).values()
+        )
+
+    @pytest.mark.parametrize(
+        "outcome, G",
+        [
+            (("1",), (0,)),  # too short
+            (("0", "1", "0"), ()),  # too long
+            (("2", "1"), (0,)),  # label outside A's alphabet, A covered
+            (("2", "1"), (1,)),  # label outside A's alphabet, A not covered
+        ],
+    )
+    def test_malformed_outcome_raises(self, outcome, G):
+        box = CorrelationBox(
+            (Srv("X", BITS, Event.at(0, 0)),),
+            (Srv("A", BITS, Event.at(1, 0)), Srv("B", BITS, Event.at(1, 2))),
+            {
+                ("0",): {("0", "0"): 1},
+                ("1",): {("0", "0"): Fraction(1, 2), outcome: Fraction(1, 2)},
+            },
+        )
+        assert marginalize(box, G, ("0",))
+        with pytest.raises(ValidationError) as exc:
+            marginalize(box, G, ("1",))
+        assert "x=1" in str(exc.value) and repr(outcome) in str(exc.value)
+
 
 class TestCanonical:
     def test_loop_box_content(self):

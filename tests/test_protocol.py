@@ -136,6 +136,15 @@ class TestBuildProtocol:
             build_protocol(M1, box, forged)
 
 
+    def test_report_on_a_foreign_outcome_rejected(self):
+        box = bell_box(signalling=True)
+        rep = check_ons(M1, box)[0]
+        forged = dataclasses.replace(rep, outcome=("9",))
+        assert not forged.recompute(box)
+        with pytest.raises(PreconditionViolated):
+            build_protocol(M1, box, forged)
+
+
 class TestExhaustiveSearch:
     def test_clean_box_has_no_protocol(self):
         box = bell_box()
