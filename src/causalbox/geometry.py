@@ -2,8 +2,15 @@
 
 Three backends share one interface: flat spacetime of any spatial
 dimension, an explicit finite partial order, and a 1+1 diagram cut off
-by a terminal spacelike boundary.  All coordinate comparisons are exact
-(Fractions), so causal verdicts never depend on floating-point rounding.
+by a terminal spacelike boundary.  Coordinates are ints or Fractions,
+and every comparison is an exact integer cross-multiplication of their
+numerators and denominators, so causal verdicts never depend on
+floating-point rounding.
+
+Each backend validates an event in ``validate_event``; the public
+queries validate their arguments, while ``separated()`` and constraint
+enumeration validate each event once, where it enters, and then use the
+unchecked relation ``_precedes``.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Sequence
 
 from .rational import parse_rational
@@ -76,27 +84,77 @@ class CausalOrder:
     def strictly_precedes(self, p: Event, q: Event) -> bool:
         raise NotImplementedError
 
+    def _precedes(self, p: Event, q: Event) -> bool:
+        """strictly_precedes on events already validated, unchecked."""
+        raise NotImplementedError
+
+    # The derived queries ask strictly_precedes before comparing p and q,
+    # so p == q is validated too.
+
     def causally_precedes(self, p: Event, q: Event) -> bool:
-        return p == q or self.strictly_precedes(p, q)
+        return self.strictly_precedes(p, q) or p == q
 
     def spacelike(self, p: Event, q: Event) -> bool:
         return (
-            p != q
-            and not self.strictly_precedes(p, q)
+            not self.strictly_precedes(p, q)
             and not self.strictly_precedes(q, p)
+            and p != q
         )
 
     def classify(self, p: Event, q: Event) -> str:
-        if p == q:
-            return "equal"
         if self.strictly_precedes(p, q):
             return "precedes"
         if self.strictly_precedes(q, p):
             return "succeeds"
-        return "spacelike"
+        return "equal" if p == q else "spacelike"
 
     def common_future(self, events: Sequence[Event]) -> Event | None:
         raise NotImplementedError
+
+
+_EXACT = frozenset((int, Fraction))
+
+
+def _check_point(e: Event, dim: int) -> None:
+    """Raise GeometryError unless e is a point event with dim spatial
+    coordinates, each of them (and t) an int or a Fraction."""
+    if not e.is_point():
+        raise GeometryError(f"{e!r} is not a point event")
+    n = len(e.x or ())
+    if n != dim:
+        raise GeometryError(f"event has {n} spatial coordinates, expected {dim}")
+    for c in (e.t, *e.x):  # type: ignore[misc]
+        if type(c) not in _EXACT and (
+            isinstance(c, bool) or not isinstance(c, (int, Fraction))
+        ):
+            raise GeometryError(
+                f"coordinate {c!r} of {e!r} is not an int or a Fraction"
+            )
+
+
+def _cone_precedes(p: Event, q: Event) -> bool:
+    """Strict precedence of two validated point events of equal dimension:
+    dt > 0 and dt^2 >= |dx|^2, decided on numerators and denominators.
+
+    dt = 0 never qualifies: it would need dx = 0, that is p == q.
+    """
+    pt, qt = p.t, q.t
+    pd, qd = pt.denominator, qt.denominator  # type: ignore[union-attr]
+    dt = qt.numerator * pd - pt.numerator * qd  # type: ignore[union-attr]
+    if dt <= 0:
+        return False
+    # |dx|^2 = reach / den, over a common denominator grown coordinate by
+    # coordinate; dt itself is over pd * qd.
+    reach, den = 0, 1
+    for a, b in zip(p.x, q.x):  # type: ignore[arg-type]
+        ad, bd = a.denominator, b.denominator
+        d = b.numerator * ad - a.numerator * bd
+        w = ad * bd
+        w *= w
+        reach = reach * w + d * d * den
+        den *= w
+    span = pd * qd
+    return dt * dt * den >= reach * span * span
 
 
 class Minkowski(CausalOrder):
@@ -112,26 +170,17 @@ class Minkowski(CausalOrder):
         self.dim = dim
 
     def validate_event(self, e: Event) -> None:
-        if not e.is_point():
-            raise GeometryError(f"{e!r} is not a point event")
-        assert e.x is not None
-        if len(e.x) != self.dim:
-            raise GeometryError(
-                f"event has {len(e.x)} spatial coordinates, expected {self.dim}"
-            )
-
-    def delta(self, p: Event, q: Event) -> tuple[Fraction, tuple[Fraction, ...]]:
-        self.validate_event(p)
-        self.validate_event(q)
-        assert p.x is not None and q.x is not None and p.t is not None and q.t is not None
-        dt = q.t - p.t
-        dx = tuple(b - a for a, b in zip(p.x, q.x))
-        return dt, dx
+        _check_point(e, self.dim)
 
     def interval_sq(self, p: Event, q: Event) -> Fraction:
         """Signed squared interval dt^2 - |dx|^2; >= 0 means causal contact."""
-        dt, dx = self.delta(p, q)
+        self.validate_event(p)
+        self.validate_event(q)
+        dt = q.t - p.t  # type: ignore[operator]
+        dx = [b - a for a, b in zip(p.x, q.x)]  # type: ignore[arg-type]
         return dt * dt - sum(c * c for c in dx)
+
+    _precedes = staticmethod(_cone_precedes)
 
     def strictly_precedes(self, p: Event, q: Event) -> bool:
         self.validate_event(p)
@@ -143,30 +192,19 @@ class Minkowski(CausalOrder):
             raise GeometryError("common_future of an empty family")
         for e in events:
             self.validate_event(e)
-        base = events[0].x
-        assert base is not None
-        # The 1-norm dominates the 2-norm, so this time is causally late
-        # enough for every member while staying rational.
-        t = max(
-            e.t + sum(abs(b - a) for a, b in zip(e.x, base))  # type: ignore[arg-type]
-            for e in events
-        )
-        return Event(t=t, x=base)
+        return _cone_future(events)
 
 
-def _cone_precedes(p: Event, q: Event) -> bool:
-    """Strict precedence of two validated point events of equal dimension.
-
-    dt = 0 never qualifies: it would need dx = 0, that is p == q.
-    """
-    dt = q.t - p.t  # type: ignore[operator]
-    if dt <= 0:
-        return False
-    reach = 0
-    for a, b in zip(p.x, q.x):  # type: ignore[arg-type]
-        d = b - a
-        reach += d * d
-    return dt * dt >= reach
+def _cone_future(events: Sequence[Event]) -> Event:
+    """An event every validated point event of the family causally
+    precedes: the 1-norm dominates the 2-norm, so this time is late enough
+    for every member while staying rational."""
+    base = events[0].x
+    t = max(
+        e.t + sum(abs(b - a) for a, b in zip(e.x, base))  # type: ignore[arg-type]
+        for e in events
+    )
+    return Event(t=t, x=base)
 
 
 class FiniteOrder(CausalOrder):
@@ -214,10 +252,13 @@ class FiniteOrder(CausalOrder):
         if e.label not in self.elements:
             raise GeometryError(f"unknown element {e.label!r}")
 
+    def _precedes(self, p: Event, q: Event) -> bool:
+        return q.label in self._after[p.label]
+
     def strictly_precedes(self, p: Event, q: Event) -> bool:
         self.validate_event(p)
         self.validate_event(q)
-        return q.label in self._after[p.label]
+        return self._precedes(p, q)
 
     def common_future(self, events: Sequence[Event]) -> Event | None:
         if not events:
@@ -265,32 +306,49 @@ class TerminatedDiagram(CausalOrder):
                     f"boundary segment from x={x0} to x={x1} is not spacelike"
                 )
         self.vertices = pts
-        self._xs = [x for x, _ in pts]
-        self._slopes = [
-            (s1 - s0) / (x1 - x0) for (x0, s0), (x1, s1) in zip(pts, pts[1:])
+        # Scaled by the common denominator D of the vertices, piece i of
+        # the boundary (the flat ends included) is the line
+        # D*b*t - D*a*x = c for one integer triple (D*a, D*b, c) with
+        # b > 0, the domain lying below it.  Piece i covers the x with i
+        # vertex keys D*x_k <= D*x.
+        D = lcm(*(c.denominator for pt in pts for c in pt))
+        scaled = [(int(x * D), int(s * D)) for x, s in pts]
+        pieces = [(0, D, scaled[0][1])]
+        for (x0, s0), (x1, s1) in zip(scaled, scaled[1:]):
+            a, b = s1 - s0, x1 - x0
+            pieces.append((D * a, D * b, s0 * b - a * x0))
+        pieces.append((0, D, scaled[-1][1]))
+        self._D = D
+        self._keys = [x for x, _ in scaled]
+        self._pieces = pieces
+
+    def _piece(self, x) -> tuple[int, int, int]:
+        # An integer key k has k <= D*x exactly when k <= floor(D*x).
+        return self._pieces[
+            bisect_right(self._keys, self._D * x.numerator // x.denominator)
         ]
-        self._ambient = Minkowski(1)
 
     def sigma(self, x) -> Fraction:
         """Boundary height above spatial position x."""
         x = parse_rational(x)
-        pts = self.vertices
-        i = bisect_right(self._xs, x)
-        if i == 0:
-            return pts[0][1]
-        if i == len(pts):
-            return pts[-1][1]
-        x0, s0 = pts[i - 1]
-        return s0 + self._slopes[i - 1] * (x - x0)
+        da, db, c = self._piece(x)
+        return (c + da * x) / db
+
+    def _below(self, t, x) -> bool:
+        """t < sigma(x) for exact t and x, in integers."""
+        da, db, c = self._piece(x)
+        tn, td, xn, xd = t.numerator, t.denominator, x.numerator, x.denominator
+        return db * tn * xd - da * xn * td < c * td * xd
 
     def in_domain(self, e: Event) -> bool:
-        self._ambient.validate_event(e)
-        assert e.t is not None and e.x is not None
-        return e.t < self.sigma(e.x[0])
+        _check_point(e, 1)
+        return self._below(e.t, e.x[0])  # type: ignore[index]
 
     def validate_event(self, e: Event) -> None:
         if not self.in_domain(e):
             raise DomainError(f"{e!r} is not below the terminal boundary")
+
+    _precedes = staticmethod(_cone_precedes)
 
     def strictly_precedes(self, p: Event, q: Event) -> bool:
         self.validate_event(p)

@@ -26,6 +26,7 @@ from .geometry import CausalOrder, Event
 from .separation import (
     SeparationResult,
     Verdict,
+    _separated,
     separated,
     verify_separation_witness,
 )
@@ -144,17 +145,23 @@ def enumerate_constraints(
     without a separated() call: any witness for Separated(G; F) also
     witnesses every smaller G and F, so the pair is NOT_SEPARATED too.
     Every other pair is decided, and SEPARATED pairs emit instances.
+    Each distinct location is validated once, up front, in the order the
+    pairs first meet them.
     """
     n_in, n_out = len(box.inputs), len(box.outputs)
+    first = [*box.outputs[:1], *box.inputs, *box.outputs[1:]]
+    for e in dict.fromkeys(s.location for s in first):
+        order.validate_event(e)
     instances: list[ConstraintInstance] = []
     # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
     # ones are ever added, because every other one is skipped.
     blocked: list[tuple[int, int]] = []
     moves: dict[tuple[int, ...], list] = {}
+    avoids: dict[tuple[int, ...], list[Event]] = {}
     for size_g in range(1, n_out + 1):
         for G in itertools.combinations(range(n_out), size_g):
             g_mask = sum(1 << g for g in G)
-            gather = [box.outputs[g].location for g in G]
+            gather = list(dict.fromkeys(box.outputs[g].location for g in G))
             for size_f in range(1, n_in + 1):
                 for F in itertools.combinations(range(n_in), size_f):
                     f_mask = sum(1 << f for f in F)
@@ -163,8 +170,10 @@ def enumerate_constraints(
                         for f0, g0 in blocked
                     ):
                         continue
-                    avoid = [box.inputs[f].location for f in F]
-                    result = separated(order, gather, avoid)
+                    if F not in avoids:
+                        avoid = dict.fromkeys(box.inputs[f].location for f in F)
+                        avoids[F] = list(avoid)
+                    result = _separated(order, gather, avoids[F])
                     if result.verdict is Verdict.NOT_SEPARATED:
                         blocked.append((f_mask, g_mask))
                         continue

@@ -27,6 +27,7 @@ from .geometry import (
     GeometryError,
     Minkowski,
     TerminatedDiagram,
+    _cone_future,
     event_from_null,
     null_coords,
 )
@@ -69,9 +70,17 @@ def verify_separation_witness(
         order.validate_event(q)
     except GeometryError:
         return False
-    if not all(order.causally_precedes(g, q) for g in gather):
-        return False
-    return not any(order.strictly_precedes(p, q) for p in avoid)
+    for e in (*gather, *avoid):
+        order.validate_event(e)
+    return _gathers(order._precedes, gather, avoid, q)
+
+
+def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) -> bool:
+    """The witness property for validated events, with prec the order's
+    unchecked strict relation."""
+    return all(g == q or prec(g, q) for g in gather) and not any(
+        prec(p, q) for p in avoid
+    )
 
 
 # ----------------------------------------------------------------------
@@ -378,10 +387,11 @@ def _quadrant_decide(
     where the set of blocking constraints changes.
     """
     terminated = isinstance(order, TerminatedDiagram)
+    prec = order._precedes
     gu = [null_coords(q) for q in gather]
     ustar = max(u for u, _ in gu)
     vstar = max(v for _, v in gu)
-    if terminated and order.phi(ustar, vstar) <= 0:
+    if terminated and not order._below((ustar + vstar) / 2, (vstar - ustar) / 2):
         return SeparationResult(
             Verdict.NOT_SEPARATED,
             reason="no_common_future",
@@ -389,17 +399,13 @@ def _quadrant_decide(
         )
     for p in avoid:
         up, vp = null_coords(p)
-        if (
-            up >= ustar
-            and vp >= vstar
-            and not any(order.strictly_precedes(pk, p) for pk in avoid)
-        ):
+        if up >= ustar and vp >= vstar and not any(prec(pk, p) for pk in avoid):
             return SeparationResult(
                 Verdict.SEPARATED, witness=p, reason="gather_at_avoid_point"
             )
     blockers = [null_coords(p) for p in avoid]
     for u in sorted({ustar} | {ub for ub, _ in blockers if ub > ustar}):
-        if terminated and order.phi(u, vstar) <= 0:
+        if terminated and not order._below((u + vstar) / 2, (vstar - u) / 2):
             # The domain margin only shrinks further along the sweep.
             break
         active = [vb for ub, vb in blockers if ub <= u]
@@ -430,14 +436,22 @@ def separated(
     """
     if not gather:
         raise ValueError("gather family must be nonempty")
-    gather = list(dict.fromkeys(gather))
-    avoid = list(dict.fromkeys(avoid))
-    for e in [*gather, *avoid]:
+    gathered, avoided = dict.fromkeys(gather), dict.fromkeys(avoid)
+    # The merge reuses the stored hashes.
+    for e in {**gathered, **avoided}:
         order.validate_event(e)
+    return _separated(order, list(gathered), list(avoided))
 
+
+def _separated(
+    order: CausalOrder, gather: list[Event], avoid: list[Event]
+) -> SeparationResult:
+    """separated() on duplicate-free families, gather nonempty, of events
+    the order has already validated."""
+    prec = order._precedes
     for p in avoid:
         for q in gather:
-            if order.strictly_precedes(p, q):
+            if prec(p, q):
                 return SeparationResult(
                     Verdict.NOT_SEPARATED,
                     reason="blocked_by_strict_past",
@@ -452,7 +466,7 @@ def separated(
     if isinstance(order, FiniteOrder):
         for label in sorted(order.elements, key=repr):
             cand = Event.named(label)
-            if verify_separation_witness(order, gather, avoid, cand):
+            if _gathers(prec, gather, avoid, cand):
                 return SeparationResult(
                     Verdict.SEPARATED, witness=cand, reason="exhaustive"
                 )
@@ -467,14 +481,11 @@ def separated(
     if not avoid:
         return SeparationResult(
             Verdict.SEPARATED,
-            witness=order.common_future(gather),
+            witness=_cone_future(gather),
             reason="common_future",
         )
 
-    witness = next(
-        (p for p in avoid if verify_separation_witness(order, gather, avoid, p)),
-        None,
-    )
+    witness = next((p for p in avoid if _gathers(prec, gather, avoid, p)), None)
     if witness is None:
         found = _sweep(
             [(g.t, g.x, Fraction(0)) for g in gather],  # type: ignore[misc]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,17 @@ class TestFiniteOrder:
             fo.strictly_precedes(Event.named("a"), Event.named("nope"))
 
 
+def _reference_sigma(pts, x):
+    """The boundary height by the Fraction formula, flat beyond the ends."""
+    if x <= pts[0][0]:
+        return pts[0][1]
+    if x >= pts[-1][0]:
+        return pts[-1][1]
+    for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
+        if x0 <= x <= x1:
+            return s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+
+
 class TestTerminatedDiagram:
     def vee(self):
         return TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
@@ -137,13 +149,7 @@ class TestTerminatedDiagram:
         pts = [(Fraction(x), Fraction(s)) for x, s in vertices]
 
         def linear(x):
-            if x <= pts[0][0]:
-                return pts[0][1]
-            if x >= pts[-1][0]:
-                return pts[-1][1]
-            for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
-                if x0 <= x <= x1:
-                    return s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+            return _reference_sigma(pts, x)
 
         probes = [x for x, _ in pts]  # vertices
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
@@ -209,3 +215,163 @@ class TestTerminatedDiagram:
         assert q == ev(2, 6)
         # opposite sides of the dip cannot gather before the boundary
         assert td.common_future([ev(0, 4), ev(0, -2)]) is None
+
+
+def test_derived_queries_validate_equal_events():
+    td = TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
+    on = ev(1, 0)
+    for query in (td.causally_precedes, td.spacelike, td.classify):
+        with pytest.raises(DomainError):
+            query(on, on)
+    fo = FiniteOrder([("a", "b")])
+    with pytest.raises(GeometryError):
+        fo.causally_precedes(Event.named("z"), Event.named("z"))
+    assert fo.classify(Event.named("a"), Event.named("a")) == "equal"
+
+
+class TestExactCoordinates:
+    """Coordinates must be ints or Fractions: a float or a string is
+    rejected with GeometryError by every query, so floats never decide."""
+
+    ORDERS = (
+        (Minkowski(1), 1),
+        (Minkowski(2), 2),
+        (TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]), 1),
+    )
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True, False])
+    @pytest.mark.parametrize("slot", ["t", "x"])
+    def test_inexact_coordinate_rejected(self, bad, slot):
+        from causalbox.separation import separated
+
+        for order, dim in self.ORDERS:
+            good = Event(t=Fraction(-1), x=(Fraction(0),) * dim)
+            if slot == "t":
+                e = Event(t=bad, x=(Fraction(0),) * dim)
+            else:
+                e = Event(t=Fraction(-1, 2), x=(bad,) + (0,) * (dim - 1))
+            with pytest.raises(GeometryError):
+                order.validate_event(e)
+            with pytest.raises(GeometryError):
+                order.strictly_precedes(good, e)
+            with pytest.raises(GeometryError):
+                order.strictly_precedes(e, good)
+            with pytest.raises(GeometryError):
+                separated(order, [good], [e])
+
+    def test_float_pair_no_longer_decides(self):
+        from causalbox.separation import separated
+
+        m = Minkowski(1)
+        p, q = Event(t=0.5, x=(0.1,)), Event(t=1, x=(0.6,))
+        with pytest.raises(GeometryError):
+            m.strictly_precedes(p, q)
+        with pytest.raises(GeometryError):
+            separated(m, [q], [p])
+        # The same pair in exact coordinates is lightlike, hence causal.
+        assert m.strictly_precedes(Event.at(0.5, 0.1), Event.at(1, 0.6))
+
+    def test_ints_and_fractions_are_exact(self):
+        for order, dim in self.ORDERS:
+            p = Event(t=-2, x=(0,) * dim)
+            q = Event(t=Fraction(-1, 2), x=(Fraction(1, 3),) + (0,) * (dim - 1))
+            assert order.strictly_precedes(p, q)
+            assert not order.strictly_precedes(q, p)
+
+
+def _rand_rat(rng, lo, hi, dens=(1, 2, 3, 7, 12)):
+    den = rng.choice(dens)
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def _reference_precedes(p, q):
+    dt = Fraction(q.t) - Fraction(p.t)
+    reach = sum((Fraction(b) - Fraction(a)) ** 2 for a, b in zip(p.x, q.x))
+    return dt > 0 and dt * dt >= reach
+
+
+# Integer (n, |x|) with |x|^2 = n^2: light rays in d = 1, 2 and 3.
+_NULL = {
+    1: [(1, (1,))],
+    2: [(5, (3, 4)), (5, (4, 3)), (13, (5, 12)), (1, (0, 1))],
+    3: [(3, (1, 2, 2)), (7, (2, 3, 6)), (7, (6, 2, 3)), (1, (0, 0, 1))],
+}
+
+
+class TestIntegerRelation:
+    """The integer cross-multiplication agrees with the Fraction formula
+    dt > 0 and dt^2 >= |dx|^2, and in_domain with t < sigma(x), sigma
+    taken from the Fraction formula of the boundary."""
+
+    def _pairs(self, rng, dim):
+        def point():
+            return Event(
+                t=_rand_rat(rng, -6, 6), x=tuple(_rand_rat(rng, -6, 6) for _ in range(dim))
+            )
+
+        for _ in range(150):
+            p = point()
+            yield p, point()
+            yield p, p  # coincident
+            yield p, Event(t=p.t, x=point().x)  # equal time
+            yield p, Event(t=p.t, x=p.x)  # equal, not identical
+            n, ray = rng.choice(_NULL[dim])
+            scale = _rand_rat(rng, 1, 3)
+            signs = [rng.choice((-1, 1)) for _ in ray]
+            dt = n * scale
+            dx = [s * r * scale for s, r in zip(signs, ray)]
+            for nudge in (0, Fraction(1, 84), -Fraction(1, 84)):
+                q = Event(t=p.t + dt + nudge, x=tuple(a + b for a, b in zip(p.x, dx)))
+                yield p, q  # lightlike, just inside, just outside
+                yield q, p
+            # An int coordinate mixed with Fractions.
+            yield Event(t=int(p.t.numerator), x=p.x), p
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cone_matches_fraction_formula(self, dim):
+        from causalbox.geometry import _cone_precedes
+
+        rng = random.Random(dim)
+        kinds = {True: 0, False: 0}
+        for p, q in self._pairs(rng, dim):
+            want = _reference_precedes(p, q)
+            assert _cone_precedes(p, q) is want, (p, q)
+            kinds[want] += 1
+        assert min(kinds.values()) > 100
+
+    @staticmethod
+    def _boundary(rng):
+        x, s = _rand_rat(rng, -6, -2), _rand_rat(rng, -3, 3)
+        vertices = [(x, s)]
+        for _ in range(rng.randint(0, 4)):
+            step = _rand_rat(rng, 1, 3, dens=(2, 3, 7, 12))
+            slope = Fraction(rng.randint(-11, 11), 12)
+            x, s = x + step, s + slope * step
+            vertices.append((x, s))
+        return vertices
+
+    def test_in_domain_matches_the_boundary_formula(self):
+        rng = random.Random(2718)
+        eps, tiny = Fraction(1, 10**6), Fraction(1, 10**30)
+        checked = {True: 0, False: 0}
+        for _ in range(60):
+            vertices = self._boundary(rng)
+            td = TerminatedDiagram(vertices)
+            xs = [x for x, _ in vertices]
+            probes = list(xs)  # at the vertices
+            for x0, x1 in zip(xs, xs[1:]):
+                probes += [x0 + (x1 - x0) * Fraction(k, 5) for k in range(1, 5)]
+            probes += [xs[0] - Fraction(1, 3), xs[0] - 50, xs[-1] + Fraction(2, 7), xs[-1] + 50]
+            probes += [_rand_rat(rng, -10, 10) for _ in range(10)]
+            # Within 10^-30 of a vertex, where a float would pick the
+            # wrong piece.
+            probes += [x + d for x in xs for d in (tiny, -tiny)]
+            for x in probes:
+                h = _reference_sigma(vertices, x)
+                assert td.sigma(x) == h
+                for t in (h, h - eps, h + eps, h - tiny**2, h - 5, _rand_rat(rng, -8, 8)):
+                    e = Event(t=t, x=(x,))
+                    want = t < h
+                    assert td.in_domain(e) is want, (vertices, t, x)
+                    checked[want] += 1
+        assert min(checked.values()) > 1000

@@ -26,7 +26,7 @@ from causalbox.ons import (
     named_constraints,
     _move_pairs,
 )
-from causalbox.separation import Verdict, separated
+from causalbox.separation import Verdict, _separated, separated
 
 M1 = Minkowski(1)
 M2 = Minkowski(2)
@@ -250,14 +250,14 @@ class TestLatticePruning:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return separated(*args, **kwargs)
+            return _separated(*args, **kwargs)
 
         lattice = 0
         for seed in range(40):
             order, box = seeded_layout(backend, seed)
             expected = all_pairs_reference(order, box)
             with monkeypatch.context() as patch:
-                patch.setattr(causalbox.ons, "separated", counting)
+                patch.setattr(causalbox.ons, "_separated", counting)
                 assert enumerate_constraints(order, box) == expected
             lattice += (2 ** len(box.inputs) - 1) * (2 ** len(box.outputs) - 1)
         assert len(calls) < lattice
@@ -275,13 +275,116 @@ class TestLatticePruning:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return separated(*args, **kwargs)
+            return _separated(*args, **kwargs)
 
-        monkeypatch.setattr(causalbox.ons, "separated", counting)
+        monkeypatch.setattr(causalbox.ons, "_separated", counting)
         got = enumerate_constraints(M1, box)
         monkeypatch.undo()
         assert got == all_pairs_reference(M1, box)
         assert len(calls) == 15  # of the 7 * 7 pairs in the lattice
+
+
+class TestValidationBoundary:
+    """separated() and enumerate_constraints validate each distinct event
+    once, where it enters, and then use the unchecked relation."""
+
+    BACKENDS = ("minkowski1", "terminated", "finite")
+
+    @staticmethod
+    def counting(monkeypatch, order):
+        seen = []
+        real = type(order).validate_event
+
+        def count(e):
+            seen.append(e)
+            real(order, e)
+
+        monkeypatch.setattr(order, "validate_event", count)
+        return seen
+
+    @staticmethod
+    def plane_layout(seed):
+        rng = random.Random(f"plane:{seed}")
+        pts = []
+        for _ in range(rng.randint(2, 4)):
+            if pts and rng.random() < 0.25:
+                pts.append(rng.choice(pts))
+            else:
+                pts.append(Event.at(_rat(rng, -2, 2), _rat(rng, -3, 3), _rat(rng, -3, 3)))
+        return M2, pts
+
+    def layouts(self):
+        for backend in self.BACKENDS:
+            for seed in range(30):
+                order, box = seeded_layout(backend, seed)
+                yield order, [s.location for s in (*box.inputs, *box.outputs)]
+        for seed in range(12):
+            yield self.plane_layout(seed)
+
+    # One case for each reason the random layouts may miss.
+    FIXED = (
+        (
+            TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]),
+            [Event.at(0, 4), Event.at(0, -2), Event.at(0, 4)],
+            [Event.at(0, -2)],
+        ),
+        (M2, [Event.at(1, -1, -2), Event.at(1, -2, 3)], [Event.at(-1, "3/2", "3/2")]),
+        (
+            M2,
+            [Event.at(-2, -2, "-5/2"), Event.at("1/2", -2, "1/2")],
+            [Event.at(2, -3, 0)],
+        ),
+    )
+
+    def test_separated_validates_each_distinct_event_once(self, monkeypatch):
+        rng = random.Random(11)
+        cases = list(self.FIXED)
+        for order, pts in self.layouts():
+            gather = [rng.choice(pts) for _ in range(rng.randint(1, 3))]
+            avoid = [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+            cases.append((order, gather, avoid))
+        reasons = set()
+        for order, gather, avoid in cases:
+            with monkeypatch.context() as patch:
+                seen = self.counting(patch, order)
+                result = separated(order, gather, avoid)
+            assert len(seen) == len(set(seen)) and set(seen) == {*gather, *avoid}
+            assert result == separated(order, gather, avoid)
+            reasons.add(result.reason)
+        assert reasons == {
+            "blocked_by_strict_past", "single_gather", "exhaustive",
+            "no_common_future", "gather_at_avoid_point", "quadrant_escape",
+            "quadrant_cover", "common_future", "gather_before_avoid",
+            "plane_sweep", "cone_closure",
+        }
+
+    def test_enumeration_validates_each_distinct_location_once(self, monkeypatch):
+        for backend in self.BACKENDS:
+            for seed in range(30):
+                order, box = seeded_layout(backend, seed)
+                with monkeypatch.context() as patch:
+                    seen = self.counting(patch, order)
+                    got = enumerate_constraints(order, box)
+                locations = {s.location for s in (*box.inputs, *box.outputs)}
+                assert len(seen) == len(set(seen)) and set(seen) == locations
+                assert got == all_pairs_reference(order, box)
+
+    def test_out_of_domain_event_raises_domain_error(self):
+        from causalbox.geometry import DomainError
+
+        td = TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
+        inside, near, on = Event.at(-2, 0), Event.at(-3, 1), Event.at(1, 0)
+        for gather, avoid in (([inside], [on]), ([inside, on], []), ([on], [inside])):
+            with pytest.raises(DomainError):
+                separated(td, gather, avoid)
+        for k in range(4):
+            pts = [inside, near, inside, near]
+            pts[k] = on
+            ins = tuple(Srv(f"X{i}", BITS, e) for i, e in enumerate(pts[:2]))
+            outs = tuple(Srv(f"A{i}", BITS, e) for i, e in enumerate(pts[2:]))
+            box = CorrelationBox(ins, outs, {x: {} for x in itertools.product("01", repeat=2)})
+            with pytest.raises(DomainError):
+                enumerate_constraints(td, box)
 
 
 class TestChecking:
