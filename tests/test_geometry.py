@@ -15,6 +15,7 @@ from causalbox.geometry import (
     event_from_null,
     null_coords,
 )
+from causalbox.separation import separated
 
 coord = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
@@ -148,17 +149,14 @@ class TestTerminatedDiagram:
         td = TerminatedDiagram(vertices)
         pts = [(Fraction(x), Fraction(s)) for x, s in vertices]
 
-        def linear(x):
-            return _reference_sigma(pts, x)
-
         probes = [x for x, _ in pts]  # vertices
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             probes += [x0 + (x1 - x0) * Fraction(k, 7) for k in range(1, 7)]
         probes += [pts[0][0] - Fraction(1, 3), Fraction(-100), pts[-1][0] + Fraction(1, 5), Fraction(100)]
         for x in probes:
-            assert td.sigma(x) == linear(x), x
+            assert td.sigma(x) == _reference_sigma(pts, x), x
         assert td.sigma("1") == Fraction(1, 3)
-        assert td.sigma(0.5) == linear(Fraction(1, 2))
+        assert td.sigma(0.5) == _reference_sigma(pts, Fraction(1, 2))
 
     def test_event_on_boundary_is_rejected_by_every_query(self):
         td = TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
@@ -230,8 +228,8 @@ def test_derived_queries_validate_equal_events():
 
 
 class TestExactCoordinates:
-    """Coordinates must be ints or Fractions: a float or a string is
-    rejected with GeometryError by every query, so floats never decide."""
+    """Coordinates must be ints or Fractions: a float, a string or a bool
+    is rejected with GeometryError by every query, so floats never decide."""
 
     ORDERS = (
         (Minkowski(1), 1),
@@ -242,8 +240,6 @@ class TestExactCoordinates:
     @pytest.mark.parametrize("bad", [0.5, "1/2", True, False])
     @pytest.mark.parametrize("slot", ["t", "x"])
     def test_inexact_coordinate_rejected(self, bad, slot):
-        from causalbox.separation import separated
-
         for order, dim in self.ORDERS:
             good = Event(t=Fraction(-1), x=(Fraction(0),) * dim)
             if slot == "t":
@@ -260,8 +256,6 @@ class TestExactCoordinates:
                 separated(order, [good], [e])
 
     def test_float_pair_no_longer_decides(self):
-        from causalbox.separation import separated
-
         m = Minkowski(1)
         p, q = Event(t=0.5, x=(0.1,)), Event(t=1, x=(0.6,))
         with pytest.raises(GeometryError):
