@@ -112,9 +112,6 @@ class CausalOrder:
         raise NotImplementedError
 
 
-_EXACT = frozenset((int, Fraction))
-
-
 def _check_point(e: Event, dim: int) -> None:
     """Raise GeometryError unless e is a point event with dim spatial
     coordinates, each of them (and t) an int or a Fraction."""
@@ -124,9 +121,7 @@ def _check_point(e: Event, dim: int) -> None:
     if n != dim:
         raise GeometryError(f"event has {n} spatial coordinates, expected {dim}")
     for c in (e.t, *e.x):  # type: ignore[misc]
-        if type(c) not in _EXACT and (
-            isinstance(c, bool) or not isinstance(c, (int, Fraction))
-        ):
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise GeometryError(
                 f"coordinate {c!r} of {e!r} is not an int or a Fraction"
             )
@@ -279,7 +274,7 @@ def null_coords(e: Event) -> tuple[Fraction, Fraction]:
 
 
 def event_from_null(u: Fraction, v: Fraction) -> Event:
-    return Event(t=(u + v) / 2, x=((v - u) / 2,))
+    return Event(t=Fraction(u + v, 2), x=(Fraction(v - u, 2),))
 
 
 class TerminatedDiagram(CausalOrder):
@@ -355,14 +350,11 @@ class TerminatedDiagram(CausalOrder):
         self.validate_event(q)
         return _cone_precedes(p, q)
 
-    def phi(self, u: Fraction, v: Fraction) -> Fraction:
-        """Margin sigma(x) - t of the point with lightcone coordinates
-        (u, v); positive exactly on the domain.  Strictly decreasing in
-        both arguments because the boundary slopes stay below light speed.
-        """
-        e = event_from_null(u, v)
-        assert e.t is not None and e.x is not None
-        return self.sigma(e.x[0]) - e.t
+    def _null_below(self, u, v) -> bool:
+        """Whether the point with exact lightcone coordinates (u, v) lies
+        in the domain.  The domain is a lower set in (u, v) because the
+        boundary slopes stay below light speed."""
+        return self._below(Fraction(u + v, 2), Fraction(v - u, 2))
 
     def common_future(self, events: Sequence[Event]) -> Event | None:
         if not events:
@@ -374,6 +366,6 @@ class TerminatedDiagram(CausalOrder):
         # (u, v) is the minimum of all ambient upper bounds, and the domain
         # is a lower set in lightcone coordinates, so either this corner is
         # in the region or nothing above every member is.
-        if self.phi(u, v) > 0:
+        if self._null_below(u, v):
             return event_from_null(u, v)
         return None

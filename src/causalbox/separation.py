@@ -324,6 +324,12 @@ def _arrival(e: Ev, x: Vec) -> QuadExt:
     return QuadExt(t, Fraction(1, r2.denominator), r2.numerator * r2.denominator)
 
 
+def _plane_ev(e: Event) -> Ev:
+    """The sweep's (t, a, 0) of a validated point event, int coordinates
+    made Fractions so that every division in the sweep stays exact."""
+    return Fraction(e.t), tuple(map(Fraction, e.x)), Fraction(0)  # type: ignore[arg-type]
+
+
 def _cut(e: Ev, c: Fraction) -> Ev:
     t, a, d = e
     return t, a[1:], d + (c - a[0]) ** 2
@@ -391,7 +397,7 @@ def _quadrant_decide(
     gu = [null_coords(q) for q in gather]
     ustar = max(u for u, _ in gu)
     vstar = max(v for _, v in gu)
-    if terminated and not order._below((ustar + vstar) / 2, (vstar - ustar) / 2):
+    if terminated and not order._null_below(ustar, vstar):
         return SeparationResult(
             Verdict.NOT_SEPARATED,
             reason="no_common_future",
@@ -405,7 +411,7 @@ def _quadrant_decide(
             )
     blockers = [null_coords(p) for p in avoid]
     for u in sorted({ustar} | {ub for ub, _ in blockers if ub > ustar}):
-        if terminated and not order._below((u + vstar) / 2, (vstar - u) / 2):
+        if terminated and not order._null_below(u, vstar):
             # The domain margin only shrinks further along the sweep.
             break
         active = [vb for ub, vb in blockers if ub <= u]
@@ -487,10 +493,7 @@ def _separated(
 
     witness = next((p for p in avoid if _gathers(prec, gather, avoid, p)), None)
     if witness is None:
-        found = _sweep(
-            [(g.t, g.x, Fraction(0)) for g in gather],  # type: ignore[misc]
-            [(p.t, p.x, Fraction(0)) for p in avoid],  # type: ignore[misc]
-        )
+        found = _sweep([_plane_ev(g) for g in gather], [_plane_ev(p) for p in avoid])
         if found is None:
             return SeparationResult(
                 Verdict.NOT_SEPARATED,

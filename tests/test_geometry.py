@@ -200,11 +200,22 @@ class TestTerminatedDiagram:
         assert td.strictly_precedes(a, b) == m.strictly_precedes(a, b)
 
     def test_phi_strictly_decreasing(self):
+        # phi(u, v) = sigma(x) - t, the domain margin in lightcone
+        # coordinates, is strictly decreasing, so the domain is a lower set
+        # there; _null_below must agree with phi > 0.
         td = self.vee()
+
+        def phi(u, v):
+            return td.sigma(Fraction(v - u, 2)) - Fraction(u + v, 2)
+
         u0, v0 = Fraction(-1), Fraction(1, 2)
-        base = td.phi(u0, v0)
+        base = phi(u0, v0)
         for du, dv in [(1, 0), (0, 1), (2, 3)]:
-            assert td.phi(u0 + du, v0 + dv) < base
+            assert phi(u0 + du, v0 + dv) < base
+        for u in range(-6, 7):
+            for v in range(-6, 7):
+                for uv in [(u, v), (Fraction(u, 3), Fraction(v, 2))]:
+                    assert td._null_below(*uv) == (phi(*uv) > 0), uv
 
     def test_common_future_is_corner_or_nothing(self):
         td = self.vee()

@@ -425,6 +425,31 @@ class TestChecking:
         assert len(keys) == len(set(keys))
         assert len(reports) == 2
 
+    @pytest.mark.parametrize(
+        "order", [M1, TerminatedDiagram([(0, 20)])], ids=["minkowski", "terminated"]
+    )
+    def test_int_locations_certify_and_build(self, order):
+        # The joint instance on (A, B) is licensed at the half-integer
+        # lightcone corner t = 7/2, x = 1/2 of two int-located outputs.
+        from causalbox.protocol import build_protocol
+
+        ins = (Srv("X", BITS, Event(t=0, x=(10,))),)
+        outs = (
+            Srv("A", BITS, Event(t=0, x=(-3,))),
+            Srv("B", BITS, Event(t=0, x=(4,))),
+        )
+        table = {(x,): {(x, "0"): Fraction(1)} for x in "01"}
+        box = CorrelationBox(ins, outs, table)
+        insts = enumerate_constraints(order, box)
+        joint = next(i for i in insts if i.G == (0, 1))
+        assert joint.certificate.reason == "quadrant_escape"
+        assert joint.certificate.witness == Event.at(Fraction(7, 2), Fraction(1, 2))
+        assert all(i.verify(order, box) for i in insts)
+        reports = check_ons(order, box)
+        assert {r.instance.G for r in reports} == {(0,), (0, 1)}
+        for r in reports:
+            assert build_protocol(order, box, r).sender == 0
+
     def test_verify_rejects_tampered_instance(self):
         box = bell_box()
         inst = enumerate_constraints(M1, box)[0]

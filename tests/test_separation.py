@@ -263,6 +263,53 @@ class TestTerminatedKnownLayout:
         assert res.reason == "no_common_future"
 
 
+class TestIntCoordinates:
+    """Int coordinates are exact too: every witness separated() returns on
+    them, lightcone corners at half-integers included, is a valid event
+    that verify_separation_witness accepts."""
+
+    ORDERS = (
+        (Minkowski(1), 1, {"quadrant_escape"}),
+        (TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]), 1,
+         {"quadrant_escape", "no_common_future"}),
+        (Minkowski(2), 2, {"plane_sweep", "common_future"}),
+    )
+
+    def test_half_integer_corner(self):
+        td = TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
+        g = [Event(t=-2, x=(0,)), Event(t=-2, x=(1,))]
+        res = separated(td, g, [])
+        assert res.reason == "quadrant_escape"
+        assert res.witness == ev(Fraction(-3, 2), Fraction(1, 2))
+        assert verify_separation_witness(td, g, [], res.witness)
+        assert td.common_future(g) == res.witness
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_seeded_int_layouts(self, case):
+        order, dim, wanted = self.ORDERS[case]
+        rng = random.Random(8100 + case)
+
+        def point():
+            while True:
+                t = rng.randint(-6, 0)
+                e = Event(t=t, x=tuple(rng.randint(-5, 5) for _ in range(dim)))
+                if not isinstance(order, TerminatedDiagram) or order.in_domain(e):
+                    return e
+
+        seen = set()
+        for _ in range(150):
+            gather = [point() for _ in range(rng.randint(2, 3))]
+            avoid = [point() for _ in range(rng.randint(0, 2))]
+            res = separated(order, gather, avoid)
+            seen.add(res.reason)
+            if res.is_separated:
+                assert verify_separation_witness(order, gather, avoid, res.witness)
+            future = order.common_future(gather)
+            if future is not None:
+                assert verify_separation_witness(order, gather, [], future)
+        assert wanted <= seen
+
+
 # ----------------------------------------------------------------------
 # reference for one avoided event in the plane: the slice / escape /
 # blocked trichotomy.  "slice": closed discs of the gathered reach at the
