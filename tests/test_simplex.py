@@ -3,10 +3,13 @@
 `reference_dual` is the dense solve the simplex once used for its dual:
 B^T y = c_B by Gaussian elimination on the final basis.  The tests keep
 it as a reference that the dual read from the final tableau must match
-exactly.
+exactly.  The Fraction tableau the integer rows replaced is kept in
+`simplex_reference.py`; the integer core must end on the same basis with
+the same result, or raise the same error, on every LP given to both.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from scipy.optimize import linprog
 
 import causalbox.simplex as simplex
+import simplex_reference as ref
 from causalbox.monogamy import XorGame, build_ns_lp
 from causalbox.simplex import (
     InfeasibleError,
@@ -215,3 +219,116 @@ def test_dual_matches_reference_on_two_input_games(monkeypatch, bits):
     res, basis = solve_with_basis(monkeypatch, A, b, c)
     assert res.y == reference_dual(A, b, c, basis)
     assert verify_lp_certificate(A, b, c, res)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_no_constraint_rows(maximize):
+    bounded, unbounded = ([0, -1], [1, 0]) if maximize else ([1, 0], [0, -1])
+    res = solve_lp([], [], bounded, maximize=maximize)
+    assert res == LpResult(F(0), (F(0), F(0)), ())
+    assert verify_lp_certificate([], [], [F(v) for v in bounded], res, maximize=maximize)
+    with pytest.raises(UnboundedError):
+        solve_lp([], [], unbounded, maximize=maximize)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+@pytest.mark.parametrize("where", ["A", "b", "c"])
+def test_inexact_entries_are_rejected(where, bad):
+    data = {"A": [[1, 1]], "b": [1], "c": [1, 0]}
+    if where == "A":
+        data["A"] = [[bad, 1]]
+    else:
+        data[where] = [bad] + data[where][1:]
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        solve_lp(data["A"], data["b"], data["c"])
+
+
+# ----------------------------------------------------------------------
+# the integer core against the Fraction reference
+
+
+def assert_matches_reference(monkeypatch, A, b, c, *, maximize=True):
+    """Same result and final basis as the Fraction core, or the same
+    error; returns the error class, or None when an optimum exists."""
+    try:
+        expected = ref.solve_lp(A, b, c, maximize=maximize)
+    except (InfeasibleError, UnboundedError) as exc:
+        with pytest.raises(ValueError) as raised:
+            solve_lp(A, b, c, maximize=maximize)
+        assert type(raised.value) is type(exc)
+        return type(exc)
+    got = solve_with_basis(monkeypatch, A, b, c, maximize=maximize)
+    assert got == expected
+    return None
+
+
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=4)))
+def test_reference_on_two_input_games(monkeypatch, bits):
+    game = XorGame(2, (bits[:2], bits[2:]))
+    for terms in (("ab", "ac"), ("ab",), ("ab", "ac", "bc")):
+        A, b, c, _ = build_ns_lp(game, terms)
+        assert assert_matches_reference(monkeypatch, A, b, c) is None
+
+
+def test_reference_on_three_input_game(monkeypatch):
+    rng = random.Random("simplex_reference:three_input")
+    game = XorGame(3, tuple(tuple(rng.randrange(2) for _ in range(3)) for _ in range(3)))
+    A, b, c, _ = build_ns_lp(game, ("ab", "ac", "bc"))
+    assert assert_matches_reference(monkeypatch, A, b, c) is None
+
+
+def test_reference_on_random_lps(monkeypatch):
+    outcomes = []
+    for A, b, c in _random_lps():
+        for maximize in (True, False):
+            outcomes.append(assert_matches_reference(monkeypatch, A, b, c, maximize=maximize))
+    assert outcomes.count(None) >= 30 and UnboundedError in outcomes
+
+
+def _fractional_lp(rng):
+    """A feasible LP with denominators up to 6, some rows negated so their
+    rhs is negative, and a redundant row: a combination of two others."""
+    m, n = 3, 6
+
+    def q():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+
+    A = [[q() for _ in range(n)] for _ in range(m)]
+    x0 = [F(rng.randint(0, 3), rng.choice((1, 2, 5))) for _ in range(n)]
+    b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    for i in range(m):
+        if b[i] > 0 and rng.random() < 0.5:
+            A[i], b[i] = [-a for a in A[i]], -b[i]
+    s, t = q(), q()
+    A.append([s * u + t * v for u, v in zip(A[0], A[1])])
+    b.append(s * b[0] + t * b[1])
+    return A, b, [q() for _ in range(n)]
+
+
+def test_reference_on_fractional_lps(monkeypatch):
+    rng = random.Random("simplex_reference:fractional")
+    outcomes = []
+    for _ in range(40):
+        A, b, c = _fractional_lp(rng)
+        for maximize in (True, False):
+            outcomes.append(assert_matches_reference(monkeypatch, A, b, c, maximize=maximize))
+    assert outcomes.count(None) >= 40 and UnboundedError in outcomes
+
+
+@pytest.mark.parametrize(
+    "A, b, c",
+    [
+        ([[F(1, 2), F(1, 3)]], [F(1, 6)], [F(1), F(1)]),
+        ([[-1, -1, -1]], [-1], [3, 2, 0]),
+        ([[1, 1], [2, 2]], [1, 2], [1, 0]),
+        ([[1, -1, 0], [-2, 2, 0], [0, 1, 1]], [F(-1, 2), 1, F(3, 4)], [1, 2, -1]),
+        ([[1, 1], [1, 1]], [1, 2], [1, 1]),
+        ([[0, 1]], [1], [1, 0]),
+        ([[F(2, 3), -1]], [F(-4, 9)], [F(1, 7), F(1, 5)]),
+        # the costs' numerators share a factor, 2, that their denominator lacks
+        ([[1, 1, 1]], [1], [F(2, 3), F(4, 3), 0]),
+    ],
+)
+@pytest.mark.parametrize("maximize", [True, False])
+def test_reference_on_hand_lps(monkeypatch, A, b, c, maximize):
+    assert_matches_reference(monkeypatch, A, b, c, maximize=maximize)
