@@ -10,6 +10,7 @@ on the jamming-style constraint polytope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,7 +170,9 @@ def build_ns_lp(game: XorGame, terms: Sequence[str] = ("ab", "ac")):
     over tripartite no-signalling behaviors.
 
     Variable order: (x, y, z, a, b, c) row-major.  Returns (A, b, c,
-    index) where index maps the tuple to its column.
+    index) where index maps the tuple to its column.  Every entry of A
+    and b is an int (0 or ±1); the objective's nonzero entries are
+    Fractions over m**3 and its zeros are ints.
     """
     m = game.m
     keys = [
@@ -179,18 +182,18 @@ def build_ns_lp(game: XorGame, terms: Sequence[str] = ("ab", "ac")):
     ]
     index = {k: i for i, k in enumerate(keys)}
     n = len(keys)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
 
     def blank():
-        return [Fraction(0)] * n
+        return [0] * n
 
     for x, y, z in game.triples():
         row = blank()
         for a, b, c in itertools.product((0, 1), repeat=3):
-            row[index[(x, y, z, a, b, c)]] = Fraction(1)
+            row[index[(x, y, z, a, b, c)]] = 1
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
 
     # Moving one party's input must not move the other two's marginal.
     parties = (
@@ -212,9 +215,9 @@ def build_ns_lp(game: XorGame, terms: Sequence[str] = ("ab", "ac")):
                             if (abc[kept[0]], abc[kept[1]]) == pair:
                                 row[index[(*xyz, *abc)]] += sign
                     rows.append(row)
-                    rhs.append(Fraction(0))
+                    rhs.append(0)
 
-    objective = blank()
+    objective: list[int | Fraction] = blank()
     for x, y, z in game.triples():
         pat = game.pattern(x, y, z)
         for abc in itertools.product((0, 1), repeat=3):
@@ -445,6 +448,64 @@ def _information_sum_batch(tables: np.ndarray) -> np.ndarray:
     return mi(j_ab_z) + mi(j_ac_y) + mi(j_bc_x)
 
 
+@functools.cache
+def _polytope():
+    """The triangle system and the pieces of one projection step, built
+    once per process as read-only arrays: A and b (for the acceptance
+    residual), the symmetric projector P = I − A⁺A onto null(A), the
+    offset c = A⁺b, so that X P + c moves each row of X to its nearest
+    point of {A x = b}, and the 64 x 8 indicator S of the eight 8-cell
+    blocks of the table, so that X S holds the block sums."""
+    import numpy as np
+
+    A, b = _triangle_rows()
+    pinv = np.linalg.pinv(A)
+    P = np.eye(64) - pinv @ A
+    c = pinv @ b
+    S = np.repeat(np.eye(8), 8, axis=0)
+    for arr in (A, b, P, c, S):
+        arr.flags.writeable = False
+    return A, b, P, c, S
+
+
+def _project(X, iterations=60):
+    """Alternate the affine step X P + c with clipping at zero and
+    renormalising each block of eight cells to sum one; a block summing
+    to at most 1e-12 becomes 0.125 throughout.  X itself is not
+    changed."""
+    import numpy as np
+
+    _, _, P, c, S = _polytope()
+    for _ in range(iterations):
+        X = X @ P
+        X += c
+        np.maximum(X, 0.0, out=X)
+        sums = X @ S
+        big = sums > 1e-12
+        blocks = X.reshape(-1, 8, 8)
+        np.divide(blocks, sums[:, :, None], out=blocks, where=big[:, :, None])
+        if not big.all():
+            blocks[~big] = 0.125
+    return X
+
+
+@functools.cache
+def _exact_values() -> tuple[Fraction, Fraction]:
+    """The information sum at the jamming vertex and at the uniform
+    table, exactly."""
+    vertex = _vertex_information_sum(jamming_vertex_table())
+    uniform = _vertex_information_sum(
+        {
+            xyz: {
+                abc: Fraction(1, 8)
+                for abc in itertools.product((0, 1), repeat=3)
+            }
+            for xyz in itertools.product((0, 1), repeat=3)
+        }
+    )
+    return vertex, uniform
+
+
 def entropic_probe(
     order: CausalOrder,
     inputs: Sequence[Srv],
@@ -459,37 +520,31 @@ def entropic_probe(
 
     The jamming vertex is evaluated exactly (it scores 1); random
     interior points come from projection sampling, refined by a little
-    hill climbing.  The report asserts nothing: callers compare
-    max_sampled against bound themselves via ok.
-    """
-    import numpy as np
+    hill climbing.  Each projection iteration is one affine map X P + c,
+    with the projector P = I − A⁺A onto null(A) and c = A⁺b computed
+    once per process, followed by clipping and block renormalisation.
+    A point is accepted only when its residual |X Aᵀ − b| against the
+    raw constraint rows is below 1e-9.  The report asserts nothing:
+    callers compare max_sampled against bound themselves via ok.
 
-    named_constraints("six_config_triangle", order, inputs, outputs)
+    samples, local_steps and seed must be ints >= 0 (not bools), so the
+    same arguments always give the same report; anything else raises
+    ValueError.
+    """
+    for name, value in (
+        ("samples", samples), ("seed", seed), ("local_steps", local_steps)
+    ):
+        if not _plain_int(value) or value < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     for s in (*inputs, *outputs):
         if len(s.alphabet) != 2:
             raise LayoutMismatch("entropic probe needs binary alphabets")
-    vertex = _vertex_information_sum(jamming_vertex_table())
-    uniform = _vertex_information_sum(
-        {
-            xyz: {
-                abc: Fraction(1, 8)
-                for abc in itertools.product((0, 1), repeat=3)
-            }
-            for xyz in itertools.product((0, 1), repeat=3)
-        }
-    )
-    A, b = _triangle_rows()
-    pinv_t = np.linalg.pinv(A).T
-    rng = np.random.default_rng(seed)
+    named_constraints("six_config_triangle", order, inputs, outputs)
+    import numpy as np
 
-    def project(X, iterations=60):
-        for _ in range(iterations):
-            X = X - (X @ A.T - b) @ pinv_t
-            X = np.clip(X, 0.0, None)
-            blocks = X.reshape(-1, 8, 8)
-            sums = blocks.sum(axis=2, keepdims=True)
-            X = np.where(sums > 1e-12, blocks / sums, 0.125).reshape(-1, 64)
-        return X
+    vertex, uniform = _exact_values()
+    A, b, _, _, _ = _polytope()
+    rng = np.random.default_rng(seed)
 
     def accept_mask(X):
         res = np.abs(X @ A.T - b).max(axis=1)
@@ -503,7 +558,7 @@ def entropic_probe(
     while done < samples:
         k = min(batch, samples - done)
         X = rng.random((k, 64)) ** 2
-        X = project(X)
+        X = _project(X)
         mask = accept_mask(X)
         accepted += int(mask.sum())
         if mask.any():
@@ -527,7 +582,7 @@ def entropic_probe(
     sigma = 0.05
     for step in range(local_steps):
         props = best_point + rng.normal(0.0, sigma, size=(32, 64))
-        props = project(props, iterations=25)
+        props = _project(props, iterations=25)
         mask = accept_mask(props)
         if mask.any():
             vals = _information_sum_batch(props[mask])

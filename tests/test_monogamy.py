@@ -184,6 +184,21 @@ class TestNoSignallingLp:
             ns = ns_monogamy_lp(game).value
             assert ns <= signalling_monogamy(game).value
 
+    @pytest.mark.parametrize(
+        "game, terms",
+        [
+            (XorGame.chsh(), ("ab", "ac")),
+            (XorGame.constant(1), ("ab",)),
+            (XorGame(3, ((0, 0, 0), (0, 1, 1), (0, 1, 0))), ("ab", "ac", "bc")),
+        ],
+    )
+    def test_constraints_are_ints(self, game, terms):
+        A, b, c, _ = build_ns_lp(game, terms)
+        assert all(type(v) is int and v in (-1, 0, 1) for row in A for v in row)
+        assert all(type(v) is int and v in (0, 1) for v in b)
+        for v in c:
+            assert v == 0 or (type(v) is Fraction and game.m**3 % v.denominator == 0)
+
     def test_three_input_game_matches_float_solver(self):
         from scipy.optimize import linprog
 
@@ -310,4 +325,46 @@ class TestEntropicProbe:
             ins[2],
         )
         with pytest.raises(LayoutMismatch):
+            entropic_probe(M2, wide, outs, samples=10, seed=0, local_steps=1)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("samples", -3),
+            ("samples", True),
+            ("samples", 2.0),
+            ("samples", "10"),
+            ("seed", None),
+            ("seed", -1),
+            ("seed", False),
+            ("seed", 1.5),
+            ("local_steps", -1),
+            ("local_steps", True),
+            ("local_steps", None),
+        ],
+    )
+    def test_bad_arguments_rejected(self, name, bad):
+        ins, outs = triangle_layout()
+        kwargs = dict(samples=10, seed=0, local_steps=1)
+        kwargs[name] = bad
+        with pytest.raises(ValueError, match=name) as excinfo:
+            entropic_probe(M2, ins, outs, **kwargs)
+        assert excinfo.type is ValueError
+
+    def test_zero_samples_and_steps_allowed(self):
+        ins, outs = triangle_layout()
+        rep = entropic_probe(M2, ins, outs, samples=0, seed=0, local_steps=0)
+        assert rep.samples == rep.accepted == 0
+        assert rep.max_sampled == 1.0 and rep.ok
+
+    def test_alphabets_checked_before_layout(self, monkeypatch):
+        import causalbox.monogamy as monogamy
+
+        def layout_check(*args):
+            raise AssertionError("layout checked before the alphabets")
+
+        monkeypatch.setattr(monogamy, "named_constraints", layout_check)
+        ins, outs = triangle_layout()
+        wide = (Srv("x", Alphabet.of(0, 1, 2), ins[0].location), ins[1], ins[2])
+        with pytest.raises(LayoutMismatch, match="binary alphabets"):
             entropic_probe(M2, wide, outs, samples=10, seed=0, local_steps=1)
