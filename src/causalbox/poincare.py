@@ -6,7 +6,6 @@ half-angle tangent).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -220,110 +219,102 @@ class PoincareMap:
 # mutual-influence loop construction
 
 
-def _past_causal(vec: Vector) -> bool:
-    t, xs = vec[0], vec[1:]
-    return t < 0 and t * t >= sum((c * c for c in xs), Fraction(0))
+def _loop_direction(t: Fraction, xs: Vector) -> Vector:
+    """Rational unit vector e with e . x - |t| = A(|x|^2 - t^2)/(A^2 + r^2),
+    where A = |x_i| + |t| for an index i of largest |x_i| and r^2 is the
+    sum of the other x_j^2: the inverse stereographic image of
+    (x_j / A)_{j != i} about the pole sgn(x_i) e_i."""
+    i = max(range(len(xs)), key=lambda j: abs(xs[j]))
+    a = abs(xs[i]) + abs(t)
+    r2 = sum((c * c for j, c in enumerate(xs) if j != i), Fraction(0))
+    den = a * a + r2
+    e = [2 * a * c / den for c in xs]
+    e[i] = (a * a - r2) / den if xs[i] > 0 else (r2 - a * a) / den
+    return tuple(e)
 
 
-def _vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _approx_half_tangent(y: float, x: float, depth: int) -> Fraction:
-    """Rational half-angle tangent approximating the rotation that sends
-    (x, y) onto the positive first axis; construction-only, verified
-    exactly by the caller."""
-    hyp = math.hypot(x, y)
-    denom = x + hyp
-    if abs(denom) < 1e-300:
-        return Fraction(1)  # straight angle: fall back to a quarter turn
-    return Fraction(y / denom).limit_denominator(10**depth)
-
-
-def _align_rotation(dim: int, wx: Vector, depth: int) -> PoincareMap:
-    """Proper rotation R with (R w)_x approximately along the first
-    spatial axis.  Built from plane rotations with rational parameters;
-    the caller checks exactly that the alignment is good enough."""
-    rot = PoincareMap.identity(dim)
-    cur = list(wx)
-    for i in range(1, dim):
-        # The straight-angle fallback inside the approximation leaves a
-        # quarter turn behind, so one extra pass may be needed.
-        for _ in range(3):
-            if cur[i] == 0 and cur[0] >= 0:
-                break
-            m = _approx_half_tangent(float(cur[i]), float(cur[0]), depth)
-            step = PoincareMap.rotation(dim, -m, axes=(0, i))
-            rot = step.compose(rot)
-            full = _matvec(step.matrix, (Fraction(0), *cur))
-            cur = list(full[1:])
-    return rot
-
-
-def _loop_linear_candidates(dim: int, w: Vector, allow_reflection: bool):
-    ks = [Fraction(2) ** e for e in range(1, 64)]
-    if dim == 1:
-        if not allow_reflection:
-            return
-        refl = PoincareMap.spatial_reflection(1, 0)
-        for k in ks:
-            boost = PoincareMap.boost(1, k, 0)
-            yield refl.compose(boost)
-            yield boost.compose(refl)
-        return
-    for depth in (3, 6, 12, 24):
-        align = _align_rotation(dim, w[1:], depth)
-        r = _matvec(align.matrix, w)
-        # Need the aligned first spatial component to dominate the time
-        # component, which exact spacelikeness guarantees for good enough
-        # alignment.
-        if not (r[1] > 0 and r[1] * r[1] > w[0] * w[0]):
-            continue
-        flip = PoincareMap.half_turn(dim, (0, 1))
-        inv = align.inverse()
-        for k in ks:
-            yield inv.compose(flip.compose(PoincareMap.boost(dim, k, 0).compose(align)))
-        return
+def _householder(dim: int, e: Vector) -> Matrix:
+    """diag(1, H) for the spatial Householder reflection H that swaps the
+    unit vector e and the first axis (the identity when they agree)."""
+    v = (e[0] - 1, *e[1:])
+    vv = sum((c * c for c in v), Fraction(0))
+    rows = [list(r) for r in _identity(dim + 1)]
+    if vv:
+        for i in range(dim):
+            for j in range(dim):
+                rows[i + 1][j + 1] -= 2 * v[i] * v[j] / vv
+    return tuple(tuple(r) for r in rows)
 
 
 def find_loop_transform(
     order: Minkowski, p: Event, q: Event, allow_reflection: bool = False
 ) -> PoincareMap | None:
-    """Search for an isometry L with q strictly before L(p) and L(q)
+    """An orthochronous isometry L with q strictly before L(p) and L(q)
     strictly before p, so influence can run p -> (beyond q) -> back
-    before p.
+    before p; proper unless the dimension is 1.
 
-    Exists exactly when q is strictly before p (identity works) or the
-    pair is spacelike in two or more spatial dimensions; for one spatial
-    dimension a spacelike pair needs a reflection, and no orientation
-    and time-direction preserving map suffices.  Returns None when the
-    required map does not exist in the allowed class.
+    Returns None exactly when p == q, when p strictly precedes q (every
+    allowed map keeps the future cone forward in time, and two
+    future-causal vectors never sum to a past one), or when the pair is
+    spacelike in one spatial dimension and allow_reflection is False.
+    If q strictly precedes p the identity works.  Raises GeometryError
+    on any order other than Minkowski(d).
+
+    Lemma (closed form for a spacelike pair).  Let w = q - p = (t, x)
+    with |x|^2 > t^2.
+    - Direction: _loop_direction gives a rational unit e with
+      a = e . x > |t|, since a - |t| = A(|x|^2 - t^2)/(A^2 + r^2).
+    - Alignment: H~ = diag(1, H), H the Householder swapping e and the
+      first axis, so y = H x has y_1 = a.
+    - Map: Lambda = H~ F B(k) H~, with B(k) the boost along the first
+      axis and F the half turn of axes 1, 2 (the reflection of axis 1
+      when d = 1).  With delta = a - t > 0, tau = a + t > 0 and
+      rho = sum_{i >= 3} y_i^2, the vector H~ (w + Lambda w) is
+      s = ((tau/k - k delta)/2 + t, (-k delta - tau/k)/2 + a, 0,
+      2 y_3, ..., 2 y_d), whose s_0^2 - s_1^2 is (k delta - tau)^2 / k.
+    - Boost: k = (4 rho/delta + 2 tau + 1)/delta makes
+      (k delta - tau) delta = 4 rho + (tau + 1) delta, so
+      ((k delta - tau)^2 / k - 4 rho) k delta = 4 rho + (tau + 1)^2 delta
+      > 0, where 4 rho is the sum of the remaining s_i^2; and
+      2 s_0 = -(k delta - tau)(k delta + delta)/(k delta) < 0.  So
+      sigma = w + Lambda w is past-timelike.
+    - Translation: L(x) = Lambda x + q - Lambda p - sigma/2 gives
+      L(p) - q = p - L(q) = -sigma/2, future-timelike.
     """
+    if not isinstance(order, Minkowski):
+        raise GeometryError(
+            f"a loop transform needs Minkowski(d), not {type(order).__name__}"
+        )
     order.validate_event(p)
     order.validate_event(q)
-    if p == q:
+    dim = order.dim
+    if p == q or order._precedes(p, q):
         return None
-    if order.strictly_precedes(q, p):
-        return PoincareMap.identity(order.dim)
-    if order.strictly_precedes(p, q):
-        # Any allowed map keeps the future cone forward in time, and the
-        # sum of two future-causal vectors can never point to the past.
+    if order._precedes(q, p):
+        return PoincareMap.identity(dim)
+    if dim == 1 and not allow_reflection:
         return None
 
-    w = (q.t - p.t, *(b - a for a, b in zip(p.x, q.x)))  # type: ignore[operator]
     pvec = (p.t, *p.x)  # type: ignore[misc]
-    for lam in _loop_linear_candidates(order.dim, w, allow_reflection):
-        sigma = _vadd(w, _matvec(lam.matrix, w))
-        if not _past_causal(sigma):
-            continue
-        qvec = (q.t, *q.x)  # type: ignore[misc]
-        shift = tuple(
-            qc - lc - sc / 2
-            for qc, lc, sc in zip(qvec, _matvec(lam.matrix, pvec), sigma)
-        )
-        result = PoincareMap(lam.matrix, shift)
-        if order.strictly_precedes(q, result.apply(p)) and order.strictly_precedes(
-            result.apply(q), p
-        ):
-            return result
-    return None
+    qvec = (q.t, *q.x)  # type: ignore[misc]
+    w = tuple(Fraction(b - a) for a, b in zip(pvec, qvec))
+    t = w[0]
+    align = _householder(dim, _loop_direction(t, w[1:]))
+    y = _matvec(align, w)
+    delta, tau = y[1] - t, y[1] + t
+    rho = sum((c * c for c in y[3:]), Fraction(0))
+    k = (4 * rho / delta + 2 * tau + 1) / delta
+    flip = (
+        PoincareMap.spatial_reflection(1, 0)
+        if dim == 1
+        else PoincareMap.half_turn(dim, (0, 1))
+    )
+    # The factors are multiplied unchecked: the returned map verifies
+    # the product's isometry condition once.
+    boost = PoincareMap.boost(dim, k, 0)
+    lam = _matmul(align, _matmul(flip.matrix, _matmul(boost.matrix, align)))
+    sigma = tuple(a + b for a, b in zip(w, _matvec(lam, w)))
+    shift = tuple(
+        qc - lc - sc / 2 for qc, lc, sc in zip(qvec, _matvec(lam, pvec), sigma)
+    )
+    return PoincareMap(lam, shift)

@@ -309,6 +309,11 @@ class LoopCertificate:
 
 @dataclass(frozen=True)
 class LoopObstruction:
+    """Why no admissible isometry closes the loop.  The reason is one of
+    three exact facts: the sender and relay points coincide, the relay
+    point is causally after the sender, or the pair is spacelike in one
+    spatial dimension and reflections are not allowed."""
+
     reason: str
 
 
@@ -322,9 +327,11 @@ def loop_paradox_certificate(
     """Close the protocol into a causal loop when an isometry permits.
 
     Returns a LoopCertificate whose four relations are machine-checked,
-    or a LoopObstruction explaining why no admissible transform exists
-    (one spatial dimension without reflections, or a relay point that
-    is not spacelike from the sender).
+    or a LoopObstruction in exactly the three cases where
+    find_loop_transform has no map: the sender and relay points
+    coincide, the relay point is causally after the sender, or the
+    pair is spacelike in one spatial dimension and reflections are not
+    allowed.  Raises GeometryError on any order other than Minkowski(d).
     """
     protocol = build_protocol(order, box, violation)
     p = box.inputs[protocol.sender].location
@@ -333,15 +340,13 @@ def loop_paradox_certificate(
     if transform is None:
         if p == q:
             reason = "sender and relay coincide; no isometry can separate them"
-        elif order.causally_precedes(p, q):
+        elif order.strictly_precedes(p, q):
             reason = "relay point is causally after the sender"
-        elif order.dim == 1 and not allow_reflection:
+        else:
             reason = (
                 "one spatial dimension: only a reflection can turn the "
                 "channel around"
             )
-        else:
-            reason = "no admissible isometry found"
         return LoopObstruction(reason)
     lp = transform.apply(p)
     lq = transform.apply(q)

@@ -1,9 +1,16 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalbox.geometry import Event, GeometryError, Minkowski
+from causalbox.geometry import (
+    Event,
+    FiniteOrder,
+    GeometryError,
+    Minkowski,
+    TerminatedDiagram,
+)
 from causalbox.poincare import PoincareMap, find_loop_transform
 
 
@@ -144,17 +151,66 @@ class TestLoopTransform:
         self.check(order, p, q, res)
         assert res.is_proper
 
+    @pytest.mark.parametrize(
+        "q, allow_reflection",
+        [
+            (ev(10**6, 10**6, Fraction(1, 10**6)), False),
+            (ev(10**20, 10**20, Fraction(1, 10**20)), False),
+            (ev(10**9, 10**9, Fraction(1, 10**9), Fraction(1, 10**9)), False),
+            (ev(10**30, 10**30 + 1), True),
+        ],
+    )
+    def test_near_null_pairs(self, q, allow_reflection):
+        order = Minkowski(len(q.x))
+        p = ev(*[0] * (order.dim + 1))
+        res = find_loop_transform(order, p, q, allow_reflection)
+        self.check(order, p, q, res)
+        assert res.is_orthochronous
+        assert res.is_proper == (order.dim >= 2)
 
-@settings(deadline=None, max_examples=60)
-@given(st.tuples(param, param, param), st.tuples(param, param, param))
-def test_loop_transform_verifies_when_found(p_pt, q_pt):
-    order = Minkowski(2)
-    p, q = ev(*p_pt), ev(*q_pt)
-    res = find_loop_transform(order, p, q)
-    if res is not None:
+    @pytest.mark.parametrize(
+        "order, p, q",
+        [
+            (TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]), ev(0, 2), ev(0, -2)),
+            (FiniteOrder([], ["p", "q"]), Event.named("p"), Event.named("q")),
+        ],
+    )
+    def test_other_orders_are_rejected(self, order, p, q):
+        with pytest.raises(GeometryError, match="Minkowski"):
+            find_loop_transform(order, p, q, allow_reflection=True)
+
+
+NEAR = 10**12
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.tuples(param, param, param, param),
+    st.tuples(param, param, param, param),
+    st.sampled_from([None, -1, 0, 1]),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_loop_transform_verifies_when_found(dim, p_pt, w_pt, near_null, exp):
+    """Every spacelike pair gets a map, on d = 1 with a reflection; a
+    near-null displacement puts t within 1/NEAR of +-|x| at unit scale
+    before everything is scaled by 10**exp."""
+    order = Minkowski(dim)
+    t, xs = w_pt[0], w_pt[1 : dim + 1]
+    if near_null is not None:
+        norm = sum(c * c for c in xs)
+        root = isqrt(NEAR * NEAR * norm.numerator // norm.denominator)
+        t = (1 if t >= 0 else -1) * Fraction(root + near_null, NEAR)
+    scale = Fraction(10) ** exp
+    p = ev(*(c * scale for c in p_pt[: dim + 1]))
+    q = ev(p.t + t * scale, *(a + b * scale for a, b in zip(p.x, xs)))
+    res = find_loop_transform(order, p, q, allow_reflection=dim == 1)
+    if p == q or order.strictly_precedes(p, q):
+        assert res is None
+    else:
+        assert res is not None
         assert order.strictly_precedes(q, res.apply(p))
         assert order.strictly_precedes(res.apply(q), p)
-    else:
-        # the construction only fails when no allowed map exists, which
-        # for the plane means q is in the closed causal future of p
-        assert p == q or order.causally_precedes(p, q)
+        assert res.is_orthochronous
+        if dim >= 2:
+            assert res.is_proper

@@ -7,8 +7,15 @@ from fractions import Fraction
 import pytest
 
 from causalbox.boxes import Alphabet, CorrelationBox, Srv, canonical_box
-from causalbox.geometry import Event, Minkowski
+from causalbox.geometry import (
+    Event,
+    FiniteOrder,
+    GeometryError,
+    Minkowski,
+    TerminatedDiagram,
+)
 from causalbox.ons import ViolationReport, check_ons, enumerate_constraints
+from causalbox.scenario import preset
 from causalbox import protocol as protocol_module
 from causalbox.protocol import (
     _Sampler,
@@ -354,12 +361,17 @@ class TestSimulate:
             simulate(proto, 10, seed=1)
 
 
+def copy_channel_box(sender, receiver):
+    """One input X at sender whose value the output A at receiver copies."""
+    ins = (Srv("X", BITS, sender),)
+    outs = (Srv("A", BITS, receiver),)
+    table = {(x,): {(x,): Fraction(1)} for x in "01"}
+    return CorrelationBox(ins, outs, table)
+
+
 class TestLoop:
     def test_plane_violation_closes_into_loop(self):
-        ins = (Srv("X", BITS, Event.at(0, 6, 0)),)
-        outs = (Srv("A", BITS, Event.at(1, 0, 0)),)
-        table = {(x,): {(x,): Fraction(1)} for x in "01"}
-        box = CorrelationBox(ins, outs, table)
+        box = copy_channel_box(Event.at(0, 6, 0), Event.at(1, 0, 0))
         rep = check_ons(M2, box)[0]
         cert = loop_paradox_certificate(M2, box, rep)
         assert isinstance(cert, LoopCertificate)
@@ -382,6 +394,41 @@ class TestLoop:
         cert = loop_paradox_certificate(M1, box, rep, allow_reflection=True)
         assert isinstance(cert, LoopCertificate)
         assert cert.consistent
+
+    def test_coinciding_points_are_an_obstruction(self):
+        scen = preset("degenerate_loop")
+        rep = check_ons(scen.order, scen.box)[0]
+        for reflect in (False, True):
+            blocked = loop_paradox_certificate(
+                scen.order, scen.box, rep, allow_reflection=reflect
+            )
+            assert isinstance(blocked, LoopObstruction)
+            assert "coincide" in blocked.reason
+
+    def test_relay_after_sender_is_an_obstruction(self, monkeypatch):
+        # build_protocol itself refuses such a gathering point, so stand
+        # in for it to reach the obstruction.
+        box = copy_channel_box(Event.at(0, 6, 0), Event.at(1, 0, 0))
+        rep = check_ons(M2, box)[0]
+        real = build_protocol(M2, box, rep)
+        late = dataclasses.replace(real, gathering_point=Event.at(10, 6, 0))
+        monkeypatch.setattr(protocol_module, "build_protocol", lambda *a: late)
+        blocked = loop_paradox_certificate(M2, box, rep, allow_reflection=True)
+        assert isinstance(blocked, LoopObstruction)
+        assert blocked.reason == "relay point is causally after the sender"
+
+    @pytest.mark.parametrize(
+        "order, sender, receiver",
+        [
+            (TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]), Event.at(0, 2), Event.at(0, -2)),
+            (FiniteOrder([], ["x", "a"]), Event.named("x"), Event.named("a")),
+        ],
+    )
+    def test_non_minkowski_order_is_rejected(self, order, sender, receiver):
+        box = copy_channel_box(sender, receiver)
+        rep = check_ons(order, box)[0]
+        with pytest.raises(GeometryError, match="Minkowski"):
+            loop_paradox_certificate(order, box, rep, allow_reflection=True)
 
     def test_clean_box_rejected(self):
         box = bell_box()
