@@ -19,11 +19,8 @@ from typing import Mapping, Sequence
 from .boxes import Srv
 from .geometry import CausalOrder
 from .ons import LayoutMismatch, named_constraints
+from .rational import _plain_int
 from .simplex import LpResult, solve_lp, verify_lp_certificate
-
-
-def _plain_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

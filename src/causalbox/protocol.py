@@ -22,6 +22,7 @@ from .boxes import CorrelationBox, _first_difference, _marginal_vector, marginal
 from .geometry import CausalOrder, Event, Minkowski
 from .ons import ConstraintInstance, ViolationReport
 from .poincare import PoincareMap, find_loop_transform
+from .rational import _plain_int
 from .separation import verify_separation_witness
 
 
@@ -185,8 +186,13 @@ class _Sampler:
 
     A 53-bit draw r stands for u = r / 2**53, and u lies below a running
     total c of the probabilities exactly when r < ceil(c * 2**53).  So
-    the first cell whose cut exceeds r is the exact inverse-CDF cell, for
-    every rational distribution.
+    the first cell whose cut exceeds r, bisect_right(cuts, r), is the
+    exact inverse-CDF cell, for every rational distribution.
+
+    The guide reads that cell off the top ten bits of r: entry j is the
+    cell shared by every r with r >> 43 == j, or -1 where a cut lies
+    strictly inside that bucket of 2**43 draws, and only then is r
+    bisected.
     """
 
     def __init__(self, dist: Mapping[tuple[str, ...], Fraction]):
@@ -196,23 +202,44 @@ class _Sampler:
         for a in self.outcomes:
             cum += dist[a]
             self.cuts.append(math.ceil(cum * 2**53))
+        self.guide: list[int] = []
+        lo = 0
+        for i, c in enumerate(self.cuts):
+            # Cell i holds the draws in [lo, c).  A previous cut lo off a
+            # bucket boundary splits its bucket; the buckets after that
+            # one and wholly below c belong to cell i.
+            if len(self.guide) < -(-lo >> 43):
+                self.guide.append(-1)
+            self.guide.extend([i] * ((c >> 43) - len(self.guide)))
+            lo = c
 
     def tally(self, rng: random.Random, trials: int) -> list[int]:
         """Cell counts of `trials` draws from rng, in outcome order."""
         counts = [0] * len(self.cuts)
-        cuts, bits = self.cuts, rng.getrandbits
+        cuts, guide, bits = self.cuts, self.guide, rng.getrandbits
         for _ in range(trials):
-            counts[bisect_right(cuts, bits(53))] += 1
+            r = bits(53)
+            i = guide[r >> 43]
+            if i < 0:
+                i = bisect_right(cuts, r)
+            counts[i] += 1
         return counts
 
 
-def _g_statistic(arms: Sequence[Sequence[int]], expected: Sequence[float]) -> float:
-    g = 0.0
-    for arm in arms:
-        for o, e in zip(arm, expected):
-            if o:
-                g += 2.0 * o * math.log(o / e)
-    return g
+class _GTerms(dict):
+    """The G-statistic terms 2 o log(o / e) of one cell with expected
+    count e, keyed by the count o and each computed on first use, so the
+    memo holds only the counts that actually occur."""
+
+    __slots__ = ("expected",)
+
+    def __init__(self, expected: float):
+        super().__init__()
+        self.expected = expected
+
+    def __missing__(self, o: int) -> float:
+        t = self[o] = 2.0 * o * math.log(o / self.expected)
+        return t
 
 
 def simulate(
@@ -225,18 +252,31 @@ def simulate(
 ) -> SimulationResult:
     """Run both arms of the protocol and test sample homogeneity.
 
-    Each arm's counts come from its own seeded stream, and the
-    Monte-Carlo rounds share a third.  Pearson's two-sample chi-square on
-    pooled expected counts decides; when some expected count drops below
-    5 the p-value comes from a Monte-Carlo likelihood-ratio test instead.
+    Each arm's `trials` counts come from its own seeded stream.  When
+    every pooled expected count is at least 5, Pearson's two-sample
+    chi-square decides (method "chi2", p-value from mpmath's regularized
+    upper incomplete gamma).  Otherwise the p-value comes from a
+    Monte-Carlo likelihood-ratio test (method "exact_mc"): each of the
+    `mc_rounds` rounds draws arm a's `trials` cells and then arm b's from
+    the pooled distribution on one shared "mc" stream, and hits when its
+    G statistic reaches the observed one less 1e-12; p = (hits + 1) /
+    (mc_rounds + 1).  Every draw's cell, in both arms and in the rounds,
+    is read from its sampler's guide by the draw's top ten bits, and
+    found by bisection only where a cut splits that bucket.  The G terms
+    2 o log(o / e) are memoised per (cell, count) pair on first use and
+    summed in a fixed order (arm a's cells, then arm b's, skipping zero
+    counts), the order the observed G is summed in.  A single observed cell gives method "degenerate" with
+    p = 1.
 
-    Raises ValueError unless trials is positive, seed lies in
-    [0, 2**64) and each arm's distribution is nonnegative and sums to 1.
+    Raises ValueError, before any draw, unless trials and mc_rounds are
+    ints >= 1 and seed is an int in [0, 2**64) (bools are rejected), and
+    unless each arm's distribution is nonnegative and sums to 1.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    for name, value in (("trials", trials), ("mc_rounds", mc_rounds)):
+        if not _plain_int(value) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    if not _plain_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
     for name, dist in (("dist_a", protocol.dist_a), ("dist_b", protocol.dist_b)):
         if any(p < 0 for p in dist.values()) or sum(dist.values()) != 1:
             raise ValueError(f"{name} must be nonnegative and sum to 1")
@@ -267,13 +307,32 @@ def simulate(
         method = "chi2"
         stat = x2
     else:
-        stat = _g_statistic(observed, expected)
+        terms = [_GTerms(e) for e in expected]
+        stat = 0.0
+        for arm in observed:
+            for o, row in zip(arm, terms):
+                if o:
+                    stat += row[o]
+        threshold = stat - 1e-12
         pooled_sampler = _Sampler(dict(zip(cells, pooled)))
-        rng = _stream(seed, "mc")
+        cuts, guide = pooled_sampler.cuts, pooled_sampler.guide
+        bits = _stream(seed, "mc").getrandbits
+        k = len(cuts)
         hits = 0
         for _ in range(mc_rounds):
-            sim = (pooled_sampler.tally(rng, trials), pooled_sampler.tally(rng, trials))
-            if _g_statistic(sim, expected) >= stat - 1e-12:
+            g = 0.0
+            for _arm in "ab":
+                arm = [0] * k
+                for _ in range(trials):
+                    r = bits(53)
+                    i = guide[r >> 43]
+                    if i < 0:
+                        i = bisect_right(cuts, r)
+                    arm[i] += 1
+                for o, row in zip(arm, terms):
+                    if o:
+                        g += row[o]
+            if g >= threshold:
                 hits += 1
         p = (hits + 1) / (mc_rounds + 1)
         method = "exact_mc"

@@ -15,6 +15,11 @@ from typing import Union
 RationalLike = Union[int, str, Fraction]
 
 
+def _plain_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value: RationalLike | float) -> Fraction:
     """Convert user-facing input to an exact Fraction.
 

@@ -6,11 +6,14 @@ Four corpora share this harness:
 - ons: the full argument list of each case in ons/cases.json (`check`,
   `constraints` and `protocol` on the built-in presets);
 - simulate: the full argument list of each case in simulate/cases.json
-  (both test branches, a clean box and an out-of-range seed);
+  (both test branches, a clean box, an out-of-range seed and a
+  four-cell exact_mc case on a scenario file);
 - monogamy: the full argument list of each case in monogamy/cases.json
   (every theory on the four named games, and the no-signalling LP on a
-  3x3 game file); an argument ending in `.json` names a file in
-  monogamy/ and is passed on as its absolute path.
+  3x3 game file).
+
+In the simulate and monogamy corpora an argument ending in `.json` names
+a file in the corpus directory and is passed on as its absolute path.
 
 Each case runs through the CLI from a fresh working directory, so the
 relative figure directory `fig` keeps the `svg` path in a report stable.
@@ -38,15 +41,20 @@ from pathlib import Path
 GOLDEN_DIR = Path(__file__).resolve().parent
 OUT_DIR = "fig"
 
+
+def _with_corpus_files(corpus: str):
+    """Argument mapper that resolves each `.json` argument in corpus/."""
+    return lambda args: [
+        str(GOLDEN_DIR / corpus / a) if a.endswith(".json") else a for a in args
+    ]
+
+
 # Corpus name -> the CLI argument list of one case's stored arguments.
 CORPORA = {
     "jam": lambda args: ["jam-geometry", *args, "--out", OUT_DIR],
     "ons": lambda args: list(args),
-    "simulate": lambda args: list(args),
-    "monogamy": lambda args: [
-        str(GOLDEN_DIR / "monogamy" / a) if a.endswith(".json") else a
-        for a in args
-    ],
+    "simulate": _with_corpus_files("simulate"),
+    "monogamy": _with_corpus_files("monogamy"),
 }
 
 

@@ -1,8 +1,9 @@
 """Golden `simulate` outputs: stdout and exit code, byte for byte.
 
 The cases cover the chi2 branch (the default 10 000 trials), the
-exact_mc branch (8 trials), the README example, a box with no violation
-and a seed outside the unsigned 64-bit range.  The expected files are
+exact_mc branch (8 trials) on the two-cell degenerate_loop preset and on
+a four-cell scenario file with non-dyadic tables, the README example, a
+box with no violation and a seed outside the unsigned 64-bit range.  The expected files are
 written by tests/golden/regen.py; a change to them is a declared change
 of the mapping from seed to counts or of the canonical output.
 """

@@ -1,5 +1,6 @@
 """Protocol extraction, finite-sample testing, and causal loops."""
 
+import bisect
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -234,6 +235,25 @@ class TestSampler:
         dist = {("0",): Fraction(1, 4), ("1",): Fraction(3, 4)}
         assert _Sampler(dist).cuts == [2**51, 2**53]
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            *NON_DYADIC.values(),
+            [Fraction(1, 1024), Fraction(3, 1024), Fraction(1020, 1024)],
+            [Fraction(1, 3 * 2**20), Fraction(1, 3 * 2**20), Fraction(1, 2**19),
+             Fraction(3 * 2**19 - 4, 3 * 2**19)],
+        ],
+        ids=[*NON_DYADIC, "bucket_aligned", "crowded_bucket"],
+    )
+    def test_guide_is_the_cell_of_every_bucket_it_names(self, probs):
+        sampler = _Sampler({(str(i),): p for i, p in enumerate(probs)})
+        cuts = sampler.cuts
+        expected = []
+        for lo in range(0, 2**53, 2**43):
+            i = bisect.bisect_right(cuts, lo)
+            expected.append(i if cuts[i] >= lo + 2**43 else -1)
+        assert sampler.guide == expected
+
     def test_tally_counts_every_draw(self):
         dist = {(str(i),): p for i, p in enumerate(NON_DYADIC["sevenths"])}
         draws = [0, 2**53 - 1, 2**52, 5, 2**51 * 3]
@@ -336,6 +356,27 @@ class TestSimulate:
     def test_bad_trial_count(self):
         with pytest.raises(ValueError):
             simulate(toy_protocol(), 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("mc_rounds", -1),
+            ("mc_rounds", 0),
+            ("trials", True),
+            ("trials", 8.0),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_bad_argument_is_rejected_before_any_draw(self, monkeypatch, name, value):
+        # At 8 trials toy_protocol takes the exact_mc branch, where
+        # mc_rounds=-1 used to divide by zero and mc_rounds=0 gave p = 1.
+        made = []
+        monkeypatch.setattr(protocol_module, "_stream", lambda *key: made.append(key))
+        args = {"trials": 8, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            simulate(toy_protocol(), **args)
+        assert made == []
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_64_bits_is_rejected(self, seed):
