@@ -207,7 +207,9 @@ class FiniteOrder(CausalOrder):
 
     Built from generating pairs ``(a, b)`` read as "a strictly precedes b";
     the constructor takes the transitive closure and rejects any relation
-    that would make some element precede itself.
+    that would make some element precede itself.  ``elements`` lists every
+    element once, sorted by ``repr``: the order in which searches over
+    the elements try them.
     """
 
     def __init__(
@@ -239,12 +241,12 @@ class FiniteOrder(CausalOrder):
                 raise CycleError(f"cycle through {start!r}")
             closed[start] = seen
         self._after = closed
-        self.elements: frozenset[Hashable] = frozenset(universe)
+        self.elements: tuple[Hashable, ...] = tuple(sorted(universe, key=repr))
 
     def validate_event(self, e: Event) -> None:
         if e.is_point():
             raise GeometryError(f"{e!r} is not an element of a finite order")
-        if e.label not in self.elements:
+        if e.label not in self._after:
             raise GeometryError(f"unknown element {e.label!r}")
 
     def _precedes(self, p: Event, q: Event) -> bool:
@@ -260,7 +262,7 @@ class FiniteOrder(CausalOrder):
             raise GeometryError("common_future of an empty family")
         for e in events:
             self.validate_event(e)
-        for cand in sorted(self.elements, key=repr):
+        for cand in self.elements:
             c = Event.named(cand)
             if all(self.causally_precedes(e, c) for e in events):
                 return c
@@ -271,6 +273,19 @@ def null_coords(e: Event) -> tuple[Fraction, Fraction]:
     """Lightcone coordinates (u, v) = (t - x, t + x) of a 1+1 point event."""
     assert e.t is not None and e.x is not None and len(e.x) == 1
     return e.t - e.x[0], e.t + e.x[0]
+
+
+def _scaled_null_coords(events: Sequence[Event]) -> tuple[int, list[tuple[int, int]]]:
+    """One common denominator D of the coordinates of validated 1+1 point
+    events, and the lightcone coordinates (u, v) of each event times D,
+    as ints."""
+    den = lcm(*(c.denominator for e in events for c in (e.t, *e.x)))  # type: ignore[union-attr]
+    coords = []
+    for e in events:
+        t = e.t.numerator * (den // e.t.denominator)  # type: ignore[union-attr]
+        x = e.x[0].numerator * (den // e.x[0].denominator)  # type: ignore[index]
+        coords.append((t - x, t + x))
+    return den, coords
 
 
 def event_from_null(u: Fraction, v: Fraction) -> Event:
@@ -317,27 +332,27 @@ class TerminatedDiagram(CausalOrder):
         self._keys = [x for x, _ in scaled]
         self._pieces = pieces
 
-    def _piece(self, x) -> tuple[int, int, int]:
-        # An integer key k has k <= D*x exactly when k <= floor(D*x).
-        return self._pieces[
-            bisect_right(self._keys, self._D * x.numerator // x.denominator)
-        ]
+    def _piece(self, x: int, den: int) -> tuple[int, int, int]:
+        """The piece over x/den, for ints x and den > 0."""
+        # An integer key k has k <= D*x/den exactly when k <= its floor.
+        return self._pieces[bisect_right(self._keys, self._D * x // den)]
 
     def sigma(self, x) -> Fraction:
         """Boundary height above spatial position x."""
         x = parse_rational(x)
-        da, db, c = self._piece(x)
+        da, db, c = self._piece(x.numerator, x.denominator)
         return (c + da * x) / db
 
-    def _below(self, t, x) -> bool:
-        """t < sigma(x) for exact t and x, in integers."""
-        da, db, c = self._piece(x)
-        tn, td, xn, xd = t.numerator, t.denominator, x.numerator, x.denominator
-        return db * tn * xd - da * xn * td < c * td * xd
+    def _below(self, t: int, x: int, den: int) -> bool:
+        """t/den < sigma(x/den) for ints t, x and den > 0, in integers."""
+        da, db, c = self._piece(x, den)
+        return db * t - da * x < c * den
 
     def in_domain(self, e: Event) -> bool:
         _check_point(e, 1)
-        return self._below(e.t, e.x[0])  # type: ignore[index]
+        t, x = e.t, e.x[0]  # type: ignore[index]
+        td, xd = t.denominator, x.denominator  # type: ignore[union-attr]
+        return self._below(t.numerator * xd, x.numerator * td, td * xd)  # type: ignore[union-attr]
 
     def validate_event(self, e: Event) -> None:
         if not self.in_domain(e):
@@ -350,22 +365,23 @@ class TerminatedDiagram(CausalOrder):
         self.validate_event(q)
         return _cone_precedes(p, q)
 
-    def _null_below(self, u, v) -> bool:
-        """Whether the point with exact lightcone coordinates (u, v) lies
-        in the domain.  The domain is a lower set in (u, v) because the
-        boundary slopes stay below light speed."""
-        return self._below(Fraction(u + v, 2), Fraction(v - u, 2))
+    def _null_below(self, u: int, v: int, den: int) -> bool:
+        """Whether the point with lightcone coordinates (u/den, v/den), for
+        ints u, v and den > 0, lies in the domain.  The domain is a lower
+        set in (u, v) because the boundary slopes stay below light speed."""
+        return self._below(u + v, v - u, 2 * den)
 
     def common_future(self, events: Sequence[Event]) -> Event | None:
         if not events:
             raise GeometryError("common_future of an empty family")
         for e in events:
             self.validate_event(e)
-        u = max(null_coords(e)[0] for e in events)
-        v = max(null_coords(e)[1] for e in events)
+        den, coords = _scaled_null_coords(events)
+        u = max(u for u, _ in coords)
+        v = max(v for _, v in coords)
         # (u, v) is the minimum of all ambient upper bounds, and the domain
         # is a lower set in lightcone coordinates, so either this corner is
         # in the region or nothing above every member is.
-        if self._null_below(u, v):
-            return event_from_null(u, v)
+        if self._null_below(u, v, den):
+            return event_from_null(Fraction(u, den), Fraction(v, den))
         return None

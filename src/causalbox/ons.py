@@ -10,12 +10,15 @@ scratch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Sequence
 
 from .boxes import (
+    Alphabet,
     CorrelationBox,
     Srv,
     _first_difference,
@@ -98,39 +101,37 @@ class ViolationReport:
         return a in left and left[a] == self.p_x and right[a] == self.p_x_prime
 
 
-def _label_indices(inputs: Sequence[Srv], x: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(inputs[i].alphabet.index(v) for i, v in enumerate(x))
-
-
+@functools.lru_cache(maxsize=1024)
 def _move_pairs(
-    inputs: Sequence[Srv], F: tuple[int, ...]
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Canonical move pairs for F: group settings into classes that agree
-    outside F, then pair settings differing in exactly one F coordinate
-    or in every F coordinate."""
-    settings = list(itertools.product(*(s.alphabet.labels for s in inputs)))
-    classes: dict[tuple, list[tuple[str, ...]]] = {}
-    non_f = [i for i in range(len(inputs)) if i not in F]
-    for x in settings:
-        classes.setdefault(tuple(x[i] for i in non_f), []).append(x)
-    pairs: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-    for members in classes.values():
-        for x in members:
-            for f in F:
-                alpha = inputs[f].alphabet
-                for v in alpha.labels[alpha.index(x[f]) + 1 :]:
-                    y = list(x)
-                    y[f] = v
-                    pairs.add((x, tuple(y)))
+    alphabets: tuple[Alphabet, ...], F: tuple[int, ...]
+) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+    """Canonical move pairs for F over inputs with these alphabets: pairs
+    of settings that agree outside F and differ in exactly one F
+    coordinate or in every F coordinate, the lower setting first.
+
+    Settings are built as tuples of alphabet positions, so plain tuple
+    order is the canonical order, and labelled only at the end.  The
+    table is shared by every caller with the same alphabets and F, so it
+    is an immutable tuple.
+    """
+    sizes = [len(a) for a in alphabets]
+    pairs = []
+    for x in itertools.product(*map(range, sizes)):
+        for f in F:
+            pairs += ((x, (*x[:f], v, *x[f + 1 :])) for v in range(x[f] + 1, sizes[f]))
         if len(F) >= 2:
-            for x, y in itertools.combinations(members, 2):
-                if all(x[f] != y[f] for f in F):
-                    lo, hi = sorted(
-                        (x, y), key=lambda s: _label_indices(inputs, s)
-                    )
-                    pairs.add((lo, hi))
-    key = lambda p: (_label_indices(inputs, p[0]), _label_indices(inputs, p[1]))
-    return sorted(pairs, key=key)
+            # Every F coordinate changes; the two settings agree before
+            # the first one, so it decides which is lower.
+            ranges: list = [(v,) for v in x]
+            for f in F:
+                ranges[f] = [v for v in range(sizes[f]) if v != x[f]]
+            ranges[F[0]] = range(x[F[0]] + 1, sizes[F[0]])
+            pairs += ((x, y) for y in itertools.product(*ranges))
+    labels = [a.labels for a in alphabets]
+    return tuple(
+        (tuple(map(getitem, labels, x)), tuple(map(getitem, labels, y)))
+        for x, y in sorted(pairs)
+    )
 
 
 def enumerate_constraints(
@@ -152,11 +153,11 @@ def enumerate_constraints(
     first = [*box.outputs[:1], *box.inputs, *box.outputs[1:]]
     for e in dict.fromkeys(s.location for s in first):
         order.validate_event(e)
-    instances: list[ConstraintInstance] = []
+    emitted: dict[tuple, list[ConstraintInstance]] = {}
     # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
     # ones are ever added, because every other one is skipped.
     blocked: list[tuple[int, int]] = []
-    moves: dict[tuple[int, ...], list] = {}
+    alphabets = tuple(s.alphabet for s in box.inputs)
     avoids: dict[tuple[int, ...], list[Event]] = {}
     for size_g in range(1, n_out + 1):
         for G in itertools.combinations(range(n_out), size_g):
@@ -177,16 +178,25 @@ def enumerate_constraints(
                     if result.verdict is Verdict.NOT_SEPARATED:
                         blocked.append((f_mask, g_mask))
                         continue
-                    if F not in moves:
-                        moves[F] = _move_pairs(box.inputs, F)
-                    for x, y in moves[F]:
-                        instances.append(
-                            ConstraintInstance(F, G, x, y, result)
-                        )
-    # Each (F, G) already lists its moves in _move_pairs' sorted order,
-    # so a stable sort on (F, G) gives the canonical order.
-    instances.sort(key=lambda c: (c.F, c.G))
-    return instances
+                    emitted[F, G] = [
+                        ConstraintInstance(F, G, x, y, result)
+                        for x, y in _move_pairs(alphabets, F)
+                    ]
+    # Each (F, G) already lists its moves in _move_pairs' sorted order.
+    return [inst for key in sorted(emitted) for inst in emitted[key]]
+
+
+class _Vectors(dict):
+    """The marginal vectors of one box on one output set G, keyed by
+    setting, each computed on first use."""
+
+    def __init__(self, box: CorrelationBox, G: tuple[int, ...]):
+        super().__init__()
+        self.box, self.G = box, G
+
+    def __missing__(self, x: tuple[str, ...]) -> tuple[int, ...]:
+        vec = self[x] = _marginal_vector(self.box, self.G, x)
+        return vec
 
 
 def check_instances(
@@ -196,21 +206,26 @@ def check_instances(
     carrying the first differing outcome in canonical order.
 
     Marginals are compared as integer vectors over the box's common
-    denominator, and each distinct (G, x, x') is decided once.
+    denominator, read from one table per output set G, so each distinct
+    (G, x) vector is computed once; the first difference of each
+    distinct violated (G, x, x') is found once.
     """
     reports = []
-    decided: dict = {}
+    tables: dict[tuple[int, ...], _Vectors] = {}
+    diffs: dict = {}
+    G = table = None
     for inst in instances:
-        key = (inst.G, inst.x, inst.x_prime)
-        if key in decided:
-            diff = decided[key]
-        else:
-            left = _marginal_vector(box, inst.G, inst.x)
-            right = _marginal_vector(box, inst.G, inst.x_prime)
-            diff = decided[key] = (
-                None if left == right else _first_difference(box, inst.G, left, right)
-            )
-        if diff is not None:
+        if inst.G != G:
+            G = inst.G
+            table = tables.get(G)
+            if table is None:
+                table = tables[G] = _Vectors(box, G)
+        left, right = table[inst.x], table[inst.x_prime]
+        if left != right:
+            key = (G, inst.x, inst.x_prime)
+            diff = diffs.get(key)
+            if diff is None:
+                diff = diffs[key] = _first_difference(box, G, left, right)
             reports.append(ViolationReport(inst, *diff))
     return reports
 
@@ -313,6 +328,7 @@ def named_constraints(
     """
     inputs = tuple(inputs)
     outputs = tuple(outputs)
+    alphabets = tuple(s.alphabet for s in inputs)
     if family == "six_config_triangle":
         if len(inputs) != 3 or len(outputs) != 3:
             raise LayoutMismatch("triangle family needs 3 inputs and 3 outputs")
@@ -362,7 +378,7 @@ def named_constraints(
         )
         _require_jammed(order, gather, [inputs[jammer].location], f"{label} (jam)")
         insts = tuple(
-            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(inputs, F)
+            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(alphabets, F)
         )
         lines.append(FamilyLine(label, F, G, cert, insts))
     for label, F, G in single_lines:
@@ -371,7 +387,7 @@ def named_constraints(
             order, gather, [inputs[f].location for f in F], label
         )
         insts = tuple(
-            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(inputs, F)
+            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(alphabets, F)
         )
         lines.append(FamilyLine(label, F, G, cert, insts))
     return NamedFamily(family, tuple(lines))

@@ -369,9 +369,13 @@ class LoopCertificate:
 @dataclass(frozen=True)
 class LoopObstruction:
     """Why no admissible isometry closes the loop.  The reason is one of
-    three exact facts: the sender and relay points coincide, the relay
-    point is causally after the sender, or the pair is spacelike in one
-    spatial dimension and reflections are not allowed."""
+    two exact facts: the sender and relay points coincide, or the pair is
+    spacelike in one spatial dimension and reflections are not allowed.
+
+    A relay point causally after the sender is not a third case: the
+    relay point is the protocol's gathering point, and build_protocol
+    refuses a gathering point that the sender strictly precedes, so no
+    violation reaches find_loop_transform with such a pair."""
 
     reason: str
 
@@ -386,11 +390,14 @@ def loop_paradox_certificate(
     """Close the protocol into a causal loop when an isometry permits.
 
     Returns a LoopCertificate whose four relations are machine-checked,
-    or a LoopObstruction in exactly the three cases where
-    find_loop_transform has no map: the sender and relay points
-    coincide, the relay point is causally after the sender, or the
-    pair is spacelike in one spatial dimension and reflections are not
-    allowed.  Raises GeometryError on any order other than Minkowski(d).
+    or a LoopObstruction in exactly the cases where find_loop_transform
+    has no map: the sender and relay points coincide, or the pair is
+    spacelike in one spatial dimension and reflections are not allowed.
+    find_loop_transform also has no map when the sender strictly
+    precedes the relay point, but build_protocol raises
+    PreconditionViolated on such a gathering point first, so that case
+    never reaches it.  Raises GeometryError on any order other than
+    Minkowski(d).
     """
     protocol = build_protocol(order, box, violation)
     p = box.inputs[protocol.sender].location
@@ -399,8 +406,6 @@ def loop_paradox_certificate(
     if transform is None:
         if p == q:
             reason = "sender and relay coincide; no isometry can separate them"
-        elif order.strictly_precedes(p, q):
-            reason = "relay point is causally after the sender"
         else:
             reason = (
                 "one spatial dimension: only a reflection can turn the "

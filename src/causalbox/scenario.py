@@ -95,7 +95,7 @@ def order_to_json(order: CausalOrder) -> dict:
             "vertices": [[rat_str(x), rat_str(s)] for x, s in order.vertices],
         }
     if isinstance(order, FiniteOrder):
-        elements = sorted(order.elements, key=repr)
+        elements = list(order.elements)
         relations = sorted(
             (
                 [a, b]

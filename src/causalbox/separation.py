@@ -28,8 +28,8 @@ from .geometry import (
     Minkowski,
     TerminatedDiagram,
     _cone_future,
+    _scaled_null_coords,
     event_from_null,
-    null_coords,
 )
 from .rational import QuadExt
 
@@ -390,35 +390,38 @@ def _quadrant_decide(
     coordinates, so gathering events form the upper quadrant of the
     componentwise maximum of the gathered family, intersected with the
     domain.  Escapes are swept over the finitely many quadrant columns
-    where the set of blocking constraints changes.
+    where the set of blocking constraints changes.  Coordinates are
+    ints over one common denominator of the call's events.
     """
     terminated = isinstance(order, TerminatedDiagram)
-    prec = order._precedes
-    gu = [null_coords(q) for q in gather]
+    den, coords = _scaled_null_coords([*gather, *avoid])
+    gu, blockers = coords[: len(gather)], coords[len(gather) :]
     ustar = max(u for u, _ in gu)
     vstar = max(v for _, v in gu)
-    if terminated and not order._null_below(ustar, vstar):
+    if terminated and not order._null_below(ustar, vstar, den):
         return SeparationResult(
             Verdict.NOT_SEPARATED,
             reason="no_common_future",
             detail="the gathered family has no joint future inside the domain",
         )
-    for p in avoid:
-        up, vp = null_coords(p)
-        if up >= ustar and vp >= vstar and not any(prec(pk, p) for pk in avoid):
+    for p, (up, vp) in zip(avoid, blockers):
+        # The families are duplicate-free, so only p itself has p's
+        # coordinates, and any other blocker below them strictly precedes p.
+        if up >= ustar and vp >= vstar and not any(
+            uk <= up and vk <= vp and (uk, vk) != (up, vp) for uk, vk in blockers
+        ):
             return SeparationResult(
                 Verdict.SEPARATED, witness=p, reason="gather_at_avoid_point"
             )
-    blockers = [null_coords(p) for p in avoid]
     for u in sorted({ustar} | {ub for ub, _ in blockers if ub > ustar}):
-        if terminated and not order._null_below(u, vstar):
+        if terminated and not order._null_below(u, vstar, den):
             # The domain margin only shrinks further along the sweep.
             break
         active = [vb for ub, vb in blockers if ub <= u]
         if not active or vstar < min(active):
             return SeparationResult(
                 Verdict.SEPARATED,
-                witness=event_from_null(u, vstar),
+                witness=event_from_null(Fraction(u, den), Fraction(vstar, den)),
                 reason="quadrant_escape",
             )
     return SeparationResult(Verdict.NOT_SEPARATED, reason="quadrant_cover")
@@ -470,7 +473,7 @@ def _separated(
         )
 
     if isinstance(order, FiniteOrder):
-        for label in sorted(order.elements, key=repr):
+        for label in order.elements:
             cand = Event.named(label)
             if _gathers(prec, gather, avoid, cand):
                 return SeparationResult(

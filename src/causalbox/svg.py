@@ -218,7 +218,7 @@ def terminated_figure(
 
 def hasse_diagram(order: FiniteOrder, title: str) -> str:
     """Layered diagram of the finite order's covering relation."""
-    elements = sorted(order.elements, key=repr)
+    elements = order.elements
     if not elements:
         return axes_only(title)
     before = {

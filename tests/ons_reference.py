@@ -8,6 +8,11 @@ first differing outcome in canonical order.  `protocol_search` is the
 marginal half of `exhaustive_protocol_search`: the first instance whose
 endpoint marginals differ, its first differing outcome, and the hybrid
 step that `hybrid_localize` should pick, with both arm distributions.
+
+`move_pairs` is the label-tuple move-pair builder that the memoised
+index-tuple table in `causalbox.ons` replaced: it groups the settings
+into classes that agree outside F, collects the pairs in a set, and
+sorts them by the alphabet positions of their labels.
 """
 
 from __future__ import annotations
@@ -16,6 +21,34 @@ import itertools
 from fractions import Fraction
 
 from causalbox.ons import ViolationReport
+
+
+def _label_indices(inputs, x) -> tuple[int, ...]:
+    return tuple(inputs[i].alphabet.index(v) for i, v in enumerate(x))
+
+
+def move_pairs(inputs, F) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    settings = list(itertools.product(*(s.alphabet.labels for s in inputs)))
+    classes: dict[tuple, list[tuple[str, ...]]] = {}
+    non_f = [i for i in range(len(inputs)) if i not in F]
+    for x in settings:
+        classes.setdefault(tuple(x[i] for i in non_f), []).append(x)
+    pairs: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    for members in classes.values():
+        for x in members:
+            for f in F:
+                alpha = inputs[f].alphabet
+                for v in alpha.labels[alpha.index(x[f]) + 1 :]:
+                    y = list(x)
+                    y[f] = v
+                    pairs.add((x, tuple(y)))
+        if len(F) >= 2:
+            for x, y in itertools.combinations(members, 2):
+                if all(x[f] != y[f] for f in F):
+                    lo, hi = sorted((x, y), key=lambda s: _label_indices(inputs, s))
+                    pairs.add((lo, hi))
+    key = lambda p: (_label_indices(inputs, p[0]), _label_indices(inputs, p[1]))
+    return sorted(pairs, key=key)
 
 
 def marginalize(box, G, x) -> dict[tuple[str, ...], Fraction]:

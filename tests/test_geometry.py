@@ -214,8 +214,10 @@ class TestTerminatedDiagram:
             assert phi(u0 + du, v0 + dv) < base
         for u in range(-6, 7):
             for v in range(-6, 7):
-                for uv in [(u, v), (Fraction(u, 3), Fraction(v, 2))]:
-                    assert td._null_below(*uv) == (phi(*uv) > 0), uv
+                # (u, v) and (u/3, v/2) as integers over a denominator.
+                for uvd in [(u, v, 1), (2 * u, 3 * v, 6)]:
+                    uv = (Fraction(uvd[0], uvd[2]), Fraction(uvd[1], uvd[2]))
+                    assert td._null_below(*uvd) == (phi(*uv) > 0), uv
 
     def test_common_future_is_corner_or_nothing(self):
         td = self.vee()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import causalbox.ons
+import ons_reference as ref
 from causalbox.boxes import (
     Alphabet,
     CorrelationBox,
@@ -24,7 +25,6 @@ from causalbox.ons import (
     check_standard_ns,
     enumerate_constraints,
     named_constraints,
-    _move_pairs,
 )
 from causalbox.separation import Verdict, _separated, separated
 
@@ -180,7 +180,8 @@ class TestEnumeration:
 
 def all_pairs_reference(order, box):
     """The enumeration without pruning: separated() on every nonempty
-    (F, G) pair, sorted by (F, G, x, x') label indices."""
+    (F, G) pair, with the reference move pairs, sorted by (F, G, x, x')
+    label indices."""
     n_in, n_out = len(box.inputs), len(box.outputs)
     instances = []
     for size_g in range(1, n_out + 1):
@@ -191,7 +192,7 @@ def all_pairs_reference(order, box):
                     avoid = [box.inputs[f].location for f in F]
                     result = separated(order, gather, avoid)
                     if result.verdict is Verdict.SEPARATED:
-                        for x, y in _move_pairs(box.inputs, F):
+                        for x, y in ref.move_pairs(box.inputs, F):
                             instances.append(
                                 ConstraintInstance(F, G, x, y, result)
                             )

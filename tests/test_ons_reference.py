@@ -1,4 +1,5 @@
-"""The integer-vector ONS check against the Fraction reference.
+"""The integer-vector ONS check and the memoised move-pair table against
+the references.
 
 Seeded boxes on all four backends go through `check_instances` and
 `exhaustive_protocol_search` and through the reference code in
@@ -7,6 +8,10 @@ Tables are products of per-output factors that read a random subset of
 the inputs, so some moves keep a marginal and others change it, with
 denominators 3, 7 and 10.  Two variants drop a setting from the table,
 or add a negative entry and rows that do not sum to one.
+
+The move-pair table must equal the label-sorting reference for seeded
+alphabets of every size from 1 to 3, intervention alphabets among them,
+and every F, and the memo must hand each box its own alphabets' table.
 """
 
 import itertools
@@ -18,7 +23,7 @@ import pytest
 import ons_reference as ref
 from causalbox.boxes import Alphabet, CorrelationBox, Srv
 from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
-from causalbox.ons import check_instances, enumerate_constraints
+from causalbox.ons import _move_pairs, check_instances, enumerate_constraints
 from causalbox.protocol import exhaustive_protocol_search
 
 BACKENDS = ("minkowski1", "terminated", "finite", "minkowski2")
@@ -144,3 +149,75 @@ def test_reports_and_protocol_match_reference(backend, kind):
         held += len(instances) - len(want)
     # Both verdicts occur, so neither side can pass by saying one thing.
     assert violated and held
+
+
+def _alphabet(rng):
+    """A plain alphabet of 1 to 3 labels whose string order is not their
+    position order, or an intervention alphabet over 1 or 2 labels."""
+    if rng.random() < 0.3:
+        return Alphabet.interventions(Alphabet.of(*range(rng.randint(1, 2))))
+    labels = ["10", "2", "1"][: rng.randint(1, 3)]
+    rng.shuffle(labels)
+    return Alphabet.of(*labels)
+
+
+def test_move_pairs_match_reference():
+    sizes, interventions = set(), 0
+    for seed in range(40):
+        rng = random.Random(f"move_pairs:{seed}")
+        alphabets = tuple(_alphabet(rng) for _ in range(rng.randint(1, 4)))
+        sizes.update(map(len, alphabets))
+        interventions += any(a.is_intervention for a in alphabets)
+        inputs = tuple(
+            Srv(f"X{i}", a, Event.at(0, i)) for i, a in enumerate(alphabets)
+        )
+        n = len(alphabets)
+        for F in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(1, n + 1)
+        ):
+            got = _move_pairs(alphabets, F)
+            assert type(got) is tuple
+            assert list(got) == ref.move_pairs(inputs, F), (seed, F)
+    assert sizes == {1, 2, 3} and interventions
+
+
+def _one_party_box(alphabet):
+    """Two inputs with the given alphabet, spacelike to one output."""
+    ins = tuple(Srv(f"X{i}", alphabet, Event.at(0, 4 + 2 * i)) for i in range(2))
+    outs = (Srv("A", Alphabet.binary(), Event.at(0, 0)),)
+    table = {x: {} for x in itertools.product(alphabet.labels, repeat=2)}
+    return CorrelationBox(ins, outs, table)
+
+
+def test_move_pair_memo_keeps_each_boxs_alphabets():
+    # The ternary and intervention alphabets have the same size, so a
+    # table keyed by sizes would hand one box the other's labels.
+    alphabets = (
+        Alphabet.binary(),
+        Alphabet.of(0, 1, 2),
+        Alphabet.interventions(Alphabet.binary()),
+    )
+    boxes = [_one_party_box(a) for a in alphabets]
+    order = Minkowski(1)
+    cold = []
+    for box in boxes:
+        _move_pairs.cache_clear()
+        cold.append(enumerate_constraints(order, box))
+    _move_pairs.cache_clear()
+    warm = [enumerate_constraints(order, box) for box in boxes]
+    again = [enumerate_constraints(order, box) for box in reversed(boxes)][::-1]
+    assert cold == warm == again
+    for alpha, instances in zip(alphabets, cold):
+        assert instances and {
+            v for inst in instances for v in (*inst.x, *inst.x_prime)
+        } == set(alpha.labels)
+    # F = (0,), (1,) and (0, 1) for each of the three alphabets.
+    assert _move_pairs.cache_info().currsize == 9
+    table = _move_pairs(alphabets[1:3], (0, 1))
+    with pytest.raises(TypeError):
+        table[0] = table[1]  # type: ignore[index]
+    with pytest.raises(AttributeError):
+        table.append(table[0])  # type: ignore[attr-defined]
+    with pytest.raises(TypeError):
+        table[0][0] = table[0][1]  # type: ignore[index]
+    assert _move_pairs(alphabets[1:3], (0, 1)) is table

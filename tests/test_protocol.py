@@ -446,18 +446,6 @@ class TestLoop:
             assert isinstance(blocked, LoopObstruction)
             assert "coincide" in blocked.reason
 
-    def test_relay_after_sender_is_an_obstruction(self, monkeypatch):
-        # build_protocol itself refuses such a gathering point, so stand
-        # in for it to reach the obstruction.
-        box = copy_channel_box(Event.at(0, 6, 0), Event.at(1, 0, 0))
-        rep = check_ons(M2, box)[0]
-        real = build_protocol(M2, box, rep)
-        late = dataclasses.replace(real, gathering_point=Event.at(10, 6, 0))
-        monkeypatch.setattr(protocol_module, "build_protocol", lambda *a: late)
-        blocked = loop_paradox_certificate(M2, box, rep, allow_reflection=True)
-        assert isinstance(blocked, LoopObstruction)
-        assert blocked.reason == "relay point is causally after the sender"
-
     @pytest.mark.parametrize(
         "order, sender, receiver",
         [
