@@ -215,9 +215,9 @@ class TestTerminatedDiagram:
         for u in range(-6, 7):
             for v in range(-6, 7):
                 # (u, v) and (u/3, v/2) as integers over a denominator.
-                for uvd in [(u, v, 1), (2 * u, 3 * v, 6)]:
-                    uv = (Fraction(uvd[0], uvd[2]), Fraction(uvd[1], uvd[2]))
-                    assert td._null_below(*uvd) == (phi(*uv) > 0), uv
+                for nu, nv, den in [(u, v, 1), (2 * u, 3 * v, 6)]:
+                    uv = (Fraction(nu, den), Fraction(nv, den))
+                    assert td._null_below(nu, nv, den) == (phi(*uv) > 0), uv
 
     def test_common_future_is_corner_or_nothing(self):
         td = self.vee()
