@@ -48,7 +48,7 @@ _EXPORTS = {
         "Minkowski",
         "TerminatedDiagram",
     ),
-    "intervals": ("Enclosure", "IntervalSession", "PrecisionExhausted", "refine"),
+    "intervals": ("Enclosure", "IntervalSession", "refine"),
     "jamming": (
         "NJamConfig",
         "Unsupported",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when the requested check passes or a value is computed,
 1 when a violation or contradiction is found (expected in the demo
-studies), 2 when the precision cap is reached before a verdict, 3 for
-usage errors including malformed input, 4 for an internal error (an
-uncaught exception, reported as one line rather than a traceback).
+studies), 3 for usage errors including malformed input, 4 for an
+internal error (an uncaught exception, reported as one line rather than
+a traceback).
 
 All reports go to stdout as canonical JSON; figures are written
 atomically under --out.  The only randomized subcommand is simulate and
@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 # only what its command needs.
 from . import scenario as sc
 from .boxes import MODELS, validate_box
-from .intervals import PrecisionExhausted
 from .ons import check_instances, enumerate_constraints, named_constraints
 from .rational import parse_rational
 
@@ -35,7 +34,6 @@ if TYPE_CHECKING:
 
 PASS = 0
 FOUND = 1
-UNDECIDED = 2
 USAGE = 3
 INTERNAL = 4
 
@@ -278,7 +276,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_jam_geometry(args) -> int:
     from .jamming import build_config, verify_config
-    from .separation import Verdict
 
     config = build_config(args.n, args.h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
@@ -287,15 +284,6 @@ def cmd_jam_geometry(args) -> int:
     filename = _safe_name(f"njam-n{args.n}-h{args.h}-t{args.t}") + ".svg"
     path = _write_svg(args.out, filename, figure)
     _emit({"bundle": sc.bundle_to_json(bundle), "svg": path})
-    verdicts = (
-        bundle.closed_form.full,
-        *bundle.closed_form.subtuples,
-        bundle.oracle.full,
-        *bundle.oracle.subtuples,
-    )
-    # A capped route leaves the pattern undecided even where the routes agree.
-    if any(v is Verdict.UNKNOWN for v in verdicts):
-        return UNDECIDED
     return PASS if bundle.agreement else FOUND
 
 
@@ -452,9 +440,6 @@ def main(argv=None) -> int:
     except _CliError as err:
         print(err.message, file=sys.stderr)
         return err.code
-    except PrecisionExhausted as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return UNDECIDED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -8,7 +8,6 @@ comparison rather than a float one.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,35 +15,8 @@ from functools import lru_cache
 __all__ = [
     "Enclosure",
     "IntervalSession",
-    "PrecisionExhausted",
-    "precision_ladder",
     "refine",
 ]
-
-DEFAULT_MAX_BITS = 512
-_ENV_VAR = "CAUSALBOX_PRECISION"
-
-
-class PrecisionExhausted(RuntimeError):
-    """Raised when the precision ladder ends before a comparison resolves."""
-
-    def __init__(self, message: str, suggested_bits: int):
-        super().__init__(message)
-        self.suggested_bits = suggested_bits
-
-
-def precision_ladder() -> tuple[int, ...]:
-    """Bit sizes tried in order; the cap comes from CAUSALBOX_PRECISION."""
-    cap = int(os.environ.get(_ENV_VAR, DEFAULT_MAX_BITS))
-    if cap < 4:
-        raise ValueError("precision cap must be at least 4 bits")
-    steps = []
-    bits = 64
-    while bits < cap:
-        steps.append(bits)
-        bits *= 2
-    steps.append(cap)
-    return tuple(steps)
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -158,21 +130,19 @@ class IntervalSession:
 @lru_cache(maxsize=None)
 def _session(bits: int) -> IntervalSession:
     # A session holds nothing but its context, which is slow to build,
-    # so every refine call at one rung shares it.
+    # so every caller at one precision shares it.
     return IntervalSession(bits)
 
 
 def refine(decide):
-    """Run decide(session) up the precision ladder until it returns
-    something other than None.  Raises PrecisionExhausted if the ladder
-    ends first."""
-    ladder = precision_ladder()
-    for bits in ladder:
-        outcome = decide(_session(bits))
-        if outcome is not None:
-            return outcome
-    raise PrecisionExhausted(
-        f"comparison still undecided at {ladder[-1]} bits; "
-        f"set {_ENV_VAR} to at least {ladder[-1] * 2}",
-        ladder[-1] * 2,
-    )
+    """Run decide(session) at 64, 128, 256, ... bits until it returns
+    something other than None, and return that.
+
+    There is no cap: the caller must know that decide answers at some
+    finite precision, for example because the quantity it compares is
+    already known to differ from its bound, or refine never returns.
+    """
+    bits = 64
+    while (outcome := decide(_session(bits))) is None:
+        bits *= 2
+    return outcome

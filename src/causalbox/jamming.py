@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import DomainError
-from .intervals import Enclosure, IntervalSession, PrecisionExhausted, refine
+from .intervals import Enclosure, IntervalSession, _session, refine
 from .rational import format_rational, parse_rational
 from .separation import Verdict
 
@@ -88,21 +88,30 @@ def _cos_enclosure(session: IntervalSession, m: int, n: int) -> Enclosure:
 
 
 def _above_cos(h: Fraction, m: int, n: int) -> bool:
-    """Whether h > cos(m*pi/n), decided exactly.
+    """Whether h > cos(m*pi/n), decided exactly in integers.
 
-    A rational cosine is compared directly.  An irrational one never
-    equals h, so refining a single enclosure always separates them,
-    unless the precision cap runs out first (PrecisionExhausted).
+    A rational cosine is compared directly.  Otherwise f = fold(m, n)
+    lies in 1..n-1 and cos(f*pi/n) is a root of U_{n-1}.  The Chebyshev
+    polynomials U_0 .. U_{n-1} form a Sturm chain (Szego, Orthogonal
+    Polynomials, 3.3), so the sign changes of U_k(h), zeros skipped,
+    count the roots cos(j*pi/n) above h; h lies above the f-th root
+    exactly when fewer than f do.  The count cannot tell h from the
+    root itself, but an irrational root never equals h.  For h = p/q,
+    V_k = q^k U_k(h) keeps the signs and obeys V_0 = 1, V_1 = 2p,
+    V_{k+1} = 2p V_k - q^2 V_{k-1}.
     """
     exact = _rational_cos(m, n)
     if exact is not None:
         return h > exact
-
-    def decide(session: IntervalSession):
-        cos = session.enclosure(session.cos_pi_frac(m, n))
-        return None if h in cos else (cos.hi < h,)
-
-    return refine(decide)[0]
+    f = _fold(m, n)
+    two_p, q_sq = 2 * h.numerator, h.denominator**2
+    prev, cur = 0, 1
+    positive, changes = True, 0
+    for _ in range(n - 1):
+        prev, cur = cur, two_p * cur - q_sq * prev
+        if cur and (cur > 0) != positive:
+            positive, changes = not positive, changes + 1
+    return changes < f
 
 
 # -- range endpoints and boundary functions ----------------------------
@@ -116,7 +125,7 @@ def valid_h_range(n: int, *, prec: int = DEFAULT_PREC) -> tuple[Enclosure, Enclo
     Rational endpoints come back as exact point enclosures.
     """
     _require_n(n)
-    session = IntervalSession(prec)
+    session = _session(prec)
     return _cos_enclosure(session, 2, n), _cos_enclosure(session, 1, n)
 
 
@@ -133,7 +142,7 @@ def boundary_functions(
     t = parse_rational(t)
     if t < 1:
         raise DomainError("boundary functions are defined for t >= 1")
-    session = IntervalSession(prec)
+    session = _session(prec)
     tv = session.rational(t)
     t2 = tv * tv
     c1 = session.cos_pi_frac(1, n)
@@ -153,16 +162,15 @@ def boundary_functions(
 class NJamConfig:
     """Jammer at (h, 0, 0) over n receivers on the unit circle at t = 0.
 
-    h_in_range is None when the certified comparison against the window
-    endpoints ran out of precision; detail then carries the hint.
+    points holds prec-bit enclosures of the receivers; h_in_range says
+    whether h lies in the window (cos(2pi/n), cos(pi/n)], decided exactly.
     """
 
     n: int
     h: Fraction
     prec: int
     points: tuple[tuple[Enclosure, Enclosure], ...]
-    h_in_range: bool | None
-    detail: str = ""
+    h_in_range: bool
 
 
 def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
@@ -171,14 +179,9 @@ def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
     h = parse_rational(h)
     if not 0 < h < 1:
         raise ValueError("jammer height h must satisfy 0 < h < 1")
-    detail = ""
-    try:
-        # The window (cos(2pi/n), cos(pi/n)] is open below, closed above.
-        in_range = _above_cos(h, 2, n) and not _above_cos(h, 1, n)
-    except PrecisionExhausted as exc:
-        in_range = None
-        detail = str(exc)
-    session = IntervalSession(prec)
+    # The window (cos(2pi/n), cos(pi/n)] is open below, closed above.
+    in_range = _above_cos(h, 2, n) and not _above_cos(h, 1, n)
+    session = _session(prec)
     points = tuple(
         (
             session.enclosure(session.cos_pi_frac(2 * j, n)),
@@ -186,9 +189,7 @@ def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
         )
         for j in range(n)
     )
-    return NJamConfig(
-        n=n, h=h, prec=prec, points=points, h_in_range=in_range, detail=detail
-    )
+    return NJamConfig(n=n, h=h, prec=prec, points=points, h_in_range=in_range)
 
 
 # -- directional-limit oracle ---------------------------------------------
@@ -224,8 +225,10 @@ def _unit_bounds(session: IntervalSession, n: int) -> tuple[tuple[int, ...], ...
 
 
 def _escape_witness(n: int, h: Fraction, J, k: int) -> Witness:
-    """A witness event far out along the angle k*pi/n; h must lie above
-    the directional limit of J, which is attained along that angle.
+    """A witness event far out along the angle k*pi/n; h must lie strictly
+    above the directional limit of J, which is attained along that angle.
+    That is what makes the uncapped refine end, so callers decide it
+    first with _above_cos.
 
     At radius rho = 2^i, (x, y) is the integer point nearest to rho times
     the direction, and t bounds its distance to every receiver from above
@@ -262,13 +265,10 @@ def _oracle_verdict(n: int, h: Fraction, J) -> tuple[Verdict, str, Witness | Non
     """NOT_SEPARATED iff h is not above the directional limit of J, with
     the limit index as certificate; otherwise SEPARATED with a witness."""
     m, k = _limit_index(n, J)
-    try:
-        if not _above_cos(h, n - m, n):
-            note = f"height not above the directional limit cos({n - m}*pi/{n})"
-            return Verdict.NOT_SEPARATED, note, None
-        t, x, y = witness = _escape_witness(n, h, J, k)
-    except PrecisionExhausted as exc:
-        return Verdict.UNKNOWN, str(exc), None
+    if not _above_cos(h, n - m, n):
+        note = f"height not above the directional limit cos({n - m}*pi/{n})"
+        return Verdict.NOT_SEPARATED, note, None
+    t, x, y = witness = _escape_witness(n, h, J, k)
     note = f"escape witnessed at (t, x, y) = ({format_rational(t)}, {x}, {y})"
     return Verdict.SEPARATED, note, witness
 
@@ -300,26 +300,21 @@ def verify_config(
 ) -> VerdictBundle:
     """Check the jamming pattern along both certification routes.
 
-    The routes disagree only where both decide a verdict and the two
-    differ; an Unknown (a capped route) contradicts nothing.  ok means:
-    no verdict on either route is Unknown, the routes agree, the full
-    tuple is NotSeparated, and every subtuple dropping one receiver is
-    Separated.  Disagreements and Unknowns are reported, never papered
-    over.
+    Both routes decide every verdict exactly; agreement means they give
+    the same verdict on the full tuple and on every subtuple.  ok means:
+    the routes agree, the full tuple is NotSeparated, and every subtuple
+    dropping one receiver is Separated.  A disagreement is reported,
+    never papered over.
     """
     n, h = config.n, config.h
     notes: list[str] = []
 
-    try:
-        # The full tuple escapes iff h > cos(pi/n), a subtuple iff
-        # h > cos(2pi/n): the window is closed on top, open at the bottom.
-        closed_full, closed_sub = (
-            Verdict.SEPARATED if _above_cos(h, m, n) else Verdict.NOT_SEPARATED
-            for m in (1, 2)
-        )
-    except PrecisionExhausted as exc:
-        closed_full = closed_sub = Verdict.UNKNOWN
-        notes.append(f"closed form: {exc}")
+    # The full tuple escapes iff h > cos(pi/n), a subtuple iff
+    # h > cos(2pi/n): the window is closed on top, open at the bottom.
+    closed_full, closed_sub = (
+        Verdict.SEPARATED if _above_cos(h, m, n) else Verdict.NOT_SEPARATED
+        for m in (1, 2)
+    )
     closed = RouteVerdicts(full=closed_full, subtuples=(closed_sub,) * n)
 
     full_verdict, note, _ = _oracle_verdict(n, h, tuple(range(n)))
@@ -332,16 +327,11 @@ def verify_config(
         notes.append(f"oracle drop {drop}: {note}")
     oracle = RouteVerdicts(full=full_verdict, subtuples=tuple(subs))
 
-    closed_all = (closed.full, *closed.subtuples)
-    oracle_all = (oracle.full, *oracle.subtuples)
-    agreement = all(
-        a == b or Verdict.UNKNOWN in (a, b) for a, b in zip(closed_all, oracle_all)
-    )
+    agreement = closed == oracle
     if not agreement:
         notes.append("routes disagree")
     ok = (
         agreement
-        and Verdict.UNKNOWN not in closed_all + oracle_all
         and closed.full is Verdict.NOT_SEPARATED
         and all(v is Verdict.SEPARATED for v in closed.subtuples)
     )

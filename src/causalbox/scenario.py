@@ -520,7 +520,6 @@ def njam_config_to_json(config: NJamConfig) -> dict:
         "h": rat_str(config.h),
         "prec": config.prec,
         "h_in_range": config.h_in_range,
-        "detail": config.detail,
         "receivers": [
             [enclosure_to_json(cx), enclosure_to_json(cy)] for cx, cy in config.points
         ],

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from causalbox.geometry import DomainError
-from causalbox.intervals import Enclosure, IntervalSession, PrecisionExhausted
+from causalbox.intervals import Enclosure, IntervalSession
 from causalbox.jamming import (
     DEFAULT_PREC,
     _above_cos,
@@ -135,10 +135,7 @@ def grid_verdict(n: int, h: Fraction, J, bounds) -> Verdict:
     escapes = any(
         lower is not None and lower > (t - h) ** 2 for t, lower in bounds
     )
-    try:
-        tail_escape = _above_cos(h, n - _limit_index(n, J)[0], n)
-    except PrecisionExhausted:
-        return Verdict.UNKNOWN
+    tail_escape = _above_cos(h, n - _limit_index(n, J)[0], n)
     if escapes and not tail_escape:
         return Verdict.UNKNOWN
     return Verdict.SEPARATED if tail_escape else Verdict.NOT_SEPARATED

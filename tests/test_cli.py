@@ -18,7 +18,7 @@ from causalbox.boxes import Alphabet, CorrelationBox, Srv
 from causalbox.cli import main
 from causalbox.geometry import Event, Minkowski
 
-PASS, FOUND, UNDECIDED, USAGE, INTERNAL = 0, 1, 2, 3, 4
+PASS, FOUND, USAGE, INTERNAL = 0, 1, 3, 4
 
 BITS = Alphabet.binary()
 
@@ -304,21 +304,19 @@ class TestJamGeometry:
         )
         assert code == USAGE
 
-    def test_precision_cap_exits_two(self, capsys, tmp_path, monkeypatch):
-        # The capped closed form is all unknown while the oracle decides
-        # the full tuple: the routes differ without contradicting, so they
-        # agree, and the capped verdicts keep the bundle from being ok.
+    def test_precision_variable_changes_nothing(self, capsys, tmp_path, monkeypatch):
+        # CAUSALBOX_PRECISION=8 used to cap the closed form at 8 bits and
+        # exit 2; every comparison is exact now, so the variable is ignored.
+        argv = ("jam-geometry", "--n", "5", "--h", "3/10", "--out", str(tmp_path))
+        monkeypatch.delenv("CAUSALBOX_PRECISION", raising=False)
+        code, plain, _ = run(capsys, *argv)
         monkeypatch.setenv("CAUSALBOX_PRECISION", "8")
-        code, out, _ = run(
-            capsys, "jam-geometry", "--n", "5", "--h", "3/10", "--out", str(tmp_path)
-        )
-        assert code == UNDECIDED
-        bundle = json.loads(out)["bundle"]
-        assert bundle["closed_form"]["full"] == "unknown"
-        assert bundle["oracle"]["full"] == "not_separated"
+        capped_code, capped, _ = run(capsys, *argv)
+        assert code == capped_code == PASS
+        assert capped == plain
+        bundle = json.loads(capped)["bundle"]
+        assert bundle["closed_form"]["full"] == "not_separated"
         assert bundle["agreement"] is True
-        assert bundle["ok"] is False
-        assert "routes disagree" not in bundle["detail"]
 
     def test_deterministic_output(self, capsys, tmp_path):
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))

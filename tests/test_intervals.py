@@ -4,13 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from causalbox.intervals import (
-    Enclosure,
-    IntervalSession,
-    PrecisionExhausted,
-    precision_ladder,
-    refine,
-)
+from causalbox.intervals import Enclosure, IntervalSession, refine
 
 F = Fraction
 
@@ -43,20 +37,6 @@ class TestEnclosure:
         assert e.ge(F(1, 2)) is None
         # Closed endpoints: lo >= value makes "not less" certain.
         assert e.lt(F(1, 4)) is False
-
-
-class TestLadder:
-    def test_default_ladder(self, monkeypatch):
-        monkeypatch.delenv("CAUSALBOX_PRECISION", raising=False)
-        assert precision_ladder() == (64, 128, 256, 512)
-
-    def test_env_override_extends(self, monkeypatch):
-        monkeypatch.setenv("CAUSALBOX_PRECISION", "2048")
-        assert precision_ladder() == (64, 128, 256, 512, 1024, 2048)
-
-    def test_env_override_below_first_step(self, monkeypatch):
-        monkeypatch.setenv("CAUSALBOX_PRECISION", "48")
-        assert precision_ladder() == (48,)
 
 
 class TestSession:
@@ -110,9 +90,7 @@ class TestRefine:
         assert refine(decide) == ("decided",)
         assert seen == [64]
 
-    def test_escalates_until_enough_bits(self, monkeypatch):
-        monkeypatch.delenv("CAUSALBOX_PRECISION", raising=False)
-
+    def test_escalates_until_enough_bits(self):
         def decide(session):
             return (session.prec,) if session.prec >= 256 else None
 
@@ -130,8 +108,14 @@ class TestRefine:
         assert seen[0] is seen[1]
         assert seen[0].prec == 64
 
-    def test_exhaustion_carries_hint(self, monkeypatch):
+    def test_climbs_past_the_old_cap(self, monkeypatch):
+        # refine has no cap, and the variable that once set one is ignored.
         monkeypatch.setenv("CAUSALBOX_PRECISION", "128")
-        with pytest.raises(PrecisionExhausted) as err:
-            refine(lambda session: None)
-        assert err.value.suggested_bits == 256
+        seen = []
+
+        def decide(session):
+            seen.append(session.prec)
+            return (session.prec,) if session.prec >= 1024 else None
+
+        assert refine(decide) == (1024,)
+        assert seen == [64, 128, 256, 512, 1024]

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,11 +161,11 @@ class TestVerifyConfig:
 
     @pytest.mark.parametrize(
         "oracle_full, agreement",
-        [(Verdict.UNKNOWN, True), (Verdict.SEPARATED, False)],
+        [(Verdict.NOT_SEPARATED, True), (Verdict.SEPARATED, False)],
     )
     def test_only_decided_verdicts_disagree(self, monkeypatch, oracle_full, agreement):
         # The closed form decides the in-window pattern; the oracle's full
-        # tuple is forced to a capped or a contradicting verdict.
+        # tuple is forced to the same or to a contradicting verdict.
         def forced(n, h, J):
             if len(J) == n:
                 return oracle_full, "forced", None
@@ -177,9 +178,7 @@ class TestVerifyConfig:
         assert bundle.oracle.full is oracle_full
         assert bundle.agreement is agreement
         assert ("routes disagree" in bundle.detail) is not agreement
-        # ok needs every verdict on both routes decided, agreement alone
-        # does not give that
-        assert not bundle.ok
+        assert bundle.ok is agreement
 
 
 class TestTimesliceOracle:
@@ -328,6 +327,32 @@ class TestDirectionalLimit:
         assert decided > 8000
 
 
+class TestSturmCount:
+    def test_matches_enclosure_reference(self):
+        # For every m in [0, 2n]: the heights 0, +-1/2, +-1, seeded random
+        # heights and the two 1e-12 off cos(m*pi/n); a height the 128-bit
+        # enclosure straddles is skipped.
+        rng = random.Random(20250)
+        session = IntervalSession(128)
+        eps = F(1, 10**12)
+        fixed = (F(0), F(1, 2), F(-1, 2), F(1), F(-1))
+        decided = 0
+        for n in range(2, 41):
+            for m in range(2 * n + 1):
+                cos = session.enclosure(session.cos_pi_frac(m, n))
+                near = F(float(cos.midpoint)).limit_denominator(10**12)
+                randoms = [
+                    F(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(4)
+                ]
+                for h in (*fixed, *randoms, near - eps, near + eps):
+                    below = cos.lt(h)
+                    if below is None:
+                        continue
+                    decided += 1
+                    assert _above_cos(h, m, n) is below, (n, m, h)
+        assert decided > 15_000
+
+
 def _dihedral_representative(n: int, J) -> tuple[int, ...]:
     """The least image of J under the rotations and reflections of the ring."""
     return min(
@@ -379,6 +404,17 @@ def reverify_witness(n: int, h: Fraction, J, witness, prec: int = 256) -> None:
     assert t < h or (t - h) ** 2 < x * x + y * y, (n, h, J, witness)
 
 
+def _oracle_rows(bundle) -> list:
+    """(J, oracle verdict) for the full tuple and each one-drop subtuple."""
+    n = bundle.config.n
+    rows = [(tuple(range(n)), bundle.oracle.full)]
+    rows += [
+        (tuple(j for j in range(n) if j != drop), v)
+        for drop, v in enumerate(bundle.oracle.subtuples)
+    ]
+    return rows
+
+
 class TestOracle:
     def test_matches_grid_reference_and_witnesses_reverify(self):
         # The ring is invariant under its dihedral group, so the grid's
@@ -402,16 +438,35 @@ class TestOracle:
     def test_bundle_verdicts_carry_witnesses(self):
         for n, h in ((3, F(3, 4)), (5, F(3, 5)), (8, F(19, 20))):
             bundle = verify_config(build_config(n, h), full_subset_sweep=True)
-            rows = [(tuple(range(n)), bundle.oracle.full)]
-            rows += [
-                (tuple(j for j in range(n) if j != drop), v)
-                for drop, v in enumerate(bundle.oracle.subtuples)
-            ]
-            for J, verdict in rows + list(bundle.sweep):
+            for J, verdict in _oracle_rows(bundle) + list(bundle.sweep):
                 again, _, witness = _oracle_verdict(n, h, J)
                 assert again is verdict
                 if verdict is Verdict.SEPARATED:
                     reverify_witness(n, h, J, witness)
+
+    @pytest.mark.parametrize("side", (-1, 1))
+    @pytest.mark.parametrize("m, n, digits", ((1, 5, 200), (2, 7, 200), (1, 9, 300)))
+    def test_heights_deep_against_a_window_end(self, m, n, digits, side):
+        # h misses the window end cos(m*pi/n) by 10^-digits, far below
+        # what a 512-bit enclosure of the end resolves.
+        session, _ = _verifier_ring(n, 4096)
+        end = session.enclosure(session.cos_pi_frac(m, n)).midpoint
+        scale = 10 ** (digits + 100)
+        h = F(round(end * scale), scale) + side * F(1, 10**digits)
+        bundle = verify_config(build_config(n, h))
+        rows = _oracle_rows(bundle)
+        verdicts = {bundle.closed_form.full, *bundle.closed_form.subtuples}
+        verdicts |= {verdict for _, verdict in rows}
+        assert verdicts <= {Verdict.SEPARATED, Verdict.NOT_SEPARATED}
+        assert bundle.agreement
+        # The window lies below its top end cos(pi/n), above cos(2pi/n).
+        inside = side < 0 if m == 1 else side > 0
+        assert bundle.ok is bundle.config.h_in_range is inside
+        for J, verdict in rows:
+            if verdict is Verdict.SEPARATED:
+                again, _, witness = _oracle_verdict(n, h, J)
+                assert again is verdict
+                reverify_witness(n, h, J, witness, prec=4096)
 
     def test_witness_just_above_a_limit(self):
         h = F(1, 2) + F(1, 10**30)
