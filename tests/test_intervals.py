@@ -108,14 +108,47 @@ class TestRefine:
         assert seen[0] is seen[1]
         assert seen[0].prec == 64
 
-    def test_climbs_past_the_old_cap(self, monkeypatch):
-        # refine has no cap, and the variable that once set one is ignored.
+    def test_exhaustion_carries_hint(self, monkeypatch):
+        # Where a 128-bit cap once gave up and suggested 256 bits, refine
+        # ignores the variable and climbs on to the rung that decides.
         monkeypatch.setenv("CAUSALBOX_PRECISION", "128")
         seen = []
 
         def decide(session):
             seen.append(session.prec)
-            return (session.prec,) if session.prec >= 1024 else None
+            return (session.prec,) if session.prec >= 256 else None
 
-        assert refine(decide) == (1024,)
-        assert seen == [64, 128, 256, 512, 1024]
+        assert refine(decide) == (256,)
+        assert seen == [64, 128, 256]
+
+
+def _rungs(answer_at):
+    """The precisions refine tries for a decide that answers at answer_at."""
+    seen = []
+
+    def decide(session):
+        seen.append(session.prec)
+        return True if session.prec >= answer_at else None
+
+    assert refine(decide) is True
+    return tuple(seen)
+
+
+class TestLadder:
+    def test_default_ladder(self, monkeypatch):
+        monkeypatch.delenv("CAUSALBOX_PRECISION", raising=False)
+        assert _rungs(512) == (64, 128, 256, 512)
+
+    def test_env_override_extends(self, monkeypatch):
+        # The ladder climbs past the old 512-bit cap with or without the
+        # variable that once extended it.
+        monkeypatch.setenv("CAUSALBOX_PRECISION", "2048")
+        assert _rungs(2048) == (64, 128, 256, 512, 1024, 2048)
+        monkeypatch.delenv("CAUSALBOX_PRECISION")
+        assert _rungs(2048) == (64, 128, 256, 512, 1024, 2048)
+
+    def test_env_override_below_first_step(self, monkeypatch):
+        # A value below the first rung no longer shortens the ladder.
+        monkeypatch.setenv("CAUSALBOX_PRECISION", "48")
+        assert _rungs(0) == (64,)
+        assert _rungs(1024) == (64, 128, 256, 512, 1024)
