@@ -71,8 +71,8 @@ def _load_scenario(args) -> sc.Scenario:
         _fail(USAGE, "provide exactly one of --scenario FILE or --preset NAME")
     if name is not None:
         try:
-            return sc.preset(name, n=getattr(args, "n", None), h=getattr(args, "h", None))
-        except (sc.ScenarioError, ValueError) as exc:
+            return sc.preset(name)
+        except sc.ScenarioError as exc:
             _fail(USAGE, str(exc))
     try:
         with open(path, encoding="utf-8") as handle:
@@ -160,11 +160,7 @@ def _njam_figure(config: NJamConfig, t) -> str:
     )
 
 
-def _figure_for(scen: sc.Scenario, t) -> str:
-    if "n" in scen.detail:
-        from .jamming import build_config
-
-        return _njam_figure(build_config(scen.detail["n"], scen.detail["h"]), t)
+def _figure_for(scen: sc.Scenario) -> str:
     from . import svg
     from .geometry import FiniteOrder, TerminatedDiagram
 
@@ -236,9 +232,9 @@ def _find_protocol(args):
     violations = check_instances(box, instances)
     proto = None
     if violations:
-        from .protocol import exhaustive_protocol_search
+        from .protocol import build_protocol
 
-        proto = exhaustive_protocol_search(scen.order, box, instances)
+        proto = build_protocol(scen.order, box, violations[0])
     return violations, proto
 
 
@@ -279,8 +275,7 @@ def cmd_jam_geometry(args) -> int:
 
     config = build_config(args.n, args.h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
-    t = parse_rational(args.t)
-    figure = _njam_figure(config, t)
+    figure = _njam_figure(config, args.t)
     filename = _safe_name(f"njam-n{args.n}-h{args.h}-t{args.t}") + ".svg"
     path = _write_svg(args.out, filename, figure)
     _emit({"bundle": sc.bundle_to_json(bundle), "svg": path})
@@ -337,11 +332,7 @@ def cmd_case_study(args) -> int:
 
 def cmd_render(args) -> int:
     scen = _load_scenario(args)
-    figure = _figure_for(scen, parse_rational(args.t))
-    stem = scen.name
-    if "n" in scen.detail:
-        stem = f"{stem}-n{scen.detail['n']}-h{scen.detail['h']}-t{args.t}"
-    path = _write_svg(args.out, _safe_name(stem) + ".svg", figure)
+    path = _write_svg(args.out, _safe_name(scen.name) + ".svg", _figure_for(scen))
     _emit({"written": path})
     return PASS
 
@@ -353,8 +344,6 @@ def cmd_render(args) -> int:
 def _scenario_flags(p) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario JSON document")
     p.add_argument("--preset", choices=sc.PRESETS, help="named built-in layout")
-    p.add_argument("--n", type=int, help="receiver count, njam preset only")
-    p.add_argument("--h", metavar="RAT", help="jammer delay, njam preset only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a scenario as a deterministic SVG")
     _scenario_flags(p)
-    p.add_argument("--t", default="2", metavar="RAT", help="time slice for njam figures")
     p.add_argument("--out", default=".", metavar="DIR", help="figure directory")
     p.set_defaults(func=cmd_render)
 

@@ -117,7 +117,7 @@ def _above_cos(h: Fraction, m: int, n: int) -> bool:
 # -- range endpoints and boundary functions ----------------------------
 
 
-def valid_h_range(n: int, *, prec: int = DEFAULT_PREC) -> tuple[Enclosure, Enclosure]:
+def valid_h_range(n: int) -> tuple[Enclosure, Enclosure]:
     """Endpoints of the admissible jammer height window.
 
     Returns (lower, upper) enclosures of cos(2*pi/n) and cos(pi/n); the
@@ -125,13 +125,11 @@ def valid_h_range(n: int, *, prec: int = DEFAULT_PREC) -> tuple[Enclosure, Enclo
     Rational endpoints come back as exact point enclosures.
     """
     _require_n(n)
-    session = _session(prec)
+    session = _session(DEFAULT_PREC)
     return _cos_enclosure(session, 2, n), _cos_enclosure(session, 1, n)
 
 
-def boundary_functions(
-    n: int, t, *, prec: int = DEFAULT_PREC
-) -> tuple[Enclosure, Enclosure]:
+def boundary_functions(n: int, t) -> tuple[Enclosure, Enclosure]:
     """Enclosures of the full-tuple and subtuple escape margins at slice t.
 
     The first value is t minus the largest radial coordinate reachable
@@ -142,7 +140,7 @@ def boundary_functions(
     t = parse_rational(t)
     if t < 1:
         raise DomainError("boundary functions are defined for t >= 1")
-    session = _session(prec)
+    session = _session(DEFAULT_PREC)
     tv = session.rational(t)
     t2 = tv * tv
     c1 = session.cos_pi_frac(1, n)
@@ -162,8 +160,9 @@ def boundary_functions(
 class NJamConfig:
     """Jammer at (h, 0, 0) over n receivers on the unit circle at t = 0.
 
-    points holds prec-bit enclosures of the receivers; h_in_range says
-    whether h lies in the window (cos(2pi/n), cos(pi/n)], decided exactly.
+    points holds enclosures of the receivers at prec = DEFAULT_PREC bits;
+    h_in_range says whether h lies in the window (cos(2pi/n), cos(pi/n)],
+    decided exactly.
     """
 
     n: int
@@ -173,7 +172,7 @@ class NJamConfig:
     h_in_range: bool
 
 
-def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
+def build_config(n: int, h) -> NJamConfig:
     """Assemble the configuration and certify whether h is admissible."""
     _require_n(n)
     h = parse_rational(h)
@@ -181,7 +180,7 @@ def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
         raise ValueError("jammer height h must satisfy 0 < h < 1")
     # The window (cos(2pi/n), cos(pi/n)] is open below, closed above.
     in_range = _above_cos(h, 2, n) and not _above_cos(h, 1, n)
-    session = _session(prec)
+    session = _session(DEFAULT_PREC)
     points = tuple(
         (
             session.enclosure(session.cos_pi_frac(2 * j, n)),
@@ -189,7 +188,7 @@ def build_config(n: int, h, *, prec: int = DEFAULT_PREC) -> NJamConfig:
         )
         for j in range(n)
     )
-    return NJamConfig(n=n, h=h, prec=prec, points=points, h_in_range=in_range)
+    return NJamConfig(n=n, h=h, prec=DEFAULT_PREC, points=points, h_in_range=in_range)
 
 
 # -- directional-limit oracle ---------------------------------------------

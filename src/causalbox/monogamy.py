@@ -102,24 +102,88 @@ def _as_dist(row) -> dict[tuple[int, int, int], Fraction]:
     return {tuple(int(v) for v in k): Fraction(p) for k, p in dict(row).items()}
 
 
-TERM_CHECKS = {
-    "ab": lambda abc, pat: abc[0] ^ abc[1] == pat[0],
-    "bc": lambda abc, pat: abc[1] ^ abc[2] == pat[1],
-    "ac": lambda abc, pat: abc[0] ^ abc[2] == pat[2],
-}
+# The pairwise terms in the order of XorGame.pattern's parities.
+_TERMS = ("ab", "bc", "ac")
+
+
+def _hits(abc, pattern, scored) -> int:
+    """How many terms flagged in scored (in _TERMS order) the outputs
+    (a, b, c) win against the demanded parities pattern."""
+    a, b, c = abc
+    u, v, w = pattern
+    s_ab, s_bc, s_ac = scored
+    return (s_ab and a ^ b == u) + (s_bc and b ^ c == v) + (s_ac and a ^ c == w)
+
+
+def _scored_triples(game: XorGame, terms: Sequence[str], fixed_inputs):
+    """Each input triple at which some selected term is scored, as
+    (triple, demanded parities, scored flags in _TERMS order).
+
+    With fixed_inputs None every selected term is scored everywhere, its
+    bystander averaged; with (x0, y0, z0) a term is scored only where its
+    bystander input is pinned: ab at z = z0, bc at x = x0, ac at y = y0.
+    The pins must be a 3-tuple of ints in [0, m); a float, bool or string
+    is rejected, not converted.
+    """
+    if not set(terms) <= set(_TERMS):
+        raise ValueError(f"terms must be among {_TERMS}, got {terms!r}")
+    if fixed_inputs is not None:
+        if not isinstance(fixed_inputs, tuple) or len(fixed_inputs) != 3:
+            raise ValueError(f"fixed inputs must be a 3-tuple, got {fixed_inputs!r}")
+        for v in fixed_inputs:
+            if not _plain_int(v) or not 0 <= v < game.m:
+                raise ValueError(f"fixed input {v!r} is not an integer in [0, {game.m})")
+    selected = tuple(t in terms for t in _TERMS)
+    for x, y, z in game.triples():
+        scored = selected
+        if fixed_inputs is not None:
+            x0, y0, z0 = fixed_inputs
+            scored = (
+                selected[0] and z == z0, selected[1] and x == x0, selected[2] and y == y0
+            )
+            if not any(scored):
+                continue
+        yield (x, y, z), game.pattern(x, y, z), scored
 
 
 def evaluate_behavior(
-    game: XorGame, behavior: Mapping, terms: Sequence[str] = ("ab", "bc", "ac")
+    game: XorGame,
+    behavior: Mapping,
+    terms: Sequence[str] = _TERMS,
+    fixed_inputs: tuple[int, int, int] | None = None,
 ) -> Fraction:
     """Sum of the selected pairwise winning probabilities, each averaged
-    over the bystander's input."""
+    over the bystander's input, or with fixed_inputs (x0, y0, z0) read
+    at the pinned bystander: ω_AB|z=z0 + ω_BC|x=x0 + ω_AC|y=y0.  The
+    behavior is looked up only at triples where some term is scored."""
     total = Fraction(0)
-    for x, y, z in game.triples():
-        pat = game.pattern(x, y, z)
-        for abc, p in _as_dist(behavior[(x, y, z)]).items():
-            total += p * sum(TERM_CHECKS[t](abc, pat) for t in terms)
-    return total / game.m**3
+    for xyz, pattern, scored in _scored_triples(game, terms, fixed_inputs):
+        for abc, p in _as_dist(behavior[xyz]).items():
+            total += p * _hits(abc, pattern, scored)
+    return total / game.m ** (3 if fixed_inputs is None else 2)
+
+
+@functools.cache
+def _best_outputs(pattern, scored) -> tuple[int, tuple[int, int, int]]:
+    """The most scored terms any outputs win at one triple, and the
+    first output triple in product order that wins that many."""
+    best, best_abc = -1, None
+    for abc in itertools.product((0, 1), repeat=3):
+        hits = _hits(abc, pattern, scored)
+        if hits > best:
+            best, best_abc = hits, abc
+    return best, best_abc
+
+
+def _per_triple_optimum(game: XorGame, fixed_inputs) -> tuple[Fraction, dict]:
+    """Optimum of all three terms with each triple answered on its own,
+    and the deterministic witness that attains it."""
+    total = 0
+    witness = {}
+    for xyz, pattern, scored in _scored_triples(game, _TERMS, fixed_inputs):
+        hits, witness[xyz] = _best_outputs(pattern, scored)
+        total += hits
+    return Fraction(total, game.m ** (3 if fixed_inputs is None else 2)), witness
 
 
 def signalling_monogamy(game: XorGame) -> GameValueReport:
@@ -142,24 +206,66 @@ def signalling_monogamy(game: XorGame) -> GameValueReport:
 
 def brute_force_signalling(game: XorGame) -> GameValueReport:
     """Independent per-triple maximization over all eight outputs."""
-    total = 0
-    witness = {}
-    for x, y, z in game.triples():
-        u, v, w = game.pattern(x, y, z)
-        best, best_abc = -1, None
-        for a, b, c in itertools.product((0, 1), repeat=3):
-            hits = (a ^ b == u) + (b ^ c == v) + (a ^ c == w)
-            if hits > best:
-                best, best_abc = hits, (a, b, c)
-        total += best
-        witness[(x, y, z)] = best_abc
-    return GameValueReport(
-        value=Fraction(total, game.m**3), theory="signalling", witness=witness
-    )
+    value, witness = _per_triple_optimum(game, None)
+    return GameValueReport(value=value, theory="signalling", witness=witness)
 
 
 # ----------------------------------------------------------------------
 # no-signalling linear program
+
+
+def _marginal_rows(m: int, specs) -> tuple[list[list[int]], list[int]]:
+    """Int equality rows on the row-major (x, y, z, a, b, c) table with m
+    inputs per party and binary outputs.
+
+    First one normalisation row per input triple.  Then each spec
+    (kept, fixed, free) names two outputs and a split of the three input
+    axes: for every value of the fixed inputs, every pair of kept
+    outputs and every value of the free inputs after the first, one row
+    says the kept outputs' joint marginal there equals the one at the
+    first (all-zero) value of the free inputs.
+    """
+    width = 8 * m**3
+
+    def col(xyz, abc):
+        x, y, z = xyz
+        a, b, c = abc
+        return ((x * m + y) * m + z) * 8 + a * 4 + b * 2 + c
+
+    outs = list(itertools.product((0, 1), repeat=3))
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for xyz in itertools.product(range(m), repeat=3):
+        row = [0] * width
+        for abc in outs:
+            row[col(xyz, abc)] = 1
+        rows.append(row)
+        rhs.append(1)
+    for kept, fixed, free in specs:
+        variants = list(itertools.product(range(m), repeat=len(free)))
+        for ctx in itertools.product(range(m), repeat=len(fixed)):
+            for pair in itertools.product((0, 1), repeat=2):
+                for var in variants[1:]:
+                    row = [0] * width
+                    for values, sign in ((var, 1), (variants[0], -1)):
+                        xyz = [0, 0, 0]
+                        for axis, v in (*zip(fixed, ctx), *zip(free, values)):
+                            xyz[axis] = v
+                        for abc in outs:
+                            if (abc[kept[0]], abc[kept[1]]) == pair:
+                                row[col(xyz, abc)] += sign
+                    rows.append(row)
+                    rhs.append(0)
+    return rows, rhs
+
+
+# No-signalling: moving one party's input must not move the other two's
+# marginal, as (kept outputs, fixed inputs, free input).
+_NS_SPECS = (
+    ((1, 2), (1, 2), (0,)),  # x varies, (b, c) marginal fixed
+    ((0, 2), (0, 2), (1,)),  # y varies, (a, c) marginal fixed
+    ((0, 1), (0, 1), (2,)),  # z varies, (a, b) marginal fixed
+)
 
 
 def build_ns_lp(game: XorGame, terms: Sequence[str] = ("ab", "ac")):
@@ -178,49 +284,13 @@ def build_ns_lp(game: XorGame, terms: Sequence[str] = ("ab", "ac")):
         for a, b, c in itertools.product((0, 1), repeat=3)
     ]
     index = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-
-    def blank():
-        return [0] * n
-
-    for x, y, z in game.triples():
-        row = blank()
-        for a, b, c in itertools.product((0, 1), repeat=3):
-            row[index[(x, y, z, a, b, c)]] = 1
-        rows.append(row)
-        rhs.append(1)
-
-    # Moving one party's input must not move the other two's marginal.
-    parties = (
-        (0, (1, 2)),  # x varies, (b, c) marginal fixed
-        (1, (0, 2)),  # y varies, (a, c) marginal fixed
-        (2, (0, 1)),  # z varies, (a, b) marginal fixed
-    )
-    for axis, kept in parties:
-        others = [i for i in range(3) if i != axis]
-        for ctx in itertools.product(range(m), repeat=2):
-            for pair in itertools.product((0, 1), repeat=2):
-                for moved in range(1, m):
-                    row = blank()
-                    for variant, sign in ((moved, 1), (0, -1)):
-                        xyz = [0, 0, 0]
-                        xyz[axis] = variant
-                        xyz[others[0]], xyz[others[1]] = ctx
-                        for abc in itertools.product((0, 1), repeat=3):
-                            if (abc[kept[0]], abc[kept[1]]) == pair:
-                                row[index[(*xyz, *abc)]] += sign
-                    rows.append(row)
-                    rhs.append(0)
-
-    objective: list[int | Fraction] = blank()
-    for x, y, z in game.triples():
-        pat = game.pattern(x, y, z)
+    rows, rhs = _marginal_rows(m, _NS_SPECS)
+    objective: list[int | Fraction] = [0] * len(keys)
+    for xyz, pattern, scored in _scored_triples(game, terms, None):
         for abc in itertools.product((0, 1), repeat=3):
-            weight = sum(TERM_CHECKS[t](abc, pat) for t in terms)
+            weight = _hits(abc, pattern, scored)
             if weight:
-                objective[index[(x, y, z, *abc)]] = Fraction(weight, m**3)
+                objective[index[(*xyz, *abc)]] = Fraction(weight, m**3)
     return rows, rhs, objective, index
 
 
@@ -251,65 +321,21 @@ def ns_monogamy_lp(
 # fixed bystander inputs
 
 
-def evaluate_specific(
-    game: XorGame, behavior: Mapping, fixed_inputs: tuple[int, int, int]
-) -> Fraction:
-    """Score ω_AB|z=z0 + ω_AC|y=y0 + ω_BC|x=x0 for a given behavior."""
-    x0, y0, z0 = fixed_inputs
-    total = Fraction(0)
-    for x, y, z in game.triples():
-        weights = []
-        if z == z0:
-            weights.append("ab")
-        if y == y0:
-            weights.append("ac")
-        if x == x0:
-            weights.append("bc")
-        if not weights:
-            continue
-        pat = game.pattern(x, y, z)
-        for abc, p in _as_dist(behavior[(x, y, z)]).items():
-            total += p * sum(TERM_CHECKS[t](abc, pat) for t in weights)
-    return total / game.m**2
-
-
 def specific_input_value(
     game: XorGame, fixed_inputs: tuple[int, int, int] | None = (0, 0, 0)
 ) -> GameValueReport:
     """Optimum when each pairwise term pins its bystander input.
 
-    Per-triple enumeration over the referenced triples only; passing
-    None averages the bystanders instead, which is exactly the plain
-    signalling optimum.
+    Per-triple optimum over the referenced triples only; passing None
+    averages the bystanders instead, which is exactly the plain
+    signalling optimum.  fixed_inputs must be a 3-tuple of ints in
+    [0, m) (not bools); anything else raises ValueError.
     """
     if fixed_inputs is None:
         return signalling_monogamy(game)
-    x0, y0, z0 = fixed_inputs
-    for v in (x0, y0, z0):
-        if not 0 <= v < game.m:
-            raise ValueError("fixed input out of range")
-    total = 0
-    witness = {}
-    for x, y, z in game.triples():
-        terms = []
-        if z == z0:
-            terms.append("ab")
-        if y == y0:
-            terms.append("ac")
-        if x == x0:
-            terms.append("bc")
-        if not terms:
-            continue
-        pat = game.pattern(x, y, z)
-        best, best_abc = -1, None
-        for abc in itertools.product((0, 1), repeat=3):
-            hits = sum(TERM_CHECKS[t](abc, pat) for t in terms)
-            if hits > best:
-                best, best_abc = hits, abc
-        total += best
-        witness[(x, y, z)] = best_abc
+    value, witness = _per_triple_optimum(game, fixed_inputs)
     return GameValueReport(
-        value=Fraction(total, game.m**2),
+        value=value,
         theory="specific_input",
         witness=witness,
         detail=f"fixed_inputs={fixed_inputs}",
@@ -381,44 +407,25 @@ class EntropicProbeReport:
     ok: bool
 
 
+# The triangle family: each pair of readers' joint marginal may depend
+# only on their own jammer's input, as (kept outputs, jammer input,
+# free inputs).
+_TRIANGLE_SPECS = (
+    ((0, 1), (2,), (0, 1)),  # P(ab | ...) may depend on z only
+    ((0, 2), (1,), (0, 2)),  # P(ac | ...) on y only
+    ((1, 2), (0,), (1, 2)),  # P(bc | ...) on x only
+)
+
+
 def _triangle_rows() -> tuple[np.ndarray, np.ndarray]:
     """Constraint matrix for the triangle family on the flattened
-    (x, y, z, a, b, c) table: row normalization plus, for each pair of
-    readers, invariance of their joint marginal under the two inputs
-    that are not their own jammer."""
+    (x, y, z, a, b, c) table, as float arrays: row normalization plus,
+    for each pair of readers, invariance of their joint marginal under
+    the two inputs that are not their own jammer."""
     import numpy as np
 
-    def flat(x, y, z, a, b, c):
-        return (((((x * 2 + y) * 2 + z) * 2 + a) * 2 + b) * 2) + c
-
-    rows, rhs = [], []
-    for x, y, z in itertools.product((0, 1), repeat=3):
-        row = np.zeros(64)
-        for a, b, c in itertools.product((0, 1), repeat=3):
-            row[flat(x, y, z, a, b, c)] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    specs = (
-        ((0, 1), 2, (0, 1)),  # P(ab | ...) may depend on z only
-        ((0, 2), 1, (0, 2)),  # P(ac | ...) on y only
-        ((1, 2), 0, (1, 2)),  # P(bc | ...) on x only
-    )
-    for kept, own_axis, free_axes in specs:
-        for own in (0, 1):
-            for pair in itertools.product((0, 1), repeat=2):
-                variants = [v for v in itertools.product((0, 1), repeat=2)]
-                for var in variants[1:]:
-                    row = np.zeros(64)
-                    for variant, sign in ((var, 1.0), (variants[0], -1.0)):
-                        xyz = [0, 0, 0]
-                        xyz[own_axis] = own
-                        xyz[free_axes[0]], xyz[free_axes[1]] = variant
-                        for abc in itertools.product((0, 1), repeat=3):
-                            if (abc[kept[0]], abc[kept[1]]) == pair:
-                                row[flat(*xyz, *abc)] += sign
-                    rows.append(row)
-                    rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    rows, rhs = _marginal_rows(2, _TRIANGLE_SPECS)
+    return np.array(rows, dtype=float), np.array(rhs, dtype=float)
 
 
 def _information_sum_batch(tables: np.ndarray) -> np.ndarray:

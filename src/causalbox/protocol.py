@@ -112,7 +112,9 @@ def build_protocol(
     box: CorrelationBox,
     violation: ViolationReport,
 ) -> SignallingProtocol:
-    """Assemble and re-verify the protocol extracted from a violation."""
+    """Assemble and re-verify the protocol extracted from a violation.
+    The instance's witness is the gathering point, checked to lie in
+    every receiver's causal future and outside the sender's strict one."""
     if not violation.recompute(box):
         raise PreconditionViolated("violation report does not match the box")
     inst = violation.instance
@@ -120,18 +122,12 @@ def build_protocol(
     sender = inst.F[k - 1]
     dist_a = marginalize(box, inst.G, x_a)
     dist_b = marginalize(box, inst.G, x_b)
-    point = _gathering_point_avoiding(order, box, inst, sender)
-    if order.strictly_precedes(box.inputs[sender].location, point):
-        raise PreconditionViolated("gathering point is after the sender")
-    for g in inst.G:
-        if not order.causally_precedes(box.outputs[g].location, point):
-            raise PreconditionViolated("gathering point misses a receiver")
     return SignallingProtocol(
         sender=sender,
         setting_a=x_a,
         setting_b=x_b,
         G=inst.G,
-        gathering_point=point,
+        gathering_point=_gathering_point_avoiding(order, box, inst, sender),
         dist_a=dist_a,
         dist_b=dist_b,
     )
@@ -142,7 +138,10 @@ def exhaustive_protocol_search(
     box: CorrelationBox,
     instances: Sequence[ConstraintInstance],
 ) -> SignallingProtocol | None:
-    """Try every instance and every hybrid step; first protocol wins.
+    """The protocol of the first instance, in the given order, whose two
+    marginals differ; the scan stops there.  That is the first report
+    check_instances gives, so a caller holding those reports can pass
+    the first one to build_protocol instead.
 
     Returns None only when no instance exhibits differing marginals, so
     a box that satisfies every constraint admits no protocol at all.
@@ -373,9 +372,10 @@ class LoopObstruction:
     spacelike in one spatial dimension and reflections are not allowed.
 
     A relay point causally after the sender is not a third case: the
-    relay point is the protocol's gathering point, and build_protocol
-    refuses a gathering point that the sender strictly precedes, so no
-    violation reaches find_loop_transform with such a pair."""
+    relay point is the protocol's gathering point, and build_protocol's
+    witness check refuses a gathering point that the sender strictly
+    precedes, so no violation reaches find_loop_transform with such a
+    pair."""
 
     reason: str
 

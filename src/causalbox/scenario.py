@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -206,8 +206,8 @@ class Scenario:
     """A backend plus whatever the preset pins down.
 
     Box presets carry a full correlation box; layout presets carry only
-    SRVs (for named constraint families) or numeric detail (n-jammer
-    geometry).
+    SRVs and the named constraint family they feed.  The n-receiver
+    jamming ring is not a scenario: `causalbox jam-geometry` builds it.
     """
 
     name: str
@@ -216,7 +216,6 @@ class Scenario:
     inputs: tuple[Srv, ...] = ()
     outputs: tuple[Srv, ...] = ()
     family: str | None = None
-    detail: dict = field(default_factory=dict)
 
 
 PRESETS = (
@@ -224,7 +223,6 @@ PRESETS = (
     "jamming_triangle",
     "fig5",
     "degenerate_loop",
-    "njam",
     "six_config",
     "compass",
 )
@@ -295,21 +293,10 @@ def _compass_scenario() -> Scenario:
     return Scenario("compass", order, inputs=inputs, outputs=outputs, family="compass")
 
 
-def preset(name: str, *, n: int | None = None, h=None) -> Scenario:
-    """Expand a named preset to concrete coordinates.
-
-    njam needs its two parameters; every other preset rejects them.
-    """
+def preset(name: str) -> Scenario:
+    """Expand a named preset to concrete coordinates."""
     if name not in PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; choose from {PRESETS}")
-    if name == "njam":
-        if n is None or h is None:
-            raise ScenarioError("preset njam needs both n and h")
-        return Scenario(
-            "njam", Minkowski(2), detail={"n": int(n), "h": parse_rational(h)}
-        )
-    if n is not None or h is not None:
-        raise ScenarioError(f"preset {name!r} takes no n/h parameters")
     if name == "bell_standard":
         return _bell_scenario()
     if name == "jamming_triangle":

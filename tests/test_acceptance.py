@@ -25,7 +25,7 @@ from causalbox.monogamy import (
     build_ns_lp,
     classify,
     entropic_probe,
-    evaluate_specific,
+    evaluate_behavior,
     ns_monogamy_lp,
     signalling_monogamy,
     specific_input_value,
@@ -84,7 +84,7 @@ def test_ac03_specific_input_value_and_witness():
         assert report.value == Fraction(3)
         # the optimal deterministic behavior scores the same value when
         # evaluated directly
-        assert evaluate_specific(game, report.witness, (0, 0, 0)) == Fraction(3)
+        assert evaluate_behavior(game, report.witness, fixed_inputs=(0, 0, 0)) == Fraction(3)
 
 
 def test_ac04_chsh_no_signalling_lp_with_dual_certificate():

@@ -318,6 +318,17 @@ class TestJamGeometry:
         assert bundle["closed_form"]["full"] == "not_separated"
         assert bundle["agreement"] is True
 
+    def test_ring_figure(self, capsys, tmp_path):
+        code, doc = out_json(
+            capsys, "jam-geometry", "--n", "5", "--h", "7/10", "--t", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == PASS
+        assert doc["svg"] == str(tmp_path / "njam_n5_h7_10_t2.svg")
+        content = open(doc["svg"], encoding="utf-8").read()
+        # unit circle + 5 reach discs + escape disc + 5 dots
+        assert content.count("<circle") == 12
+
     def test_deterministic_output(self, capsys, tmp_path):
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))
         code, out1, _ = run(capsys, *argv)
@@ -442,31 +453,25 @@ class TestRender:
         assert content.startswith("<svg")
         assert content.endswith("</svg>\n")
 
-    def test_njam_render(self, capsys, tmp_path):
-        code, doc = out_json(
-            capsys,
-            "render",
-            "--preset",
-            "njam",
-            "--n",
-            "5",
-            "--h",
-            "7/10",
-            "--t",
-            "2",
-            "--out",
-            str(tmp_path),
-        )
-        assert code == PASS
-        content = open(doc["written"], encoding="utf-8").read()
-        # unit circle + 5 reach discs + escape disc + 5 dots
-        assert content.count("<circle") == 12
-
-    def test_njam_requires_parameters(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "render", "--preset", "njam", "--out", str(tmp_path)
-        )
-        assert code == USAGE
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("render", "--preset", "njam"), "invalid choice: 'njam'"),
+            (("render", "--preset", "six_config", "--t", "2"), "unrecognized arguments: --t 2"),
+            (("check", "--preset", "bell_standard", "--n", "3"), "unrecognized arguments: --n 3"),
+        ],
+        ids=["njam_preset", "render_t", "check_n"],
+    )
+    def test_ring_options_are_not_scenario_options(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        # jam-geometry alone draws the n-receiver ring
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == USAGE
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_finite_order_renders_layered_diagram(self, capsys, tmp_path):
         doc = {

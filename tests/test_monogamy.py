@@ -1,6 +1,8 @@
 """Game values across causal regimes, plus the entropic probe."""
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,12 @@ from causalbox.monogamy import (
     EntropicProbeReport,
     GameValueReport,
     XorGame,
+    _triangle_rows,
     brute_force_signalling,
     build_ns_lp,
     classify,
     entropic_probe,
     evaluate_behavior,
-    evaluate_specific,
     jamming_vertex_table,
     mutual_information_bits_exact,
     ns_monogamy_lp,
@@ -221,7 +223,7 @@ class TestSpecificInput:
     def test_chsh_fixed_zero(self):
         rep = specific_input_value(XorGame.chsh(), (0, 0, 0))
         assert rep.value == 3
-        assert evaluate_specific(XorGame.chsh(), rep.witness, (0, 0, 0)) == 3
+        assert evaluate_behavior(XorGame.chsh(), rep.witness, fixed_inputs=(0, 0, 0)) == 3
 
     def test_explicit_optimal_behavior(self):
         game = XorGame.chsh()
@@ -235,7 +237,7 @@ class TestSpecificInput:
             (1, 1, 0): (1, 0, 1),
             (1, 1, 1): (1, 1, 1),
         }
-        assert evaluate_specific(game, behavior, (0, 0, 0)) == 3
+        assert evaluate_behavior(game, behavior, fixed_inputs=(0, 0, 0)) == 3
 
     def test_none_reduces_to_averaged_value(self):
         for game in list(all_binary_games())[:6]:
@@ -249,11 +251,90 @@ class TestSpecificInput:
         for _ in range(10):
             game = random_game(rng, 2)
             rep = specific_input_value(game, (1, 0, 1))
-            assert evaluate_specific(game, rep.witness, (1, 0, 1)) == rep.value
+            assert evaluate_behavior(game, rep.witness, fixed_inputs=(1, 0, 1)) == rep.value
 
     def test_fixed_input_out_of_range(self):
         with pytest.raises(ValueError):
             specific_input_value(XorGame.chsh(), (0, 2, 0))
+
+    @pytest.mark.parametrize(
+        "fixed", [(0.5, 0, 0), (True, 0, 0), ("0", 0, 0), (0, 0), (0, 2, 0), [0, 0, 0]]
+    )
+    def test_pins_must_be_three_ints_in_range(self, fixed):
+        # a float or bool pin used to be echoed in the detail, and 0.5
+        # silently scored nothing for its term
+        game = XorGame.chsh()
+        with pytest.raises(ValueError, match="fixed input"):
+            specific_input_value(game, fixed)
+        behavior = {xyz: (0, 0, 0) for xyz in game.triples()}
+        with pytest.raises(ValueError, match="fixed input"):
+            evaluate_behavior(game, behavior, fixed_inputs=fixed)
+
+
+def test_witness_is_first_output_triple_winning_most_terms():
+    rng = random.Random("monogamy:witness")
+    games = list(all_binary_games()) + [
+        XorGame(m, [[rng.randrange(2) for _ in range(m)] for _ in range(m)])
+        for m in (3, 4)
+        for _ in range(10)
+    ]
+    outputs = list(itertools.product((0, 1), repeat=3))
+    for game in games:
+        pins = tuple(rng.randrange(game.m) for _ in range(3))
+        for fixed in (None, pins):
+            if fixed is None:
+                rep = brute_force_signalling(game)
+            else:
+                rep = specific_input_value(game, fixed)
+            total = 0
+            for x, y, z in game.triples():
+                u, v, w = game.pattern(x, y, z)
+                ab, bc, ac = (True,) * 3 if fixed is None else (
+                    z == fixed[2], x == fixed[0], y == fixed[1]
+                )
+                if not (ab or bc or ac):
+                    assert (x, y, z) not in rep.witness
+                    continue
+                wins = [
+                    (ab and a ^ b == u) + (bc and b ^ c == v) + (ac and a ^ c == w)
+                    for a, b, c in outputs
+                ]
+                assert rep.witness[(x, y, z)] == outputs[wins.index(max(wins))]
+                total += max(wins)
+            assert rep.value == Fraction(total, game.m ** (3 if fixed is None else 2))
+
+
+class TestConstraintRows:
+    """The marginal-invariance rows are pinned byte for byte: the LP data
+    and the triangle system feed the simplex and the entropic probe's
+    projector, so a reordered row or a moved sign must show here."""
+
+    def test_triangle_rows_pinned(self):
+        A, b = _triangle_rows()
+        assert A.shape == (80, 64) and b.shape == (80,)
+        assert hashlib.sha256(A.tobytes()).hexdigest() == (
+            "923ab21a547d5ad2447dbb445d92b80716791370cb5b85ea5895589de76379b6"
+        )
+        assert hashlib.sha256(b.tobytes()).hexdigest() == (
+            "72833d2961c2685f2222bec133efdc5a4066f2ab5f86150af344223824e4e43b"
+        )
+
+    @pytest.mark.parametrize(
+        "game, digest",
+        [
+            (
+                XorGame.chsh(),
+                "9941e3b036f2c95cc7dae6ccff328695fa47dec7f4d4a4b4d4a0c695ab5d991f",
+            ),
+            (
+                XorGame(3, ((0, 0, 0), (0, 1, 1), (0, 1, 0))),
+                "867350c329325815d0f6f944ab1a2fad6bb99e9d56a37043e03d5ff6ebef63cd",
+            ),
+        ],
+    )
+    def test_ns_lp_pinned(self, game, digest):
+        data = repr(build_ns_lp(game)).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestExactInformation:

@@ -3,7 +3,9 @@ the references.
 
 Seeded boxes on all four backends go through `check_instances` and
 `exhaustive_protocol_search` and through the reference code in
-`ons_reference.py`; the reports and the protocol must agree exactly.
+`ons_reference.py`; the reports and the protocol must agree exactly,
+and `build_protocol` on the first report must give the searched
+protocol.
 Tables are products of per-output factors that read a random subset of
 the inputs, so some moves keep a marginal and others change it, with
 denominators 3, 7 and 10.  Two variants drop a setting from the table,
@@ -24,7 +26,7 @@ import ons_reference as ref
 from causalbox.boxes import Alphabet, CorrelationBox, Srv
 from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import _move_pairs, check_instances, enumerate_constraints
-from causalbox.protocol import exhaustive_protocol_search
+from causalbox.protocol import build_protocol, exhaustive_protocol_search
 
 BACKENDS = ("minkowski1", "terminated", "finite", "minkowski2")
 KINDS = ("factored", "missing_setting", "signed")
@@ -149,6 +151,25 @@ def test_reports_and_protocol_match_reference(backend, kind):
         held += len(instances) - len(want)
     # Both verdicts occur, so neither side can pass by saying one thing.
     assert violated and held
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_first_report_builds_the_searched_protocol(backend, kind):
+    # The CLI builds its protocol from check_instances' first report
+    # instead of scanning the instances a second time.
+    built = 0
+    for seed in SEEDS:
+        order, box = seeded_box(backend, kind, seed)
+        instances = enumerate_constraints(order, box)
+        reports = check_instances(box, instances)
+        searched = exhaustive_protocol_search(order, box, instances)
+        if not reports:
+            assert searched is None, seed
+            continue
+        assert build_protocol(order, box, reports[0]) == searched, seed
+        built += 1
+    assert built
 
 
 def _alphabet(rng):

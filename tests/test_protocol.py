@@ -152,6 +152,25 @@ class TestBuildProtocol:
         with pytest.raises(PreconditionViolated):
             build_protocol(M1, box, forged)
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            Event.at(100, 3),  # strictly after the sender at (0, 6)
+            Event.at(0, -50),  # outside the receiver's future at (1, 0)
+        ],
+    )
+    def test_forged_gathering_point_rejected(self, witness):
+        box = bell_box(signalling=True)
+        rep = next(r for r in check_ons(M1, box) if r.instance.G == (0,))
+        assert build_protocol(M1, box, rep).sender == 1
+        cert = dataclasses.replace(rep.instance.certificate, witness=witness)
+        forged = dataclasses.replace(
+            rep, instance=dataclasses.replace(rep.instance, certificate=cert)
+        )
+        assert forged.recompute(box)
+        with pytest.raises(PreconditionViolated):
+            build_protocol(M1, box, forged)
+
 
 class TestExhaustiveSearch:
     def test_clean_box_has_no_protocol(self):

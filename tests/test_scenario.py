@@ -124,24 +124,11 @@ class TestBoxRoundTrip:
 class TestPresets:
     def test_all_names_expand(self):
         for name in sc.PRESETS:
-            scen = (
-                sc.preset(name, n=3, h="1/2") if name == "njam" else sc.preset(name)
-            )
-            assert scen.name == name
+            assert sc.preset(name).name == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(sc.ScenarioError):
             sc.preset("bell")
-
-    def test_njam_needs_both_parameters(self):
-        with pytest.raises(sc.ScenarioError):
-            sc.preset("njam", n=5)
-        with pytest.raises(sc.ScenarioError):
-            sc.preset("njam", h="1/2")
-
-    def test_other_presets_reject_parameters(self):
-        with pytest.raises(sc.ScenarioError):
-            sc.preset("bell_standard", n=5)
 
     def test_family_presets_feed_named_constraints(self):
         for name, n_lines in (("six_config", 6), ("compass", 5)):
