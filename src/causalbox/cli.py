@@ -26,9 +26,11 @@ from typing import TYPE_CHECKING
 from . import scenario as sc
 from .boxes import MODELS, validate_box
 from .ons import check_instances, enumerate_constraints, named_constraints
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .jamming import NJamConfig
     from .monogamy import XorGame
 
@@ -80,15 +82,21 @@ def _load_scenario(args) -> sc.Scenario:
     except OSError as exc:
         _fail(USAGE, f"cannot read {path}: {exc}")
     stem = os.path.splitext(os.path.basename(path))[0]
+    return _parse(path, lambda: sc.load_scenario(text, name=stem))
+
+
+def _parse(source: str, parse):
+    """parse(), with malformed JSON and unusable documents reported as
+    usage errors that name their source."""
     try:
-        return sc.load_scenario(text, name=stem)
+        return parse()
     except json.JSONDecodeError as exc:
         _fail(
             USAGE,
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
+            f"{source}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
         )
     except sc.ScenarioError as exc:
-        _fail(USAGE, f"{path}: {exc}")
+        _fail(USAGE, f"{source}: {exc}")
 
 
 def _require_box(scen: sc.Scenario):
@@ -122,15 +130,7 @@ def _load_game(spec: str) -> XorGame:
     except OSError as exc:
         names = ", ".join(_GAMES)
         _fail(USAGE, f"game {spec!r} is neither one of [{names}] nor a readable file ({exc})")
-    try:
-        return sc.game_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        _fail(
-            USAGE,
-            f"{spec}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-        )
-    except sc.ScenarioError as exc:
-        _fail(USAGE, f"{spec}: {exc}")
+    return _parse(spec, lambda: sc.game_from_json(json.loads(text)))
 
 
 # ----------------------------------------------------------------------
@@ -138,14 +138,12 @@ def _load_game(spec: str) -> XorGame:
 
 
 def _scenario_points(scen: sc.Scenario) -> list[tuple]:
-    ins = scen.box.inputs if scen.box is not None else scen.inputs
-    outs = scen.box.outputs if scen.box is not None else scen.outputs
-    return [(s.name, s.location, "input") for s in ins] + [
-        (s.name, s.location, "output") for s in outs
+    return [(s.name, s.location, "input") for s in scen.inputs] + [
+        (s.name, s.location, "output") for s in scen.outputs
     ]
 
 
-def _njam_figure(config: NJamConfig, t) -> str:
+def _njam_figure(config: NJamConfig, t: Fraction) -> str:
     from . import svg
 
     receivers = [
@@ -155,7 +153,7 @@ def _njam_figure(config: NJamConfig, t) -> str:
         config.n,
         receivers,
         float(config.h),
-        float(parse_rational(t)),
+        float(t),
         f"reach discs, n={config.n}",
     )
 
@@ -212,11 +210,9 @@ def cmd_constraints(args) -> int:
     scen = _load_scenario(args)
     family = args.family or scen.family
     if family is not None:
-        inputs = scen.box.inputs if scen.box is not None else scen.inputs
-        outputs = scen.box.outputs if scen.box is not None else scen.outputs
-        if not inputs or not outputs:
+        if not scen.inputs or not scen.outputs:
             _fail(USAGE, f"scenario {scen.name!r} has no SRVs to build a family over")
-        fam = named_constraints(family, scen.order, inputs, outputs)
+        fam = named_constraints(family, scen.order, scen.inputs, scen.outputs)
         _emit(sc.family_to_json(fam))
         return PASS
     box = _require_box(scen)
@@ -226,6 +222,8 @@ def cmd_constraints(args) -> int:
 
 
 def _find_protocol(args):
+    """The scenario box's violations and the protocol built from the
+    first, as a report, and that protocol (None without a violation)."""
     scen = _load_scenario(args)
     box = _validated_box(scen)
     instances = enumerate_constraints(scen.order, box)
@@ -235,18 +233,17 @@ def _find_protocol(args):
         from .protocol import build_protocol
 
         proto = build_protocol(scen.order, box, violations[0])
-    return violations, proto
+    report = {
+        "violations": [sc.violation_to_json(v) for v in violations],
+        "protocol": None if proto is None else sc.protocol_to_json(proto),
+    }
+    return report, proto
 
 
 def cmd_protocol(args) -> int:
-    violations, proto = _find_protocol(args)
-    _emit(
-        {
-            "violations": [sc.violation_to_json(v) for v in violations],
-            "protocol": None if proto is None else sc.protocol_to_json(proto),
-        }
-    )
-    return FOUND if violations else PASS
+    report, _ = _find_protocol(args)
+    _emit(report)
+    return FOUND if report["violations"] else PASS
 
 
 def cmd_simulate(args) -> int:
@@ -255,28 +252,26 @@ def cmd_simulate(args) -> int:
     if args.trials <= 0:
         _fail(USAGE, "--trials must be positive")
     alpha = parse_rational(args.alpha)
-    violations, proto = _find_protocol(args)
-    report = {
-        "violations": [sc.violation_to_json(v) for v in violations],
-        "protocol": None if proto is None else sc.protocol_to_json(proto),
-        "simulation": None,
-    }
+    report, proto = _find_protocol(args)
+    report["simulation"] = None
     if proto is not None:
         from .protocol import simulate
 
         result = simulate(proto, args.trials, args.seed, alpha=alpha)
         report["simulation"] = sc.simulation_to_json(result)
     _emit(report)
-    return FOUND if violations else PASS
+    return FOUND if report["violations"] else PASS
 
 
 def cmd_jam_geometry(args) -> int:
     from .jamming import build_config, verify_config
 
-    config = build_config(args.n, args.h)
+    h, t = parse_rational(args.h), parse_rational(args.t)
+    config = build_config(args.n, h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
-    figure = _njam_figure(config, args.t)
-    filename = _safe_name(f"njam-n{args.n}-h{args.h}-t{args.t}") + ".svg"
+    figure = _njam_figure(config, t)
+    name = f"njam-n{args.n}-h{format_rational(h)}-t{format_rational(t)}"
+    filename = _safe_name(name) + ".svg"
     path = _write_svg(args.out, filename, figure)
     _emit({"bundle": sc.bundle_to_json(bundle), "svg": path})
     return PASS if bundle.agreement else FOUND

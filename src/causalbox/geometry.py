@@ -109,6 +109,14 @@ class CausalOrder:
         return "equal" if p == q else "spacelike"
 
     def common_future(self, events: Sequence[Event]) -> Event | None:
+        if not events:
+            raise GeometryError("common_future of an empty family")
+        for e in events:
+            self.validate_event(e)
+        return self._common_future(events)
+
+    def _common_future(self, events: Sequence[Event]) -> Event | None:
+        """common_future on a nonempty family of validated events."""
         raise NotImplementedError
 
 
@@ -152,6 +160,18 @@ def _cone_precedes(p: Event, q: Event) -> bool:
     return dt * dt * den >= reach * span * span
 
 
+def _cone_future(events: Sequence[Event]) -> Event:
+    """An event every validated point event of the family causally
+    precedes: the 1-norm dominates the 2-norm, so this time is late enough
+    for every member while staying rational."""
+    base = events[0].x
+    t = max(
+        e.t + sum(abs(b - a) for a, b in zip(e.x, base))  # type: ignore[arg-type]
+        for e in events
+    )
+    return Event(t=t, x=base)
+
+
 class Minkowski(CausalOrder):
     """Flat spacetime with ``dim`` spatial dimensions.
 
@@ -182,24 +202,7 @@ class Minkowski(CausalOrder):
         self.validate_event(q)
         return _cone_precedes(p, q)
 
-    def common_future(self, events: Sequence[Event]) -> Event | None:
-        if not events:
-            raise GeometryError("common_future of an empty family")
-        for e in events:
-            self.validate_event(e)
-        return _cone_future(events)
-
-
-def _cone_future(events: Sequence[Event]) -> Event:
-    """An event every validated point event of the family causally
-    precedes: the 1-norm dominates the 2-norm, so this time is late enough
-    for every member while staying rational."""
-    base = events[0].x
-    t = max(
-        e.t + sum(abs(b - a) for a, b in zip(e.x, base))  # type: ignore[arg-type]
-        for e in events
-    )
-    return Event(t=t, x=base)
+    _common_future = staticmethod(_cone_future)
 
 
 class FiniteOrder(CausalOrder):
@@ -257,14 +260,10 @@ class FiniteOrder(CausalOrder):
         self.validate_event(q)
         return self._precedes(p, q)
 
-    def common_future(self, events: Sequence[Event]) -> Event | None:
-        if not events:
-            raise GeometryError("common_future of an empty family")
-        for e in events:
-            self.validate_event(e)
+    def _common_future(self, events: Sequence[Event]) -> Event | None:
         for cand in self.elements:
             c = Event.named(cand)
-            if all(self.causally_precedes(e, c) for e in events):
+            if all(e == c or self._precedes(e, c) for e in events):
                 return c
         return None
 
@@ -371,11 +370,7 @@ class TerminatedDiagram(CausalOrder):
         set in (u, v) because the boundary slopes stay below light speed."""
         return self._below(u + v, v - u, 2 * den)
 
-    def common_future(self, events: Sequence[Event]) -> Event | None:
-        if not events:
-            raise GeometryError("common_future of an empty family")
-        for e in events:
-            self.validate_event(e)
+    def _common_future(self, events: Sequence[Event]) -> Event | None:
         den, coords = _scaled_null_coords(events)
         u = max(u for u, _ in coords)
         v = max(v for _, v in coords)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .boxes import (
     Alphabet,
@@ -199,18 +199,18 @@ class _Vectors(dict):
         return vec
 
 
-def check_instances(
-    box: CorrelationBox, instances: Sequence[ConstraintInstance]
-) -> list[ViolationReport]:
-    """Exact check of each instance; one report per violated instance,
-    carrying the first differing outcome in canonical order.
+def _violations(
+    box: CorrelationBox, instances: Iterable[ConstraintInstance]
+) -> Iterator[ViolationReport]:
+    """One report per violated instance, in the given order, each carrying
+    the first differing outcome in canonical order.
 
     Marginals are compared as integer vectors over the box's common
     denominator, read from one table per output set G, so each distinct
     (G, x) vector is computed once; the first difference of each
-    distinct violated (G, x, x') is found once.
+    distinct violated (G, x, x') is found once.  Nothing is computed
+    ahead of the report asked for.
     """
-    reports = []
     tables: dict[tuple[int, ...], _Vectors] = {}
     diffs: dict = {}
     G = table = None
@@ -226,8 +226,15 @@ def check_instances(
             diff = diffs.get(key)
             if diff is None:
                 diff = diffs[key] = _first_difference(box, G, left, right)
-            reports.append(ViolationReport(inst, *diff))
-    return reports
+            yield ViolationReport(inst, *diff)
+
+
+def check_instances(
+    box: CorrelationBox, instances: Sequence[ConstraintInstance]
+) -> list[ViolationReport]:
+    """Exact check of each instance; one report per violated instance,
+    carrying the first differing outcome in canonical order."""
+    return list(_violations(box, instances))
 
 
 def check_ons(order: CausalOrder, box: CorrelationBox) -> list[ViolationReport]:
@@ -333,15 +340,10 @@ def named_constraints(
         if len(inputs) != 3 or len(outputs) != 3:
             raise LayoutMismatch("triangle family needs 3 inputs and 3 outputs")
         # Input i sits opposite output i: it jams the other two readers.
-        pair_lines = [
+        specs = [
             ("ab_setting_free", (0, 1), (0, 1), 2),
             ("ac_setting_free", (0, 2), (0, 2), 1),
             ("bc_setting_free", (1, 2), (1, 2), 0),
-        ]
-        single_lines = [
-            ("a_setting_free", (0, 1, 2), (0,)),
-            ("b_setting_free", (0, 1, 2), (1,)),
-            ("c_setting_free", (0, 1, 2), (2,)),
         ]
     elif family == "compass":
         if len(inputs) != 4 or len(outputs) != 3:
@@ -358,34 +360,23 @@ def named_constraints(
                 raise LayoutMismatch(
                     f"compass: {u!r} and {v!r} are not spacelike separated"
                 )
-        pair_lines = [
+        specs = [
             ("ab_setting_free", (2, 3), (0, 1), 0),
             ("bc_setting_free", (0, 1), (1, 2), 2),
         ]
-        single_lines = [
-            ("a_setting_free", (0, 1, 2, 3), (0,)),
-            ("b_setting_free", (0, 1, 2, 3), (1,)),
-            ("c_setting_free", (0, 1, 2, 3), (2,)),
-        ]
     else:
         raise KeyError(f"unknown constraint family {family!r}")
+    every_input = tuple(range(len(inputs)))
+    specs += [(f"{c}_setting_free", every_input, (g,), None) for g, c in enumerate("abc")]
 
     lines = []
-    for label, F, G, jammer in pair_lines:
+    for label, F, G, jammer in specs:
         gather = [outputs[g].location for g in G]
         cert = _require_separated(
             order, gather, [inputs[f].location for f in F], label
         )
-        _require_jammed(order, gather, [inputs[jammer].location], f"{label} (jam)")
-        insts = tuple(
-            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(alphabets, F)
-        )
-        lines.append(FamilyLine(label, F, G, cert, insts))
-    for label, F, G in single_lines:
-        gather = [outputs[g].location for g in G]
-        cert = _require_separated(
-            order, gather, [inputs[f].location for f in F], label
-        )
+        if jammer is not None:
+            _require_jammed(order, gather, [inputs[jammer].location], f"{label} (jam)")
         insts = tuple(
             ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(alphabets, F)
         )

@@ -66,6 +66,27 @@ def _identity(n: int) -> Matrix:
     )
 
 
+def _linear(dim: int, entries: dict[tuple[int, int], Fraction | int]) -> PoincareMap:
+    """The map with no translation whose matrix is the identity of size
+    dim + 1 except at the given (row, column) entries."""
+    n = dim + 1
+    return PoincareMap(
+        tuple(
+            tuple(Fraction(entries.get((i, j), i == j)) for j in range(n))
+            for i in range(n)
+        ),
+        (Fraction(0),) * n,
+    )
+
+
+def _plane_rows(dim: int, axes: tuple[int, int]) -> tuple[int, int]:
+    """The matrix rows of two distinct spatial axes, checked in range."""
+    a, b = axes
+    if a == b or not (0 <= a < dim and 0 <= b < dim):
+        raise GeometryError("rotation axes must be two distinct spatial axes")
+    return a + 1, b + 1
+
+
 @dataclass(frozen=True)
 class PoincareMap:
     """x -> matrix @ x + translation on (t, x1, ..., xd) coordinates.
@@ -104,8 +125,7 @@ class PoincareMap:
 
     @staticmethod
     def identity(dim: int) -> "PoincareMap":
-        n = dim + 1
-        return PoincareMap(_identity(n), tuple(Fraction(0) for _ in range(n)))
+        return _linear(dim, {})
 
     @staticmethod
     def translation_map(dt, dx: Sequence) -> "PoincareMap":
@@ -126,15 +146,8 @@ class PoincareMap:
             raise GeometryError("boost axis out of range")
         c = (k + 1 / k) / 2
         s = (k - 1 / k) / 2
-        rows = [list(r) for r in _identity(dim + 1)]
         i = axis + 1
-        rows[0][0] = c
-        rows[0][i] = -s
-        rows[i][0] = -s
-        rows[i][i] = c
-        return PoincareMap(
-            tuple(tuple(r) for r in rows), tuple(Fraction(0) for _ in range(dim + 1))
-        )
+        return _linear(dim, {(0, 0): c, (0, i): -s, (i, 0): -s, (i, i): c})
 
     @staticmethod
     def rotation(dim: int, m, axes: tuple[int, int] = (0, 1)) -> "PoincareMap":
@@ -143,46 +156,25 @@ class PoincareMap:
         sin = 2m/(1+m^2).
         """
         m = parse_rational(m)
-        a, b = axes
-        if a == b or not (0 <= a < dim and 0 <= b < dim):
-            raise GeometryError("rotation axes must be two distinct spatial axes")
+        i, j = _plane_rows(dim, axes)
         den = 1 + m * m
         c = (1 - m * m) / den
         s = 2 * m / den
-        rows = [list(r) for r in _identity(dim + 1)]
-        i, j = a + 1, b + 1
-        rows[i][i] = c
-        rows[i][j] = -s
-        rows[j][i] = s
-        rows[j][j] = c
-        return PoincareMap(
-            tuple(tuple(r) for r in rows), tuple(Fraction(0) for _ in range(dim + 1))
-        )
+        return _linear(dim, {(i, i): c, (i, j): -s, (j, i): s, (j, j): c})
 
     @staticmethod
     def half_turn(dim: int, axes: tuple[int, int] = (0, 1)) -> "PoincareMap":
         """Rotation by a straight angle in a spatial plane (both axes
         negated); proper, and not reachable by the half-angle-tangent
         parametrisation."""
-        a, b = axes
-        if a == b or not (0 <= a < dim and 0 <= b < dim):
-            raise GeometryError("rotation axes must be two distinct spatial axes")
-        rows = [list(r) for r in _identity(dim + 1)]
-        rows[a + 1][a + 1] = Fraction(-1)
-        rows[b + 1][b + 1] = Fraction(-1)
-        return PoincareMap(
-            tuple(tuple(r) for r in rows), tuple(Fraction(0) for _ in range(dim + 1))
-        )
+        i, j = _plane_rows(dim, axes)
+        return _linear(dim, {(i, i): -1, (j, j): -1})
 
     @staticmethod
     def spatial_reflection(dim: int, axis: int = 0) -> "PoincareMap":
         if not 0 <= axis < dim:
             raise GeometryError("reflection axis out of range")
-        rows = [list(r) for r in _identity(dim + 1)]
-        rows[axis + 1][axis + 1] = Fraction(-1)
-        return PoincareMap(
-            tuple(tuple(r) for r in rows), tuple(Fraction(0) for _ in range(dim + 1))
-        )
+        return _linear(dim, {(axis + 1, axis + 1): -1})
 
     # -- algebra ----------------------------------------------------------
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .boxes import CorrelationBox, _first_difference, _marginal_vector, marginalize
+from .boxes import CorrelationBox, _marginal_vector, marginalize
 from .geometry import CausalOrder, Event, Minkowski
-from .ons import ConstraintInstance, ViolationReport
+from .ons import ConstraintInstance, ViolationReport, _violations
 from .poincare import PoincareMap, find_loop_transform
 from .rational import _plain_int
 from .separation import verify_separation_witness
@@ -139,20 +139,15 @@ def exhaustive_protocol_search(
     instances: Sequence[ConstraintInstance],
 ) -> SignallingProtocol | None:
     """The protocol of the first instance, in the given order, whose two
-    marginals differ; the scan stops there.  That is the first report
-    check_instances gives, so a caller holding those reports can pass
-    the first one to build_protocol instead.
+    marginals differ.  It runs check_instances' scan and stops at its
+    first report, so a caller holding those reports can pass the first
+    one to build_protocol instead.
 
     Returns None only when no instance exhibits differing marginals, so
     a box that satisfies every constraint admits no protocol at all.
     """
-    for inst in instances:
-        left = _marginal_vector(box, inst.G, inst.x)
-        right = _marginal_vector(box, inst.G, inst.x_prime)
-        if left != right:
-            diff = _first_difference(box, inst.G, left, right)
-            return build_protocol(order, box, ViolationReport(inst, *diff))
-    return None
+    first = next(_violations(box, instances), None)
+    return None if first is None else build_protocol(order, box, first)
 
 
 # ----------------------------------------------------------------------

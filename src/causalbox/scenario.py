@@ -205,7 +205,8 @@ def box_from_json(obj: Mapping) -> tuple[CausalOrder, CorrelationBox]:
 class Scenario:
     """A backend plus whatever the preset pins down.
 
-    Box presets carry a full correlation box; layout presets carry only
+    Box presets carry a full correlation box, and a scenario with a box
+    takes its inputs and outputs from it; layout presets carry only
     SRVs and the named constraint family they feed.  The n-receiver
     jamming ring is not a scenario: `causalbox jam-geometry` builds it.
     """
@@ -216,6 +217,11 @@ class Scenario:
     inputs: tuple[Srv, ...] = ()
     outputs: tuple[Srv, ...] = ()
     family: str | None = None
+
+    def __post_init__(self):
+        if self.box is not None:
+            object.__setattr__(self, "inputs", self.box.inputs)
+            object.__setattr__(self, "outputs", self.box.outputs)
 
 
 PRESETS = (
@@ -328,23 +334,25 @@ def separation_to_json(result: SeparationResult) -> dict:
     }
 
 
-def instance_to_json(inst: ConstraintInstance) -> dict:
+def _move_to_json(inst: ConstraintInstance) -> dict:
     return {
         "F": list(inst.F),
         "G": list(inst.G),
         "x": _join(inst.x),
         "x_prime": _join(inst.x_prime),
+    }
+
+
+def instance_to_json(inst: ConstraintInstance) -> dict:
+    return {
+        **_move_to_json(inst),
         "certificate": separation_to_json(inst.certificate),
     }
 
 
 def violation_to_json(v: ViolationReport) -> dict:
-    inst = v.instance
     return {
-        "F": list(inst.F),
-        "G": list(inst.G),
-        "x": _join(inst.x),
-        "x_prime": _join(inst.x_prime),
+        **_move_to_json(v.instance),
         "a": _join(v.outcome),
         "p1": rat_str(v.p_x),
         "p2": rat_str(v.p_x_prime),

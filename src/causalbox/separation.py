@@ -53,10 +53,6 @@ class SeparationResult:
     def is_separated(self) -> bool:
         return self.verdict is Verdict.SEPARATED
 
-    @property
-    def is_decided(self) -> bool:
-        return self.verdict is not Verdict.UNKNOWN
-
 
 def verify_separation_witness(
     order: CausalOrder,

@@ -112,6 +112,14 @@ def axes_only(title: str = "empty scenario") -> str:
     return fig.render()
 
 
+def _dot(fig: Figure, px: float, py: float, name: str, kind: str, tier: int = 0) -> None:
+    """One SRV: blue for an input, red for an output, labelled; tier
+    lifts the label above those of earlier SRVs at the same point."""
+    fill = "#1f4e9c" if kind == "input" else "#b03a2e"
+    fig.circle(px, py, 3.5, fill=fill)
+    fig.text(px + 6, py - 4 - 12 * tier, name)
+
+
 # ----------------------------------------------------------------------
 # figure kinds
 
@@ -138,9 +146,7 @@ def cone_diagram(points: Sequence[tuple[str, Event, str]], title: str) -> str:
         fig.line(px, py, rx, ry, stroke="#bbbbbb")
         tier = stack.get((x, t), 0)
         stack[(x, t)] = tier + 1
-        fill = "#1f4e9c" if kind == "input" else "#b03a2e"
-        fig.circle(px, py, 3.5, fill=fill)
-        fig.text(px + 6, py - 4 - 12 * tier, name)
+        _dot(fig, px, py, name, kind, tier)
     return fig.render()
 
 
@@ -153,10 +159,7 @@ def spatial_scatter(points: Sequence[tuple[str, Event, str]], title: str) -> str
     fig = Figure(title)
     _axes(fig, "x1", "x2")
     for (name, _, kind), (x, y) in zip(points, coords):
-        px, py = frame.to_px(x, y)
-        fill = "#1f4e9c" if kind == "input" else "#b03a2e"
-        fig.circle(px, py, 3.5, fill=fill)
-        fig.text(px + 6, py - 4, name)
+        _dot(fig, *frame.to_px(x, y), name, kind)
     return fig.render()
 
 
@@ -209,10 +212,7 @@ def terminated_figure(
     boundary.append((hi, float(order.sigma(hi))))
     fig.polyline([frame.to_px(x, t) for x, t in boundary], stroke="#b03a2e", width=2.2)
     for name, e, kind in points:
-        px, py = frame.to_px(float(e.x[0]), float(e.t))
-        fill = "#1f4e9c" if kind == "input" else "#b03a2e"
-        fig.circle(px, py, 3.5, fill=fill)
-        fig.text(px + 6, py - 4, name)
+        _dot(fig, *frame.to_px(float(e.x[0]), float(e.t)), name, kind)
     return fig.render()
 
 

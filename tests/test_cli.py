@@ -329,6 +329,34 @@ class TestJamGeometry:
         # unit circle + 5 reach discs + escape disc + 5 dots
         assert content.count("<circle") == 12
 
+    def test_figure_named_by_reduced_fractions(self, capsys, tmp_path):
+        # One ring gets one name, however its h and t are spelled.
+        paths = set()
+        for h, t in (("0.7", "2"), ("7/10", "4/2"), ("14/20", "2.0")):
+            code, doc = out_json(
+                capsys, "jam-geometry", "--n", "5", "--h", h, "--t", t,
+                "--out", str(tmp_path),
+            )
+            assert code == PASS
+            paths.add(doc["svg"])
+        assert paths == {str(tmp_path / "njam_n5_h7_10_t2.svg")}
+        assert os.listdir(tmp_path) == ["njam_n5_h7_10_t2.svg"]
+
+    def test_bad_t_rejected_before_certification(self, capsys, tmp_path, monkeypatch):
+        import causalbox.jamming
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_config ran")
+
+        monkeypatch.setattr(causalbox.jamming, "verify_config", refuse)
+        code, out, err = run(
+            capsys, "jam-geometry", "--n", "5", "--h", "7/10", "--t", "x",
+            "--out", str(tmp_path),
+        )
+        assert code == USAGE
+        assert out == "" and "'x'" in err
+        assert os.listdir(tmp_path) == []
+
     def test_deterministic_output(self, capsys, tmp_path):
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))
         code, out1, _ = run(capsys, *argv)

@@ -240,6 +240,44 @@ def test_derived_queries_validate_equal_events():
     assert fo.classify(Event.named("a"), Event.named("a")) == "equal"
 
 
+class TestCommonFutureBoundary:
+    """common_future checks its family once, for every backend, before the
+    backend's own search."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [Minkowski(1), FiniteOrder([("a", "b")]), TerminatedDiagram([(0, 5)])],
+        ids=["minkowski", "finite", "terminated"],
+    )
+    def test_empty_family_rejected(self, order):
+        with pytest.raises(GeometryError, match="empty family"):
+            order.common_future([])
+
+    def test_unknown_element_rejected(self):
+        fo = FiniteOrder([("a", "b")])
+        with pytest.raises(GeometryError, match="unknown element"):
+            fo.common_future([Event.named("a"), Event.named("nope")])
+
+    def test_event_outside_domain_rejected(self):
+        td = TerminatedDiagram([(-4, 3), (0, 1), (4, 3)])
+        with pytest.raises(DomainError):
+            td.common_future([ev(0, 0), ev(1, 0)])
+
+    def test_finite_members_validated_once(self, monkeypatch):
+        fo = FiniteOrder([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        seen = []
+        validate = fo.validate_event
+
+        def counting(e):
+            seen.append(e)
+            validate(e)
+
+        monkeypatch.setattr(fo, "validate_event", counting)
+        family = [Event.named("b"), Event.named("c")]
+        assert fo.common_future(family) == Event.named("d")
+        assert seen == family
+
+
 class TestExactCoordinates:
     """Coordinates must be ints or Fractions: a float, a string or a bool
     is rejected with GeometryError by every query, so floats never decide."""

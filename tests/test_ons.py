@@ -541,6 +541,43 @@ class TestNamedFamilies:
         with pytest.raises(LayoutMismatch):
             named_constraints("six_config_triangle", M2, ins, outs)
 
+    def test_jam_check_runs_once_per_pair_line(self, monkeypatch):
+        calls = []
+        require_jammed = causalbox.ons._require_jammed
+
+        def counting(order, gather, avoid, what):
+            calls.append(what)
+            return require_jammed(order, gather, avoid, what)
+
+        monkeypatch.setattr(causalbox.ons, "_require_jammed", counting)
+        ins, outs = triangle_srvs(triangle_points())
+        named_constraints("six_config_triangle", M2, ins, outs)
+        assert calls == [
+            "ab_setting_free (jam)",
+            "ac_setting_free (jam)",
+            "bc_setting_free (jam)",
+        ]
+        calls.clear()
+        ins, outs = self.compass_srvs()
+        named_constraints("compass", M1, ins, outs)
+        assert calls == ["ab_setting_free (jam)", "bc_setting_free (jam)"]
+
+    def test_unjammed_pair_named_in_error(self):
+        # y jams the ac pair; moved next to b, every line still separates
+        # but y no longer stands between a and c.
+        pts = triangle_points()
+        pts["y"] = Event.at(0, 5, 0)
+        ins, outs = triangle_srvs(pts)
+        for G, F in (((0, 1), (0, 1)), ((0, 2), (0, 2)), ((1, 2), (1, 2))):
+            gather = [outs[g].location for g in G]
+            avoid = [ins[f].location for f in F]
+            assert separated(M2, gather, avoid).verdict is Verdict.SEPARATED
+        for g in range(3):
+            avoid = [s.location for s in ins]
+            assert separated(M2, [outs[g].location], avoid).verdict is Verdict.SEPARATED
+        with pytest.raises(LayoutMismatch, match=r"^ac_setting_free \(jam\):"):
+            named_constraints("six_config_triangle", M2, ins, outs)
+
     def test_six_config_satisfied_by_product_box(self):
         ins, outs = triangle_srvs(triangle_points())
         fam = named_constraints("six_config_triangle", M2, ins, outs)

@@ -17,6 +17,7 @@ from causalbox.geometry import (
 )
 from causalbox.ons import ViolationReport, check_ons, enumerate_constraints
 from causalbox.scenario import preset
+from causalbox import ons as ons_module
 from causalbox import protocol as protocol_module
 from causalbox.protocol import (
     _Sampler,
@@ -184,6 +185,25 @@ class TestExhaustiveSearch:
         proto = exhaustive_protocol_search(M1, box, instances)
         assert isinstance(proto, SignallingProtocol)
         assert proto.total_variation > 0
+
+    def test_scan_stops_at_first_violation(self, monkeypatch):
+        # check_instances and the search share one scan; the search must
+        # find no difference beyond the first violated instance's.
+        box = bell_box(signalling=True)
+        instances = enumerate_constraints(M1, box)
+        reports = check_ons(M1, box)
+        assert len({(r.instance.G, r.instance.x, r.instance.x_prime) for r in reports}) >= 2
+        calls = []
+        first_difference = ons_module._first_difference
+
+        def counting(*args):
+            calls.append(args)
+            return first_difference(*args)
+
+        monkeypatch.setattr(ons_module, "_first_difference", counting)
+        proto = exhaustive_protocol_search(M1, box, instances)
+        assert len(calls) == 1
+        assert proto == build_protocol(M1, box, reports[0])
 
 
 def toy_protocol(tv_half=True):

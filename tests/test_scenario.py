@@ -130,6 +130,14 @@ class TestPresets:
         with pytest.raises(sc.ScenarioError):
             sc.preset("bell")
 
+    def test_box_scenario_srvs_are_its_box(self):
+        for name in sc.PRESETS:
+            scen = sc.preset(name)
+            if scen.box is not None:
+                assert scen.box.inputs and scen.box.outputs
+                assert scen.inputs == scen.box.inputs
+                assert scen.outputs == scen.box.outputs
+
     def test_family_presets_feed_named_constraints(self):
         for name, n_lines in (("six_config", 6), ("compass", 5)):
             scen = sc.preset(name)

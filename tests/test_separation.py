@@ -62,7 +62,7 @@ event_1p1 = st.tuples(coord, coord).map(lambda p: ev(p[0], p[1]))
 def test_flat_line_engine_matches_brute_force(gather, avoid):
     order = Minkowski(1)
     res = separated(order, gather, avoid)
-    assert res.is_decided
+    assert res.verdict is not Verdict.UNKNOWN
     assert res.is_separated == brute_separated_1p1(order, gather, avoid)
     if res.is_separated:
         assert res.witness is not None
@@ -81,7 +81,7 @@ def test_terminated_engine_matches_brute_force(gather, avoid):
     if not keep:
         return
     res = separated(order, keep, avoid)
-    assert res.is_decided
+    assert res.verdict is not Verdict.UNKNOWN
     assert res.is_separated == brute_separated_1p1(order, keep, avoid)
     if res.is_separated:
         assert verify_separation_witness(order, keep, avoid, res.witness)
@@ -531,7 +531,7 @@ def test_plane_single_avoid_verdicts_are_witnessed_or_refuted(gather_pts, p_pt):
     gather = [ev(t, x, y) for t, x, y in gather_pts]
     p = ev(*p_pt)
     res = separated(order, gather, [p])
-    assert res.is_decided
+    assert res.verdict is not Verdict.UNKNOWN
     if res.is_separated and res.witness is not None:
         assert verify_separation_witness(order, gather, [p], res.witness)
     if res.verdict is Verdict.NOT_SEPARATED:
@@ -864,7 +864,7 @@ def test_every_separated_verdict_carries_a_witness(backend):
                 pts = [e for e in pts if order.in_domain(e)] or [ev(-3, 0)]
             gather, avoid = pts[: rng.randint(1, 3)], pts[3:]
         res = separated(order, gather, avoid)
-        assert res.is_decided
+        assert res.verdict is not Verdict.UNKNOWN
         if res.is_separated:
             assert res.witness is not None
             assert verify_separation_witness(order, gather, avoid, res.witness)
