@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 # only what its command needs.
 from . import scenario as sc
 from .boxes import MODELS, validate_box
-from .ons import check_instances, enumerate_constraints, named_constraints
+from .ons import FAMILIES, check_instances, enumerate_constraints, named_constraints
 from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
@@ -179,17 +179,20 @@ def _safe_name(text: str) -> str:
 
 
 def _write_svg(out_dir: str, filename: str, content: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".part")
+    tmp = None
     try:
+        os.makedirs(out_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        _fail(USAGE, f"cannot write {path}: {exc}")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return path
 
 
@@ -252,6 +255,8 @@ def cmd_simulate(args) -> int:
     if args.trials <= 0:
         _fail(USAGE, "--trials must be positive")
     alpha = parse_rational(args.alpha)
+    if not 0 < alpha < 1:
+        _fail(USAGE, "--alpha must lie strictly between 0 and 1")
     report, proto = _find_protocol(args)
     report["simulation"] = None
     if proto is not None:
@@ -267,6 +272,8 @@ def cmd_jam_geometry(args) -> int:
     from .jamming import build_config, verify_config
 
     h, t = parse_rational(args.h), parse_rational(args.t)
+    if t < 0:
+        _fail(USAGE, "--t must be nonnegative")
     config = build_config(args.n, h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
     figure = _njam_figure(config, t)
@@ -354,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constraints", help="list constraint instances or a named family")
     _scenario_flags(p)
-    p.add_argument("--family", help="named family label, defaults to the scenario's")
+    p.add_argument(
+        "--family", choices=FAMILIES, help="named family label, defaults to the scenario's"
+    )
     p.set_defaults(func=cmd_constraints)
 
     p = sub.add_parser("protocol", help="extract a signalling protocol from a violation")

@@ -97,10 +97,6 @@ class IntervalSession:
         q = Fraction(value)
         return self.ctx.mpf(q.numerator) / self.ctx.mpf(q.denominator)
 
-    @property
-    def pi(self):
-        return self.ctx.pi
-
     def cos_pi_frac(self, k: int, n: int):
         """Enclosure of cos(k*pi/n)."""
         return self.ctx.cos(self.ctx.pi * self.ctx.mpf(k) / self.ctx.mpf(n))

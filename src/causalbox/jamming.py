@@ -79,12 +79,18 @@ def _rational_cos(m: int, n: int) -> Fraction | None:
     return _RATIONAL_COS.get(Fraction(_fold(m, n), n))
 
 
-def _cos_enclosure(session: IntervalSession, m: int, n: int) -> Enclosure:
-    """Enclosure of cos(m*pi/n); a point when the cosine is rational."""
-    exact = _rational_cos(m, n)
-    if exact is not None:
-        return Enclosure.point(exact)
-    return session.enclosure(session.cos_pi_frac(m, n))
+@lru_cache(maxsize=None)
+def _ring(prec: int, n: int) -> tuple[tuple[Enclosure, Enclosure], ...]:
+    """Enclosures (cos, sin) of m*pi/n at prec bits, for m in range(2n).
+
+    Every ring cosine and sine is read from here, so each is evaluated
+    once per precision; receiver j sits at entry 2j.
+    """
+    iv = _session(prec)
+    return tuple(
+        (iv.enclosure(iv.cos_pi_frac(m, n)), iv.enclosure(iv.sin_pi_frac(m, n)))
+        for m in range(2 * n)
+    )
 
 
 def _above_cos(h: Fraction, m: int, n: int) -> bool:
@@ -125,8 +131,12 @@ def valid_h_range(n: int) -> tuple[Enclosure, Enclosure]:
     Rational endpoints come back as exact point enclosures.
     """
     _require_n(n)
-    session = _session(DEFAULT_PREC)
-    return _cos_enclosure(session, 2, n), _cos_enclosure(session, 1, n)
+    ring = _ring(DEFAULT_PREC, n)
+    lower, upper = (
+        ring[m][0] if (exact := _rational_cos(m, n)) is None else Enclosure.point(exact)
+        for m in (2, 1)
+    )
+    return lower, upper
 
 
 def boundary_functions(n: int, t) -> tuple[Enclosure, Enclosure]:
@@ -180,14 +190,7 @@ def build_config(n: int, h) -> NJamConfig:
         raise ValueError("jammer height h must satisfy 0 < h < 1")
     # The window (cos(2pi/n), cos(pi/n)] is open below, closed above.
     in_range = _above_cos(h, 2, n) and not _above_cos(h, 1, n)
-    session = _session(DEFAULT_PREC)
-    points = tuple(
-        (
-            session.enclosure(session.cos_pi_frac(2 * j, n)),
-            session.enclosure(session.sin_pi_frac(2 * j, n)),
-        )
-        for j in range(n)
-    )
+    points = _ring(DEFAULT_PREC, n)[::2]
     return NJamConfig(n=n, h=h, prec=DEFAULT_PREC, points=points, h_in_range=in_range)
 
 
@@ -208,19 +211,15 @@ def _limit_index(n: int, J) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _unit_bounds(session: IntervalSession, n: int) -> tuple[tuple[int, ...], ...]:
+def _unit_bounds(prec: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Integers (cos_lo, cos_hi, sin_lo, sin_hi) bracketing 2^prec times
     cos(m*pi/n) and sin(m*pi/n), for m in range(2n)."""
-    scale = 1 << session.prec
+    scale = 1 << prec
 
-    def bracket(value) -> tuple[int, int]:
-        enc = session.enclosure(value)
+    def bracket(enc: Enclosure) -> tuple[int, int]:
         return math.floor(enc.lo * scale), math.ceil(enc.hi * scale)
 
-    return tuple(
-        bracket(session.cos_pi_frac(m, n)) + bracket(session.sin_pi_frac(m, n))
-        for m in range(2 * n)
-    )
+    return tuple(bracket(c) + bracket(s) for c, s in _ring(prec, n))
 
 
 def _escape_witness(n: int, h: Fraction, J, k: int) -> Witness:
@@ -239,7 +238,7 @@ def _escape_witness(n: int, h: Fraction, J, k: int) -> Witness:
 
     def decide(session: IntervalSession):
         bits = session.prec
-        units = _unit_bounds(session, n)
+        units = _unit_bounds(bits, n)
         c_lo, c_hi, s_lo, s_hi = units[k]
         for i in range(bits - 8):
             x = round(Fraction((c_lo + c_hi) << i, 2 << bits))

@@ -316,6 +316,10 @@ def _require_jammed(order, gather, avoid, what):
         raise LayoutMismatch(f"{what}: the jammer does not cover the outputs")
 
 
+# The families named_constraints builds; the CLI offers these as choices.
+FAMILIES = ("six_config_triangle", "compass")
+
+
 def named_constraints(
     family: str,
     order: CausalOrder,
@@ -330,9 +334,12 @@ def named_constraints(
     compass: two two-bit jammers and three readers on a line; five
     equalities.
 
-    Raises LayoutMismatch when the supplied points cannot support the
-    family's presupposed separation pattern.
+    Raises KeyError for a family not in FAMILIES, and LayoutMismatch
+    when the supplied points cannot support the family's presupposed
+    separation pattern.
     """
+    if family not in FAMILIES:
+        raise KeyError(f"unknown constraint family {family!r}")
     inputs = tuple(inputs)
     outputs = tuple(outputs)
     alphabets = tuple(s.alphabet for s in inputs)
@@ -345,7 +352,7 @@ def named_constraints(
             ("ac_setting_free", (0, 2), (0, 2), 1),
             ("bc_setting_free", (1, 2), (1, 2), 0),
         ]
-    elif family == "compass":
+    else:
         if len(inputs) != 4 or len(outputs) != 3:
             raise LayoutMismatch("compass family needs 4 inputs and 3 outputs")
         if inputs[0].location != inputs[1].location:
@@ -364,8 +371,6 @@ def named_constraints(
             ("ab_setting_free", (2, 3), (0, 1), 0),
             ("bc_setting_free", (0, 1), (1, 2), 2),
         ]
-    else:
-        raise KeyError(f"unknown constraint family {family!r}")
     every_input = tuple(range(len(inputs)))
     specs += [(f"{c}_setting_free", every_input, (g,), None) for g, c in enumerate("abc")]
 

@@ -263,7 +263,8 @@ def simulate(
     p = 1.
 
     Raises ValueError, before any draw, unless trials and mc_rounds are
-    ints >= 1 and seed is an int in [0, 2**64) (bools are rejected), and
+    ints >= 1, seed is an int in [0, 2**64) and alpha is an int or a
+    Fraction with 0 < alpha < 1 (bools and floats are rejected), and
     unless each arm's distribution is nonnegative and sums to 1.
     """
     for name, value in (("trials", trials), ("mc_rounds", mc_rounds)):
@@ -271,6 +272,8 @@ def simulate(
             raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if not _plain_int(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+    if not (_plain_int(alpha) or isinstance(alpha, Fraction)) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must be a Fraction in (0, 1), got {alpha!r}")
     for name, dist in (("dist_a", protocol.dist_a), ("dist_b", protocol.dist_b)):
         if any(p < 0 for p in dist.values()) or sum(dist.values()) != 1:
             raise ValueError(f"{name} must be nonnegative and sum to 1")

@@ -141,10 +141,17 @@ def alphabet_to_json(a: Alphabet):
     return list(a.labels)
 
 
-def alphabet_from_json(obj) -> Alphabet:
-    if isinstance(obj, Mapping):
-        return Alphabet.interventions(Alphabet.of(*obj["intervention_of"]))
+def _labels_from_json(obj) -> Alphabet:
+    if not isinstance(obj, list):
+        raise ScenarioError(f"alphabet labels must be a JSON list, got {obj!r}")
     return Alphabet.of(*obj)
+
+
+def alphabet_from_json(obj) -> Alphabet:
+    """A JSON list of labels, or {"intervention_of": <list of labels>}."""
+    if isinstance(obj, Mapping):
+        return Alphabet.interventions(_labels_from_json(obj["intervention_of"]))
+    return _labels_from_json(obj)
 
 
 def srv_to_json(s: Srv) -> dict:

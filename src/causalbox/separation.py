@@ -94,27 +94,43 @@ def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) ->
 # that carry an offset delta >= 0 (one more cut adds to it).  Every
 # component of W projects to an open x1-interval whose finite ends are
 # critical values of x1: at the lower end the closure of the component
-# reaches a point x* where T = S, and x* is a cone apex, or a point of
-# the tie set {arrivals of J all equal} of some event set J with at
-# least one gathered and one avoided event at which x1 is critical
-# (Lagrange or singular), or x* escapes to infinity along such a tie
-# set's asymptote.  A rational cut in each gap between the critical
-# values, and one beyond each end, therefore meets every component, and
-# W is empty exactly when it is empty on every cut.  The recursion runs
-# down to the plane, whose cuts are lines: there W is a union of gaps
-# between the roots in y of the gathered/avoided pair conics, so one
-# rational point per gap decides.
+# reaches a point x* where T = S, and x* is a point of the tie set
+# {arrivals of J all equal} of some event set J with at least one
+# gathered and one avoided event at which x1 is critical (Lagrange or
+# singular), or x* escapes to infinity along such a tie set's
+# asymptote.  A rational cut in each gap between the critical values,
+# and one beyond each end, therefore meets every component, and W is
+# empty exactly when it is empty on every cut.  The recursion runs down
+# to the plane, whose cuts are lines: there W is a union of gaps between
+# the roots in y of the gathered/avoided pair conics, so one rational
+# point per gap decides.
+#
+# Cone apices need no cut of their own, because the sweep runs only
+# after _separated's early exits.  Say x* is the apex of an event that
+# is active there, so T(x*) = S(x*).
+# - A gathered apex (t, a) has T(a) = t, so some avoided (s, b) has
+#   s + |a - b| = t.  If that event strictly precedes the gathered one,
+#   _separated has returned blocked_by_strict_past.  Otherwise it is the
+#   gathered event itself, which gathers every gathered event and which
+#   no avoided event strictly precedes, so the avoid-point scan has
+#   returned it.
+# - At an avoided apex (s, b) every gathered event reaches b by time s.
+#   If no avoided event strictly precedes this one, the avoid-point scan
+#   has returned it.  If one does, that event lies on this one's light
+#   cone; its arrival is smooth at b and no larger than this one's
+#   nearby, so the apex is not a corner of S.
+# A cut only restricts the same arrival functions, so this holds at
+# every depth, where offsets may be 0.
 #
 # In (tau, y) with u = (tau, y) - (t0, a0), the tie set of J is
 # <d_j, u> = (<d_j, d_j> - delta_j + delta_0)/2 for the differences d_j
 # of the other events from the first, on the quadric <u, u> = delta_0
 # (<,> the Minkowski form), future sheets only.  Its critical points
 # solve linear equations and one quadratic, so every critical value is
-# a + b*sqrt(R) and sorts exactly.  Cone apices are only at the top
-# level: a cut never passes through a critical value, so deeper offsets
-# are positive.  On the plane, pairs keep their conic's vertical
-# tangents and asymptotes (the discriminant in y), which also gives one
-# harmless extra abscissa where a double line meets y = 0.
+# a + b*sqrt(R) and sorts exactly.  On the plane, pairs keep their
+# conic's vertical tangents and asymptotes (the discriminant in y),
+# which also gives one harmless extra abscissa where a double line meets
+# y = 0.
 
 Ev = tuple[Fraction, Vec, Fraction]  # (t, a, delta) on a cut
 
@@ -336,12 +352,10 @@ def _critical_x1(gather: list[Ev], avoid: list[Ev]) -> tuple[list[QuadExt], list
     gathered/avoided pair conics."""
     k = len(gather[0][1])
     events = [*gather, *avoid]
-    crit = [QuadExt.rational(a[0]) for _, a, d in events if not d]
     conics = []
     if k == 2:
         conics = [_pair_conic(g, p) for g in gather for p in avoid if g[1:] != p[1:]]
-        for conic in conics:
-            crit += _vertical_tangents(conic)
+    crit = [x1 for conic in conics for x1 in _vertical_tangents(conic)]
     n = len(gather)
     for size in range(3 if k == 2 else 2, k + 2):
         for tie in combinations(range(len(events)), size):

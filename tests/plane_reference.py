@@ -2,7 +2,8 @@
 they stood before the dimension-generic sweep, kept as references.
 
 `plane_critical_x1` lists the plane sweep's critical x1 values in its
-own order; the generic sweep must produce the same set on the plane.
+own order, less the cone apices, which the generic sweep no longer cuts
+at; the generic sweep must produce the same set on the plane.
 `search_witness` looks for a rational witness on dyadic grids over
 the gathered events' common slices; it never refutes, so a witness it
 finds contradicts a NOT_SEPARATED verdict.
@@ -181,9 +182,12 @@ def _triple_abscissae(e0: Event, e1: Event, e2: Event) -> list[QuadExt]:
 
 
 def plane_critical_x1(gather: Sequence[Event], avoid: Sequence[Event]) -> list[QuadExt]:
+    """Pair-conic tangents and triple abscissae.  The cone-apex abscissae
+    the plane engine also cut at are left out, as in the engine, whose
+    early exits settle every component an apex could start."""
     conics = [_pair_conic(g, p) for g in gather for p in avoid if g.x != p.x]
     events = [*gather, *avoid]
-    crit = [QuadExt.rational(e.x[0]) for e in events]  # type: ignore[index]
+    crit: list[QuadExt] = []
     for conic in conics:
         crit += _vertical_tangents(conic)
     n = len(gather)

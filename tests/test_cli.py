@@ -171,6 +171,21 @@ class TestCheck:
             assert len(err.strip().splitlines()) == 1
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "alphabet", ["yes", {"intervention_of": "yes"}], ids=["plain", "intervention"]
+    )
+    def test_string_alphabet_is_usage_error(self, capsys, tmp_path, alphabet):
+        # A string is not a list of labels, not three labels y, e, s.
+        scen = sc.preset("bell_standard")
+        doc = sc.box_to_json(scen.order, scen.box)
+        doc["inputs"][0]["alphabet"] = alphabet
+        path = tmp_path / "string_alphabet.json"
+        path.write_text(sc.dumps(doc))
+        code, out, err = run(capsys, "check", "--scenario", str(path))
+        assert code == USAGE
+        assert out == ""
+        assert "alphabet labels must be a JSON list" in err
+
 
 class TestConstraints:
     def test_box_scenario_lists_instances(self, capsys, triangle_file):
@@ -203,6 +218,14 @@ class TestConstraints:
             capsys, "constraints", "--preset", "bell_standard", "--family", "compass"
         )
         assert code == USAGE
+
+    def test_unknown_family_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["constraints", "--preset", "six_config", "--family", "nope"])
+        assert excinfo.value.code == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nope'" in captured.err
 
 
 class TestProtocol:
@@ -276,6 +299,15 @@ class TestSimulate:
             "huh",
         )
         assert code == USAGE
+
+    @pytest.mark.parametrize("alpha", ["7", "0", "1"])
+    def test_alpha_outside_unit_interval(self, capsys, alpha):
+        # bell_standard has no violation, so this is checked before the scan.
+        code, out, err = run(
+            capsys, "simulate", "--preset", "bell_standard", "--seed", "1", "--alpha", alpha
+        )
+        assert code == USAGE
+        assert out == "" and "--alpha" in err
 
 
 class TestJamGeometry:
@@ -356,6 +388,31 @@ class TestJamGeometry:
         assert code == USAGE
         assert out == "" and "'x'" in err
         assert os.listdir(tmp_path) == []
+
+    def test_negative_t_rejected_before_certification(self, capsys, tmp_path, monkeypatch):
+        import causalbox.jamming
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_config ran")
+
+        monkeypatch.setattr(causalbox.jamming, "verify_config", refuse)
+        code, out, err = run(
+            capsys, "jam-geometry", "--n", "5", "--h", "7/10", "--t", "-1",
+            "--out", str(tmp_path),
+        )
+        assert code == USAGE
+        assert out == "" and "--t" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(
+            capsys, "jam-geometry", "--n", "5", "--h", "7/10",
+            "--out", str(tmp_path / "file" / "figs"),
+        )
+        assert code == USAGE
+        assert out == "" and err.startswith("cannot write ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_deterministic_output(self, capsys, tmp_path):
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))
@@ -576,6 +633,25 @@ class TestRender:
         )
         assert code == PASS
         assert target.is_dir()
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(
+            capsys, "render", "--preset", "fig5", "--out", str(tmp_path / "file" / "figs")
+        )
+        assert code == USAGE
+        assert out == "" and err.startswith("cannot write ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_failed_write_leaves_no_part_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, out, err = run(capsys, "render", "--preset", "fig5", "--out", str(tmp_path))
+        assert code == USAGE
+        assert out == "" and err.startswith("cannot write ")
+        assert os.listdir(tmp_path) == []
 
 
 class TestInternalError:

@@ -122,6 +122,24 @@ class TestBuildConfig:
     def test_string_heights_accepted(self):
         assert build_config(4, "7/10").h == F(7, 10)
 
+    def test_ring_is_evaluated_once(self, monkeypatch):
+        # Receivers and window ends share one table of cos(m*pi/n), m < 2n.
+        calls = []
+        cos = IntervalSession.cos_pi_frac
+
+        def counted(session, k, n):
+            calls.append((k, n))
+            return cos(session, k, n)
+
+        jamming._ring.cache_clear()
+        monkeypatch.setattr(IntervalSession, "cos_pi_frac", counted)
+        configs = [build_config(5, h) for h in (F(1, 2), F(7, 10), F(4, 5))]
+        lower, upper = valid_h_range(5)
+        assert len(calls) == 10
+        ring = jamming._ring(jamming.DEFAULT_PREC, 5)
+        assert all(c.points == ring[::2] for c in configs)
+        assert (lower, upper) == (ring[2][0], ring[1][0])
+
 
 class TestVerifyConfig:
     def test_in_window_bundle(self):

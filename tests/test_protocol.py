@@ -417,6 +417,17 @@ class TestSimulate:
             simulate(toy_protocol(), **args)
         assert made == []
 
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(7), Fraction(0), 0, 1, Fraction(-1, 2), True, 0.05]
+    )
+    def test_bad_alpha_is_rejected_before_any_draw(self, monkeypatch, alpha):
+        # alpha 7 used to reject every sample and alpha 0 none.
+        made = []
+        monkeypatch.setattr(protocol_module, "_stream", lambda *key: made.append(key))
+        with pytest.raises(ValueError, match="alpha"):
+            simulate(toy_protocol(), 8, seed=1, alpha=alpha)
+        assert made == []
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_64_bits_is_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):

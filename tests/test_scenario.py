@@ -84,6 +84,11 @@ class TestAlphabetRoundTrip:
         assert obj == {"intervention_of": ["0", "1"]}
         assert sc.alphabet_from_json(obj) == a
 
+    @pytest.mark.parametrize("obj", ["yes", {"intervention_of": "yes"}, 3, ("0", "1")])
+    def test_labels_must_be_a_list(self, obj):
+        with pytest.raises(sc.ScenarioError):
+            sc.alphabet_from_json(obj)
+
 
 class TestBoxRoundTrip:
     @pytest.mark.parametrize("name", BOX_PRESETS)

@@ -670,13 +670,13 @@ class TestTieExtrema:
         tie = [(z, (z, z), z), (z, (Fraction(1), z), z), (z, (Fraction(2), z), z)]
         assert _tie_extrema(tie) == []
 
-    def test_apices_are_critical_only_at_the_top(self):
+    def test_apices_are_not_critical(self):
+        # The early exits in _separated settle every component of W that
+        # starts at a cone apex, so the sweep cuts at tie sets only.
         z, one = self.Z, Fraction(1)
         top = [(z, (one, z, z), z), (z, (-one, z, z), z)]
         crit, _ = _critical_x1(top[:1], top[1:])
-        assert {one, -one} <= set(crit)
-        cut = [(z, (one, z, z), one), (z, (-one, z, z), one)]
-        assert one not in _critical_x1(cut[:1], cut[1:])[0]
+        assert not {one, -one} & set(crit)
 
 
 def space_layouts(n, seed, dim=3):
@@ -711,6 +711,19 @@ def test_space_engine_decides_seeded_layouts():
             assert probe_witness(order, gather, avoid, step=Fraction(1, 2)) is None
             assert search_witness(order, gather, avoid) is None
     assert reasons == {"plane_sweep": 262, "blocked_by_strict_past": 25, "cone_closure": 13}
+
+
+def test_space_lens_is_found_between_pair_ties():
+    """W = {x : |x| < min |x -+ (10, 0, 0)| - 9} is a lens around the
+    origin with x1 in (-1/2, 1/2), bounded by the pair ties' vertices at
+    -+1/2.  The triple ties give only 0 and -+7/5, whose gaps are sampled
+    at -+1 and -+3, so without the pair ties the sweep misses the lens."""
+    order = Minkowski(3)
+    gather = [ev(0, 0, 0, 0), ev(-1, 0, 0, 0)]
+    avoid = [ev(-9, -10, 0, 0), ev(-9, 10, 0, 0)]
+    res = separated(order, gather, avoid)
+    assert (res.verdict, res.reason) == (Verdict.SEPARATED, "plane_sweep")
+    assert verify_separation_witness(order, gather, avoid, res.witness)
 
 
 # A unit vector with rational coordinates: line layouts off the axes.
