@@ -316,8 +316,14 @@ def _first_difference(
     for i, (m, n) in enumerate(zip(left, right)):
         if m != n:
             break
-    outcome = next(itertools.islice(_outcomes_of(box, G), i, None))
-    return outcome, Fraction(m, box._denominator), Fraction(n, box._denominator)
+    # The i-th outcome of the product order, read off in mixed radix.
+    outcome = []
+    for g in reversed(G):
+        labels = box.outputs[g].alphabet.labels
+        i, d = divmod(i, len(labels))
+        outcome.append(labels[d])
+    D = box._denominator
+    return tuple(reversed(outcome)), Fraction(m, D), Fraction(n, D)
 
 
 def marginalize(

@@ -274,6 +274,10 @@ def cmd_jam_geometry(args) -> int:
     h, t = parse_rational(args.h), parse_rational(args.t)
     if t < 0:
         _fail(USAGE, "--t must be nonnegative")
+    try:
+        float(t)  # the figure draws the reach discs in floats
+    except OverflowError:
+        _fail(USAGE, f"--t {args.t!r} is too large to draw")
     config = build_config(args.n, h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
     figure = _njam_figure(config, t)

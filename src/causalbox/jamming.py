@@ -201,13 +201,21 @@ Witness = tuple[Fraction, Fraction, Fraction]
 
 
 def _limit_index(n: int, J) -> tuple[int, int]:
-    """(m*, k) with m* = min_k max_{j in J} fold(k - 2j) attained at k.
+    """(m*, k) with m* = min_k max_{j in J} fold(k - 2j), k the least
+    angle index attaining it, for sorted nonempty J.
+
+    The farthest receiver from angle k is n less the distance from the
+    opposite angle k + n to the nearest receiver.  That distance peaks,
+    at g, only in the middle 2a + g of a largest cyclic gap of J, from a
+    to a + g; so m* = n - g, attained at k = 2a + g + n (mod 2n).
 
     cos(f*pi/n) decreases in f on [0, n], so the directional limit
     -max_k min_{j in J} cos((k - 2j)*pi/n) equals cos((n - m*)*pi/n),
     and it is approached going outward along the angle k*pi/n.
     """
-    return min((max(_fold(k - 2 * j, n) for j in J), k) for k in range(2 * n))
+    gaps = [(b - a, a) for a, b in zip(J, (*J[1:], J[0] + n))]
+    g = max(gaps)[0]
+    return n - g, min((2 * a + g + n) % (2 * n) for d, a in gaps if d == g)
 
 
 @lru_cache(maxsize=None)

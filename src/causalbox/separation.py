@@ -4,10 +4,12 @@ family.
 
 Every verdict is exact: finite orders by an exhaustive scan, both 1+1
 backends by a quadrant sweep in lightcone coordinates, and Minkowski(d)
-with d >= 2 by a rational sweep that cuts at the critical values of x1
-and recurses one dimension lower, down to lines of the plane.  No engine
-returns UNKNOWN.  Every SEPARATED result carries a rational witness
-event that re-verifies against the raw causal relation.
+with d >= 2 by a sweep that cuts at the critical values of x1 and
+recurses one dimension lower, down to lines of the plane.  Both sweeps
+run on integers over one common denominator per call; the Minkowski
+sweep re-scales at each cut.  No engine returns UNKNOWN.  Every
+SEPARATED result carries a rational witness event that re-verifies
+against the raw causal relation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from operator import itemgetter, mul
 from typing import Sequence
@@ -31,7 +34,6 @@ from .geometry import (
     _scaled_null_coords,
     event_from_null,
 )
-from .rational import QuadExt
 
 Vec = tuple[Fraction, ...]
 
@@ -131,174 +133,288 @@ def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) ->
 # conic's vertical tangents and asymptotes (the discriminant in y),
 # which also gives one harmless extra abscissa where a double line meets
 # y = 0.
+#
+# Arithmetic.  A call scales its events to one common denominator L and
+# keeps each event (t, a, delta) as the ints (L t, L a, L^2 delta); a cut
+# at x1 = n/q re-scales to lcm(L, q).  Conic and quadric coefficients,
+# tie lines and Lagrange families are ints, the last two solved by
+# fraction-free Gauss-Jordan, which yields delta times the reduced row
+# echelon form.  A critical value is (P + Q sqrt(R))/M in ints, and R is
+# the numerator times the denominator of the reduced discriminant that
+# the same quadratic has over the rationals, in the original units and
+# in the parametrisation fixed by the reduced echelon forms: R decides
+# the rational bounds that a gap's sample is read from, so it is what
+# makes the samples the simplest rationals of those bounds.
 
-Ev = tuple[Fraction, Vec, Fraction]  # (t, a, delta) on a cut
+IntEv = tuple[int, tuple[int, ...], int]  # (L t, L a, L^2 delta) on a cut
+# (key, P, Q, R, M): (P + Q sqrt(R))/M with M > 0, where
+# key <= value * 2^64 < key + 2.
+Value = tuple[int, int, int, int, int]
+Sample = tuple[int, int]  # n/d with d > 0
 
 
-def _mink(u: Vec, v: Vec) -> Fraction:
+def _mink(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
 
 
-def _solve(rows: list[list[Fraction]], n: int) -> tuple[Vec, list[Vec]] | None:
-    """A point and a basis of directions of the solutions in n unknowns of
-    the rows (coefficients, then right-hand side); None if inconsistent."""
+def _sign(a: int, b: int, r: int) -> int:
+    """The sign of a + b*sqrt(r)."""
+    sa, sb = (a > 0) - (a < 0), ((b > 0) - (b < 0)) if r else 0
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    gap = a * a - b * b * r
+    return sa if gap > 0 else sb if gap < 0 else 0
+
+
+def _sign3(a: int, b: int, r1: int, c: int, r2: int) -> int:
+    """The sign of a + b*sqrt(r1) + c*sqrt(r2)."""
+    if r1 == r2:
+        return _sign(a, b + c, r1)
+    s1, s2 = math.isqrt(r1), math.isqrt(r2)
+    if s1 * s1 == r1:
+        return _sign(a + b * s1, c, r2)
+    if s2 * s2 == r2:
+        return _sign(a + c * s2, b, r1)
+    left, right = _sign(a, b, r1), (c > 0) - (c < 0)
+    if left == right or not right:
+        return left
+    # |a + b sqrt(r1)| against |c| sqrt(r2), both sides squared.
+    s = _sign(a * a + b * b * r1 - c * c * r2, 2 * a * b, r1)
+    return 0 if s == 0 else left if s > 0 else right
+
+
+def _value(p: int, q: int, r: int, m: int) -> Value:
+    """(p + q sqrt(r))/m with its sort key."""
+    if m < 0:
+        p, q, m = -p, -q, -m
+    key = (p << 64) // m
+    if q and r:
+        root = math.isqrt(q * q * r << 128) // m
+        key += root if q > 0 else -root - 1
+    return key, p, q, r, m
+
+
+def _cmp(v: Value, w: Value) -> int:
+    if v[0] + 2 <= w[0]:
+        return -1
+    if w[0] + 2 <= v[0]:
+        return 1
+    _, p1, q1, r1, m1 = v
+    _, p2, q2, r2, m2 = w
+    return _sign3(p1 * m2 - p2 * m1, q1 * m2, r1, -q2 * m1, r2)
+
+
+def _solve(
+    rows: list[list[int]], n: int
+) -> tuple[int, list[int], list[list[int]]] | None:
+    """(delta, point, directions) of the solutions in n unknowns of the
+    integer rows (coefficients, then right-hand side), scaled by delta > 0:
+    point/delta and directions/delta are the reduced echelon form's
+    particular solution and null-space basis, one direction per free
+    column, 1 there.  None if inconsistent.
+
+    Fraction-free Gauss-Jordan: every division by the previous pivot is
+    exact, and every pivot row ends with the last pivot on its pivot."""
     rows = [list(r) for r in rows]
     pivots: list[int] = []
+    prev = 1
     for col in range(n):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
+        top, lead = rows[r], rows[r][col]
         for i, row in enumerate(rows):
-            if i != r and row[col]:
+            if i != r:
                 f = row[col]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+                rows[i] = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+        prev = lead
         pivots.append(col)
     if any(row[n] for row in rows[len(pivots):]):
         return None
-    point = [Fraction(0)] * n
+    if prev < 0:
+        rows, prev = [[-x for x in row] for row in rows], -prev
+    point = [0] * n
     for r, col in enumerate(pivots):
         point[col] = rows[r][n]
     dirs = []
     for free in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
+        v = [0] * n
+        v[free] = prev
         for r, col in enumerate(pivots):
             v[col] = -rows[r][free]
-        dirs.append(tuple(v))
-    return tuple(point), dirs
+        dirs.append(v)
+    return prev, point, dirs
+
+
+def _roots(c2: int, c1: int, c0: int, e: int) -> list[tuple[int, int, int, int]]:
+    """Real roots (p + q sqrt(R))/r of c2*z^2 + c1*z + c0, none when it
+    vanishes identically.  The coefficients are a positive multiple of a
+    rational quadratic whose discriminant is (c1^2 - 4 c2 c0)/e^2, e > 0;
+    R is that discriminant's numerator times its denominator."""
+    if c2 == 0:
+        return [(-c0, 0, 0, c1)] if c1 else []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [(-c1, 0, 0, 2 * c2)]
+    g = math.gcd(disc, e * e)
+    rad = disc // g * (e * e // g)
+    # sqrt(disc) = g sqrt(rad)/e
+    return [(-c1 * e, -g, rad, 2 * c2 * e), (-c1 * e, g, rad, 2 * c2 * e)]
+
+
+def _line_roots(
+    cx: tuple, base: list[int], v: list[int], w: int, rho: int, future: bool
+) -> list[Value]:
+    """Critical values of y1 where the quadric meets the line (base + s*v)/w
+    of u = L*((tau, y) - (t0, a0)), kept on the future sheets if asked.
+    Over the rationals the roots are taken along the direction v/rho,
+    and their radicands follow that parametrisation."""
+    L, d0, t0, y0, latest = cx
+    if rho < 0:
+        v, rho = [-x for x in v], -rho
+    c2, c1, c0 = _mink(v, v), 2 * _mink(v, base), _mink(base, base) - w * w * d0
+    out = []
+    for p, q, r, m in _roots(c2, c1, c0, rho * w * L):
+        lag = ((t0 - latest) * w + base[0]) * m
+        if future and _sign(lag + v[0] * p, v[0] * q, r) * m < 0:
+            continue
+        out.append(_value((y0 * w + base[1]) * m + v[1] * p, v[1] * q, r, m * w * L))
+    return out
 
 
 def _critical(
-    form, lin, const, base: Vec, dirs: list[Vec], y: tuple, tau: tuple,
-    latest: Fraction, tie: bool,
-) -> list[QuadExt]:
-    """Critical values of y on {q = 0}, where q(u) = form(u, u) +
-    2 lin(u) + const and u runs over base + span(dirs).
+    cx: tuple, base: list[int], dirs: list[list[int]], w: int, rho: int, tie: bool
+) -> list[Value]:
+    """Critical values of y1 on the quadric <u, u> = L^2 delta_0 (the
+    Minkowski form) over u in (base + span(dirs))/w.  The dirs over rho
+    are the rational directions of the reduced echelon forms.
 
-    y and tau are affine in u, given as (constant, linear part).  If u
-    runs over a line of tie equations' solutions (tie), its roots are
-    the tie points, all critical; on a line of Lagrange points along
-    which y moves, the roots are the critical points.  Roots are kept on
-    the future sheets (tau >= latest).  A constant y is one critical
+    If u runs over a line of tie equations' solutions (tie), its roots
+    are the tie points, all critical; on a line of Lagrange points along
+    which y1 moves, the roots are the critical points.  Roots are kept on
+    the future sheets (tau >= latest).  A constant y1 is one critical
     value, attained or approached at infinity.  Otherwise the Lagrange
     points (A theta + b = mu * Y) form a smaller family, and the search
-    repeats on it; a family as large as the space means q depends on y
-    alone.
+    repeats on it; a family as large as the space means the quadric
+    depends on y1 alone.
     """
-    A = [[form(v, w) for w in dirs] for v in dirs]
-    b = [form(v, base) + lin(v) for v in dirs]
-    c = form(base, base) + 2 * lin(base) + const
-    y0, ys = y[0] + y[1](base), [y[1](v) for v in dirs]
-    t0, ts = tau[0] + tau[1](base), [tau[1](v) for v in dirs]
+    L, _, _, y0, _ = cx
     p = len(dirs)
+    ys = [v[1] for v in dirs]
     if p == 1 and (tie or ys[0]):
-        return [
-            r * ys[0] + y0
-            for r in _roots(A[0][0], 2 * b[0], c)
-            if (r * ts[0] + t0).cmp(latest) >= 0
-        ]
+        return _line_roots(cx, base, dirs[0], w, rho, True)
     if not any(ys):
-        return [QuadExt.rational(y0)]
-    sol = _solve([[*A[i], -ys[i], -b[i]] for i in range(p)], p + 1)
+        return [_value(y0 * w + base[1], 0, 0, w * L)]
+    rows = [
+        [*(_mink(v, u) for u in dirs), -rho * y, -_mink(v, base)]
+        for v, y in zip(dirs, ys)
+    ]
+    sol = _solve(rows, p + 1)
     if sol is None:
         return []
-    point, family = sol
+    delta, point, family = sol
     if len(family) == p:
-        i = next(i for i, k in enumerate(ys) if k)
-        return [r + y0 for r in _roots(A[i][i] / ys[i] ** 2, 2 * b[i] / ys[i], c)]
+        i = next(i for i, y in enumerate(ys) if y)
+        return _line_roots(cx, base, dirs[i], w, ys[i], False)
+    span = range(len(base))
     return _critical(
-        lambda u, v: sum(u[i] * sum(map(mul, A[i], v)) for i in range(p)),
-        lambda u: sum(map(mul, b, u)),
-        c,
-        point[:p],
-        [v[:p] for v in family],
-        (y0, lambda u: sum(map(mul, ys, u))),
-        (t0, lambda u: sum(map(mul, ts, u))),
-        latest,
+        cx,
+        [delta * base[j] + sum(c * v[j] for c, v in zip(point, dirs)) for j in span],
+        [[sum(c * v[j] for c, v in zip(f, dirs)) for j in span] for f in family],
+        w * delta,
+        rho * delta,
         False,
     )
 
 
-def _tie_extrema(tie: Sequence[Ev]) -> list[QuadExt]:
+def _tie_extrema(L: int, tie: Sequence[IntEv]) -> list[Value]:
     """Critical values of y1 on the future tie set of the events."""
     (t0, a0, d0), rest = tie[0], tie[1:]
     rows = []
     for t, a, d in rest:
         diff = (t - t0, *(x - x0 for x, x0 in zip(a, a0)))
-        rows.append([diff[0], *(-x for x in diff[1:]), (_mink(diff, diff) - d + d0) / 2])
+        rows.append([2 * diff[0], *(-2 * x for x in diff[1:]), _mink(diff, diff) - d + d0])
     k = len(a0)
     sol = _solve(rows, k + 1)
-    if sol is None or len(sol[1]) != k + 2 - len(tie):
+    if sol is None or len(sol[2]) != k + 2 - len(tie):
         # Dependent equations: the tie set is a smaller set's, or empty.
         return []
-    return _critical(
-        _mink, lambda u: 0, -d0, *sol, (a0[0], itemgetter(1)), (t0, itemgetter(0)),
-        max(e[0] for e in tie), True,
-    )
+    delta, base, dirs = sol
+    cx = (L, d0, t0, a0[0], max(e[0] for e in tie))
+    return _critical(cx, base, dirs, delta, delta, True)
 
 
-def _roots(c2: Fraction, c1: Fraction, c0: Fraction) -> list[QuadExt]:
-    """Real roots of c2*z^2 + c1*z + c0; none when it vanishes identically."""
-    if c2 == 0:
-        return [QuadExt.rational(-c0 / c1)] if c1 else []
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return []
-    mid = -c1 / (2 * c2)
-    if disc == 0:
-        return [QuadExt.rational(mid)]
-    # sqrt(n/d) = sqrt(n*d)/d: the radicand stays raw, nothing is factored.
-    half = 1 / (2 * c2 * disc.denominator)
-    rad = disc.numerator * disc.denominator
-    return [QuadExt(mid, -half, rad), QuadExt(mid, half, rad)]
+def _simplest_between(ln: int, ld: int, hn: int, hd: int) -> Sample:
+    """The rational with the smallest denominator strictly inside
+    (ln/ld, hn/hd), for ld, hd > 0."""
+    if ln < 0 < hn:
+        return 0, 1
+    if hn <= 0:
+        n, d = _simplest_between(-hn, hd, -ln, ld)
+        return -n, d
+    whole = ln // ld
+    if (whole + 1) * hd < hn:
+        return whole + 1, 1
+    if ln == whole * ld:
+        k = hd // (hn - whole * hd) + 1
+        return whole * k + 1, k
+    n, d = _simplest_between(hd, hn - whole * hd, ld, ln - whole * ld)
+    return whole * n + d, n
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator strictly inside (lo, hi)."""
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -_simplest_between(-hi, -lo)
-    whole = math.floor(lo)
-    if whole + 1 < hi:
-        return Fraction(whole + 1)
-    if lo == whole:
-        return whole + Fraction(1, math.floor(1 / (hi - whole)) + 1)
-    return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
+def _bound(v: Value, bits: int, upper: bool) -> Sample:
+    """A rational bound of v from sqrt(R) read to the given bits."""
+    _, p, q, r, m = v
+    if not q or not r:
+        return p, m
+    scaled = r << 2 * bits
+    root = math.isqrt(scaled)
+    if (q > 0) == upper and root * root != scaled:
+        root += 1
+    return (p << bits) + q * root, m << bits
 
 
-def _between(v: QuadExt, w: QuadExt) -> Fraction:
+def _between(v: Value, w: Value) -> Sample:
     """A simple rational strictly between v < w."""
     bits = 32
     while True:
-        lo, hi = v.bounds(bits)[1], w.bounds(bits)[0]
-        if lo < hi:
-            return _simplest_between(lo, hi)
+        (ln, ld), (hn, hd) = _bound(v, bits, True), _bound(w, bits, False)
+        if ln * hd < hn * ld:
+            return _simplest_between(ln, ld, hn, hd)
         bits *= 2
 
 
-def _samples(values: list[QuadExt]) -> list[Fraction]:
+def _samples(values: list[Value]) -> list[Sample]:
     """A rational in each gap between the distinct values, then one beyond
     each end: every open interval whose ends are among the values, or
     infinite, contains one of them."""
     if not values:
-        return [Fraction(0)]
-    values = sorted(values)
-    out = [_between(v, w) for v, w in zip(values, values[1:]) if v < w]
-    out.append(Fraction(math.floor(values[0].bounds(32)[0]) - 1))
-    out.append(Fraction(math.ceil(values[-1].bounds(32)[1]) + 1))
+        return [(0, 1)]
+    ordered = sorted(values, key=itemgetter(0))
+    if any(v[0] + 2 > w[0] for v, w in zip(ordered, ordered[1:])):
+        # Near keys: sort exactly, equal values kept in their first order.
+        ordered = sorted(values, key=cmp_to_key(_cmp))
+    out = [_between(v, w) for v, w in zip(ordered, ordered[1:]) if _cmp(v, w) < 0]
+    n, d = _bound(ordered[0], 32, False)
+    out.append((n // d - 1, 1))
+    n, d = _bound(ordered[-1], 32, True)
+    out.append((-(-n // d) + 1, 1))
     return out
 
 
-def _pair_conic(g: Ev, p: Ev) -> tuple[Fraction, ...]:
+def _pair_conic(g: IntEv, p: IntEv) -> tuple[int, ...]:
     """Coefficients (al, b1, b0, g2, g1, g0) of the conic
     al*y^2 + (b1*x1 + b0)*y + g2*x1^2 + g1*x1 + g0 = 0 that holds on the
     curve t + |x - a|_g = s + |x - b|_p of gathered (t, a) and avoided
-    (s, b) on a plane cut, where |x - a|_e^2 = |x - a|^2 + delta_e.
+    (s, b) on a plane cut, where |x - a|_e^2 = |x - a|^2 + delta_e.  On
+    scaled events a coefficient of degree k in lengths comes out L^k
+    times its rational value.
 
     With c = t - s and L = |x - b|_p^2 - |x - a|_g^2, which is linear in
     x, the curve gives L - c^2 = 2c|x - a|_g; squaring yields the conic.
@@ -318,36 +434,20 @@ def _pair_conic(g: Ev, p: Ev) -> tuple[Fraction, ...]:
     )
 
 
-def _vertical_tangents(conic: tuple[Fraction, ...]) -> list[QuadExt]:
+def _vertical_tangents(L: int, conic: tuple[int, ...]) -> list[Value]:
     """x1 where the conic, as a quadratic in y, has a double root or loses
     its y^2 term: vertical tangents and asymptotes.  A double line has a
     double root everywhere; then the roots of the y-free part give its
     x1 if it is vertical."""
     al, b1, b0, g2, g1, g0 = conic
     disc = (b1 * b1 - 4 * al * g2, 2 * b1 * b0 - 4 * al * g1, b0 * b0 - 4 * al * g0)
-    return _roots(*disc) if any(disc) else _roots(g2, g1, g0)
+    roots = _roots(*disc, L**5) if any(disc) else _roots(g2, g1, g0, L**3)
+    return [_value(p, q, r, m * L) for p, q, r, m in roots]
 
 
-def _arrival(e: Ev, x: Vec) -> QuadExt:
-    """t + |x - a|_e exactly, with a raw radicand."""
-    t, (a1, a2), d = e
-    dx, dy = x[0] - a1, x[1] - a2
-    r2 = dx * dx + dy * dy + d
-    return QuadExt(t, Fraction(1, r2.denominator), r2.numerator * r2.denominator)
-
-
-def _plane_ev(e: Event) -> Ev:
-    """The sweep's (t, a, 0) of a validated point event, int coordinates
-    made Fractions so that every division in the sweep stays exact."""
-    return Fraction(e.t), tuple(map(Fraction, e.x)), Fraction(0)  # type: ignore[arg-type]
-
-
-def _cut(e: Ev, c: Fraction) -> Ev:
-    t, a, d = e
-    return t, a[1:], d + (c - a[0]) ** 2
-
-
-def _critical_x1(gather: list[Ev], avoid: list[Ev]) -> tuple[list[QuadExt], list]:
+def _critical_x1(
+    L: int, gather: list[IntEv], avoid: list[IntEv]
+) -> tuple[list[Value], list]:
     """The critical x1 values of a cut problem, and on the plane the
     gathered/avoided pair conics."""
     k = len(gather[0][1])
@@ -355,36 +455,101 @@ def _critical_x1(gather: list[Ev], avoid: list[Ev]) -> tuple[list[QuadExt], list
     conics = []
     if k == 2:
         conics = [_pair_conic(g, p) for g in gather for p in avoid if g[1:] != p[1:]]
-    crit = [x1 for conic in conics for x1 in _vertical_tangents(conic)]
+    crit = [x1 for conic in conics for x1 in _vertical_tangents(L, conic)]
     n = len(gather)
     for size in range(3 if k == 2 else 2, k + 2):
         for tie in combinations(range(len(events)), size):
             if tie[0] < n <= tie[-1]:  # at least one gathered and one avoided
-                crit += _tie_extrema([events[i] for i in tie])
+                crit += _tie_extrema(L, [events[i] for i in tie])
     return crit, conics
 
 
-def _sweep(gather: list[Ev], avoid: list[Ev]) -> tuple[Fraction, Vec] | None:
-    """A rational (tau, x) with x in W, or None when W is empty."""
-    crit, conics = _critical_x1(gather, avoid)
+def _arrival_value(u: int, s: int, m: int) -> Value:
+    """(u + sqrt(s))/m with the radicand of t + sqrt(r2) for r2 = s/m^2
+    reduced: numerator times denominator."""
+    g = math.gcd(s, m * m)
+    den = m * m // g
+    return _value(u * den, m, s // g * den, m * den)
+
+
+def _gathers_at(
+    L: int, gather: list[IntEv], avoid: list[IntEv], x1: Sample, y: Sample
+) -> Fraction | None:
+    """The witness time at the plane point (x1, y) if every gathered event
+    arrives there before every avoided one, else None."""
+    m = math.lcm(L, x1[1], y[1])
+    k = m // L
+    px, py = x1[0] * (m // x1[1]), y[0] * (m // y[1])
+
+    def arrival(e: IntEv) -> Value:
+        """m times the arrival time, u + sqrt(s)."""
+        t, (a1, a2), d = e
+        dx, dy = px - a1 * k, py - a2 * k
+        return _value(t * k, 1, dx * dx + dy * dy + d * k * k, 1)
+
+    order = cmp_to_key(_cmp)
+    late = max(map(arrival, gather), key=order)
+    early = min(map(arrival, avoid), key=order)
+    if _cmp(late, early) >= 0:
+        return None
+    u, s = late[1], late[3]
+    root = math.isqrt(s)
+    if root * root == s:
+        return Fraction(u + root, m)
+    return Fraction(*_between(_arrival_value(u, s, m), _arrival_value(early[1], early[3], m)))
+
+
+def _cut(L: int, events: list[IntEv], x1: Sample) -> tuple[int, list[IntEv]]:
+    """The events on the cut at x1, over the new common denominator."""
+    n, q = x1
+    L1 = math.lcm(L, q)
+    k, c = L1 // L, n * (L1 // q)
+    return L1, [
+        (t * k, tuple(x * k for x in a[1:]), d * k * k + (c - a[0] * k) ** 2)
+        for t, a, d in events
+    ]
+
+
+def _sweep_scaled(
+    L: int, gather: list[IntEv], avoid: list[IntEv]
+) -> tuple[Fraction, Vec] | None:
+    """_sweep on events scaled to the common denominator L."""
+    crit, conics = _critical_x1(L, gather, avoid)
     k = len(gather[0][1])
     for x1 in _samples(crit):
+        n, q = x1
         if k > 2:
-            found = _sweep([_cut(e, x1) for e in gather], [_cut(e, x1) for e in avoid])
+            L1, cut = _cut(L, [*gather, *avoid], x1)
+            found = _sweep_scaled(L1, cut[: len(gather)], cut[len(gather):])
             if found is not None:
-                return found[0], (x1, *found[1])
+                return found[0], (Fraction(n, q), *found[1])
             continue
-        ys: list[QuadExt] = []
+        ys: list[Value] = []
         for al, b1, b0, g2, g1, g0 in conics:
-            ys += _roots(al, b1 * x1 + b0, (g2 * x1 + g1) * x1 + g0)
+            c1 = (b1 * L * n + b0 * q) * q
+            c0 = (g2 * L * n + g1 * q) * L * n + g0 * q * q
+            for p, qq, r, m in _roots(al * q * q, c1, c0, q * q * L**3):
+                ys.append(_value(p, qq, r, m * L))
         for y in _samples(ys):
-            x = (x1, y)
-            late = max(_arrival(g, x) for g in gather)
-            early = min(_arrival(p, x) for p in avoid)
-            if late < early:
-                lo, hi = late.bounds()
-                return (lo if lo == hi else _between(late, early)), x
+            tau = _gathers_at(L, gather, avoid, x1, y)
+            if tau is not None:
+                return tau, (Fraction(n, q), Fraction(*y))
     return None
+
+
+def _sweep(
+    gather: Sequence[Event], avoid: Sequence[Event]
+) -> tuple[Fraction, Vec] | None:
+    """A rational (tau, x) with x in W, or None when W is empty, for
+    validated point events."""
+    events = [*gather, *avoid]
+    L = math.lcm(*(c.denominator for e in events for c in (e.t, *e.x)))  # type: ignore
+
+    def scaled(c) -> int:
+        return c.numerator * (L // c.denominator)
+
+    ints = [(scaled(e.t), tuple(map(scaled, e.x)), 0) for e in events]  # type: ignore
+    return _sweep_scaled(L, ints[: len(gather)], ints[len(gather):])
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +671,7 @@ def _separated(
 
     witness = next((p for p in avoid if _gathers(prec, gather, avoid, p)), None)
     if witness is None:
-        found = _sweep([_plane_ev(g) for g in gather], [_plane_ev(p) for p in avoid])
+        found = _sweep(gather, avoid)
         if found is None:
             return SeparationResult(
                 Verdict.NOT_SEPARATED,

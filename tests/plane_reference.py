@@ -17,7 +17,8 @@ from typing import Sequence
 
 from causalbox.geometry import Event, Minkowski
 from causalbox.rational import QuadExt
-from causalbox.separation import _roots, _vertical_tangents, verify_separation_witness
+from causalbox.separation import verify_separation_witness
+from sweep_reference import _roots, _vertical_tangents
 
 Vec = tuple[Fraction, ...]
 

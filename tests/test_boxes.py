@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from causalbox.boxes import (
     CorrelationBox,
     Srv,
     ValidationError,
+    _first_difference,
     canonical_box,
     do_label,
     embed_general,
@@ -213,6 +215,21 @@ class TestMarginalize:
         with pytest.raises(ValidationError) as exc:
             marginalize(box, G, ("1",))
         assert "x=1" in str(exc.value) and repr(outcome) in str(exc.value)
+
+
+def test_first_difference_reads_the_outcome_in_product_order():
+    # Mixed alphabet sizes, G in and out of output order: the i-th entry
+    # of a marginal vector is the i-th outcome of itertools.product.
+    outputs = [SimpleNamespace(alphabet=Alphabet.of(*range(k))) for k in (2, 3, 4)]
+    box = SimpleNamespace(outputs=outputs, _denominator=12)
+    for G in ((0,), (2, 1), (0, 1, 2), (1, 2, 0)):
+        outcomes = list(itertools.product(*(outputs[g].alphabet.labels for g in G)))
+        for i, outcome in enumerate(outcomes):
+            left = (5,) * len(outcomes)
+            right = tuple(5 + (j == i) for j in range(len(outcomes)))
+            assert _first_difference(box, G, left, right) == (
+                outcome, Fraction(5, 12), Fraction(6, 12)
+            )
 
 
 class TestCanonical:

@@ -389,6 +389,21 @@ class TestJamGeometry:
         assert out == "" and "'x'" in err
         assert os.listdir(tmp_path) == []
 
+    def test_t_beyond_floats_rejected_before_certification(self, capsys, tmp_path, monkeypatch):
+        import causalbox.jamming
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_config ran")
+
+        monkeypatch.setattr(causalbox.jamming, "build_config", refuse)
+        code, out, err = run(
+            capsys, "jam-geometry", "--n", "3", "--h", "1/2", "--t", "1e400",
+            "--out", str(tmp_path),
+        )
+        assert code == USAGE
+        assert out == "" and "'1e400'" in err
+        assert os.listdir(tmp_path) == []
+
     def test_negative_t_rejected_before_certification(self, capsys, tmp_path, monkeypatch):
         import causalbox.jamming
 

@@ -314,7 +314,24 @@ def _limit_cases():
 GRID_HEIGHTS = tuple(F(k, 6) for k in range(-5, 6))
 
 
+def _limit_index_reference(n, J):
+    """(m*, k) by the min-max over every angle index k, as _limit_index
+    computed it before the gap formula."""
+    return min((max(jamming._fold(k - 2 * j, n) for j in J), k) for k in range(2 * n))
+
+
 class TestDirectionalLimit:
+    def test_gap_formula_matches_min_max(self):
+        for n in range(3, 13):
+            for size in range(1, n + 1):
+                for J in itertools.combinations(range(n), size):
+                    assert _limit_index(n, J) == _limit_index_reference(n, J), (n, J)
+        rng = random.Random(119)
+        for _ in range(200):
+            n = rng.randint(3, 119)
+            J = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            assert _limit_index(n, J) == _limit_index_reference(n, J), (n, J)
+
     def test_rational_tie_is_decided(self):
         # J = (0, 3, 6) at n = 9 is a triangle: its limit is cos(pi/3) = 1/2.
         verdict, _, witness = _oracle_verdict(9, F(1, 2), (0, 3, 6))

@@ -26,6 +26,7 @@ from causalbox.separation import (
     verify_separation_witness,
 )
 from plane_reference import plane_critical_x1, search_witness
+import sweep_reference
 from quad_helpers import quad_sqrt
 
 
@@ -618,6 +619,31 @@ def _cut_events(events):
     return [(e.t, e.x, Fraction(0)) for e in events]
 
 
+def _scaled(events):
+    """Cut events (t, a, delta) of Fractions as the sweep's ints over one
+    common denominator L: (L t, L a, L^2 delta)."""
+    L = math.lcm(*(c.denominator for t, a, d in events for c in (t, *a, d)))
+    return L, [
+        (int(t * L), tuple(int(x * L) for x in a), int(d * L * L)) for t, a, d in events
+    ]
+
+
+def _quad(value):
+    """A sweep value (key, P, Q, R, M) as the QuadExt (P + Q sqrt(R))/M."""
+    _, p, q, r, m = value
+    return QuadExt(Fraction(p, m), Fraction(q, m), r)
+
+
+def tie_extrema(tie):
+    return [_quad(v) for v in _tie_extrema(*_scaled(tie))]
+
+
+def critical_x1(gather, avoid):
+    """The sweep's critical x1 values of cut events (t, a, delta)."""
+    L, events = _scaled([*gather, *avoid])
+    return _critical_x1(L, events[: len(gather)], events[len(gather) :])[0]
+
+
 def _distinct(values):
     out = []
     for v in sorted(values):
@@ -631,9 +657,10 @@ def test_generic_critical_values_are_the_plane_engines():
     critical x1 values, so it tests the same samples in the same order."""
     for gather, avoid in plane_layouts(240, seed=20240601):
         plane = plane_critical_x1(gather, avoid)
-        generic, _ = _critical_x1(_cut_events(gather), _cut_events(avoid))
-        assert _distinct(generic) == _distinct(plane)
-        assert _samples(generic) == _samples(plane)
+        generic = critical_x1(_cut_events(gather), _cut_events(avoid))
+        assert _distinct(map(_quad, generic)) == _distinct(plane)
+        samples = [Fraction(n, d) for n, d in _samples(generic)]
+        assert samples == sweep_reference._samples(plane)
 
 
 class TestTieExtrema:
@@ -645,37 +672,37 @@ class TestTieExtrema:
         # t + |x| = 1 + |x - (4, 0, 0)|: the branch's vertex is at x1 = 5/2;
         # the squared equation's other branch (x1 = 3/2) is in the past.
         z = self.Z
-        got = _tie_extrema([(z, (z, z, z), z), (Fraction(1), (Fraction(4), z, z), z)])
+        got = tie_extrema([(z, (z, z, z), z), (Fraction(1), (Fraction(4), z, z), z)])
         assert got == [Fraction(5, 2)]
 
     def test_equal_times_give_the_bisector(self):
         z = self.Z
-        upright = _tie_extrema([(z, (z, z, z), z), (z, (Fraction(4), z, z), z)])
+        upright = tie_extrema([(z, (z, z, z), z), (z, (Fraction(4), z, z), z)])
         assert upright == [2]
-        assert _tie_extrema([(z, (z, z, z), z), (z, (Fraction(4), Fraction(1), z), z)]) == []
+        assert tie_extrema([(z, (z, z, z), z), (z, (Fraction(4), Fraction(1), z), z)]) == []
 
     def test_plane_triple_is_the_circumcentre(self):
         z = self.Z
         tie = [(z, (z, z), z), (z, (Fraction(4), z), z), (z, (z, Fraction(2)), z)]
-        assert _tie_extrema(tie) == [2]
+        assert tie_extrema(tie) == [2]
 
     def test_offsets_shift_the_vertex(self):
         # sqrt(x^2 + 1) - sqrt((4 - x)^2 + 1) = 1 at x = 2 + sqrt(285)/30.
         z, one = self.Z, Fraction(1)
-        (got,) = _tie_extrema([(z, (z, z), one), (one, (Fraction(4), z), one)])
+        (got,) = tie_extrema([(z, (z, z), one), (one, (Fraction(4), z), one)])
         assert got == QuadExt(Fraction(2), Fraction(1, 30), 285)
 
     def test_collinear_triple_has_no_points(self):
         z = self.Z
         tie = [(z, (z, z), z), (z, (Fraction(1), z), z), (z, (Fraction(2), z), z)]
-        assert _tie_extrema(tie) == []
+        assert tie_extrema(tie) == []
 
     def test_apices_are_not_critical(self):
         # The early exits in _separated settle every component of W that
         # starts at a cone apex, so the sweep cuts at tie sets only.
         z, one = self.Z, Fraction(1)
         top = [(z, (one, z, z), z), (z, (-one, z, z), z)]
-        crit, _ = _critical_x1(top[:1], top[1:])
+        crit = map(_quad, critical_x1(top[:1], top[1:]))
         assert not {one, -one} & set(crit)
 
 
