@@ -73,10 +73,8 @@ _EXPORTS = {
         "LayoutMismatch",
         "UndecidableScenario",
         "ViolationReport",
-        "check_family",
         "check_instances",
         "check_ons",
-        "check_standard_ns",
         "enumerate_constraints",
         "named_constraints",
     ),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -137,8 +138,14 @@ class CorrelationBox:
             math.lcm(*(p.denominator for row in table.values() for p in row.values())),
         )
         object.__setattr__(self, "_integer_rows", {})
-        object.__setattr__(self, "_marginal_cache", {})
-        object.__setattr__(self, "_marginal_dicts", {})
+        object.__setattr__(self, "_marginals", {})
+
+    @functools.cached_property
+    def _positions(self) -> tuple[dict[str, int], ...]:
+        """Each output's label -> alphabet position, built on first use."""
+        return tuple(
+            {v: i for i, v in enumerate(s.alphabet.labels)} for s in self.outputs
+        )
 
     # -- enumeration ---------------------------------------------------
 
@@ -198,6 +205,7 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
     declared = set(box.settings())
     out_arity = len(box.outputs)
     valid_outcomes = set(box.outcomes())
+    D = box._denominator
     for x in sorted(declared):
         if x not in box.table:
             issues.append(Issue("missing_setting", f"x={','.join(x) or '()'}"))
@@ -206,7 +214,8 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
         if x not in declared:
             issues.append(Issue("unknown_setting", f"x={label}"))
             continue
-        total = Fraction(0)
+        # The row total, in units of 1 / D.
+        total = 0
         for a, p in sorted(row.items()):
             if len(a) != out_arity or a not in valid_outcomes:
                 issues.append(
@@ -217,9 +226,11 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
                 issues.append(
                     Issue("negativity", f"x={label} a={','.join(a)} p={p}")
                 )
-            total += p
-        if total != 1:
-            issues.append(Issue("normalization", f"x={label} sums to {total}"))
+            total += p.numerator * (D // p.denominator)
+        if total != D:
+            issues.append(
+                Issue("normalization", f"x={label} sums to {Fraction(total, D)}")
+            )
     for i, j in sorted(box.pairing.items()):
         p_loc = box.inputs[i].location
         q_loc = box.outputs[j].location
@@ -239,28 +250,26 @@ def _outcomes_of(box: CorrelationBox, G: Sequence[int]) -> Iterator[tuple[str, .
     return itertools.product(*(box.outputs[g].alphabet.labels for g in G))
 
 
-def _integer_row(box: CorrelationBox, x: tuple[str, ...]) -> list[tuple[int, int]]:
+def _integer_row(box: CorrelationBox, x) -> list[tuple[int, int]]:
     """The row at setting x as (i, n) pairs: n / D is the probability of
-    the i-th outcome of the box in canonical order.  Raises
-    ValidationError for a key that is not an outcome of the box."""
+    the i-th outcome of the box in canonical order, cached under x as
+    the caller holds it.  Raises ValidationError for a key that is not
+    an outcome of the box."""
     rows = box._integer_rows
     if x in rows:
         return rows[x]
-    positions = [
-        {v: i for i, v in enumerate(s.alphabet.labels)} for s in box.outputs
-    ]
+    positions = box._positions
     D = box._denominator
     out = []
     for a, p in box.row(x).items():
-        if len(a) != len(positions) or any(
-            v not in pos for pos, v in zip(positions, a)
-        ):
-            raise ValidationError(
-                f"x={','.join(x) or '()'}: {a!r} is not an outcome of the box"
-            )
         i = 0
-        for pos, v in zip(positions, a):
-            i = i * len(pos) + pos[v]
+        try:
+            for pos, v in zip(positions, a, strict=True):
+                i = i * len(pos) + pos[v]
+        except (KeyError, ValueError):
+            raise ValidationError(
+                f"x={','.join(_as_key(x)) or '()'}: {a!r} is not an outcome of the box"
+            ) from None
         out.append((i, p.numerator * (D // p.denominator)))
     rows[x] = out
     return out
@@ -278,6 +287,49 @@ def _projection(sizes: tuple[int, ...], G: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+class _Vectors(dict):
+    """The marginal vectors of one box on the output indices G, keyed by
+    setting, each computed on first use: entry i of a vector is D times
+    the probability of the i-th outcome of G in canonical order.
+
+    G is range-checked, and its projection and vector length taken,
+    once, when the table is built.  `fractions` holds marginalize's
+    Fraction view of the same vectors.  The box is held by a weak
+    reference: the box holds its tables, and a cycle would keep both
+    alive until the cyclic garbage collector runs.
+    """
+
+    __slots__ = ("box", "G", "projection", "length", "fractions")
+
+    def __init__(self, box: CorrelationBox, G: tuple[int, ...]):
+        super().__init__()
+        sizes = tuple(len(s.alphabet) for s in box.outputs)
+        for g in G:
+            if not 0 <= g < len(sizes):
+                raise IndexError(f"output index {g} out of range")
+        self.box, self.G = weakref.ref(box), G
+        self.projection = _projection(sizes, G)
+        self.length = math.prod(sizes[g] for g in G)
+        self.fractions: dict = {}
+
+    def __missing__(self, x) -> tuple[int, ...]:
+        out = [0] * self.length
+        proj = self.projection
+        for i, n in _integer_row(self.box(), x):
+            out[proj[i]] += n
+        vec = self[x] = tuple(out)
+        return vec
+
+
+def _vectors(box: CorrelationBox, G: tuple[int, ...]) -> _Vectors:
+    """The box's vector table for the output indices G, its only cache
+    of marginals on G, built on first use."""
+    table = box._marginals.get(G)
+    if table is None:
+        table = box._marginals[G] = _Vectors(box, G)
+    return table
+
+
 def _marginal_vector(box: CorrelationBox, G: Sequence[int], x) -> tuple[int, ...]:
     """Exact marginal of the row at setting x onto the output indices G,
     as integers over the box's common denominator D: entry i is D times
@@ -287,22 +339,7 @@ def _marginal_vector(box: CorrelationBox, G: Sequence[int], x) -> tuple[int, ...
     they share.  Every key in the row must be an outcome of the box,
     whether G covers the offending output or not.
     """
-    G = tuple(G)
-    x = _as_key(x)
-    cache = box._marginal_cache
-    key = (G, x)
-    if key in cache:
-        return cache[key]
-    sizes = tuple(len(s.alphabet) for s in box.outputs)
-    for g in G:
-        if not 0 <= g < len(sizes):
-            raise IndexError(f"output index {g} out of range")
-    proj = _projection(sizes, G)
-    out = [0] * math.prod(sizes[g] for g in G)
-    for i, n in _integer_row(box, x):
-        out[proj[i]] += n
-    vec = cache[key] = tuple(out)
-    return vec
+    return _vectors(box, tuple(G))[_as_key(x)]
 
 
 def _first_difference(
@@ -336,15 +373,15 @@ def marginalize(
     Raises ValidationError when the row holds a key that is not an
     outcome of the box.
     """
-    G = tuple(G)
+    table = _vectors(box, tuple(G))
     x = _as_key(x)
-    cache = box._marginal_dicts
-    key = (G, x)
-    if key not in cache:
-        vec = _marginal_vector(box, G, x)
+    cache = table.fractions
+    if x not in cache:
         D = box._denominator
-        cache[key] = {a: Fraction(n, D) for a, n in zip(_outcomes_of(box, G), vec)}
-    return cache[key]
+        cache[x] = {
+            a: Fraction(n, D) for a, n in zip(_outcomes_of(box, table.G), table[x])
+        }
+    return cache[x]
 
 
 # ----------------------------------------------------------------------

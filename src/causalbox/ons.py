@@ -22,7 +22,7 @@ from .boxes import (
     CorrelationBox,
     Srv,
     _first_difference,
-    _marginal_vector,
+    _vectors,
     marginalize,
 )
 from .geometry import CausalOrder, Event
@@ -50,7 +50,7 @@ class LayoutMismatch(ValueError):
     """Point geometry contradicts what a named family presupposes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintInstance:
     """One checkable equality: P(a^G | x) = P(a^G | x')."""
 
@@ -80,7 +80,7 @@ class ConstraintInstance:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationReport:
     instance: ConstraintInstance
     outcome: tuple[str, ...]
@@ -186,19 +186,6 @@ def enumerate_constraints(
     return [inst for key in sorted(emitted) for inst in emitted[key]]
 
 
-class _Vectors(dict):
-    """The marginal vectors of one box on one output set G, keyed by
-    setting, each computed on first use."""
-
-    def __init__(self, box: CorrelationBox, G: tuple[int, ...]):
-        super().__init__()
-        self.box, self.G = box, G
-
-    def __missing__(self, x: tuple[str, ...]) -> tuple[int, ...]:
-        vec = self[x] = _marginal_vector(self.box, self.G, x)
-        return vec
-
-
 def _violations(
     box: CorrelationBox, instances: Iterable[ConstraintInstance]
 ) -> Iterator[ViolationReport]:
@@ -206,20 +193,17 @@ def _violations(
     the first differing outcome in canonical order.
 
     Marginals are compared as integer vectors over the box's common
-    denominator, read from one table per output set G, so each distinct
-    (G, x) vector is computed once; the first difference of each
-    distinct violated (G, x, x') is found once.  Nothing is computed
-    ahead of the report asked for.
+    denominator, read from the box's vector table for each output set
+    G, so each distinct (G, x) vector is computed once; the first
+    difference of each distinct violated (G, x, x') is found once.
+    Nothing is computed ahead of the report asked for.
     """
-    tables: dict[tuple[int, ...], _Vectors] = {}
     diffs: dict = {}
     G = table = None
     for inst in instances:
         if inst.G != G:
             G = inst.G
-            table = tables.get(G)
-            if table is None:
-                table = tables[G] = _Vectors(box, G)
+            table = _vectors(box, G)
         left, right = table[inst.x], table[inst.x_prime]
         if left != right:
             key = (G, inst.x, inst.x_prime)
@@ -239,39 +223,6 @@ def check_instances(
 
 def check_ons(order: CausalOrder, box: CorrelationBox) -> list[ViolationReport]:
     return check_instances(box, enumerate_constraints(order, box))
-
-
-def check_standard_ns(box: CorrelationBox) -> bool:
-    """Textbook no-signalling: for each party, the joint marginal of all
-    other parties' outputs is independent of that party's input.
-
-    Purely tabular; demands a square box whose pairing is a bijection
-    between inputs and outputs.
-    """
-    n = len(box.inputs)
-    if len(box.outputs) != n or n == 0:
-        raise ValueError("standard no-signalling needs equally many inputs and outputs")
-    if sorted(box.pairing.keys()) != list(range(n)) or sorted(
-        box.pairing.values()
-    ) != list(range(n)):
-        raise ValueError("standard no-signalling needs a bijective pairing")
-    for j in range(n):
-        others = tuple(k for k in range(n) if k != box.pairing[j])
-        non_j = [i for i in range(n) if i != j]
-        contexts = itertools.product(*(box.inputs[i].alphabet.labels for i in non_j))
-        for ctx in contexts:
-            base = None
-            for v in box.inputs[j].alphabet.labels:
-                x = [None] * n
-                for i, val in zip(non_j, ctx):
-                    x[i] = val
-                x[j] = v
-                m = _marginal_vector(box, others, tuple(x))
-                if base is None:
-                    base = m
-                elif m != base:
-                    return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +339,3 @@ def named_constraints(
         lines.append(FamilyLine(label, F, G, cert, insts))
     return NamedFamily(family, tuple(lines))
 
-
-def check_family(fam: NamedFamily, box: CorrelationBox) -> list[ViolationReport]:
-    return check_instances(box, fam.all_instances())

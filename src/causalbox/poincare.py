@@ -66,17 +66,28 @@ def _identity(n: int) -> Matrix:
     )
 
 
-def _linear(dim: int, entries: dict[tuple[int, int], Fraction | int]) -> PoincareMap:
-    """The map with no translation whose matrix is the identity of size
-    dim + 1 except at the given (row, column) entries."""
+def _linear_matrix(dim: int, entries: dict[tuple[int, int], Fraction | int]) -> Matrix:
+    """The identity matrix of size dim + 1 except at the given (row,
+    column) entries."""
     n = dim + 1
-    return PoincareMap(
-        tuple(
-            tuple(Fraction(entries.get((i, j), i == j)) for j in range(n))
-            for i in range(n)
-        ),
-        (Fraction(0),) * n,
+    return tuple(
+        tuple(Fraction(entries.get((i, j), i == j)) for j in range(n))
+        for i in range(n)
     )
+
+
+def _linear(dim: int, entries: dict[tuple[int, int], Fraction | int]) -> PoincareMap:
+    """The map with no translation whose matrix is _linear_matrix(dim,
+    entries)."""
+    return PoincareMap(_linear_matrix(dim, entries), (Fraction(0),) * (dim + 1))
+
+
+def _boost_entries(k: Fraction, i: int) -> dict[tuple[int, int], Fraction]:
+    """The entries of the boost with parameter k > 0 along the spatial
+    axis of matrix row i (see PoincareMap.boost)."""
+    c = (k + 1 / k) / 2
+    s = (k - 1 / k) / 2
+    return {(0, 0): c, (0, i): -s, (i, 0): -s, (i, i): c}
 
 
 def _plane_rows(dim: int, axes: tuple[int, int]) -> tuple[int, int]:
@@ -144,10 +155,7 @@ class PoincareMap:
             raise GeometryError("boost parameter must be positive")
         if not 0 <= axis < dim:
             raise GeometryError("boost axis out of range")
-        c = (k + 1 / k) / 2
-        s = (k - 1 / k) / 2
-        i = axis + 1
-        return _linear(dim, {(0, 0): c, (0, i): -s, (i, 0): -s, (i, i): c})
+        return _linear(dim, _boost_entries(k, axis + 1))
 
     @staticmethod
     def rotation(dim: int, m, axes: tuple[int, int] = (0, 1)) -> "PoincareMap":
@@ -296,15 +304,15 @@ def find_loop_transform(
     delta, tau = y[1] - t, y[1] + t
     rho = sum((c * c for c in y[3:]), Fraction(0))
     k = (4 * rho / delta + 2 * tau + 1) / delta
-    flip = (
-        PoincareMap.spatial_reflection(1, 0)
-        if dim == 1
-        else PoincareMap.half_turn(dim, (0, 1))
+    # The factors are built and multiplied unchecked: the returned map
+    # verifies the product's isometry condition once.  flip is the
+    # reflection of axis 1 when d = 1 and the half turn of axes 1, 2
+    # otherwise.
+    flip = _linear_matrix(
+        dim, {(1, 1): -1} if dim == 1 else {(1, 1): -1, (2, 2): -1}
     )
-    # The factors are multiplied unchecked: the returned map verifies
-    # the product's isometry condition once.
-    boost = PoincareMap.boost(dim, k, 0)
-    lam = _matmul(align, _matmul(flip.matrix, _matmul(boost.matrix, align)))
+    boost = _linear_matrix(dim, _boost_entries(k, 1))
+    lam = _matmul(align, _matmul(flip, _matmul(boost, align)))
     sigma = tuple(a + b for a, b in zip(w, _matvec(lam, w)))
     shift = tuple(
         qc - lc - sc / 2 for qc, lc, sc in zip(qvec, _matvec(lam, pvec), sigma)

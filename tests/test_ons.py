@@ -1,17 +1,24 @@
 """Constraint generation, exact checking, and the named families."""
 
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import causalbox.boxes
 import causalbox.ons
 import ons_reference as ref
+from ons_helpers import check_family, check_standard_ns
+from test_ons_reference import BACKENDS, seeded_box
 from causalbox.boxes import (
     Alphabet,
     CorrelationBox,
     Srv,
+    ValidationError,
     canonical_box,
     marginalize,
 )
@@ -19,13 +26,12 @@ from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import (
     ConstraintInstance,
     LayoutMismatch,
-    check_family,
     check_instances,
     check_ons,
-    check_standard_ns,
     enumerate_constraints,
     named_constraints,
 )
+from causalbox.protocol import exhaustive_protocol_search
 from causalbox.separation import Verdict, _separated, separated
 
 M1 = Minkowski(1)
@@ -462,6 +468,101 @@ class TestChecking:
         )
         assert not tampered.verify(M1, box)
         assert inst.verify(M1, box)
+
+
+class TestVectorTable:
+    """Each box holds one vector table per output set G, its only cache
+    of marginals; check_instances, the protocol search and marginalize
+    all read it."""
+
+    def test_each_vector_once_and_each_g_checked_once(self, monkeypatch):
+        vectors = causalbox.boxes._Vectors
+        built, computed = [], []
+        init, missing = vectors.__init__, vectors.__missing__
+
+        def counting_init(table, box, G):
+            built.append(G)
+            init(table, box, G)
+
+        def counting_missing(table, x):
+            computed.append((table.G, x))
+            return missing(table, x)
+
+        monkeypatch.setattr(vectors, "__init__", counting_init)
+        monkeypatch.setattr(vectors, "__missing__", counting_missing)
+        violated = 0
+        for backend in BACKENDS:
+            for seed in range(4):
+                order, box = seeded_box(backend, "factored", seed)
+                assert "_positions" not in vars(box)
+                instances = enumerate_constraints(order, box)
+                built.clear()
+                computed.clear()
+                reports = check_instances(box, instances)
+                want = {(i.G, x) for i in instances for x in (i.x, i.x_prime)}
+                assert len(computed) == len(set(computed)) and set(computed) == want
+                exhaustive_protocol_search(order, box, instances)
+                for inst in instances:
+                    marginalize(box, inst.G, inst.x_prime)
+                assert check_instances(box, instances) == reports
+                assert len(computed) == len(set(computed))
+                assert sorted(built) == sorted({i.G for i in instances})
+                assert bool(instances) == ("_positions" in vars(box))
+                violated += bool(reports)
+        assert violated
+
+    def test_box_and_its_tables_are_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            box = signalling_bell_box()
+            assert check_ons(M1, box) and box._marginals
+            alive = weakref.ref(box)
+            del box
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_out_of_range_g_raises_index_error(self):
+        box = bell_box()
+        inst = enumerate_constraints(M1, box)[0]
+        bad = dataclasses.replace(inst, G=(0, 2))
+        for _ in range(2):
+            with pytest.raises(IndexError, match="output index 2 out of range"):
+                check_instances(box, [inst, bad])
+
+    def test_stray_outcome_key_raises_on_first_read_of_its_row(self):
+        table = {
+            ("0",): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)},
+            ("1",): {("0", "0"): Fraction(1, 2), ("2", "0"): Fraction(1, 2)},
+        }
+        box = triangle_box(table)
+        instances = enumerate_constraints(M1, box)
+        assert marginalize(box, (0,), ("0",)) == {
+            ("0",): Fraction(1, 2),
+            ("1",): Fraction(1, 2),
+        }
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=r"x=1: \('2', '0'\)"):
+                check_instances(box, instances)
+
+
+class TestRecords:
+    def test_records_are_frozen_slotted_values(self):
+        reports = check_ons(M1, signalling_bell_box())
+        rep = reports[0]
+        inst = rep.instance
+        for record, name in ((inst, "G"), (rep, "outcome")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, ())
+            assert not hasattr(record, "__dict__")
+        moved = dataclasses.replace(inst, x_prime=inst.x)
+        assert moved != inst and moved.x_prime == inst.x
+        assert moved.certificate is inst.certificate
+        assert dataclasses.replace(rep, p_x=rep.p_x_prime) != rep
+        copies = [dataclasses.replace(r) for r in reports]
+        assert copies == reports
+        assert [hash(c) for c in copies] == [hash(r) for r in reports]
+        assert len({*reports, *copies}) == len(reports)
 
 
 class TestStandardNs:

@@ -34,7 +34,7 @@ def _loaded_after(script: str) -> set[str]:
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(causalbox.__all__) == 76
+    assert len(causalbox.__all__) == 74
     for name in causalbox.__all__:
         module = importlib.import_module(f"causalbox.{causalbox._MODULE_OF[name]}")
         assert getattr(causalbox, name) is getattr(module, name), name

@@ -169,6 +169,31 @@ class TestLoopTransform:
         assert res.is_proper == (order.dim >= 2)
 
     @pytest.mark.parametrize(
+        "p, q",
+        [
+            (ev(0, 0), ev(Fraction(1, 2), 3)),
+            (ev(0, 1, -1), ev(Fraction(1, 2), -3, -5)),
+            (ev(0, 0, 0, 0), ev(1, 2, -1, 5)),
+        ],
+    )
+    def test_spacelike_map_is_checked_once(self, monkeypatch, p, q):
+        # The flip and boost factors are built raw, so the isometry check
+        # runs on the returned map alone.
+        checked = []
+        post_init = PoincareMap.__post_init__
+
+        def counting(m):
+            checked.append(m)
+            post_init(m)
+
+        monkeypatch.setattr(PoincareMap, "__post_init__", counting)
+        order = Minkowski(len(p.x))
+        res = find_loop_transform(order, p, q, allow_reflection=order.dim == 1)
+        assert res is not None and checked == [res]
+        monkeypatch.undo()
+        self.check(order, p, q, res)
+
+    @pytest.mark.parametrize(
         "order, p, q",
         [
             (TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]), ev(0, 2), ev(0, -2)),
