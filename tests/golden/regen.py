@@ -4,7 +4,8 @@ Four corpora share this harness:
 
 - jam: `jam-geometry <args> --out fig` for each case in jam/cases.json;
 - ons: the full argument list of each case in ons/cases.json (`check`,
-  `constraints` and `protocol` on the built-in presets);
+  `constraints` and `protocol` on the built-in presets, and on a 3+1
+  jamming scenario file);
 - simulate: the full argument list of each case in simulate/cases.json
   (both test branches, a clean box, an out-of-range seed and a
   four-cell exact_mc case on a scenario file);
@@ -12,7 +13,7 @@ Four corpora share this harness:
   (every theory on the four named games, and the no-signalling LP on a
   3x3 game file).
 
-In the simulate and monogamy corpora an argument ending in `.json` names
+In the ons, simulate and monogamy corpora an argument ending in `.json` names
 a file in the corpus directory and is passed on as its absolute path.
 
 Each case runs through the CLI from a fresh working directory, so the
@@ -52,7 +53,7 @@ def _with_corpus_files(corpus: str):
 # Corpus name -> the CLI argument list of one case's stored arguments.
 CORPORA = {
     "jam": lambda args: ["jam-geometry", *args, "--out", OUT_DIR],
-    "ons": lambda args: list(args),
+    "ons": _with_corpus_files("ons"),
     "simulate": _with_corpus_files("simulate"),
     "monogamy": _with_corpus_files("monogamy"),
 }

@@ -1,5 +1,5 @@
-"""Golden `check`, `constraints` and `protocol` outputs on the presets:
-stdout and exit code, byte for byte.
+"""Golden `check`, `constraints` and `protocol` outputs on the presets and
+on a 3+1 scenario file: stdout and exit code, byte for byte.
 
 The expected files are written by tests/golden/regen.py; a change to
 them is a declared change of the canonical output.
