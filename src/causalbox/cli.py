@@ -291,20 +291,20 @@ def cmd_jam_geometry(args) -> int:
 def cmd_monogamy(args) -> int:
     from .monogamy import ns_monogamy_lp, signalling_monogamy, specific_input_value
 
+    if args.inputs is not None and args.theory != "specific":
+        _fail(USAGE, "--inputs applies only to --theory specific")
     game = _load_game(args.game)
     if args.theory == "signalling":
         report = signalling_monogamy(game)
     elif args.theory == "ns":
         report = ns_monogamy_lp(game)
     else:
-        fixed = None
+        fixed = (0, 0, 0)
         if args.inputs is not None:
             parts = args.inputs.split(",")
             if len(parts) != 3:
                 _fail(USAGE, "--inputs needs three comma-separated values")
             fixed = tuple(int(p) for p in parts)
-        else:
-            fixed = (0, 0, 0)
         report = specific_input_value(game, fixed)
     _emit(sc.game_report_to_json(report))
     return PASS

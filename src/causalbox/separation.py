@@ -5,11 +5,11 @@ family.
 Every verdict is exact: finite orders by an exhaustive scan, both 1+1
 backends by a quadrant sweep in lightcone coordinates, and Minkowski(d)
 with d >= 2 by a sweep that cuts at the critical values of x1 and
-recurses one dimension lower, down to lines of the plane.  Both sweeps
-run on integers over one common denominator per call; the Minkowski
-sweep re-scales at each cut.  No engine returns UNKNOWN.  Every
-SEPARATED result carries a rational witness event that re-verifies
-against the raw causal relation.
+recurses one dimension lower, down to a point.  Both sweeps run on
+integers over one common denominator per call; the Minkowski sweep
+re-scales at each cut.  No engine returns UNKNOWN.  Every SEPARATED
+result carries a rational witness event that re-verifies against the
+raw causal relation.
 """
 
 from __future__ import annotations
@@ -102,10 +102,9 @@ def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) ->
 # singular), or x* escapes to infinity along such a tie set's
 # asymptote.  A rational cut in each gap between the critical values,
 # and one beyond each end, therefore meets every component, and W is
-# empty exactly when it is empty on every cut.  The recursion runs down
-# to the plane, whose cuts are lines: there W is a union of gaps between
-# the roots in y of the gathered/avoided pair conics, so one rational
-# point per gap decides.
+# empty exactly when it is empty on every cut.  On a line the tie sets
+# of pairs are points, each critical, and a cut leaves a point, where
+# the later gathered arrival against the earliest avoided one decides.
 #
 # Cone apices need no cut of their own, because the sweep runs only
 # after _separated's early exits.  Say x* is the apex of an event that
@@ -129,22 +128,19 @@ def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) ->
 # of the other events from the first, on the quadric <u, u> = delta_0
 # (<,> the Minkowski form), future sheets only.  Its critical points
 # solve linear equations and one quadratic, so every critical value is
-# a + b*sqrt(R) and sorts exactly.  On the plane, pairs keep their
-# conic's vertical tangents and asymptotes (the discriminant in y),
-# which also gives one harmless extra abscissa where a double line meets
-# y = 0.
+# a + b*sqrt(R) and sorts exactly.
 #
 # Arithmetic.  A call scales its events to one common denominator L and
 # keeps each event (t, a, delta) as the ints (L t, L a, L^2 delta); a cut
-# at x1 = n/q re-scales to lcm(L, q).  Conic and quadric coefficients,
-# tie lines and Lagrange families are ints, the last two solved by
-# fraction-free Gauss-Jordan, which yields delta times the reduced row
-# echelon form.  A critical value is (P + Q sqrt(R))/M in ints, and R is
-# the numerator times the denominator of the reduced discriminant that
-# the same quadratic has over the rationals, in the original units and
-# in the parametrisation fixed by the reduced echelon forms: R decides
-# the rational bounds that a gap's sample is read from, so it is what
-# makes the samples the simplest rationals of those bounds.
+# at x1 = n/q re-scales to lcm(L, q).  Quadric coefficients, tie lines
+# and Lagrange families are ints, the last two solved by fraction-free
+# Gauss-Jordan, which yields delta times the reduced row echelon form.
+# A critical value is (P + Q sqrt(R))/M in ints, and R is the numerator
+# times the denominator of the reduced discriminant that the same
+# quadratic has over the rationals, in the original units and in the
+# parametrisation fixed by the reduced echelon forms: R decides the
+# rational bounds that a gap's sample is read from, so it is what makes
+# the samples the simplest rationals of those bounds.
 
 IntEv = tuple[int, tuple[int, ...], int]  # (L t, L a, L^2 delta) on a cut
 # (key, P, Q, R, M): (P + Q sqrt(R))/M with M > 0, where
@@ -408,60 +404,15 @@ def _samples(values: list[Value]) -> list[Sample]:
     return out
 
 
-def _pair_conic(g: IntEv, p: IntEv) -> tuple[int, ...]:
-    """Coefficients (al, b1, b0, g2, g1, g0) of the conic
-    al*y^2 + (b1*x1 + b0)*y + g2*x1^2 + g1*x1 + g0 = 0 that holds on the
-    curve t + |x - a|_g = s + |x - b|_p of gathered (t, a) and avoided
-    (s, b) on a plane cut, where |x - a|_e^2 = |x - a|^2 + delta_e.  On
-    scaled events a coefficient of degree k in lengths comes out L^k
-    times its rational value.
-
-    With c = t - s and L = |x - b|_p^2 - |x - a|_g^2, which is linear in
-    x, the curve gives L - c^2 = 2c|x - a|_g; squaring yields the conic.
-    """
-    (t, (a1, a2), da), (s, (b1, b2), db) = g, p
-    c = t - s
-    l1, l2 = 2 * (a1 - b1), 2 * (a2 - b2)
-    l0 = b1 * b1 + b2 * b2 + db - a1 * a1 - a2 * a2 - da - c * c
-    k = 4 * c * c
-    return (
-        l2 * l2 - k,
-        2 * l2 * l1,
-        2 * l2 * l0 + 2 * k * a2,
-        l1 * l1 - k,
-        2 * l1 * l0 + 2 * k * a1,
-        l0 * l0 - k * (a1 * a1 + a2 * a2 + da),
-    )
-
-
-def _vertical_tangents(L: int, conic: tuple[int, ...]) -> list[Value]:
-    """x1 where the conic, as a quadratic in y, has a double root or loses
-    its y^2 term: vertical tangents and asymptotes.  A double line has a
-    double root everywhere; then the roots of the y-free part give its
-    x1 if it is vertical."""
-    al, b1, b0, g2, g1, g0 = conic
-    disc = (b1 * b1 - 4 * al * g2, 2 * b1 * b0 - 4 * al * g1, b0 * b0 - 4 * al * g0)
-    roots = _roots(*disc, L**5) if any(disc) else _roots(g2, g1, g0, L**3)
-    return [_value(p, q, r, m * L) for p, q, r, m in roots]
-
-
-def _critical_x1(
-    L: int, gather: list[IntEv], avoid: list[IntEv]
-) -> tuple[list[Value], list]:
-    """The critical x1 values of a cut problem, and on the plane the
-    gathered/avoided pair conics."""
-    k = len(gather[0][1])
+def _critical_x1(L: int, gather: list[IntEv], avoid: list[IntEv]) -> list[Value]:
+    """The critical x1 values of a cut problem."""
     events = [*gather, *avoid]
-    conics = []
-    if k == 2:
-        conics = [_pair_conic(g, p) for g in gather for p in avoid if g[1:] != p[1:]]
-    crit = [x1 for conic in conics for x1 in _vertical_tangents(L, conic)]
-    n = len(gather)
-    for size in range(3 if k == 2 else 2, k + 2):
+    n, crit = len(gather), []
+    for size in range(2, len(gather[0][1]) + 2):
         for tie in combinations(range(len(events)), size):
             if tie[0] < n <= tie[-1]:  # at least one gathered and one avoided
                 crit += _tie_extrema(L, [events[i] for i in tie])
-    return crit, conics
+    return crit
 
 
 def _arrival_value(u: int, s: int, m: int) -> Value:
@@ -472,31 +423,20 @@ def _arrival_value(u: int, s: int, m: int) -> Value:
     return _value(u * den, m, s // g * den, m * den)
 
 
-def _gathers_at(
-    L: int, gather: list[IntEv], avoid: list[IntEv], x1: Sample, y: Sample
-) -> Fraction | None:
-    """The witness time at the plane point (x1, y) if every gathered event
-    arrives there before every avoided one, else None."""
-    m = math.lcm(L, x1[1], y[1])
-    k = m // L
-    px, py = x1[0] * (m // x1[1]), y[0] * (m // y[1])
-
-    def arrival(e: IntEv) -> Value:
-        """m times the arrival time, u + sqrt(s)."""
-        t, (a1, a2), d = e
-        dx, dy = px - a1 * k, py - a2 * k
-        return _value(t * k, 1, dx * dx + dy * dy + d * k * k, 1)
-
+def _gathers_at(L: int, gather: list[IntEv], avoid: list[IntEv]) -> Fraction | None:
+    """The witness time on a fully cut problem, events (t, (), delta) that
+    arrive at (t + sqrt(delta))/L, if every gathered event arrives before
+    every avoided one, else None."""
     order = cmp_to_key(_cmp)
-    late = max(map(arrival, gather), key=order)
-    early = min(map(arrival, avoid), key=order)
+    late = max((_value(t, 1, d, 1) for t, _, d in gather), key=order)
+    early = min((_value(t, 1, d, 1) for t, _, d in avoid), key=order)
     if _cmp(late, early) >= 0:
         return None
     u, s = late[1], late[3]
     root = math.isqrt(s)
     if root * root == s:
-        return Fraction(u + root, m)
-    return Fraction(*_between(_arrival_value(u, s, m), _arrival_value(early[1], early[3], m)))
+        return Fraction(u + root, L)
+    return Fraction(*_between(_arrival_value(u, s, L), _arrival_value(early[1], early[3], L)))
 
 
 def _cut(L: int, events: list[IntEv], x1: Sample) -> tuple[int, list[IntEv]]:
@@ -514,26 +454,14 @@ def _sweep_scaled(
     L: int, gather: list[IntEv], avoid: list[IntEv]
 ) -> tuple[Fraction, Vec] | None:
     """_sweep on events scaled to the common denominator L."""
-    crit, conics = _critical_x1(L, gather, avoid)
-    k = len(gather[0][1])
-    for x1 in _samples(crit):
-        n, q = x1
-        if k > 2:
-            L1, cut = _cut(L, [*gather, *avoid], x1)
-            found = _sweep_scaled(L1, cut[: len(gather)], cut[len(gather):])
-            if found is not None:
-                return found[0], (Fraction(n, q), *found[1])
-            continue
-        ys: list[Value] = []
-        for al, b1, b0, g2, g1, g0 in conics:
-            c1 = (b1 * L * n + b0 * q) * q
-            c0 = (g2 * L * n + g1 * q) * L * n + g0 * q * q
-            for p, qq, r, m in _roots(al * q * q, c1, c0, q * q * L**3):
-                ys.append(_value(p, qq, r, m * L))
-        for y in _samples(ys):
-            tau = _gathers_at(L, gather, avoid, x1, y)
-            if tau is not None:
-                return tau, (Fraction(n, q), Fraction(*y))
+    if not gather[0][1]:
+        tau = _gathers_at(L, gather, avoid)
+        return None if tau is None else (tau, ())
+    for x1 in _samples(_critical_x1(L, gather, avoid)):
+        L1, cut = _cut(L, [*gather, *avoid], x1)
+        found = _sweep_scaled(L1, cut[: len(gather)], cut[len(gather):])
+        if found is not None:
+            return found[0], (Fraction(*x1), *found[1])
     return None
 
 

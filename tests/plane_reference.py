@@ -3,7 +3,9 @@ they stood before the dimension-generic sweep, kept as references.
 
 `plane_critical_x1` lists the plane sweep's critical x1 values in its
 own order, less the cone apices, which the generic sweep no longer cuts
-at; the generic sweep must produce the same set on the plane.
+at: pair-conic vertical tangents and asymptotes, and triple abscissae.
+Every critical value of the generic sweep on the plane must be one of
+them; the generic pair ties keep only the tangents on future sheets.
 `search_witness` looks for a rational witness on dyadic grids over
 the gathered events' common slices; it never refutes, so a witness it
 finds contradicts a NOT_SEPARATED verdict.
@@ -18,7 +20,7 @@ from typing import Sequence
 from causalbox.geometry import Event, Minkowski
 from causalbox.rational import QuadExt
 from causalbox.separation import verify_separation_witness
-from sweep_reference import _roots, _vertical_tangents
+from sweep_reference import _roots
 
 Vec = tuple[Fraction, ...]
 
@@ -180,6 +182,16 @@ def _triple_abscissae(e0: Event, e1: Event, e2: Event) -> list[QuadExt]:
         for lam in _roots(mink(d, d), 2 * mink(w, d), mink(w, w))
         if (lam * d[2] + base[2]).cmp(latest) >= 0  # future sheets only
     ]
+
+
+def _vertical_tangents(conic: tuple[Fraction, ...]) -> list[QuadExt]:
+    """x1 where the conic, as a quadratic in y, has a double root or loses
+    its y^2 term: vertical tangents and asymptotes.  A double line has a
+    double root everywhere; then the roots of the y-free part give its
+    x1 if it is vertical."""
+    al, b1, b0, g2, g1, g0 = conic
+    disc = (b1 * b1 - 4 * al * g2, 2 * b1 * b0 - 4 * al * g1, b0 * b0 - 4 * al * g0)
+    return _roots(*disc) if any(disc) else _roots(g2, g1, g0)
 
 
 def plane_critical_x1(gather: Sequence[Event], avoid: Sequence[Event]) -> list[QuadExt]:

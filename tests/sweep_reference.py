@@ -1,9 +1,10 @@
 """The Fraction sweep for Minkowski(d), d >= 2, kept by the tests as a
 reference for the integer one in `causalbox.separation`.
 
-It is the sweep as it stood before the integer rewrite: every
-coefficient, tie line, Lagrange family and root is a `Fraction` or a
-`QuadExt` over Fractions in the original units.  `sweep(gather, avoid)`
+It is the sweep as it stood before the integer rewrite, with the same
+tie sets at every depth down to a point, as the integer sweep has now:
+every coefficient, tie line, Lagrange family and root is a `Fraction`
+or a `QuadExt` over Fractions in the original units.  `sweep(gather, avoid)`
 takes validated point events, as `separation._sweep` does, and returns
 the same rational (tau, x) or None; patching it in for `_sweep` gives
 the reference verdict, reason and witness of `separated()`.
@@ -184,46 +185,11 @@ def _samples(values: list[QuadExt]) -> list[Fraction]:
     return out
 
 
-def _pair_conic(g: Ev, p: Ev) -> tuple[Fraction, ...]:
-    """Coefficients (al, b1, b0, g2, g1, g0) of the conic
-    al*y^2 + (b1*x1 + b0)*y + g2*x1^2 + g1*x1 + g0 = 0 that holds on the
-    curve t + |x - a|_g = s + |x - b|_p of gathered (t, a) and avoided
-    (s, b) on a plane cut, where |x - a|_e^2 = |x - a|^2 + delta_e.
-
-    With c = t - s and L = |x - b|_p^2 - |x - a|_g^2, which is linear in
-    x, the curve gives L - c^2 = 2c|x - a|_g; squaring yields the conic.
-    """
-    (t, (a1, a2), da), (s, (b1, b2), db) = g, p
-    c = t - s
-    l1, l2 = 2 * (a1 - b1), 2 * (a2 - b2)
-    l0 = b1 * b1 + b2 * b2 + db - a1 * a1 - a2 * a2 - da - c * c
-    k = 4 * c * c
-    return (
-        l2 * l2 - k,
-        2 * l2 * l1,
-        2 * l2 * l0 + 2 * k * a2,
-        l1 * l1 - k,
-        2 * l1 * l0 + 2 * k * a1,
-        l0 * l0 - k * (a1 * a1 + a2 * a2 + da),
-    )
-
-
-def _vertical_tangents(conic: tuple[Fraction, ...]) -> list[QuadExt]:
-    """x1 where the conic, as a quadratic in y, has a double root or loses
-    its y^2 term: vertical tangents and asymptotes.  A double line has a
-    double root everywhere; then the roots of the y-free part give its
-    x1 if it is vertical."""
-    al, b1, b0, g2, g1, g0 = conic
-    disc = (b1 * b1 - 4 * al * g2, 2 * b1 * b0 - 4 * al * g1, b0 * b0 - 4 * al * g0)
-    return _roots(*disc) if any(disc) else _roots(g2, g1, g0)
-
-
-def _arrival(e: Ev, x: Vec) -> QuadExt:
-    """t + |x - a|_e exactly, with a raw radicand."""
-    t, (a1, a2), d = e
-    dx, dy = x[0] - a1, x[1] - a2
-    r2 = dx * dx + dy * dy + d
-    return QuadExt(t, Fraction(1, r2.denominator), r2.numerator * r2.denominator)
+def _arrival(e: Ev) -> QuadExt:
+    """t + sqrt(delta) of a fully cut event (t, (), delta), with a raw
+    radicand."""
+    t, _, d = e
+    return QuadExt(t, Fraction(1, d.denominator), d.numerator * d.denominator)
 
 
 def _plane_ev(e: Event) -> Ev:
@@ -237,43 +203,30 @@ def _cut(e: Ev, c: Fraction) -> Ev:
     return t, a[1:], d + (c - a[0]) ** 2
 
 
-def _critical_x1(gather: list[Ev], avoid: list[Ev]) -> tuple[list[QuadExt], list]:
-    """The critical x1 values of a cut problem, and on the plane the
-    gathered/avoided pair conics."""
-    k = len(gather[0][1])
+def _critical_x1(gather: list[Ev], avoid: list[Ev]) -> list[QuadExt]:
+    """The critical x1 values of a cut problem."""
     events = [*gather, *avoid]
-    conics = []
-    if k == 2:
-        conics = [_pair_conic(g, p) for g in gather for p in avoid if g[1:] != p[1:]]
-    crit = [x1 for conic in conics for x1 in _vertical_tangents(conic)]
-    n = len(gather)
-    for size in range(3 if k == 2 else 2, k + 2):
+    n, crit = len(gather), []
+    for size in range(2, len(gather[0][1]) + 2):
         for tie in combinations(range(len(events)), size):
             if tie[0] < n <= tie[-1]:  # at least one gathered and one avoided
                 crit += _tie_extrema([events[i] for i in tie])
-    return crit, conics
+    return crit
 
 
 def _sweep(gather: list[Ev], avoid: list[Ev]) -> tuple[Fraction, Vec] | None:
     """A rational (tau, x) with x in W, or None when W is empty."""
-    crit, conics = _critical_x1(gather, avoid)
-    k = len(gather[0][1])
-    for x1 in _samples(crit):
-        if k > 2:
-            found = _sweep([_cut(e, x1) for e in gather], [_cut(e, x1) for e in avoid])
-            if found is not None:
-                return found[0], (x1, *found[1])
-            continue
-        ys: list[QuadExt] = []
-        for al, b1, b0, g2, g1, g0 in conics:
-            ys += _roots(al, b1 * x1 + b0, (g2 * x1 + g1) * x1 + g0)
-        for y in _samples(ys):
-            x = (x1, y)
-            late = max(_arrival(g, x) for g in gather)
-            early = min(_arrival(p, x) for p in avoid)
-            if late < early:
-                lo, hi = late.bounds()
-                return (lo if lo == hi else _between(late, early)), x
+    if not gather[0][1]:
+        late = max(map(_arrival, gather))
+        early = min(map(_arrival, avoid))
+        if not late < early:
+            return None
+        lo, hi = late.bounds()
+        return (lo if lo == hi else _between(late, early)), ()
+    for x1 in _samples(_critical_x1(gather, avoid)):
+        found = _sweep([_cut(e, x1) for e in gather], [_cut(e, x1) for e in avoid])
+        if found is not None:
+            return found[0], (x1, *found[1])
     return None
 
 

@@ -487,6 +487,12 @@ class TestMonogamy:
         )
         assert code == USAGE
 
+    @pytest.mark.parametrize("theory", ["signalling", "ns"])
+    def test_inputs_need_the_specific_theory(self, capsys, theory):
+        code, out, err = run(capsys, "monogamy", "--theory", theory, "--inputs", "1,0,1")
+        assert (code, out) == (USAGE, "")
+        assert err == "--inputs applies only to --theory specific\n"
+
 
 class TestCaseStudy:
     def test_loop_degenerate_exits_one(self, capsys):

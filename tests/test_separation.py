@@ -20,13 +20,12 @@ from causalbox.separation import (
     SeparationResult,
     Verdict,
     _critical_x1,
-    _samples,
+    _gathers_at,
     _tie_extrema,
     separated,
     verify_separation_witness,
 )
 from plane_reference import plane_critical_x1, search_witness
-import sweep_reference
 from quad_helpers import quad_sqrt
 
 
@@ -641,26 +640,21 @@ def tie_extrema(tie):
 def critical_x1(gather, avoid):
     """The sweep's critical x1 values of cut events (t, a, delta)."""
     L, events = _scaled([*gather, *avoid])
-    return _critical_x1(L, events[: len(gather)], events[len(gather) :])[0]
+    return _critical_x1(L, events[: len(gather)], events[len(gather) :])
 
 
-def _distinct(values):
-    out = []
-    for v in sorted(values):
-        if not out or out[-1] < v:
-            out.append(v)
-    return out
-
-
-def test_generic_critical_values_are_the_plane_engines():
-    """On the plane the generic sweep cuts at exactly the plane engine's
-    critical x1 values, so it tests the same samples in the same order."""
+def test_generic_critical_values_are_among_the_plane_engines():
+    """On the plane every critical x1 value of the generic sweep is, by
+    exact value, one of the plane engine's pair-conic tangents and triple
+    abscissae: the generic pair ties keep only the tangents on future
+    sheets."""
+    equal = 0
     for gather, avoid in plane_layouts(240, seed=20240601):
         plane = plane_critical_x1(gather, avoid)
-        generic = critical_x1(_cut_events(gather), _cut_events(avoid))
-        assert _distinct(map(_quad, generic)) == _distinct(plane)
-        samples = [Fraction(n, d) for n, d in _samples(generic)]
-        assert samples == sweep_reference._samples(plane)
+        generic = set(map(_quad, critical_x1(_cut_events(gather), _cut_events(avoid))))
+        assert all(any(v == w for w in plane) for v in generic), (gather, avoid)
+        equal += all(any(v == w for w in generic) for v in plane)
+    assert equal == 35
 
 
 class TestTieExtrema:
@@ -696,6 +690,31 @@ class TestTieExtrema:
         z = self.Z
         tie = [(z, (z, z), z), (z, (Fraction(1), z), z), (z, (Fraction(2), z), z)]
         assert tie_extrema(tie) == []
+
+    def test_line_pair_has_two_future_tie_points(self):
+        # sqrt(y^2 + 9) = 1 + |y| at y = -4 and y = 4, both at tau = 5.
+        z, one = self.Z, Fraction(1)
+        crit = critical_x1([(z, (z,), Fraction(9))], [(one, (z,), z)])
+        assert sorted(map(_quad, crit)) == [-4, 4]
+
+    def test_line_pair_drops_the_past_sheet_root(self):
+        # |y| = 1 + |y - 4| at y = 5/2.  The squared equations also meet
+        # at y = 3/2, tau = -3/2, on the past sheet of the first cone.
+        z, one = self.Z, Fraction(1)
+        crit = critical_x1([(z, (z,), z)], [(one, (Fraction(4),), z)])
+        assert list(map(_quad, crit)) == [Fraction(5, 2)]
+
+    def test_fully_cut_events_give_the_rational_late_arrival(self):
+        # Over L = 2, gathered arrivals 0 and 1 + sqrt(9) = 4 against the
+        # avoided 2 + sqrt(16) = 6; a tie at 2 + sqrt(4) = 4 separates nothing.
+        gather = [(0, (), 0), (2, (), 36)]
+        assert _gathers_at(2, gather, [(4, (), 64)]) == 4
+        assert _gathers_at(2, gather, [(4, (), 16)]) is None
+
+    def test_fully_cut_events_give_a_time_between_arrivals(self):
+        # Over L = 2, sqrt(2) against 3/2: the simplest rational strictly
+        # between them is 10/7.
+        assert _gathers_at(2, [(0, (), 8)], [(3, (), 0)]) == Fraction(10, 7)
 
     def test_apices_are_not_critical(self):
         # The early exits in _separated settle every component of W that
@@ -912,7 +931,7 @@ def test_every_separated_verdict_carries_a_witness(backend):
 
 def test_single_line_samples_find_the_window():
     # Only the lines through event abscissae and vertical tangents of
-    # the conic meet this gathering window.
+    # the pair's tie curve meet this gathering window.
     order = Minkowski(2)
     gather = [ev(0, Fraction(1, 2), 3), ev(Fraction(3, 2), Fraction(1, 2), 2)]
     p = ev(Fraction(3, 2), 3, Fraction(-3, 2))
