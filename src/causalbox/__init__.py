@@ -22,12 +22,9 @@ _EXPORTS = {
         "Srv",
         "ValidationError",
         "ValidationReport",
-        "canonical_box",
         "do_label",
-        "embed_general",
         "extend_with_intervention",
         "marginalize",
-        "restrict_embedded",
         "undo_label",
         "validate_box",
     ),

@@ -385,79 +385,11 @@ def marginalize(
 
 
 # ----------------------------------------------------------------------
-# canonical constructions
+# stock mechanisms
 
 # The stock three-output mechanisms that casestudies.build_model
 # assembles, named here so the CLI can offer them without loading it.
 MODELS = ("otp", "jam", "loop")
-
-
-def _loop_table() -> dict:
-    row = {}
-    for a, b, c in itertools.product("01", repeat=3):
-        if int(b) == int(a) ^ int(c):
-            row[(a, b, c)] = Fraction(1, 4)
-    return {(): row}
-
-
-def canonical_box(name: str, locations: Mapping[str, Event], param=None) -> CorrelationBox:
-    """Build one of the stock boxes at caller-supplied events.
-
-    Names: loop_box (three outputs, b = a xor c uniform), pr_box (two
-    paired agents winning a xor b = x*y), jam_mechanism_X(param) and
-    jam_mechanism_Y(param) (switchable three-output jammers).
-    """
-    bits = Alphabet.binary()
-    if name == "loop_box":
-        outs = tuple(
-            Srv(n, bits, locations[k]) for n, k in (("A", "q1"), ("B", "q2"), ("C", "q3"))
-        )
-        return CorrelationBox(inputs=(), outputs=outs, table=_loop_table())
-    if name == "pr_box":
-        ins = (Srv("X", bits, locations["p1"]), Srv("Y", bits, locations["p2"]))
-        outs = (Srv("A", bits, locations["q1"]), Srv("B", bits, locations["q2"]))
-        table = {}
-        for x, y in itertools.product("01", repeat=2):
-            row = {}
-            for a, b in itertools.product("01", repeat=2):
-                if int(a) ^ int(b) == int(x) * int(y):
-                    row[(a, b)] = Fraction(1, 2)
-            table[(x, y)] = row
-        return CorrelationBox(inputs=ins, outputs=outs, table=table, pairing={0: 0, 1: 1})
-    if name in ("jam_mechanism_X", "jam_mechanism_Y"):
-        lam = parse_rational(param if param is not None else Fraction(1, 2))
-        if not 0 <= lam <= 1:
-            raise ValidationError(f"jam mechanism weight {lam} outside [0, 1]")
-        switch_name = "X_m" if name == "jam_mechanism_X" else "Y_m"
-        drive_name = "X" if name == "jam_mechanism_X" else "Y"
-        ins = (
-            Srv(drive_name, bits, locations["p"]),
-            Srv(switch_name, bits, locations["p"]),
-        )
-        outs = tuple(
-            Srv(n, bits, locations[k]) for n, k in (("A", "q1"), ("B", "q2"), ("C", "q3"))
-        )
-        table = {}
-        for x, m in itertools.product("01", repeat=2):
-            row = {}
-            for a, b, c in itertools.product("01", repeat=3):
-                if m == "0":
-                    row[(a, b, c)] = Fraction(1, 8)
-                    continue
-                # Mechanism on: the named pair is locked to the drive bit,
-                # the first pair member weighs param vs 1 - param, and the
-                # bystander output stays uniform.
-                if name == "jam_mechanism_X":
-                    locked, lead = int(a) ^ int(b), a
-                else:
-                    locked, lead = int(b) ^ int(c), b
-                if locked != int(x):
-                    continue
-                w = lam if lead == "0" else 1 - lam
-                row[(a, b, c)] = w * Fraction(1, 2)
-            table[(x, m)] = row
-        return CorrelationBox(inputs=ins, outputs=outs, table=table)
-    raise KeyError(f"unknown canonical box {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -565,105 +497,3 @@ def extend_with_intervention(
     return InterventionExtension(
         base=box, j=j, srv=srv, box=extended, post_tables=normalized
     )
-
-
-# ----------------------------------------------------------------------
-# embedding into the uniform-alphabet scenario
-
-
-@dataclass(frozen=True)
-class AgentSlot:
-    """One party of the squared-up scenario, before padding."""
-
-    input_index: int | None
-    output_index: int | None
-    in_labels: tuple[str, ...]
-    out_labels: tuple[str, ...]
-    location: Event
-
-
-def _agent_slots(box: CorrelationBox) -> list[AgentSlot]:
-    paired_inputs = dict(box.pairing)
-    used_inputs = set(paired_inputs)
-    slots = []
-    for j, out in enumerate(box.outputs):
-        owner = next((i for i, jj in paired_inputs.items() if jj == j), None)
-        in_labels = box.inputs[owner].alphabet.labels if owner is not None else (IDLE,)
-        slots.append(AgentSlot(owner, j, in_labels, out.alphabet.labels, out.location))
-    for i, inp in enumerate(box.inputs):
-        if i in used_inputs:
-            continue
-        slots.append(AgentSlot(i, None, inp.alphabet.labels, ("*",), inp.location))
-    return slots
-
-
-def embed_general(box: CorrelationBox) -> CorrelationBox:
-    """Re-express an arbitrary box in the uniform n-agent scenario.
-
-    Every agent gets max-size input and output alphabets, indexed 0..m-1
-    and 0..k-1.  Settings that select a padding input produce all-zero
-    rows; padding outcomes carry probability zero; on the embedded image
-    the original probabilities appear unchanged.
-    """
-    slots = _agent_slots(box)
-    m = max((len(s.in_labels) for s in slots), default=1)
-    k = max((len(s.out_labels) for s in slots), default=1)
-    in_alpha = Alphabet.of(*range(m))
-    out_alpha = Alphabet.of(*range(k))
-    new_inputs = tuple(
-        Srv(f"Y{idx + 1}", in_alpha, s.location) for idx, s in enumerate(slots)
-    )
-    new_outputs = tuple(
-        Srv(f"B{idx + 1}", out_alpha, s.location) for idx, s in enumerate(slots)
-    )
-    table: dict = {}
-    for y in itertools.product(range(m), repeat=len(slots)):
-        key = tuple(str(v) for v in y)
-        if any(y[idx] >= len(s.in_labels) for idx, s in enumerate(slots)):
-            table[key] = {}
-            continue
-        x = [None] * len(box.inputs)
-        for idx, s in enumerate(slots):
-            if s.input_index is not None:
-                x[s.input_index] = s.in_labels[y[idx]]
-        row = box.row(tuple(x))
-        new_row = {}
-        for a, p in row.items():
-            if p == 0:
-                continue
-            b = []
-            for idx, s in enumerate(slots):
-                if s.output_index is None:
-                    b.append("0")
-                else:
-                    b.append(str(s.out_labels.index(a[s.output_index])))
-            new_row[tuple(b)] = p
-        table[key] = new_row
-    return CorrelationBox(
-        inputs=new_inputs,
-        outputs=new_outputs,
-        table=table,
-        pairing={i: i for i in range(len(slots))},
-    )
-
-
-def restrict_embedded(
-    embedded: CorrelationBox, box: CorrelationBox
-) -> dict[tuple[str, ...], dict[tuple[str, ...], Fraction]]:
-    """Read the original table back out of its embedding (round trip)."""
-    slots = _agent_slots(box)
-    table: dict = {}
-    for x in box.settings():
-        y = []
-        for s in slots:
-            y.append(str(s.in_labels.index(x[s.input_index])) if s.input_index is not None else "0")
-        row = {}
-        for a in box.outcomes():
-            b = []
-            for s in slots:
-                b.append(str(s.out_labels.index(a[s.output_index])) if s.output_index is not None else "0")
-            p = embedded.prob(tuple(y), tuple(b))
-            if p != 0:
-                row[a] = p
-        table[x] = row
-    return table

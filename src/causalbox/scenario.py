@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .boxes import Alphabet, CorrelationBox, Srv, canonical_box
+from .boxes import Alphabet, CorrelationBox, Srv
 from .geometry import (
     CausalOrder,
     Event,
@@ -244,13 +244,18 @@ _BITS = Alphabet.binary()
 
 
 def _bell_scenario() -> Scenario:
-    locations = {
-        "p1": Event.at(0, 0),
-        "p2": Event.at(0, 6),
-        "q1": Event.at(1, 0),
-        "q2": Event.at(1, 6),
+    # the PR box: paired agents X -> A and Y -> B win a xor b = x*y
+    ins = (Srv("X", _BITS, Event.at(0, 0)), Srv("Y", _BITS, Event.at(0, 6)))
+    outs = (Srv("A", _BITS, Event.at(1, 0)), Srv("B", _BITS, Event.at(1, 6)))
+    table = {
+        (x, y): {
+            (a, b): Fraction(1, 2)
+            for a, b in itertools.product("01", repeat=2)
+            if int(a) ^ int(b) == int(x) * int(y)
+        }
+        for x, y in itertools.product("01", repeat=2)
     }
-    box = canonical_box("pr_box", locations)
+    box = CorrelationBox(inputs=ins, outputs=outs, table=table, pairing={0: 0, 1: 1})
     return Scenario("bell_standard", Minkowski(1), box=box)
 
 

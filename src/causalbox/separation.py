@@ -597,19 +597,18 @@ def _separated(
             reason="common_future",
         )
 
-    witness = next((p for p in avoid if _gathers(prec, gather, avoid, p)), None)
-    if witness is None:
-        found = _sweep(gather, avoid)
-        if found is None:
+    for p in avoid:
+        if _gathers(prec, gather, avoid, p):
             return SeparationResult(
-                Verdict.NOT_SEPARATED,
-                reason="cone_closure",
-                detail="every gathering event is strictly after an avoided event",
+                Verdict.SEPARATED, witness=p, reason="gather_at_avoid_point"
             )
-        witness = Event(t=found[0], x=found[1])
-    early = witness.t <= min(p.t for p in avoid)  # type: ignore[type-var]
+    found = _sweep(gather, avoid)
+    if found is None:
+        return SeparationResult(
+            Verdict.NOT_SEPARATED,
+            reason="cone_closure",
+            detail="every gathering event is strictly after an avoided event",
+        )
     return SeparationResult(
-        Verdict.SEPARATED,
-        witness=witness,
-        reason="gather_before_avoid" if early else "plane_sweep",
+        Verdict.SEPARATED, witness=Event(t=found[0], x=found[1]), reason="sweep"
     )

@@ -7,6 +7,7 @@ for drawing; nothing certified is computed from them.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .geometry import Event, FiniteOrder, TerminatedDiagram
@@ -21,8 +22,25 @@ _HEADER = (
 )
 
 
+def _float(value) -> float:
+    """value as a drawing coordinate.
+
+    Every number a figure writes passes here, through _fmt, and so does
+    every exact coordinate turned into a float for drawing.  A value, or
+    a span of values, that no float holds is a ValueError (a usage error
+    on the command line), raised before the figure is complete.
+    """
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError("figure coordinates do not fit in a float")
+    return result
+
+
 def _fmt(value: float) -> str:
-    text = f"{value:.3f}".rstrip("0").rstrip(".")
+    text = f"{_float(value):.3f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 
 
@@ -132,7 +150,7 @@ def cone_diagram(points: Sequence[tuple[str, Event, str]], title: str) -> str:
     """
     if not points:
         return axes_only(title)
-    coords = [(float(e.x[0]), float(e.t)) for _, e, _ in points]
+    coords = [(_float(e.x[0]), _float(e.t)) for _, e, _ in points]
     frame = _Frame([c[0] for c in coords], [c[1] for c in coords])
     fig = Figure(title)
     _axes(fig, "x", "t")
@@ -154,7 +172,7 @@ def spatial_scatter(points: Sequence[tuple[str, Event, str]], title: str) -> str
     """Spatial positions of the SRVs on one slice, first two coordinates."""
     if not points:
         return axes_only(title)
-    coords = [(float(e.x[0]), float(e.x[1])) for _, e, _ in points]
+    coords = [(_float(e.x[0]), _float(e.x[1])) for _, e, _ in points]
     frame = _Frame([c[0] for c in coords], [c[1] for c in coords])
     fig = Figure(title)
     _axes(fig, "x1", "x2")
@@ -197,22 +215,22 @@ def terminated_figure(
     order: TerminatedDiagram, points: Sequence[tuple[str, Event, str]], title: str
 ) -> str:
     """Domain below a piecewise-linear terminal boundary, with events."""
-    xs = [float(x) for x, _ in order.vertices]
-    ts = [float(s) for _, s in order.vertices]
+    xs = [_float(x) for x, _ in order.vertices]
+    ts = [_float(s) for _, s in order.vertices]
     for _, e, _ in points:
-        xs.append(float(e.x[0]))
-        ts.append(float(e.t))
+        xs.append(_float(e.x[0]))
+        ts.append(_float(e.t))
     spread = max(xs) - min(xs) or 1.0
-    lo, hi = min(xs) - 0.25 * spread, max(xs) + 0.25 * spread
+    lo, hi = _float(min(xs) - 0.25 * spread), _float(max(xs) + 0.25 * spread)
     frame = _Frame([lo, hi], ts + [min(ts) - 0.5 * spread])
     fig = Figure(title)
     _axes(fig, "x", "t")
-    boundary = [(lo, float(order.sigma(lo)))]
-    boundary += [(float(x), float(s)) for x, s in order.vertices]
-    boundary.append((hi, float(order.sigma(hi))))
+    boundary = [(lo, _float(order.sigma(lo)))]
+    boundary += [(_float(x), _float(s)) for x, s in order.vertices]
+    boundary.append((hi, _float(order.sigma(hi))))
     fig.polyline([frame.to_px(x, t) for x, t in boundary], stroke="#b03a2e", width=2.2)
     for name, e, kind in points:
-        _dot(fig, *frame.to_px(float(e.x[0]), float(e.t)), name, kind)
+        _dot(fig, *frame.to_px(_float(e.x[0]), _float(e.t)), name, kind)
     return fig.render()
 
 

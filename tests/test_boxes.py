@@ -1,4 +1,4 @@
-"""Tables, validation, marginals, interventions, and the embedding."""
+"""Tables, validation, marginals, and interventions."""
 
 import itertools
 from fractions import Fraction
@@ -13,32 +13,30 @@ from causalbox.boxes import (
     Srv,
     ValidationError,
     _first_difference,
-    canonical_box,
     do_label,
-    embed_general,
     extend_with_intervention,
     marginalize,
-    restrict_embedded,
     undo_label,
     validate_box,
 )
+from causalbox.casestudies import CausalMechanism
 from causalbox.geometry import Event, Minkowski
+from causalbox.scenario import preset
 
 M1 = Minkowski(1)
 BITS = Alphabet.binary()
 
 
-def bell_locations():
-    return {
-        "p1": Event.at(0, 0),
-        "p2": Event.at(0, 6),
-        "q1": Event.at(1, 0),
-        "q2": Event.at(1, 6),
-    }
+def pr_box():
+    return preset("bell_standard").box
 
 
-def loop_locations():
-    return {"q1": Event.at(0, -2), "q2": Event.at(3, 0), "q3": Event.at(0, 2)}
+def loop_box():
+    """Three outputs with B = A xor C, uniform: the pad mechanism's free row."""
+    locs = (Event.at(0, -2), Event.at(3, 0), Event.at(0, 2))
+    outs = tuple(Srv(n, BITS, e) for n, e in zip("ABC", locs))
+    row = CausalMechanism("otp").row((None, None, None))
+    return CorrelationBox(inputs=(), outputs=outs, table={(): row})
 
 
 class TestAlphabet:
@@ -78,12 +76,12 @@ class TestConstruction:
         assert box.prob(("1",), ("1",)) == 0
 
     def test_empty_setting_key(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         assert box.row("") == box.row(())
         assert sum(box.row(()).values()) == 1
 
     def test_index_lookup(self):
-        box = canonical_box("pr_box", bell_locations())
+        box = pr_box()
         assert box.input_index("Y") == 1
         assert box.output_index("A") == 0
         with pytest.raises(KeyError):
@@ -92,11 +90,11 @@ class TestConstruction:
 
 class TestValidate:
     def test_pr_box_in_bell_layout_is_clean(self):
-        box = canonical_box("pr_box", bell_locations())
+        box = pr_box()
         assert validate_box(box, M1).ok
 
     def test_missing_setting(self):
-        box = canonical_box("pr_box", bell_locations())
+        box = pr_box()
         table = dict(box.table)
         del table[("1", "1")]
         broken = CorrelationBox(box.inputs, box.outputs, table, box.pairing)
@@ -141,7 +139,7 @@ class TestValidate:
 
 class TestMarginalize:
     def test_pr_marginals_are_uniform(self):
-        box = canonical_box("pr_box", bell_locations())
+        box = pr_box()
         for x in box.settings():
             for j in (0, 1):
                 assert marginalize(box, (j,), x) == {
@@ -150,29 +148,29 @@ class TestMarginalize:
                 }
 
     def test_full_index_set_recovers_row(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         m = marginalize(box, (0, 1, 2), ())
         for a in box.outcomes():
             assert m[a] == box.prob((), a)
 
     def test_empty_index_set_gives_total_mass(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         assert marginalize(box, (), ()) == {(): Fraction(1)}
 
     def test_order_of_indices_respected(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         m = marginalize(box, (2, 0), ())
         assert m[("1", "0")] == box.prob((), ("0", "1", "1")) + box.prob(
             (), ("0", "0", "1")
         )
 
     def test_bad_index_raises(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         with pytest.raises(IndexError):
             marginalize(box, (3,), ())
 
     def test_memoized(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         assert marginalize(box, (1,), ()) is marginalize(box, (1,), ())
 
     def test_non_dyadic_entries_are_exact(self):
@@ -233,14 +231,16 @@ def test_first_difference_reads_the_outcome_in_product_order():
 
 
 class TestCanonical:
+    """The stock boxes the tests build on."""
+
     def test_loop_box_content(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         for a, b, c in itertools.product("01", repeat=3):
             want = Fraction(1, 4) if int(b) == int(a) ^ int(c) else 0
             assert box.prob((), (a, b, c)) == want
 
     def test_pr_box_wins_chsh_game(self):
-        box = canonical_box("pr_box", bell_locations())
+        box = pr_box()
         for x, y in box.settings():
             for a, b in itertools.product("01", repeat=2):
                 p = box.prob((x, y), (a, b))
@@ -248,55 +248,6 @@ class TestCanonical:
                     assert p == Fraction(1, 2)
                 else:
                     assert p == 0
-
-    @pytest.mark.parametrize("lam", [0, Fraction(1, 4), Fraction(1, 2), 1])
-    def test_jam_x_rows_normalise_for_every_weight(self, lam):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        box = canonical_box("jam_mechanism_X", locs, lam)
-        for x in box.settings():
-            assert sum(box.row(x).values()) == 1
-
-    def test_jam_x_on_row_structure(self):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        lam = Fraction(1, 3)
-        box = canonical_box("jam_mechanism_X", locs, lam)
-        for x_bit in "01":
-            for a, b, c in itertools.product("01", repeat=3):
-                p = box.prob((x_bit, "1"), (a, b, c))
-                if int(a) ^ int(b) != int(x_bit):
-                    assert p == 0
-                else:
-                    w = lam if a == "0" else 1 - lam
-                    assert p == w * Fraction(1, 2)
-
-    def test_jam_x_off_row_uniform(self):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        box = canonical_box("jam_mechanism_X", locs, Fraction(1, 3))
-        for x_bit in "01":
-            for a in box.outcomes():
-                assert box.prob((x_bit, "0"), a) == Fraction(1, 8)
-
-    def test_jam_y_locks_bc(self):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        mu = Fraction(2, 5)
-        box = canonical_box("jam_mechanism_Y", locs, mu)
-        for y_bit in "01":
-            for a, b, c in itertools.product("01", repeat=3):
-                p = box.prob((y_bit, "1"), (a, b, c))
-                if int(b) ^ int(c) != int(y_bit):
-                    assert p == 0
-                else:
-                    w = mu if b == "0" else 1 - mu
-                    assert p == w * Fraction(1, 2)
-
-    def test_weight_outside_unit_interval_rejected(self):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        with pytest.raises(ValidationError):
-            canonical_box("jam_mechanism_X", locs, Fraction(3, 2))
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            canonical_box("mystery", {})
 
 
 def uniform_post_tables(box, j):
@@ -312,7 +263,7 @@ def uniform_post_tables(box, j):
 
 class TestIntervention:
     def make(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         return extend_with_intervention(
             M1, box, 1, Event.at(2, 0), uniform_post_tables(box, 1)
         )
@@ -338,35 +289,35 @@ class TestIntervention:
         assert ext.srv.alphabet.labels == (IDLE, "do(0)", "do(1)")
 
     def test_forcing_at_target_event_allowed(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         ext = extend_with_intervention(
             M1, box, 0, box.outputs[0].location, uniform_post_tables(box, 0)
         )
         assert ext.verify()
 
     def test_forcing_after_target_rejected(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         with pytest.raises(ValidationError):
             extend_with_intervention(
                 M1, box, 0, Event.at(9, -2), uniform_post_tables(box, 0)
             )
 
     def test_missing_post_table_rejected(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         tables = uniform_post_tables(box, 0)
         del tables[("1", ())]
         with pytest.raises(ValidationError):
             extend_with_intervention(M1, box, 0, Event.at(-1, -2), tables)
 
     def test_unnormalised_post_table_rejected(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         tables = uniform_post_tables(box, 0)
         tables[("1", ())] = {("0", "0"): Fraction(1, 2)}
         with pytest.raises(ValidationError):
             extend_with_intervention(M1, box, 0, Event.at(-1, -2), tables)
 
     def test_chained_extensions_append_inputs_in_order(self):
-        box = canonical_box("loop_box", loop_locations())
+        box = loop_box()
         for j in (0, 1, 2):
             box = extend_with_intervention(
                 M1, box, j, box.outputs[j].location, uniform_post_tables(box, j)
@@ -374,43 +325,3 @@ class TestIntervention:
         assert [s.name for s in box.inputs] == ["I_A", "I_B", "I_C"]
         assert len(box.table) == 27
         assert validate_box(box, M1).ok
-
-
-class TestEmbedding:
-    def test_square_box_unchanged_up_to_relabel(self):
-        box = canonical_box("pr_box", bell_locations())
-        emb = embed_general(box)
-        assert len(emb.inputs) == 2
-        assert emb.pairing == {0: 0, 1: 1}
-        for x in box.settings():
-            for a in box.outcomes():
-                assert emb.prob(x, a) == box.prob(x, a)
-
-    def test_jam_box_embeds_with_padding(self):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        box = canonical_box("jam_mechanism_X", locs, Fraction(1, 3))
-        emb = embed_general(box)
-        # Three reading agents plus two input-only agents.
-        assert len(emb.inputs) == 5
-        assert emb.pairing == {i: i for i in range(5)}
-        # Selecting a padding input for a reader yields an all-zero row.
-        assert emb.row(("1", "0", "0", "0", "0")) == {}
-        # The image of a real setting carries the original distribution.
-        for a, b, c in itertools.product("01", repeat=3):
-            assert emb.prob(("0", "0", "0", "1", "1"), (a, b, c, "0", "0")) == \
-                box.prob(("1", "1"), (a, b, c))
-
-    def test_round_trip(self):
-        locs = {"p": Event.at(0, 0), **loop_locations()}
-        box = canonical_box("jam_mechanism_Y", locs, Fraction(1, 5))
-        emb = embed_general(box)
-        back = restrict_embedded(emb, box)
-        for x in box.settings():
-            for a in box.outcomes():
-                assert back[x].get(a, Fraction(0)) == box.prob(x, a)
-
-    def test_output_only_scenario(self):
-        box = canonical_box("loop_box", loop_locations())
-        emb = embed_general(box)
-        assert all(len(s.alphabet) == 1 for s in emb.inputs)
-        assert emb.prob(("0", "0", "0"), ("0", "1", "1")) == Fraction(1, 4)

@@ -11,7 +11,6 @@ from causalbox.boxes import (
     CorrelationBox,
     Srv,
     ValidationError,
-    canonical_box,
     do_label,
     extend_with_intervention,
     marginalize,
@@ -31,6 +30,7 @@ from causalbox.casestudies import (
 )
 from causalbox.geometry import Event, Minkowski
 from causalbox.ons import LayoutMismatch, named_constraints
+from causalbox.scenario import preset
 from causalbox.separation import Verdict
 
 M1 = Minkowski(1)
@@ -226,14 +226,8 @@ class TestAffectsRelations:
         assert report.affected() == ()
 
     def test_rejects_plain_inputs(self):
-        locations = {
-            "p1": Event.at(0, 0),
-            "p2": Event.at(0, 6),
-            "q1": Event.at(1, 0),
-            "q2": Event.at(1, 6),
-        }
         with pytest.raises(ValueError):
-            affects_relations(canonical_box("pr_box", locations))
+            affects_relations(preset("bell_standard").box)
 
     def test_lookup_miss_raises(self):
         report = affects_relations(product_box())

@@ -674,6 +674,51 @@ class TestRender:
         assert out == "" and err.startswith("cannot write ")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            None,  # tests/far_point.json: an output at t = 1e400 on Minkowski(1)
+            {
+                "backend": {"kind": "minkowski", "dim": 2},
+                "inputs": [],
+                "outputs": [{"name": "A", "alphabet": ["0", "1"], "point": ["0", "1e400", "0"]}],
+                "pairing": [],
+                "table": {"": {"0": "1/2", "1": "1/2"}},
+            },
+            {
+                "backend": {
+                    "kind": "terminated_diagram",
+                    "vertices": [["-4", "3"], ["0", "1"], ["1e400", "3"]],
+                },
+                "inputs": [],
+                "outputs": [],
+                "pairing": [],
+                "table": {"": {"": "1"}},
+            },
+            # each point fits in a float, the span between them does not
+            {
+                "backend": {"kind": "minkowski", "dim": 1},
+                "inputs": [{"name": "X", "alphabet": ["0", "1"], "point": ["0", "-1e308"]}],
+                "outputs": [{"name": "A", "alphabet": ["0", "1"], "point": ["0", "1e308"]}],
+                "pairing": [],
+                "table": {"0": {"0": "1/2", "1": "1/2"}, "1": {"0": "1/2", "1": "1/2"}},
+            },
+        ],
+        ids=["far_point", "plane_point", "boundary_vertex", "float_spread"],
+    )
+    def test_coordinates_no_float_holds_are_usage_errors(self, capsys, tmp_path, doc):
+        path = Path(__file__).resolve().parent / "far_point.json"
+        if doc is not None:
+            path = tmp_path / "far.json"
+            path.write_text(sc.dumps(doc))
+        figs = tmp_path / "figs"
+        figs.mkdir()
+        code, out, err = run(capsys, "render", "--scenario", str(path), "--out", str(figs))
+        assert code == USAGE
+        assert out == ""
+        assert err == "error: figure coordinates do not fit in a float\n"
+        assert os.listdir(figs) == []
+
 
 class TestInternalError:
     def test_uncaught_exception_exits_four_with_one_line(self, capsys, monkeypatch):

@@ -19,9 +19,9 @@ from causalbox.boxes import (
     CorrelationBox,
     Srv,
     ValidationError,
-    canonical_box,
     marginalize,
 )
+from causalbox.casestudies import CausalMechanism
 from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import (
     ConstraintInstance,
@@ -32,6 +32,7 @@ from causalbox.ons import (
     named_constraints,
 )
 from causalbox.protocol import exhaustive_protocol_search
+from causalbox.scenario import preset
 from causalbox.separation import Verdict, _separated, separated
 
 M1 = Minkowski(1)
@@ -40,15 +41,7 @@ BITS = Alphabet.binary()
 
 
 def bell_box():
-    return canonical_box(
-        "pr_box",
-        {
-            "p1": Event.at(0, 0),
-            "p2": Event.at(0, 6),
-            "q1": Event.at(1, 0),
-            "q2": Event.at(1, 6),
-        },
-    )
+    return preset("bell_standard").box
 
 
 def signalling_bell_box():
@@ -361,8 +354,7 @@ class TestValidationBoundary:
         assert reasons == {
             "blocked_by_strict_past", "single_gather", "exhaustive",
             "no_common_future", "gather_at_avoid_point", "quadrant_escape",
-            "quadrant_cover", "common_future", "gather_before_avoid",
-            "plane_sweep", "cone_closure",
+            "quadrant_cover", "common_future", "sweep", "cone_closure",
         }
 
     def test_enumeration_validates_each_distinct_location_once(self, monkeypatch):
@@ -573,9 +565,11 @@ class TestStandardNs:
         assert not check_standard_ns(signalling_bell_box())
 
     def test_requires_square_box(self):
-        locs = {"q1": Event.at(0, -2), "q2": Event.at(3, 0), "q3": Event.at(0, 2)}
+        locs = (Event.at(0, -2), Event.at(3, 0), Event.at(0, 2))
+        outs = tuple(Srv(n, BITS, e) for n, e in zip("ABC", locs))
+        row = CausalMechanism("otp").row((None, None, None))
         with pytest.raises(ValueError):
-            check_standard_ns(canonical_box("loop_box", locs))
+            check_standard_ns(CorrelationBox((), outs, {(): row}))
 
     def test_requires_bijective_pairing(self):
         box = bell_box()

@@ -34,7 +34,10 @@ def _loaded_after(script: str) -> set[str]:
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(causalbox.__all__) == 74
+    assert len(causalbox.__all__) == 71
+    for removed in ("canonical_box", "embed_general", "restrict_embedded"):
+        assert removed not in causalbox.__all__
+        assert not hasattr(causalbox.boxes, removed)
     for name in causalbox.__all__:
         module = importlib.import_module(f"causalbox.{causalbox._MODULE_OF[name]}")
         assert getattr(causalbox, name) is getattr(module, name), name

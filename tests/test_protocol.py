@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from causalbox.boxes import Alphabet, CorrelationBox, Srv, canonical_box
+from causalbox.boxes import Alphabet, CorrelationBox, Srv
 from causalbox.geometry import (
     Event,
     FiniteOrder,
@@ -39,13 +39,7 @@ BITS = Alphabet.binary()
 
 
 def bell_box(signalling=False):
-    locs = {
-        "p1": Event.at(0, 0),
-        "p2": Event.at(0, 6),
-        "q1": Event.at(1, 0),
-        "q2": Event.at(1, 6),
-    }
-    box = canonical_box("pr_box", locs)
+    box = preset("bell_standard").box
     if not signalling:
         return box
     table = {

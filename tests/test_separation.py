@@ -177,7 +177,8 @@ class TestPlaneSingleAvoid:
         p = ev(3, 0, 0)
         res = separated(order, gather, [p])
         assert res.is_separated
-        assert res.reason == "gather_before_avoid"
+        assert res.reason == "gather_at_avoid_point"
+        assert res.witness == p
         assert verify_separation_witness(order, gather, [p], res.witness)
 
     def test_blocked_when_avoid_sits_on_gather_midpoint(self):
@@ -272,7 +273,7 @@ class TestIntCoordinates:
         (Minkowski(1), 1, {"quadrant_escape"}),
         (TerminatedDiagram([(-4, 3), (0, 1), (4, 3)]), 1,
          {"quadrant_escape", "no_common_future"}),
-        (Minkowski(2), 2, {"plane_sweep", "common_future"}),
+        (Minkowski(2), 2, {"sweep", "common_future"}),
     )
 
     def test_half_integer_corner(self):
@@ -756,7 +757,7 @@ def test_space_engine_decides_seeded_layouts():
         if res.reason == "cone_closure":
             assert probe_witness(order, gather, avoid, step=Fraction(1, 2)) is None
             assert search_witness(order, gather, avoid) is None
-    assert reasons == {"plane_sweep": 262, "blocked_by_strict_past": 25, "cone_closure": 13}
+    assert reasons == {"sweep": 262, "blocked_by_strict_past": 25, "cone_closure": 13}
 
 
 def test_space_lens_is_found_between_pair_ties():
@@ -768,7 +769,7 @@ def test_space_lens_is_found_between_pair_ties():
     gather = [ev(0, 0, 0, 0), ev(-1, 0, 0, 0)]
     avoid = [ev(-9, -10, 0, 0), ev(-9, 10, 0, 0)]
     res = separated(order, gather, avoid)
-    assert (res.verdict, res.reason) == (Verdict.SEPARATED, "plane_sweep")
+    assert (res.verdict, res.reason) == (Verdict.SEPARATED, "sweep")
     assert verify_separation_witness(order, gather, avoid, res.witness)
 
 

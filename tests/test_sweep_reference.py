@@ -67,26 +67,26 @@ def coprime(layouts, seed):
 
 def test_plane_layouts_match_reference():
     reasons = assert_matches(Minkowski(2), plane_layouts(240, seed=20240601))
-    assert reasons["plane_sweep"] >= 80 and reasons["cone_closure"] >= 40
+    assert reasons["sweep"] >= 80 and reasons["cone_closure"] >= 40
 
 
 def test_space_layouts_match_reference():
     reasons = assert_matches(Minkowski(3), space_layouts(300, seed=2025))
-    assert reasons == {"plane_sweep": 262, "blocked_by_strict_past": 25, "cone_closure": 13}
+    assert reasons == {"sweep": 262, "blocked_by_strict_past": 25, "cone_closure": 13}
     reasons = assert_matches(Minkowski(3), null_layouts(40, seed=11))
-    assert reasons["plane_sweep"] >= 10 and reasons["cone_closure"] >= 1
+    assert reasons["sweep"] >= 10 and reasons["cone_closure"] >= 1
 
 
 def test_four_space_layouts_match_reference():
     reasons = assert_matches(Minkowski(4), space_layouts(6, seed=4, dim=4))
-    assert reasons.get("plane_sweep", 0) >= 3
+    assert reasons.get("sweep", 0) >= 3
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_coprime_denominators_match_reference(dim):
     layouts = plane_layouts(60, seed=5) if dim == 2 else space_layouts(40, seed=6)
     reasons = assert_matches(Minkowski(dim), coprime(layouts, seed=7))
-    assert reasons["plane_sweep"] >= 30 and reasons["cone_closure"] >= 2
+    assert reasons["sweep"] >= 30 and reasons["cone_closure"] >= 2
 
 
 def test_cut_with_a_new_denominator_matches_reference():
@@ -96,7 +96,7 @@ def test_cut_with_a_new_denominator_matches_reference():
     avoid = [Event.at(2, -1, -1, -3), Event.at(1, 2, 3, -1)]
     assert_matches(Minkowski(3), [(gather, avoid)])
     res = separated(Minkowski(3), gather, avoid)
-    assert res.reason == "plane_sweep"
+    assert res.reason == "sweep"
     assert res.witness.x[0] == Fraction(-733, 1003)
 
 
