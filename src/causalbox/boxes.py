@@ -139,6 +139,7 @@ class CorrelationBox:
         )
         object.__setattr__(self, "_integer_rows", {})
         object.__setattr__(self, "_marginals", {})
+        object.__setattr__(self, "_probabilities", {})
 
     @functools.cached_property
     def _positions(self) -> tuple[dict[str, int], ...]:
@@ -342,6 +343,16 @@ def _marginal_vector(box: CorrelationBox, G: Sequence[int], x) -> tuple[int, ...
     return _vectors(box, tuple(G))[_as_key(x)]
 
 
+def _probability(box: CorrelationBox, n: int) -> Fraction:
+    """The probability n / D of a vector entry n of the box, built once
+    per box and n: a box's reports repeat few distinct entries."""
+    probabilities = box._probabilities
+    p = probabilities.get(n)
+    if p is None:
+        p = probabilities[n] = Fraction(n, box._denominator)
+    return p
+
+
 def _first_difference(
     box: CorrelationBox,
     G: tuple[int, ...],
@@ -359,8 +370,7 @@ def _first_difference(
         labels = box.outputs[g].alphabet.labels
         i, d = divmod(i, len(labels))
         outcome.append(labels[d])
-    D = box._denominator
-    return tuple(reversed(outcome)), Fraction(m, D), Fraction(n, D)
+    return tuple(reversed(outcome)), _probability(box, m), _probability(box, n)
 
 
 def marginalize(
@@ -377,9 +387,8 @@ def marginalize(
     x = _as_key(x)
     cache = table.fractions
     if x not in cache:
-        D = box._denominator
         cache[x] = {
-            a: Fraction(n, D) for a, n in zip(_outcomes_of(box, table.G), table[x])
+            a: _probability(box, n) for a, n in zip(_outcomes_of(box, table.G), table[x])
         }
     return cache[x]
 

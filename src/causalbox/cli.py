@@ -174,6 +174,18 @@ def _figure_for(scen: sc.Scenario) -> str:
     return svg.spatial_scatter(points, scen.name)
 
 
+def _name_part(q: Fraction) -> str:
+    """q as a figure's file name carries it: the reduced fraction when
+    that is short, else a fixed-length digest of it, so a name never
+    outgrows the file system's limit."""
+    text = format_rational(q)
+    if len(text) <= 32:
+        return text
+    import hashlib
+
+    return "sha256_" + hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "._" else "_" for c in text)
 
@@ -278,12 +290,10 @@ def cmd_jam_geometry(args) -> int:
         float(t)  # the figure draws the reach discs in floats
     except OverflowError:
         _fail(USAGE, f"--t {args.t!r} is too large to draw")
+    name = f"njam-n{args.n}-h{_name_part(h)}-t{_name_part(t)}"
     config = build_config(args.n, h)
     bundle = verify_config(config, full_subset_sweep=args.sweep)
-    figure = _njam_figure(config, t)
-    name = f"njam-n{args.n}-h{format_rational(h)}-t{format_rational(t)}"
-    filename = _safe_name(name) + ".svg"
-    path = _write_svg(args.out, filename, figure)
+    path = _write_svg(args.out, _safe_name(name) + ".svg", _njam_figure(config, t))
     _emit({"bundle": sc.bundle_to_json(bundle), "svg": path})
     return PASS if bundle.agreement else FOUND
 

@@ -476,7 +476,13 @@ def _project(X, iterations=60):
     """Alternate the affine step X P + c with clipping at zero and
     renormalising each block of eight cells to sum one; a block summing
     to at most 1e-12 becomes 0.125 throughout.  X itself is not
-    changed."""
+    changed.  Each row is projected on its own, so a stack of rows
+    gives the rows' own projections.
+
+    The renormalisation divides the flat (rows, 64) array by each block
+    sum repeated across its eight cells, one contiguous loop rather than
+    a broadcast over 8-cell blocks, and masks only when some block takes
+    the fallback."""
     import numpy as np
 
     _, _, P, c, S = _polytope()
@@ -486,11 +492,28 @@ def _project(X, iterations=60):
         np.maximum(X, 0.0, out=X)
         sums = X @ S
         big = sums > 1e-12
-        blocks = X.reshape(-1, 8, 8)
-        np.divide(blocks, sums[:, :, None], out=blocks, where=big[:, :, None])
-        if not big.all():
-            blocks[~big] = 0.125
+        if big.all():
+            X /= np.repeat(sums, 8, axis=1)
+        else:
+            big = np.repeat(big, 8, axis=1)
+            np.divide(X, np.repeat(sums, 8, axis=1), out=X, where=big)
+            X[~big] = 0.125
     return X
+
+
+def _accepted(X):
+    """The rows whose residual |X Aᵀ − b| against the raw constraint
+    rows is below 1e-9, each row judged on its own."""
+    import numpy as np
+
+    A, b, _, _, _ = _polytope()
+    return np.abs(X @ A.T - b).max(axis=1) < 1e-9
+
+
+# Hill-climb steps projected as one stack: runs of 5 to 10 steps timed
+# fastest, and one stack of all 50 bench-size steps was no faster and
+# held about 4 MB more.
+_CLIMB_RUN = 8
 
 
 @functools.cache
@@ -547,13 +570,7 @@ def entropic_probe(
     import numpy as np
 
     vertex, uniform = _exact_values()
-    A, b, _, _, _ = _polytope()
     rng = np.random.default_rng(seed)
-
-    def accept_mask(X):
-        res = np.abs(X @ A.T - b).max(axis=1)
-        return res < 1e-9
-
     best_val = float(vertex)
     best_point = None
     accepted = 0
@@ -563,7 +580,7 @@ def entropic_probe(
         k = min(batch, samples - done)
         X = rng.random((k, 64)) ** 2
         X = _project(X)
-        mask = accept_mask(X)
+        mask = _accepted(X)
         accepted += int(mask.sum())
         if mask.any():
             vals = _information_sum_batch(X[mask])
@@ -583,18 +600,38 @@ def entropic_probe(
                     idx = idx * 2 + v
                 vertex_flat[idx] = float(p)
         best_point = vertex_flat
+    # Each climb step perturbs the best point by 32 noise rows and keeps
+    # its best accepted proposal if that improves.  The noise never
+    # depends on the point, so a run of steps draws its noise in order
+    # up front and projects and scores the run as one stack; the steps
+    # are then taken in order, and after an improvement the rest of the
+    # run is redone from the new best point with the same noise.
     sigma = 0.05
-    for step in range(local_steps):
-        props = best_point + rng.normal(0.0, sigma, size=(32, 64))
-        props = _project(props, iterations=25)
-        mask = accept_mask(props)
-        if mask.any():
-            vals = _information_sum_batch(props[mask])
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_point = props[mask][i]
-        sigma = max(sigma * 0.98, 0.005)
+    for start in range(0, local_steps, _CLIMB_RUN):
+        noise = []
+        for _ in range(min(_CLIMB_RUN, local_steps - start)):
+            noise.append(rng.normal(0.0, sigma, size=(32, 64)))
+            sigma = max(sigma * 0.98, 0.005)
+        noise = np.array(noise)
+        while len(noise):
+            props = _project((best_point + noise).reshape(-1, 64), iterations=25)
+            mask = _accepted(props)
+            if not mask.any():
+                break
+            kept = props[mask]
+            vals = _information_sum_batch(kept)
+            cuts = np.cumsum(mask.reshape(-1, 32).sum(axis=1))[:-1]
+            steps = zip(np.split(vals, cuts), np.split(kept, cuts))
+            for j, (step_vals, step_kept) in enumerate(steps):
+                if len(step_vals):
+                    i = int(np.argmax(step_vals))
+                    if step_vals[i] > best_val:
+                        best_val = float(step_vals[i])
+                        best_point = step_kept[i]
+                        noise = noise[j + 1 :]
+                        break
+            else:
+                break
 
     bound = 1.0 + 1e-9
     return EntropicProbeReport(

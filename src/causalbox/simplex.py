@@ -45,6 +45,13 @@ class LpResult:
     y: tuple[Fraction, ...]
 
 
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """Rational values as integer numerators over their least common
+    denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def verify_lp_certificate(
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
@@ -54,30 +61,55 @@ def verify_lp_certificate(
     maximize: bool = True,
 ) -> bool:
     """Zero-gap check from raw data: primal feasible, dual feasible,
-    objective values equal.  All comparisons exact."""
+    objective values equal.  Every entry is an int or a Fraction.
+
+    All comparisons are exact and run in integers: x, y, c, b and each
+    row of A are scaled to integer numerators over their own least
+    common denominator, and every equation and sign is compared with
+    the denominators cross-multiplied."""
     m, n = len(A), len(c)
-    x, y = result.x, result.y
-    if len(x) != n or len(y) != m or len(b) != m:
+    if len(result.x) != n or len(result.y) != m or len(b) != m:
         return False
-    if any(len(row) != n for row in A) or any(v < 0 for v in x):
+    if any(len(row) != n for row in A):
         return False
-    aty = [Fraction(0)] * n
-    for i, row in enumerate(A):
-        if sum(a * x[j] for j, a in enumerate(row) if a and x[j]) != b[i]:
+    xs, dx = _over_lcm(result.x)
+    ys, dy = _over_lcm(result.y)
+    if any(v < 0 for v in xs):
+        return False
+    rows = []
+    for row, bi in zip(A, b):
+        # Row i of A as its nonzero (j, numerator) over one denominator d;
+        # A_i x = b_i holds iff the integer sum equals b_i * d * dx.
+        cells = [(j, a) for j, a in enumerate(row) if a]
+        d = math.lcm(*(a.denominator for _, a in cells))
+        ints = [(j, a.numerator * (d // a.denominator)) for j, a in cells]
+        if sum(a * xs[j] for j, a in ints) * bi.denominator != bi.numerator * d * dx:
             return False
-        if y[i]:
-            for j, a in enumerate(row):
-                if a:
-                    aty[j] += a * y[i]
-    for j in range(n):
-        reduced = c[j] - aty[j]
-        if maximize and reduced > 0:
+        rows.append((ints, d))
+    # aty[j] / (da * dy) is the j-th entry of Aᵀ y.
+    da = math.lcm(*(d for _, d in rows))
+    aty = [0] * n
+    for (ints, d), yi in zip(rows, ys):
+        if yi:
+            w = yi * (da // d)
+            for j, a in ints:
+                aty[j] += a * w
+    support = [j for j in range(n) if xs[j]]
+    cs, dc = _over_lcm(c)
+    scale = da * dy
+    for cj, aj in zip(cs, aty):
+        # c_j − (Aᵀy)_j has the sign of cj * da * dy − dc * aj
+        reduced = cj * scale - dc * aj
+        if (reduced > 0) if maximize else (reduced < 0):
             return False
-        if not maximize and reduced < 0:
-            return False
-    primal = sum(c[j] * x[j] for j in range(n) if x[j])
-    dual = sum(b[i] * y[i] for i in range(m) if y[i])
-    return primal == dual == result.value
+    bs, db = _over_lcm(b)
+    v = result.value
+    primal = sum(cs[j] * xs[j] for j in support)  # c.x * dc * dx
+    dual = sum(bi * yi for bi, yi in zip(bs, ys))  # b.y * db * dy
+    return (
+        primal * v.denominator == v.numerator * dc * dx
+        and dual * v.denominator == v.numerator * db * dy
+    )
 
 
 def _eliminate(row: list[int], d: int, pivot: Pivot) -> Row:

@@ -7,7 +7,13 @@ of A: each iteration moves every row onto {x : A x = b} by subtracting
 table, giving a block that sums to at most 1e-12 the value 0.125.
 `entropic_probe` is the probe loop around it, building A and its
 pseudo-inverse on every call, with the same rng draws, batch size,
-iteration counts and σ schedule as the library.
+iteration counts and σ schedule as the library, one climb step at a
+time.
+
+`project_blocked` is the library's cached affine step with its earlier
+renormalisation, which divides a (rows, 8, 8) view by the block sums
+broadcast over each block; the library's flat renormalisation must
+equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,20 @@ def project(X, A, b, pinv_t, iterations=60):
     for _ in range(iterations):
         X = X - (X @ A.T - b) @ pinv_t
         X = normalise(X)
+    return X
+
+
+def project_blocked(X, P, c, S, iterations=60):
+    for _ in range(iterations):
+        X = X @ P
+        X += c
+        np.maximum(X, 0.0, out=X)
+        sums = X @ S
+        big = sums > 1e-12
+        blocks = X.reshape(-1, 8, 8)
+        np.divide(blocks, sums[:, :, None], out=blocks, where=big[:, :, None])
+        if not big.all():
+            blocks[~big] = 0.125
     return X
 
 

@@ -7,6 +7,10 @@ from every other row on its support; `_run_simplex` runs Bland's rule
 with a ratio test on `Fraction` quotients.  `solve_lp` is the two-phase
 driver around them and returns the final basis with the result, so a
 test can require the integer core to end on the same vertex.
+
+`verify_lp_certificate` is the certificate check in `Fraction`s, cell
+by cell, kept as the reference for the library's integer check: both
+must give the same answer on every certificate, forged or not.
 """
 
 from __future__ import annotations
@@ -118,3 +122,36 @@ def solve_lp(
         value = -value
         y = [-v for v in y]
     return LpResult(value, tuple(x), tuple(y)), basis
+
+
+def verify_lp_certificate(
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+    result: LpResult,
+    *,
+    maximize: bool = True,
+) -> bool:
+    m, n = len(A), len(c)
+    x, y = result.x, result.y
+    if len(x) != n or len(y) != m or len(b) != m:
+        return False
+    if any(len(row) != n for row in A) or any(v < 0 for v in x):
+        return False
+    aty = [Fraction(0)] * n
+    for i, row in enumerate(A):
+        if sum(a * x[j] for j, a in enumerate(row) if a and x[j]) != b[i]:
+            return False
+        if y[i]:
+            for j, a in enumerate(row):
+                if a:
+                    aty[j] += a * y[i]
+    for j in range(n):
+        reduced = c[j] - aty[j]
+        if maximize and reduced > 0:
+            return False
+        if not maximize and reduced < 0:
+            return False
+    primal = sum(c[j] * x[j] for j in range(n) if x[j])
+    dual = sum(b[i] * y[i] for i in range(m) if y[i])
+    return primal == dual == result.value

@@ -219,7 +219,7 @@ def test_first_difference_reads_the_outcome_in_product_order():
     # Mixed alphabet sizes, G in and out of output order: the i-th entry
     # of a marginal vector is the i-th outcome of itertools.product.
     outputs = [SimpleNamespace(alphabet=Alphabet.of(*range(k))) for k in (2, 3, 4)]
-    box = SimpleNamespace(outputs=outputs, _denominator=12)
+    box = SimpleNamespace(outputs=outputs, _denominator=12, _probabilities={})
     for G in ((0,), (2, 1), (0, 1, 2), (1, 2, 0)):
         outcomes = list(itertools.product(*(outputs[g].alphabet.labels for g in G)))
         for i, outcome in enumerate(outcomes):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -403,6 +404,32 @@ class TestJamGeometry:
         assert code == USAGE
         assert out == "" and "'1e400'" in err
         assert os.listdir(tmp_path) == []
+
+    def test_long_numbers_name_the_figure_by_digest(self, capsys, tmp_path):
+        # t = 1e300 fits a float but its 301 digits do not fit a file
+        # name; equal values in other spellings share the one digest name
+        names = []
+        for t in ("1e300", "1" + "0" * 300, "2" + "0" * 300 + "/2"):
+            out_dir = tmp_path / str(len(names))
+            code, out, err = run(
+                capsys, "jam-geometry", "--n", "3", "--h", "1/2", "--t", t,
+                "--out", str(out_dir),
+            )
+            assert code == PASS, err
+            (name,) = os.listdir(out_dir)
+            assert json.loads(out)["svg"] == str(out_dir / name)
+            names.append(name)
+        assert names[0] == names[1] == names[2]
+        assert re.fullmatch(r"njam_n3_h1_2_tsha256_[0-9a-f]{16}\.svg", names[0])
+        # a long h takes the digest too; a short t keeps its fraction
+        h = f"{5 * 10**39 - 1}/{10**40}"
+        code, out, err = run(
+            capsys, "jam-geometry", "--n", "3", "--h", h, "--t", "7/2",
+            "--out", str(tmp_path / "h"),
+        )
+        assert code == PASS, err
+        (name,) = os.listdir(tmp_path / "h")
+        assert re.fullmatch(r"njam_n3_hsha256_[0-9a-f]{16}_t7_2\.svg", name)
 
     def test_negative_t_rejected_before_certification(self, capsys, tmp_path, monkeypatch):
         import causalbox.jamming

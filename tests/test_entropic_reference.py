@@ -8,6 +8,12 @@ call, the two `TestEntropicProbe` calls and seeded calls of the size
 the benchmark runs.  The cached polytope must be a true projector and
 read-only, and the 0.125 fallback for a block with nothing left after
 clipping must match the reference's renormalisation.
+
+The library climbs in stacked runs of steps: a stack must project,
+pass the acceptance test and score exactly as its steps do one by one,
+the flat renormalisation must equal the per-block one bit for bit, and
+with improvements forced into every position of a run the stacked
+climb must end at the reference's report and best point.
 """
 
 import random
@@ -18,7 +24,14 @@ import pytest
 import causalbox.monogamy as monogamy
 import causalbox.scenario as sc
 import entropic_reference as ref
-from causalbox.monogamy import _polytope, _project, entropic_probe
+from causalbox.monogamy import (
+    _CLIMB_RUN,
+    _accepted,
+    _information_sum_batch,
+    _polytope,
+    _project,
+    entropic_probe,
+)
 from test_monogamy import M2, triangle_layout
 
 
@@ -152,3 +165,112 @@ class TestFallback:
             want = ref.project(X, A, b, pinv_t, iterations=1)
         assert np.array_equal(got, want)
         assert (got == 0.125).all()
+
+
+def climb_stack(steps, seed=0, sigma=0.05):
+    """The proposals of `steps` climb steps around a point of the
+    sampling phase, 32 rows each, as the library stacks them."""
+    rng = np.random.default_rng(seed)
+    point = _project(rng.random((1, 64)) ** 2)[0]
+    return point + rng.normal(0.0, sigma, size=(steps, 32, 64))
+
+
+class TestStackedClimb:
+    @pytest.mark.parametrize("steps", [1, 2, _CLIMB_RUN - 1, _CLIMB_RUN, 50])
+    @pytest.mark.parametrize("iterations", [25, 60])
+    def test_stacked_project_equals_per_step(self, steps, iterations):
+        noise = climb_stack(steps, seed=steps)
+        got = _project(noise.reshape(-1, 64), iterations).reshape(steps, 32, 64)
+        for j in range(steps):
+            assert np.array_equal(got[j], _project(noise[j], iterations))
+
+    @pytest.mark.parametrize(
+        "rows, iterations", [(32, 25), (8 * 32, 25), (500, 60), (2001, 60)]
+    )
+    def test_flat_renormalisation_equals_blocked(self, rows, iterations):
+        _, _, P, c, S = _polytope()
+        X = np.random.default_rng(rows).random((rows, 64)) ** 2
+        assert np.array_equal(
+            _project(X, iterations), ref.project_blocked(X, P, c, S, iterations)
+        )
+
+    def test_flat_fallback_equals_blocked(self):
+        A, b, P, c, S = _polytope()
+        X = np.random.default_rng(0).normal(size=(200, 80)) @ A * 1e16
+        X[0, 3], X[1, 10], X[2, :8] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = _project(X, 2), ref.project_blocked(X, P, c, S, 2)
+        assert (got == 0.125).any()
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("iterations", [25, 40, 100])
+    def test_acceptance_and_scores_on_a_stack_equal_per_step(self, iterations):
+        # 25 and 40 iterations accept some proposals of the run but not
+        # all, some steps none; 100 accept them all
+        steps = _CLIMB_RUN
+        props = _project(climb_stack(steps, seed=7).reshape(-1, 64), iterations)
+        mask = _accepted(props)
+        vals = _information_sum_batch(props[mask])
+        per_step_masks, per_step_vals = [], []
+        for step in props.reshape(steps, 32, 64):
+            m = _accepted(step)
+            per_step_masks.append(m)
+            per_step_vals.append(_information_sum_batch(step[m]))
+        assert np.array_equal(mask, np.concatenate(per_step_masks))
+        assert np.array_equal(vals, np.concatenate(per_step_vals))
+        if iterations < 100:
+            assert 0 < mask.sum() < len(mask)
+
+    def test_forced_improvements_match_reference(self, monkeypatch):
+        # A linear score, patched into both probes, makes the climb improve
+        # often; 75 more projection iterations let every proposal pass the
+        # acceptance test.  The reference scores one step per call, so its
+        # calls show where improvements land.
+        weights = np.random.default_rng(0).normal(size=64)
+        project = monogamy._project
+
+        def scorer(log):
+            def score(X):
+                vals = 1.0 + (X * weights).sum(axis=1)
+                log.append((X.copy(), vals))
+                return vals
+
+            return score
+
+        lib_log, ref_log = [], []
+        monkeypatch.setattr(
+            monogamy, "_project", lambda X, iterations=60: project(X, iterations + 75)
+        )
+        monkeypatch.setattr(
+            ref,
+            "project",
+            lambda X, A, b, pinv_t, iterations=60: project(X, iterations + 75),
+        )
+        monkeypatch.setattr(monogamy, "_information_sum_batch", scorer(lib_log))
+        monkeypatch.setattr(ref, "_information_sum_batch", scorer(ref_log))
+        args = six_config()
+        kwargs = dict(samples=50, seed=3, local_steps=3 * _CLIMB_RUN + 3)
+        got, want = entropic_probe(*args, **kwargs), ref.entropic_probe(*args, **kwargs)
+        assert got == want
+        assert got.max_sampled.hex() == want.max_sampled.hex()
+
+        sampled, steps = ref_log[0], ref_log[1:]
+        assert len(steps) == kwargs["local_steps"]
+        best, improved = max(1.0, sampled[1].max()), []
+        for k, (X, vals) in enumerate(steps):
+            assert len(X) == 32
+            if vals.max() > best:
+                best = vals.max()
+                improved.append(k)
+        positions = {k % _CLIMB_RUN for k in improved}
+        assert {0, _CLIMB_RUN // 2, _CLIMB_RUN - 1} <= positions
+        assert len(improved) < len(steps)
+
+        def best_points(log):
+            return [
+                X[i] for X, vals in log for i in np.flatnonzero(vals == got.max_sampled)
+            ]
+
+        found = best_points(lib_log) + best_points(ref_log)
+        assert len(found) >= 2
+        assert all(np.array_equal(point, found[0]) for point in found)

@@ -6,6 +6,9 @@ it as a reference that the dual read from the final tableau must match
 exactly.  The Fraction tableau the integer rows replaced is kept in
 `simplex_reference.py`; the integer core must end on the same basis with
 the same result, or raise the same error, on every LP given to both.
+The Fraction certificate check is kept there too: the integer check must
+agree with it on solved and forged certificates, and a forged cell of x
+or y, or a forged value, must fail it.
 """
 
 import itertools
@@ -332,3 +335,122 @@ def test_reference_on_fractional_lps(monkeypatch):
 @pytest.mark.parametrize("maximize", [True, False])
 def test_reference_on_hand_lps(monkeypatch, A, b, c, maximize):
     assert_matches_reference(monkeypatch, A, b, c, maximize=maximize)
+
+
+def _mixed_denominator_lp():
+    """An LP whose rows, rhs and objective have different denominators."""
+    A = [[F(1, 2), F(1, 3), 0, F(-1, 4)], [F(1, 5), 0, F(1, 7), 1]]
+    b = [F(1, 6), F(2, 35)]
+    c = [F(1), F(3, 4), F(-2, 9), F(1, 8)]
+    return A, b, c
+
+
+def _certified_lps():
+    """(A, b, c, maximize, result) for solved LPs of every shape above."""
+    game_lps = [build_ns_lp(XorGame.chsh())[:3], build_ns_lp(XorGame.constant(1))[:3]]
+    for A, b, c in [*game_lps, _mixed_denominator_lp(), *itertools.islice(_random_lps(), 8)]:
+        for maximize in (True, False):
+            try:
+                yield A, b, c, maximize, solve_lp(A, b, c, maximize=maximize)
+            except UnboundedError:
+                continue
+
+
+class TestCertificateMutations:
+    """Hand mutations of solved certificates: one cell of x, one cell of
+    y or the value.  Each must fail the integer check, which must agree
+    with the Fraction reference throughout."""
+
+    def test_solved_certificates_pass(self):
+        count = 0
+        for A, b, c, maximize, res in _certified_lps():
+            assert verify_lp_certificate(A, b, c, res, maximize=maximize)
+            assert ref.verify_lp_certificate(A, b, c, res, maximize=maximize)
+            count += 1
+        assert count >= 12
+
+    def test_one_cell_of_x(self):
+        for A, b, c, maximize, res in _certified_lps():
+            for j in range(len(res.x)):
+                if not any(row[j] for row in A):
+                    continue
+                for delta in (F(1, 7), -res.x[j] or F(1)):
+                    x = list(res.x)
+                    x[j] += delta
+                    forged = LpResult(res.value, tuple(x), res.y)
+                    assert not verify_lp_certificate(A, b, c, forged, maximize=maximize)
+                    assert not ref.verify_lp_certificate(A, b, c, forged, maximize=maximize)
+
+    def test_one_cell_of_y(self):
+        # A cell on a row with b_i != 0 moves the dual objective; a large
+        # move on any row with a nonzero entry breaks dual feasibility.
+        for A, b, c, maximize, res in _certified_lps():
+            for i, row in enumerate(A):
+                deltas = (F(1, 11),) if b[i] else ()
+                if any(row):
+                    deltas += (F(10**6), F(-(10**6)))
+                for delta in deltas:
+                    y = list(res.y)
+                    y[i] += delta
+                    forged = LpResult(res.value, res.x, tuple(y))
+                    got = verify_lp_certificate(A, b, c, forged, maximize=maximize)
+                    assert got == ref.verify_lp_certificate(
+                        A, b, c, forged, maximize=maximize
+                    )
+                    if b[i] and delta == F(1, 11):
+                        assert not got
+            y = list(res.y)
+            i = next(i for i, row in enumerate(A) if any(row))
+            sign = 1 if maximize else -1
+            # push the reduced cost of some column of row i past zero
+            y[i] += sign * F(10**6) * (-1 if any(a > 0 for a in A[i]) else 1)
+            forged = LpResult(res.value, res.x, tuple(y))
+            assert not verify_lp_certificate(A, b, c, forged, maximize=maximize)
+
+    def test_x_with_a_negative_cell(self):
+        # every equation and the gap still hold; only x >= 0 fails
+        A, b, c = [[F(1), F(1)]], [F(1)], [F(1), F(1)]
+        res = solve_lp(A, b, c)
+        assert res.value == 1 and verify_lp_certificate(A, b, c, res)
+        forged = LpResult(res.value, (F(2), F(-1)), res.y)
+        assert not verify_lp_certificate(A, b, c, forged)
+        assert not ref.verify_lp_certificate(A, b, c, forged)
+
+    def test_feasible_x_below_the_value(self):
+        # the uniform behaviour is no-signalling but wins CHSH's two terms
+        # with 1, not 3/2; y and the value still certify each other
+        A, b, c, _ = build_ns_lp(XorGame.chsh())
+        res = solve_lp(A, b, c)
+        forged = LpResult(res.value, (F(1, 8),) * len(c), res.y)
+        assert not verify_lp_certificate(A, b, c, forged)
+        assert not ref.verify_lp_certificate(A, b, c, forged)
+        uniform = LpResult(F(1), forged.x, res.y)
+        assert not verify_lp_certificate(A, b, c, uniform)
+
+    def test_the_value(self):
+        for A, b, c, maximize, res in _certified_lps():
+            for delta in (F(1), F(-1, 1000), F(1, 10**30)):
+                forged = LpResult(res.value + delta, res.x, res.y)
+                assert not verify_lp_certificate(A, b, c, forged, maximize=maximize)
+                assert not ref.verify_lp_certificate(A, b, c, forged, maximize=maximize)
+
+    def test_random_forgeries_agree_with_reference(self):
+        rng = random.Random(11)
+        agreed = rejected = 0
+        for A, b, c, maximize, res in _certified_lps():
+            for _ in range(20):
+                x, y, value = list(res.x), list(res.y), res.value
+                which = rng.randrange(3)
+                delta = F(rng.randint(-3, 3), rng.randint(1, 4))
+                if which == 0:
+                    x[rng.randrange(len(x))] += delta
+                elif which == 1 and y:
+                    y[rng.randrange(len(y))] += delta
+                else:
+                    value += delta
+                forged = LpResult(value, tuple(x), tuple(y))
+                got = verify_lp_certificate(A, b, c, forged, maximize=maximize)
+                assert got == ref.verify_lp_certificate(A, b, c, forged, maximize=maximize)
+                agreed += 1
+                rejected += not got
+        assert agreed >= 240 and rejected >= agreed // 2
