@@ -477,12 +477,9 @@ def _project(X, iterations=60):
     renormalising each block of eight cells to sum one; a block summing
     to at most 1e-12 becomes 0.125 throughout.  X itself is not
     changed.  Each row is projected on its own, so a stack of rows
-    gives the rows' own projections.
-
-    The renormalisation divides the flat (rows, 64) array by each block
-    sum repeated across its eight cells, one contiguous loop rather than
-    a broadcast over 8-cell blocks, and masks only when some block takes
-    the fallback."""
+    gives the rows' own projections.  The flat (rows, 64) array is
+    divided by each block sum repeated across its block, one contiguous
+    loop, and masked only when some block takes the fallback."""
     import numpy as np
 
     _, _, P, c, S = _polytope()
@@ -510,9 +507,9 @@ def _accepted(X):
     return np.abs(X @ A.T - b).max(axis=1) < 1e-9
 
 
-# Hill-climb steps projected as one stack: runs of 5 to 10 steps timed
-# fastest, and one stack of all 50 bench-size steps was no faster and
-# held about 4 MB more.
+# Hill-climb steps projected as one stack: runs of 5 to 16 steps timed
+# alike, and one stack of all 50 bench-size steps was no faster and held
+# about 4 MB more.
 _CLIMB_RUN = 8
 
 

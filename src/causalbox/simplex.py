@@ -94,7 +94,6 @@ def verify_lp_certificate(
             w = yi * (da // d)
             for j, a in ints:
                 aty[j] += a * w
-    support = [j for j in range(n) if xs[j]]
     cs, dc = _over_lcm(c)
     scale = da * dy
     for cj, aj in zip(cs, aty):
@@ -104,7 +103,7 @@ def verify_lp_certificate(
             return False
     bs, db = _over_lcm(b)
     v = result.value
-    primal = sum(cs[j] * xs[j] for j in support)  # c.x * dc * dx
+    primal = sum(cj * xj for cj, xj in zip(cs, xs) if xj)  # c.x * dc * dx
     dual = sum(bi * yi for bi, yi in zip(bs, ys))  # b.y * db * dy
     return (
         primal * v.denominator == v.numerator * dc * dx

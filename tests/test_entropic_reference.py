@@ -185,7 +185,7 @@ class TestStackedClimb:
             assert np.array_equal(got[j], _project(noise[j], iterations))
 
     @pytest.mark.parametrize(
-        "rows, iterations", [(32, 25), (8 * 32, 25), (500, 60), (2001, 60)]
+        "rows, iterations", [(32, 25), (_CLIMB_RUN * 32, 25), (500, 60), (2001, 60)]
     )
     def test_flat_renormalisation_equals_blocked(self, rows, iterations):
         _, _, P, c, S = _polytope()
