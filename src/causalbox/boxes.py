@@ -14,6 +14,8 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .geometry import CausalOrder, Event
@@ -293,14 +295,14 @@ class _Vectors(dict):
     setting, each computed on first use: entry i of a vector is D times
     the probability of the i-th outcome of G in canonical order.
 
-    G is range-checked, and its projection and vector length taken,
+    G is range-checked, and its projection and list of outcomes taken,
     once, when the table is built.  `fractions` holds marginalize's
     Fraction view of the same vectors.  The box is held by a weak
     reference: the box holds its tables, and a cycle would keep both
     alive until the cyclic garbage collector runs.
     """
 
-    __slots__ = ("box", "G", "projection", "length", "fractions")
+    __slots__ = ("box", "G", "projection", "outcomes", "fractions")
 
     def __init__(self, box: CorrelationBox, G: tuple[int, ...]):
         super().__init__()
@@ -310,11 +312,11 @@ class _Vectors(dict):
                 raise IndexError(f"output index {g} out of range")
         self.box, self.G = weakref.ref(box), G
         self.projection = _projection(sizes, G)
-        self.length = math.prod(sizes[g] for g in G)
+        self.outcomes = list(_outcomes_of(box, G))
         self.fractions: dict = {}
 
     def __missing__(self, x) -> tuple[int, ...]:
-        out = [0] * self.length
+        out = [0] * len(self.outcomes)
         proj = self.projection
         for i, n in _integer_row(self.box(), x):
             out[proj[i]] += n
@@ -355,22 +357,16 @@ def _probability(box: CorrelationBox, n: int) -> Fraction:
 
 def _first_difference(
     box: CorrelationBox,
-    G: tuple[int, ...],
+    outcomes: Sequence[tuple[str, ...]],
     left: tuple[int, ...],
     right: tuple[int, ...],
 ) -> tuple[tuple[str, ...], Fraction, Fraction]:
     """The first outcome of G, in canonical order, where two differing
-    marginal vectors of the box differ, with both probabilities."""
-    for i, (m, n) in enumerate(zip(left, right)):
-        if m != n:
-            break
-    # The i-th outcome of the product order, read off in mixed radix.
-    outcome = []
-    for g in reversed(G):
-        labels = box.outputs[g].alphabet.labels
-        i, d = divmod(i, len(labels))
-        outcome.append(labels[d])
-    return tuple(reversed(outcome)), _probability(box, m), _probability(box, n)
+    marginal vectors of the box differ, with both probabilities;
+    `outcomes` lists G's outcomes in that order, as its vector table
+    holds them."""
+    i = next(compress(count(), map(ne, left, right)))
+    return outcomes[i], _probability(box, left[i]), _probability(box, right[i])
 
 
 def marginalize(
@@ -388,7 +384,7 @@ def marginalize(
     cache = table.fractions
     if x not in cache:
         cache[x] = {
-            a: _probability(box, n) for a, n in zip(_outcomes_of(box, table.G), table[x])
+            a: _probability(box, n) for a, n in zip(table.outcomes, table[x])
         }
     return cache[x]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +25,7 @@ from .boxes import (
     _vectors,
     marginalize,
 )
-from .geometry import CausalOrder, Event
+from .geometry import CausalOrder
 from .separation import (
     SeparationResult,
     Verdict,
@@ -50,7 +50,15 @@ class LayoutMismatch(ValueError):
     """Point geometry contradicts what a named family presupposes."""
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The bound `__set__` of each field's slot member descriptor, in
+    field order.  A hand-written `__init__` stores through these: one
+    C call per field, where the generated frozen `__init__` makes one
+    `object.__setattr__` call per field."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ConstraintInstance:
     """One checkable equality: P(a^G | x) = P(a^G | x')."""
 
@@ -59,6 +67,20 @@ class ConstraintInstance:
     x: tuple[str, ...]
     x_prime: tuple[str, ...]
     certificate: SeparationResult
+
+    def __init__(
+        self,
+        F: tuple[int, ...],
+        G: tuple[int, ...],
+        x: tuple[str, ...],
+        x_prime: tuple[str, ...],
+        certificate: SeparationResult,
+    ) -> None:
+        _set_F(self, F)
+        _set_G(self, G)
+        _set_x(self, x)
+        _set_x_prime(self, x_prime)
+        _set_certificate(self, certificate)
 
     def verify(self, order: CausalOrder, box: CorrelationBox) -> bool:
         """Re-establish both the move shape and the geometric licence."""
@@ -80,12 +102,32 @@ class ConstraintInstance:
         )
 
 
-@dataclass(frozen=True, slots=True)
+_set_F, _set_G, _set_x, _set_x_prime, _set_certificate = _slot_setters(
+    ConstraintInstance
+)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ViolationReport:
+    """One violated instance, at the first outcome of G where the two
+    marginals differ, with both probabilities."""
+
     instance: ConstraintInstance
     outcome: tuple[str, ...]
     p_x: Fraction
     p_x_prime: Fraction
+
+    def __init__(
+        self,
+        instance: ConstraintInstance,
+        outcome: tuple[str, ...],
+        p_x: Fraction,
+        p_x_prime: Fraction,
+    ) -> None:
+        _set_instance(self, instance)
+        _set_outcome(self, outcome)
+        _set_p_x(self, p_x)
+        _set_p_x_prime(self, p_x_prime)
 
     @property
     def difference(self) -> Fraction:
@@ -99,6 +141,9 @@ class ViolationReport:
         right = marginalize(box, inst.G, inst.x_prime)
         a = self.outcome
         return a in left and left[a] == self.p_x and right[a] == self.p_x_prime
+
+
+_set_instance, _set_outcome, _set_p_x, _set_p_x_prime = _slot_setters(ViolationReport)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -158,30 +203,29 @@ def enumerate_constraints(
     # ones are ever added, because every other one is skipped.
     blocked: list[tuple[int, int]] = []
     alphabets = tuple(s.alphabet for s in box.inputs)
-    avoids: dict[tuple[int, ...], list[Event]] = {}
+    # Each F in visiting order, with its bit mask and distinct locations.
+    input_sets = [
+        (F, sum(1 << f for f in F), [*dict.fromkeys(box.inputs[f].location for f in F)])
+        for size_f in range(1, n_in + 1)
+        for F in itertools.combinations(range(n_in), size_f)
+    ]
     for size_g in range(1, n_out + 1):
         for G in itertools.combinations(range(n_out), size_g):
             g_mask = sum(1 << g for g in G)
             gather = list(dict.fromkeys(box.outputs[g].location for g in G))
-            for size_f in range(1, n_in + 1):
-                for F in itertools.combinations(range(n_in), size_f):
-                    f_mask = sum(1 << f for f in F)
-                    if any(
-                        f0 & f_mask == f0 and g0 & g_mask == g0
-                        for f0, g0 in blocked
-                    ):
-                        continue
-                    if F not in avoids:
-                        avoid = dict.fromkeys(box.inputs[f].location for f in F)
-                        avoids[F] = list(avoid)
-                    result = _separated(order, gather, avoids[F])
-                    if result.verdict is Verdict.NOT_SEPARATED:
-                        blocked.append((f_mask, g_mask))
-                        continue
-                    emitted[F, G] = [
-                        ConstraintInstance(F, G, x, y, result)
-                        for x, y in _move_pairs(alphabets, F)
-                    ]
+            for F, f_mask, avoid in input_sets:
+                if blocked and any(
+                    f0 & f_mask == f0 and g0 & g_mask == g0 for f0, g0 in blocked
+                ):
+                    continue
+                result = _separated(order, gather, avoid)
+                if result.verdict is Verdict.NOT_SEPARATED:
+                    blocked.append((f_mask, g_mask))
+                    continue
+                emitted[F, G] = [
+                    ConstraintInstance(F, G, x, y, result)
+                    for x, y in _move_pairs(alphabets, F)
+                ]
     # Each (F, G) already lists its moves in _move_pairs' sorted order.
     return [inst for key in sorted(emitted) for inst in emitted[key]]
 
@@ -209,7 +253,8 @@ def _violations(
             key = (G, inst.x, inst.x_prime)
             diff = diffs.get(key)
             if diff is None:
-                diff = diffs[key] = _first_difference(box, G, left, right)
+                diff = _first_difference(box, table.outcomes, left, right)
+                diffs[key] = diff
             yield ViolationReport(inst, *diff)
 
 

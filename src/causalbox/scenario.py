@@ -183,6 +183,12 @@ def box_to_json(order: CausalOrder, box: CorrelationBox) -> dict:
     }
 
 
+def _reason(exc: Exception) -> str:
+    """A loader error's text; a bare KeyError's is only the key's repr,
+    so it is named as the missing key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def box_from_json(obj: Mapping) -> tuple[CausalOrder, CorrelationBox]:
     try:
         order = order_from_json(obj["backend"])
@@ -200,7 +206,7 @@ def box_from_json(obj: Mapping) -> tuple[CausalOrder, CorrelationBox]:
         }
         box = CorrelationBox(inputs=inputs, outputs=outputs, table=table, pairing=pairing)
     except (KeyError, TypeError, ValueError, AttributeError, GeometryError) as exc:
-        raise ScenarioError(f"bad scenario document: {exc}") from exc
+        raise ScenarioError(f"bad scenario document: {_reason(exc)}") from exc
     return order, box
 
 
@@ -486,7 +492,7 @@ def game_from_json(obj: Mapping) -> XorGame:
         f = [[_json_int(v, "game table entry") for v in row] for row in obj["f"]]
         return XorGame(_json_int(obj["m"], "game m"), f)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad game document: {exc}") from exc
+        raise ScenarioError(f"bad game document: {_reason(exc)}") from exc
 
 
 def _behavior_to_json(witness: Mapping) -> dict:

@@ -13,6 +13,7 @@ from causalbox.boxes import (
     Srv,
     ValidationError,
     _first_difference,
+    _outcomes_of,
     do_label,
     extend_with_intervention,
     marginalize,
@@ -225,9 +226,31 @@ def test_first_difference_reads_the_outcome_in_product_order():
         for i, outcome in enumerate(outcomes):
             left = (5,) * len(outcomes)
             right = tuple(5 + (j == i) for j in range(len(outcomes)))
-            assert _first_difference(box, G, left, right) == (
+            assert _first_difference(box, [*_outcomes_of(box, G)], left, right) == (
                 outcome, Fraction(5, 12), Fraction(6, 12)
             )
+
+
+def test_first_difference_takes_the_first_of_several_differences():
+    outputs = [SimpleNamespace(alphabet=Alphabet.of(*range(k))) for k in (2, 3)]
+    box = SimpleNamespace(outputs=outputs, _denominator=6, _probabilities={})
+    outcomes = [*_outcomes_of(box, (0, 1))]
+    left = (1, 1, 1, 1, 1, 1)
+    right = (1, 0, 3, 1, 0, 1)
+    assert _first_difference(box, outcomes, left, right) == (
+        ("0", "1"), Fraction(1, 6), Fraction(0)
+    )
+
+
+def test_first_difference_in_the_last_entry_only():
+    outputs = [SimpleNamespace(alphabet=Alphabet.of(*range(k))) for k in (3, 2)]
+    box = SimpleNamespace(outputs=outputs, _denominator=4, _probabilities={})
+    outcomes = [*_outcomes_of(box, (1, 0))]
+    left = (0, 0, 0, 0, 0, 4)
+    right = (0, 0, 0, 0, 0, 3)
+    assert _first_difference(box, outcomes, left, right) == (
+        ("1", "2"), Fraction(1), Fraction(3, 4)
+    )
 
 
 class TestCanonical:

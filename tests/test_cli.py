@@ -172,6 +172,17 @@ class TestCheck:
             assert len(err.strip().splitlines()) == 1
             assert "Traceback" not in err
 
+    def test_missing_key_is_named(self, capsys, tmp_path):
+        scen = sc.preset("bell_standard")
+        doc = sc.box_to_json(scen.order, scen.box)
+        del doc["outputs"][1]["point"]
+        path = tmp_path / "pointless.json"
+        path.write_text(sc.dumps(doc))
+        code, out, err = run(capsys, "check", "--scenario", str(path))
+        assert (code, out) == (USAGE, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "bad scenario document: missing key 'point'" in err
+
     @pytest.mark.parametrize(
         "alphabet", ["yes", {"intervention_of": "yes"}], ids=["plain", "intervention"]
     )
@@ -503,6 +514,14 @@ class TestMonogamy:
         code, _, err = run(capsys, "monogamy", "--game", str(path))
         assert code == USAGE
         assert "line 1" in err
+
+    def test_game_file_missing_key_is_named(self, capsys, tmp_path):
+        path = tmp_path / "tableless.json"
+        path.write_text('{"m": 2}')
+        code, out, err = run(capsys, "monogamy", "--game", str(path))
+        assert (code, out) == (USAGE, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "bad game document: missing key 'f'" in err
 
     def test_bad_inputs_flag(self, capsys):
         code, _, _ = run(

@@ -26,6 +26,7 @@ from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import (
     ConstraintInstance,
     LayoutMismatch,
+    ViolationReport,
     check_instances,
     check_ons,
     enumerate_constraints,
@@ -555,6 +556,56 @@ class TestRecords:
         assert copies == reports
         assert [hash(c) for c in copies] == [hash(r) for r in reports]
         assert len({*reports, *copies}) == len(reports)
+
+    def test_positional_and_keyword_construction_agree(self):
+        rep = check_ons(M1, signalling_bell_box())[0]
+        inst = rep.instance
+        for cls, record in ((ConstraintInstance, inst), (ViolationReport, rep)):
+            names = [f.name for f in dataclasses.fields(cls)]
+            values = [getattr(record, name) for name in names]
+            by_position = cls(*values)
+            by_keyword = cls(**dict(zip(names, values)))
+            assert by_position == by_keyword == record
+            assert hash(by_position) == hash(by_keyword) == hash(record)
+            assert [getattr(by_keyword, name) for name in names] == values
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+            with pytest.raises(TypeError):
+                cls(*values, values[-1])
+
+    def test_fields_match_args_and_repr_are_unchanged(self):
+        rep = check_ons(M1, signalling_bell_box())[0]
+        inst = rep.instance
+        names = ("F", "G", "x", "x_prime", "certificate")
+        assert tuple(f.name for f in dataclasses.fields(ConstraintInstance)) == names
+        assert ConstraintInstance.__match_args__ == names
+        names = ("instance", "outcome", "p_x", "p_x_prime")
+        assert tuple(f.name for f in dataclasses.fields(ViolationReport)) == names
+        assert ViolationReport.__match_args__ == names
+        assert repr(inst) == (
+            f"ConstraintInstance(F={inst.F!r}, G={inst.G!r}, x={inst.x!r}, "
+            f"x_prime={inst.x_prime!r}, certificate={inst.certificate!r})"
+        )
+        assert repr(rep) == (
+            f"ViolationReport(instance={inst!r}, outcome={rep.outcome!r}, "
+            f"p_x={rep.p_x!r}, p_x_prime={rep.p_x_prime!r})"
+        )
+        match rep:
+            case ViolationReport(ConstraintInstance(F, G), outcome, p, q):
+                assert (F, G, outcome, p, q) == (
+                    inst.F, inst.G, rep.outcome, rep.p_x, rep.p_x_prime
+                )
+            case _:
+                pytest.fail("positional pattern did not match")
+
+    def test_constructed_records_equal_their_replace_copies(self):
+        box = signalling_bell_box()
+        for inst in enumerate_constraints(M1, box):
+            built = ConstraintInstance(inst.F, inst.G, inst.x, inst.x_prime, inst.certificate)
+            assert built == dataclasses.replace(built) == inst
+        for rep in check_ons(M1, box):
+            built = ViolationReport(rep.instance, rep.outcome, rep.p_x, rep.p_x_prime)
+            assert built == dataclasses.replace(built) == rep
 
 
 class TestStandardNs:
