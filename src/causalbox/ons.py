@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
@@ -50,11 +50,28 @@ class LayoutMismatch(ValueError):
     """Point geometry contradicts what a named family presupposes."""
 
 
-def _slot_setters(cls) -> tuple:
-    """The bound `__set__` of each field's slot member descriptor, in
-    field order.  A hand-written `__init__` stores through these: one
-    C call per field, where the generated frozen `__init__` makes one
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to {name!r}: the record is frozen")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete {name!r}: the record is frozen")
+
+
+def _seal(cls) -> tuple:
+    """Make every assignment and deletion on cls's instances raise
+    FrozenInstanceError, and return the bound `__set__` of each field's
+    slot member descriptor, in field order.
+
+    The frozen `__setattr__` and `__delattr__` that `dataclass` generates
+    name the class as it was before `slots=True` rebuilt it, so on a
+    name that is not a field they fail with a TypeError from `super()`.
+
+    A hand-written `__init__` stores through the returned setters: one C
+    call per field, where the generated frozen `__init__` makes one
     `object.__setattr__` call per field."""
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
@@ -102,9 +119,7 @@ class ConstraintInstance:
         )
 
 
-_set_F, _set_G, _set_x, _set_x_prime, _set_certificate = _slot_setters(
-    ConstraintInstance
-)
+_set_F, _set_G, _set_x, _set_x_prime, _set_certificate = _seal(ConstraintInstance)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -143,7 +158,7 @@ class ViolationReport:
         return a in left and left[a] == self.p_x and right[a] == self.p_x_prime
 
 
-_set_instance, _set_outcome, _set_p_x, _set_p_x_prime = _slot_setters(ViolationReport)
+_set_instance, _set_outcome, _set_p_x, _set_p_x_prime = _seal(ViolationReport)
 
 
 @functools.lru_cache(maxsize=1024)

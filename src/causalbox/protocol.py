@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .boxes import CorrelationBox, _marginal_vector, marginalize
@@ -175,18 +176,34 @@ def _stream(seed: int, label: str) -> random.Random:
     return random.Random(f"simulate:{seed}:{label}")
 
 
+# Draws per bulk call on a stream: 64 KiB of raw bytes, whatever `trials`
+# or `mc_rounds` is.  Chunks of 2**14 were no faster and left the process
+# about 0.3 MB larger.
+_CHUNK = 2**13
+# The guide byte of a draw that its top byte alone does not place.
+_SPLIT = 255
+
+
 class _Sampler:
-    """Inverse-CDF sampling with exact integer cut points.
+    """Inverse-CDF sampling with exact integer cut points, drawn in bulk.
 
     A 53-bit draw r stands for u = r / 2**53, and u lies below a running
     total c of the probabilities exactly when r < ceil(c * 2**53).  So
     the first cell whose cut exceeds r, bisect_right(cuts, r), is the
     exact inverse-CDF cell, for every rational distribution.
 
-    The guide reads that cell off the top ten bits of r: entry j is the
-    cell shared by every r with r >> 43 == j, or -1 where a cut lies
-    strictly inside that bucket of 2**43 draws, and only then is r
-    bisected.
+    getrandbits(64 * m) returns, in order, the 32-bit words that m calls
+    of getrandbits(53) take two at a time, and leaves the stream where
+    those calls would.  Read as little-endian 64-bit words c, the i-th
+    draw is r = c & 0xFFFFFFFF | c >> 43 << 32, and its top byte r >> 45
+    is byte 8 * i + 7 of the raw bytes.
+
+    The guide is a 256-byte translation table: byte j is the cell of
+    every r in [j * 2**45, (j + 1) * 2**45), or _SPLIT where a cut lies
+    strictly inside that range or the cell's index does not fit below
+    _SPLIT.  A chunk's cells are its top bytes translated through the
+    guide, and only a draw whose top byte maps to _SPLIT is rebuilt from
+    its eight bytes and bisected, so any number of cells takes one path.
     """
 
     def __init__(self, dist: Mapping[tuple[str, ...], Fraction]):
@@ -196,28 +213,56 @@ class _Sampler:
         for a in self.outcomes:
             cum += dist[a]
             self.cuts.append(math.ceil(cum * 2**53))
-        self.guide: list[int] = []
+        guide = bytearray()
         lo = 0
         for i, c in enumerate(self.cuts):
             # Cell i holds the draws in [lo, c).  A previous cut lo off a
-            # bucket boundary splits its bucket; the buckets after that
-            # one and wholly below c belong to cell i.
-            if len(self.guide) < -(-lo >> 43):
-                self.guide.append(-1)
-            self.guide.extend([i] * ((c >> 43) - len(self.guide)))
+            # range boundary splits its range; the ranges after that one
+            # and wholly below c belong to cell i.
+            if len(guide) < -(-lo >> 45):
+                guide.append(_SPLIT)
+            guide.extend([min(i, _SPLIT)] * ((c >> 45) - len(guide)))
             lo = c
+        self.guide = bytes(guide)
+        # The cells that some guide byte names, in cell order.
+        self.whole = sorted(set(self.guide) - {_SPLIT})
+
+    def _chunks(self, rng: random.Random, n: int):
+        """The raw bytes and the guide bytes of n draws from rng, in
+        chunks of at most _CHUNK draws."""
+        while n > 0:
+            m = min(n, _CHUNK)
+            raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+            yield raw, raw[7::8].translate(self.guide)
+            n -= m
+
+    def _bisect(self, raw: bytes, p: int) -> int:
+        """The cell of the chunk's p-th draw, rebuilt from its bytes."""
+        c = int.from_bytes(raw[8 * p : 8 * p + 8], "little")
+        return bisect_right(self.cuts, c & 0xFFFFFFFF | c >> 43 << 32)
 
     def tally(self, rng: random.Random, trials: int) -> list[int]:
         """Cell counts of `trials` draws from rng, in outcome order."""
         counts = [0] * len(self.cuts)
-        cuts, guide, bits = self.cuts, self.guide, rng.getrandbits
-        for _ in range(trials):
-            r = bits(53)
-            i = guide[r >> 43]
-            if i < 0:
-                i = bisect_right(cuts, r)
-            counts[i] += 1
+        for raw, cells in self._chunks(rng, trials):
+            for i in self.whole:
+                counts[i] += cells.count(i)
+            p = cells.find(_SPLIT)
+            while p >= 0:
+                counts[self._bisect(raw, p)] += 1
+                p = cells.find(_SPLIT, p + 1)
         return counts
+
+    def sequence(self, rng: random.Random, n: int):
+        """The cells of n draws from rng, in draw order, one list per
+        chunk."""
+        for raw, cells in self._chunks(rng, n):
+            out = list(cells)
+            p = cells.find(_SPLIT)
+            while p >= 0:
+                out[p] = self._bisect(raw, p)
+                p = cells.find(_SPLIT, p + 1)
+            yield out
 
 
 class _GTerms(dict):
@@ -254,13 +299,15 @@ def simulate(
     `mc_rounds` rounds draws arm a's `trials` cells and then arm b's from
     the pooled distribution on one shared "mc" stream, and hits when its
     G statistic reaches the observed one less 1e-12; p = (hits + 1) /
-    (mc_rounds + 1).  Every draw's cell, in both arms and in the rounds,
-    is read from its sampler's guide by the draw's top ten bits, and
-    found by bisection only where a cut splits that bucket.  The G terms
-    2 o log(o / e) are memoised per (cell, count) pair on first use and
-    summed in a fixed order (arm a's cells, then arm b's, skipping zero
-    counts), the order the observed G is summed in.  A single observed cell gives method "degenerate" with
-    p = 1.
+    (mc_rounds + 1).  Every stream, the rounds' included, is drawn in
+    bulk chunks of at most _CHUNK draws that hold the same draws as one
+    getrandbits(53) call each (see _Sampler): an arm's counts come from
+    bytes.count on its cells, and each round reads arm a's cells and then
+    arm b's off the "mc" cells in draw order.  The G terms 2 o log(o / e)
+    are memoised per (cell, count) pair on first use and summed in a
+    fixed order (arm a's cells, then arm b's, skipping zero counts), the
+    order the observed G is summed in.  A single observed cell gives
+    method "degenerate" with p = 1.
 
     Raises ValueError, before any draw, unless trials and mc_rounds are
     ints >= 1, seed is an int in [0, 2**64) and alpha is an int or a
@@ -311,20 +358,18 @@ def simulate(
                 if o:
                     stat += row[o]
         threshold = stat - 1e-12
-        pooled_sampler = _Sampler(dict(zip(cells, pooled)))
-        cuts, guide = pooled_sampler.cuts, pooled_sampler.guide
-        bits = _stream(seed, "mc").getrandbits
-        k = len(cuts)
+        draws = chain.from_iterable(
+            _Sampler(dict(zip(cells, pooled))).sequence(
+                _stream(seed, "mc"), 2 * trials * mc_rounds
+            )
+        )
+        k = len(cells)
         hits = 0
         for _ in range(mc_rounds):
             g = 0.0
             for _arm in "ab":
                 arm = [0] * k
-                for _ in range(trials):
-                    r = bits(53)
-                    i = guide[r >> 43]
-                    if i < 0:
-                        i = bisect_right(cuts, r)
+                for i in islice(draws, trials):
                     arm[i] += 1
                 for o, row in zip(arm, terms):
                     if o:

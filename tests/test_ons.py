@@ -557,6 +557,23 @@ class TestRecords:
         assert [hash(c) for c in copies] == [hash(r) for r in reports]
         assert len({*reports, *copies}) == len(reports)
 
+    @pytest.mark.parametrize("name", ["field", "note"])
+    @pytest.mark.parametrize("cls", [ConstraintInstance, ViolationReport])
+    def test_set_and_delete_raise_frozen_instance_error(self, cls, name):
+        # "note" is no field: the frozen __setattr__ and __delattr__ that
+        # dataclass generates raised TypeError from super() on it.
+        rep = check_ons(M1, signalling_bell_box())[0]
+        record = rep if cls is ViolationReport else rep.instance
+        if name == "field":
+            name = dataclasses.fields(cls)[0].name
+        before = [getattr(record, f.name) for f in dataclasses.fields(cls)]
+        with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+            setattr(record, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+            delattr(record, name)
+        assert [getattr(record, f.name) for f in dataclasses.fields(cls)] == before
+        assert not hasattr(record, "note")
+
     def test_positional_and_keyword_construction_agree(self):
         rep = check_ons(M1, signalling_bell_box())[0]
         inst = rep.instance

@@ -229,14 +229,28 @@ def reference_cell(dist, r):
 
 
 class ScriptedBits:
-    """Stand-in for random.Random that returns the given 53-bit draws."""
+    """Stand-in for random.Random that returns the given 53-bit draws,
+    one per getrandbits(53) call or m per getrandbits(64 * m) call.
+
+    A bulk call packs each draw r into the 64-bit little-endian word that
+    Mersenne Twister's getrandbits(53) would have consumed: the low 32
+    bits of r, then the high 21 bits of r shifted up past 11 zero bits.
+    """
 
     def __init__(self, draws):
         self.draws = iter(draws)
 
     def getrandbits(self, k):
-        assert k == 53
-        return next(self.draws)
+        if k == 53:
+            return next(self.draws)
+        assert k % 64 == 0, k
+        draws = list(itertools.islice(self.draws, k // 64))
+        assert len(draws) == k // 64, "ran out of scripted draws"
+        packed = 0
+        for i, r in enumerate(draws):
+            assert 0 <= r < 2**53, r
+            packed |= (r & 0xFFFFFFFF | r >> 32 << 43) << 64 * i
+        return packed
 
 
 def cells_of(dist, draws):
@@ -275,17 +289,25 @@ class TestSampler:
             [Fraction(1, 1024), Fraction(3, 1024), Fraction(1020, 1024)],
             [Fraction(1, 3 * 2**20), Fraction(1, 3 * 2**20), Fraction(1, 2**19),
              Fraction(3 * 2**19 - 4, 3 * 2**19)],
+            [Fraction(1, 256), Fraction(3, 256), Fraction(252, 256)],
+            [*[Fraction(1, 2**20)] * 256, Fraction(1, 2), Fraction(2**11 - 1, 2**12)],
         ],
-        ids=[*NON_DYADIC, "bucket_aligned", "crowded_bucket"],
+        ids=[*NON_DYADIC, "bucket_aligned", "crowded_bucket", "byte_aligned",
+             "wide_cells_past_255"],
     )
     def test_guide_is_the_cell_of_every_bucket_it_names(self, probs):
+        # Byte j of the guide names the cell of every draw r in
+        # [j * 2**45, (j + 1) * 2**45), those whose top byte is j.  It is
+        # the split marker where a cut falls strictly inside that range,
+        # or where the cell's index does not fit below the marker.
+        split = protocol_module._SPLIT
         sampler = _Sampler({(str(i),): p for i, p in enumerate(probs)})
         cuts = sampler.cuts
         expected = []
-        for lo in range(0, 2**53, 2**43):
+        for lo in range(0, 2**53, 2**45):
             i = bisect.bisect_right(cuts, lo)
-            expected.append(i if cuts[i] >= lo + 2**43 else -1)
-        assert sampler.guide == expected
+            expected.append(i if cuts[i] >= lo + 2**45 and i < split else split)
+        assert sampler.guide == bytes(expected)
 
     def test_tally_counts_every_draw(self):
         dist = {(str(i),): p for i, p in enumerate(NON_DYADIC["sevenths"])}

@@ -10,10 +10,17 @@ observed G: a null protocol whose rounds tie the observed G exactly and
 to within 1e-12, and a scripted Monte-Carlo stream that replays the
 observed counts when the observed G is so large that G - 1e-12 rounds
 to G.
+
+`simulate` draws each stream in bulk chunks of `_CHUNK` draws, so runs
+whose trials or Monte-Carlo draws end just before, on and just after a
+chunk boundary are compared too, as is a non-dyadic distribution with
+more cells than a guide byte can name, and each stream's state after a
+bulk tally.
 """
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -21,12 +28,13 @@ import pytest
 import simulate_reference as ref
 from causalbox import protocol as protocol_module
 from causalbox.geometry import Event
-from causalbox.protocol import SignallingProtocol, _Sampler, _stream, simulate
+from causalbox.protocol import _CHUNK, SignallingProtocol, _Sampler, _stream, simulate
 from test_protocol import ScriptedBits
 
 CELLS = (2, 4, 8, 16)
 TRIALS = (1, 2, 3, 4, 8, 16)
 ROUNDS = (1, 2, 50, 2000)
+AROUND_CHUNK = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
 
 
 def _cell(i: int, k: int) -> tuple[str, ...]:
@@ -129,3 +137,76 @@ def test_a_round_replaying_the_observed_counts_is_a_hit(monkeypatch):
     monkeypatch.setattr(ref, "_stream", scripted)
     result = assert_same(proto, trials, seed, 1)
     assert result.p_value == 1.0
+
+
+@pytest.mark.parametrize("trials", AROUND_CHUNK)
+def test_chi2_arms_around_a_chunk_boundary(trials):
+    for null in (False, True):
+        assert assert_same(seeded_protocol(16, null), trials, 5, 50).method == "chi2"
+
+
+@pytest.mark.parametrize(
+    "trials, mc_rounds",
+    [
+        (2, _CHUNK // 4 - 1),
+        (2, _CHUNK // 4),
+        (2, _CHUNK // 4 + 1),
+        (3, _CHUNK // 3 + 1),
+        (5, _CHUNK // 5 + 1),
+    ],
+)
+def test_monte_carlo_draws_around_a_chunk_boundary(trials, mc_rounds):
+    """The "mc" stream's 2 * trials * mc_rounds draws end just before, on
+    and just after a chunk boundary, and at 3 and 5 trials a side the
+    chunk boundaries (powers of two) fall inside an arm."""
+    proto = seeded_protocol(4, False)
+    assert assert_same(proto, trials, 1, mc_rounds).method == "exact_mc"
+
+
+def test_exact_mc_with_chunk_sized_arms():
+    """A cell of probability 1/10**4 in arm a only keeps its pooled
+    expected count below 5, so arms of 2 * _CHUNK + 3 trials go through
+    the Monte-Carlo rounds."""
+    dist = {("0",): Fraction(1, 3), ("1",): Fraction(2, 3) - Fraction(1, 10**4),
+            ("2",): Fraction(1, 10**4)}
+    other = {("0",): Fraction(1, 2), ("1",): Fraction(1, 2)}
+    # At seed 0 arm a draws no rare cell, and the chi2 branch decides.
+    result = assert_same(_protocol(dist, other), 2 * _CHUNK + 3, 2, 2)
+    assert result.method == "exact_mc"
+
+
+def _many_cells(rng: random.Random, k: int) -> dict[tuple[str, ...], Fraction]:
+    """Weights 1 to 7 over k cells with labels that sort in cell order;
+    the total is not a power of two."""
+    while True:
+        weights = [rng.randrange(1, 8) for _ in range(k)]
+        total = sum(weights)
+        if total & (total - 1):
+            return {(f"{i:04d}",): Fraction(w, total) for i, w in enumerate(weights)}
+
+
+@pytest.mark.parametrize("k", [256, 300])
+def test_more_cells_than_a_guide_byte_names(k):
+    rng = random.Random(f"many-cells:{k}")
+    dist_a = _many_cells(rng, k)
+    proto = _protocol(dist_a, _many_cells(rng, k))
+    # Some cell past index 254 owns a whole top-byte range, which the
+    # guide cannot name, so its draws are read by bisection.
+    cuts = [0, *_Sampler(dist_a).cuts]
+    assert any(cuts[i + 1] >> 45 > -(-cuts[i] >> 45) for i in range(255, k))
+    assert assert_same(proto, 40_000, 3, 50).method == "chi2"
+    for trials, mc_rounds in ((64, 50), (400, 3)):
+        assert assert_same(proto, trials, 3, mc_rounds).method == "exact_mc"
+
+
+@pytest.mark.parametrize("n", [1, 7, *AROUND_CHUNK])
+def test_bulk_draws_leave_the_stream_where_single_draws_do(n):
+    dist = seeded_protocol(8, False).dist_b
+    sampler = _Sampler(dist)
+    bulk, single = _stream(9, "a"), _stream(9, "a")
+    assert sampler.tally(bulk, n) == ref._tally(sampler, single, n)
+    assert bulk.getrandbits(53) == single.getrandbits(53)
+    cells = list(itertools.chain.from_iterable(sampler.sequence(bulk, n)))
+    cuts = sampler.cuts
+    assert cells == [bisect_right(cuts, single.getrandbits(53)) for _ in range(n)]
+    assert bulk.getrandbits(53) == single.getrandbits(53)
