@@ -175,21 +175,11 @@ def test_exact_mc_with_chunk_sized_arms():
     assert result.method == "exact_mc"
 
 
-def _many_cells(rng: random.Random, k: int) -> dict[tuple[str, ...], Fraction]:
-    """Weights 1 to 7 over k cells with labels that sort in cell order;
-    the total is not a power of two."""
-    while True:
-        weights = [rng.randrange(1, 8) for _ in range(k)]
-        total = sum(weights)
-        if total & (total - 1):
-            return {(f"{i:04d}",): Fraction(w, total) for i, w in enumerate(weights)}
-
-
 @pytest.mark.parametrize("k", [256, 300])
 def test_more_cells_than_a_guide_byte_names(k):
     rng = random.Random(f"many-cells:{k}")
-    dist_a = _many_cells(rng, k)
-    proto = _protocol(dist_a, _many_cells(rng, k))
+    dist_a = _distribution(rng, k)
+    proto = _protocol(dist_a, _distribution(rng, k))
     # Some cell past index 254 owns a whole top-byte range, which the
     # guide cannot name, so its draws are read by bisection.
     cuts = [0, *_Sampler(dist_a).cuts]
