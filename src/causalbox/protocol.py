@@ -224,8 +224,6 @@ class _Sampler:
             guide.extend([min(i, _SPLIT)] * ((c >> 45) - len(guide)))
             lo = c
         self.guide = bytes(guide)
-        # The cells that some guide byte names, in cell order.
-        self.whole = sorted(set(self.guide) - {_SPLIT})
 
     def _chunks(self, rng: random.Random, n: int):
         """The raw bytes and the guide bytes of n draws from rng, in
@@ -244,8 +242,9 @@ class _Sampler:
     def tally(self, rng: random.Random, trials: int) -> list[int]:
         """Cell counts of `trials` draws from rng, in outcome order."""
         counts = [0] * len(self.cuts)
+        named = set(self.guide) - {_SPLIT}
         for raw, cells in self._chunks(rng, trials):
-            for i in self.whole:
+            for i in named:
                 counts[i] += cells.count(i)
             p = cells.find(_SPLIT)
             while p >= 0:
