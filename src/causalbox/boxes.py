@@ -144,11 +144,10 @@ class CorrelationBox:
         object.__setattr__(self, "_probabilities", {})
 
     @functools.cached_property
-    def _positions(self) -> tuple[dict[str, int], ...]:
-        """Each output's label -> alphabet position, built on first use."""
-        return tuple(
-            {v: i for i, v in enumerate(s.alphabet.labels)} for s in self.outputs
-        )
+    def _outcome_index(self) -> dict[tuple[str, ...], int]:
+        """Each outcome of the box -> its position in canonical order,
+        built on first use."""
+        return dict(zip(self.outcomes(), count()))
 
     # -- enumeration ---------------------------------------------------
 
@@ -206,8 +205,7 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
     pairs whose output does not lie strictly after its input."""
     issues: list[Issue] = []
     declared = set(box.settings())
-    out_arity = len(box.outputs)
-    valid_outcomes = set(box.outcomes())
+    index = box._outcome_index
     D = box._denominator
     for x in sorted(declared):
         if x not in box.table:
@@ -220,12 +218,12 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
         # The row total, in units of 1 / D.
         total = 0
         for a, p in sorted(row.items()):
-            if len(a) != out_arity or a not in valid_outcomes:
+            if a not in index:
                 issues.append(
                     Issue("unknown_outcome", f"x={label} a={','.join(a)}")
                 )
                 continue
-            if p < 0:
+            if p.numerator < 0:
                 issues.append(
                     Issue("negativity", f"x={label} a={','.join(a)} p={p}")
                 )
@@ -261,19 +259,17 @@ def _integer_row(box: CorrelationBox, x) -> list[tuple[int, int]]:
     rows = box._integer_rows
     if x in rows:
         return rows[x]
-    positions = box._positions
+    index = box._outcome_index
     D = box._denominator
-    out = []
-    for a, p in box.row(x).items():
-        i = 0
-        try:
-            for pos, v in zip(positions, a, strict=True):
-                i = i * len(pos) + pos[v]
-        except (KeyError, ValueError):
-            raise ValidationError(
-                f"x={','.join(_as_key(x)) or '()'}: {a!r} is not an outcome of the box"
-            ) from None
-        out.append((i, p.numerator * (D // p.denominator)))
+    try:
+        out = [
+            (index[a], p.numerator * (D // p.denominator))
+            for a, p in box.row(x).items()
+        ]
+    except KeyError as exc:
+        raise ValidationError(
+            f"x={','.join(_as_key(x)) or '()'}: {exc.args[0]!r} is not an outcome of the box"
+        ) from None
     rows[x] = out
     return out
 

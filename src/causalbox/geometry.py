@@ -287,8 +287,11 @@ def _scaled_null_coords(events: Sequence[Event]) -> tuple[int, list[tuple[int, i
     return den, coords
 
 
-def event_from_null(u: Fraction, v: Fraction) -> Event:
-    return Event(t=Fraction(u + v, 2), x=(Fraction(v - u, 2),))
+def event_from_null(u, v, den: int = 1) -> Event:
+    """The 1+1 event with lightcone coordinates (u/den, v/den), den > 0.
+    For ints u, v and den, t and x are each built as one Fraction over
+    2*den, with no Fraction arithmetic."""
+    return Event(t=Fraction(u + v, 2 * den), x=(Fraction(v - u, 2 * den),))
 
 
 class TerminatedDiagram(CausalOrder):
@@ -378,5 +381,5 @@ class TerminatedDiagram(CausalOrder):
         # is a lower set in lightcone coordinates, so either this corner is
         # in the region or nothing above every member is.
         if self._null_below(u, v, den):
-            return event_from_null(Fraction(u, den), Fraction(v, den))
+            return event_from_null(u, v, den)
         return None

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .geometry import Event, GeometryError, Minkowski
+from .geometry import Event, GeometryError, Minkowski, _check_point
 from .rational import parse_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -24,16 +26,32 @@ def _eta(n: int) -> Matrix:
     )
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
+def _scaled(a: Matrix) -> tuple[list[tuple[int, ...]], int]:
+    """(N, d) with a == N / d entry by entry: d is the least common
+    denominator of a's entries and N their integer numerators over it."""
+    d = lcm(*(c.denominator for row in a for c in row))
+    return [tuple(c.numerator * (d // c.denominator) for c in row) for row in a], d
+
+
+def _product(*factors: Matrix) -> Matrix:
+    """The product of the matrices, multiplied in integers over each
+    factor's common denominator, with one normalised Fraction per entry
+    of the result."""
+    rows, den = _scaled(factors[0])
+    for f in factors[1:]:
+        n, d = _scaled(f)
+        cols = tuple(zip(*n))
+        rows = [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
+        den *= d
+    return tuple(tuple(Fraction(c, den) for c in row) for row in rows)
 
 
 def _matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a)
+    rows, den = _scaled(a)
+    d = lcm(*(c.denominator for c in v))
+    nv = [c.numerator * (d // c.denominator) for c in v]
+    den *= d
+    return tuple(Fraction(sum(map(mul, row, nv)), den) for row in rows)
 
 
 def _transpose(a: Matrix) -> Matrix:
@@ -41,23 +59,26 @@ def _transpose(a: Matrix) -> Matrix:
 
 
 def _det(a: Matrix) -> Fraction:
-    rows = [list(r) for r in a]
+    """det(N) / d^n for a == N / d, det(N) by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    rows, d = _scaled(a)
+    rows = [list(r) for r in rows]
     n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * top[k] - f * top[j]) // prev
+        prev = top[k]
+    return Fraction(sign * rows[-1][-1], d**n)
 
 
 def _identity(n: int) -> Matrix:
@@ -115,10 +136,20 @@ class PoincareMap:
             raise GeometryError("matrix must be square of size dim+1 >= 2")
         if len(self.translation) != n:
             raise GeometryError("translation length must match matrix size")
-        eta = _eta(n)
-        gram = _matmul(_transpose(self.matrix), _matmul(eta, self.matrix))
-        if gram != eta:
-            raise GeometryError("matrix does not preserve the interval form")
+        for c in (*(c for row in self.matrix for c in row), *self.translation):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise GeometryError(f"entry {c!r} is not an int or a Fraction")
+        # The matrix is N / d: it preserves the interval form exactly
+        # when N^T eta N == d^2 eta, checked column pair by column pair.
+        rows, d = _scaled(self.matrix)
+        cols = tuple(zip(*rows))
+        d2 = d * d
+        for i, a in enumerate(cols):
+            for j in range(i, n):
+                b = cols[j]
+                gram = a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
+                if gram != (0 if i != j else d2 if i == 0 else -d2):
+                    raise GeometryError("matrix does not preserve the interval form")
 
     @property
     def dim(self) -> int:
@@ -191,7 +222,7 @@ class PoincareMap:
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in composition")
         return PoincareMap(
-            _matmul(self.matrix, other.matrix),
+            _product(self.matrix, other.matrix),
             tuple(
                 a + b
                 for a, b in zip(_matvec(self.matrix, other.translation), self.translation)
@@ -200,14 +231,13 @@ class PoincareMap:
 
     def inverse(self) -> "PoincareMap":
         eta = _eta(len(self.matrix))
-        inv = _matmul(eta, _matmul(_transpose(self.matrix), eta))
+        inv = _product(eta, _transpose(self.matrix), eta)
         return PoincareMap(
             inv, tuple(-c for c in _matvec(inv, self.translation))
         )
 
     def apply(self, e: Event) -> Event:
-        if not e.is_point() or e.x is None or len(e.x) != self.dim:
-            raise GeometryError(f"{e!r} does not live in {self.dim}+1 coordinates")
+        _check_point(e, self.dim)
         vec = (e.t, *e.x)
         out = tuple(
             a + b for a, b in zip(_matvec(self.matrix, vec), self.translation)
@@ -312,7 +342,7 @@ def find_loop_transform(
         dim, {(1, 1): -1} if dim == 1 else {(1, 1): -1, (2, 2): -1}
     )
     boost = _linear_matrix(dim, _boost_entries(k, 1))
-    lam = _matmul(align, _matmul(flip, _matmul(boost, align)))
+    lam = _product(align, flip, boost, align)
     sigma = tuple(a + b for a, b in zip(w, _matvec(lam, w)))
     shift = tuple(
         qc - lc - sc / 2 for qc, lc, sc in zip(qvec, _matvec(lam, pvec), sigma)

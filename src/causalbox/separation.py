@@ -524,7 +524,7 @@ def _quadrant_decide(
         if not active or vstar < min(active):
             return SeparationResult(
                 Verdict.SEPARATED,
-                witness=event_from_null(Fraction(u, den), Fraction(vstar, den)),
+                witness=event_from_null(u, vstar, den),
                 reason="quadrant_escape",
             )
     return SeparationResult(Verdict.NOT_SEPARATED, reason="quadrant_cover")

@@ -13,6 +13,7 @@ from causalbox.boxes import (
     Srv,
     ValidationError,
     _first_difference,
+    _integer_row,
     _outcomes_of,
     do_label,
     extend_with_intervention,
@@ -108,6 +109,14 @@ class TestValidate:
         report = validate_box(box, M1)
         assert report.of_kind("negativity")
         assert report.of_kind("normalization")
+
+    def test_negativity_on_a_negative_entry_and_not_on_a_zero_one(self):
+        out = (Srv("A", BITS, Event.at(1, 0)),)
+        for p, negative in ((Fraction(-1, 3), True), (Fraction(0), False), (0, False)):
+            row = {("0",): 1 - p, ("1",): p}
+            report = validate_box(CorrelationBox((), out, {(): row}), M1)
+            assert bool(report.of_kind("negativity")) == negative
+            assert report.ok == (not negative)
 
     def test_unknown_outcome_key(self):
         out = (Srv("A", BITS, Event.at(1, 0)),)
@@ -214,6 +223,31 @@ class TestMarginalize:
         with pytest.raises(ValidationError) as exc:
             marginalize(box, G, ("1",))
         assert "x=1" in str(exc.value) and repr(outcome) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        ("0",),  # too short
+        ("0", "x", "y"),  # too long
+        ("x", "0"),  # each label belongs to the other output
+        ("0", "0"),  # B's label from A's alphabet
+    ],
+)
+def test_integer_row_rejects_a_key_that_is_not_an_outcome(outcome):
+    box = CorrelationBox(
+        (Srv("X", BITS, Event.at(0, 0)),),
+        (Srv("A", BITS, Event.at(1, 0)), Srv("B", Alphabet.of("x", "y"), Event.at(1, 2))),
+        {
+            ("0",): {("1", "y"): 1},
+            ("1",): {("0", "x"): Fraction(1, 2), outcome: Fraction(1, 2)},
+        },
+    )
+    assert _integer_row(box, ("0",)) == [(3, 2)]  # n over D = 2
+    with pytest.raises(ValidationError) as exc:
+        _integer_row(box, ("1",))
+    assert "x=1" in str(exc.value) and repr(outcome) in str(exc.value)
+    assert ("1",) not in box._integer_rows
 
 
 def test_first_difference_reads_the_outcome_in_product_order():

@@ -487,7 +487,7 @@ class TestVectorTable:
         for backend in BACKENDS:
             for seed in range(4):
                 order, box = seeded_box(backend, "factored", seed)
-                assert "_positions" not in vars(box)
+                assert "_outcome_index" not in vars(box)
                 instances = enumerate_constraints(order, box)
                 built.clear()
                 computed.clear()
@@ -500,7 +500,7 @@ class TestVectorTable:
                 assert check_instances(box, instances) == reports
                 assert len(computed) == len(set(computed))
                 assert sorted(built) == sorted({i.G for i in instances})
-                assert bool(instances) == ("_positions" in vars(box))
+                assert bool(instances) == ("_outcome_index" in vars(box))
                 violated += bool(reports)
         assert violated
 

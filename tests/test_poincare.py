@@ -66,6 +66,50 @@ def test_invalid_matrix_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "matrix, translation",
+    [
+        (((1.0, 0.0), (0.0, 1.0)), (0.5, 0.0)),
+        (((1, 0), (0, 1)), (0.5, 0)),
+        (((1.0, 0), (0, 1)), (0, 0)),
+        (((1, 0), (0, 1)), (True, 0)),
+        (((True, False), (False, True)), (0, 0)),
+        (((1, 0), (0, 1)), ("1", 0)),
+        (((1, 0), (0, None)), (0, 0)),
+    ],
+)
+def test_non_rational_entries_rejected(matrix, translation):
+    with pytest.raises(GeometryError, match="not an int or a Fraction"):
+        PoincareMap(matrix, translation)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [Event(t=1.0, x=(2,)), Event(t=1, x=(True,)), Event(t=1, x=(2, 3)), Event.named("p")],
+)
+def test_apply_rejects_events_outside_its_rational_coordinates(e):
+    with pytest.raises(GeometryError):
+        PoincareMap.boost(1, 2).apply(e)
+
+
+def test_int_and_fraction_entries_accepted():
+    m = PoincareMap(((1, 0), (0, Fraction(-1))), (Fraction(1, 2), 3))
+    assert m.apply(ev(1, 2)) == ev(Fraction(3, 2), 1)
+    assert not m.is_proper and m.is_orthochronous
+
+
+def test_properness_of_integer_matrices_is_exact():
+    # The integer Lorentz matrix of a 2+1 reflection and its powers:
+    # entries far past what a float elimination keeps exact.
+    m = PoincareMap(((3, 2, 2), (2, 1, 2), (2, 2, 1)), (0, 0, 0))
+    assert not m.is_proper
+    power = m
+    for n in range(2, 9):
+        power = power.compose(m)
+        as_ints = tuple(tuple(int(c) for c in row) for row in power.matrix)
+        assert PoincareMap(as_ints, (0, 0, 0)).is_proper == (n % 2 == 0)
+
+
 def test_compose_and_inverse_cancel():
     m = PoincareMap.boost(2, Fraction(3, 2), 1).compose(
         PoincareMap.rotation(2, Fraction(1, 3))
