@@ -206,43 +206,68 @@ def enumerate_constraints(
     without a separated() call: any witness for Separated(G; F) also
     witnesses every smaller G and F, so the pair is NOT_SEPARATED too.
     Every other pair is decided, and SEPARATED pairs emit instances.
-    Each distinct location is validated once, up front, in the order the
-    pairs first meet them.
+
+    One call shares its geometric work across its pairs.  Each distinct
+    location gets an integer id and is validated once, up front, in the
+    order the pairs first meet them.  A pair's family is its distinct
+    gathered ids and distinct avoided ids, each in order of first
+    appearance; each family is decided once, and every pair with that
+    family shares its result.  The decisions share one memo of the
+    sweep's tie-set extrema, by common denominator and tie, and one of
+    the order's relation, by ordered pair of ids.  Each F's move table
+    is looked up once.  Nothing outlives the call.
     """
-    n_in, n_out = len(box.inputs), len(box.outputs)
+    n_in = len(box.inputs)
+    ids: dict = {}
     first = [*box.outputs[:1], *box.inputs, *box.outputs[1:]]
-    for e in dict.fromkeys(s.location for s in first):
+    first_ids = [ids.setdefault(s.location, len(ids)) for s in first]
+    events = list(ids)
+    for e in events:
         order.validate_event(e)
-    emitted: dict[tuple, list[ConstraintInstance]] = {}
-    # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
-    # ones are ever added, because every other one is skipped.
-    blocked: list[tuple[int, int]] = []
-    alphabets = tuple(s.alphabet for s in box.inputs)
-    # Each F in visiting order, with its bit mask and distinct locations.
+    in_ids = first_ids[1 : n_in + 1]
+    out_ids = first_ids[:1] + first_ids[n_in + 1 :]
+    # Each F in visiting order, with its bit mask and its avoided ids.
     input_sets = [
-        (F, sum(1 << f for f in F), [*dict.fromkeys(box.inputs[f].location for f in F)])
+        (F, sum(1 << f for f in F), tuple(dict.fromkeys([in_ids[f] for f in F])))
         for size_f in range(1, n_in + 1)
         for F in itertools.combinations(range(n_in), size_f)
     ]
-    for size_g in range(1, n_out + 1):
-        for G in itertools.combinations(range(n_out), size_g):
+    families: dict[tuple[tuple[int, ...], tuple[int, ...]], SeparationResult] = {}
+    ties: dict = {}
+    relation: dict = {}
+    emitted: dict[tuple, SeparationResult] = {}
+    # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
+    # ones are ever added, because every other one is skipped.
+    blocked: list[tuple[int, int]] = []
+    for size_g in range(1, len(out_ids) + 1):
+        for G in itertools.combinations(range(len(out_ids)), size_g):
             g_mask = sum(1 << g for g in G)
-            gather = list(dict.fromkeys(box.outputs[g].location for g in G))
+            gather = tuple(dict.fromkeys([out_ids[g] for g in G]))
             for F, f_mask, avoid in input_sets:
                 if blocked and any(
                     f0 & f_mask == f0 and g0 & g_mask == g0 for f0, g0 in blocked
                 ):
                     continue
-                result = _separated(order, gather, avoid)
+                result = families.get((gather, avoid))
+                if result is None:
+                    result = families[gather, avoid] = _separated(
+                        order, events, gather, avoid, ties, relation
+                    )
                 if result.verdict is Verdict.NOT_SEPARATED:
                     blocked.append((f_mask, g_mask))
                     continue
-                emitted[F, G] = [
-                    ConstraintInstance(F, G, x, y, result)
-                    for x, y in _move_pairs(alphabets, F)
-                ]
-    # Each (F, G) already lists its moves in _move_pairs' sorted order.
-    return [inst for key in sorted(emitted) for inst in emitted[key]]
+                emitted[F, G] = result
+    # Sorted by (F, G), the pairs of one F are adjacent, and each lists
+    # its moves in _move_pairs' sorted order.
+    alphabets = tuple(s.alphabet for s in box.inputs)
+    instances: list[ConstraintInstance] = []
+    moves_of = moves = None
+    for F, G in sorted(emitted):
+        if F != moves_of:
+            moves_of, moves = F, _move_pairs(alphabets, F)
+        result = emitted[F, G]
+        instances += [ConstraintInstance(F, G, x, y, result) for x, y in moves]
+    return instances
 
 
 def _violations(

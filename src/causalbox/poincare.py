@@ -46,10 +46,16 @@ def _product(*factors: Matrix) -> Matrix:
     return tuple(tuple(Fraction(c, den) for c in row) for row in rows)
 
 
+def _numerators(v: Vector) -> tuple[list[int], int]:
+    """(N, d) with v == N / d entry by entry, d the least common
+    denominator of v's entries."""
+    d = lcm(*(c.denominator for c in v))
+    return [c.numerator * (d // c.denominator) for c in v], d
+
+
 def _matvec(a: Matrix, v: Vector) -> Vector:
     rows, den = _scaled(a)
-    d = lcm(*(c.denominator for c in v))
-    nv = [c.numerator * (d // c.denominator) for c in v]
+    nv, d = _numerators(v)
     den *= d
     return tuple(Fraction(sum(map(mul, row, nv)), den) for row in rows)
 
@@ -253,27 +259,41 @@ def _loop_direction(t: Fraction, xs: Vector) -> Vector:
     """Rational unit vector e with e . x - |t| = A(|x|^2 - t^2)/(A^2 + r^2),
     where A = |x_i| + |t| for an index i of largest |x_i| and r^2 is the
     sum of the other x_j^2: the inverse stereographic image of
-    (x_j / A)_{j != i} about the pole sgn(x_i) e_i."""
-    i = max(range(len(xs)), key=lambda j: abs(xs[j]))
-    a = abs(xs[i]) + abs(t)
-    r2 = sum((c * c for j, c in enumerate(xs) if j != i), Fraction(0))
+    (x_j / A)_{j != i} about the pole sgn(x_i) e_i.
+
+    Over a common denominator of t and x, A, r^2 and A^2 + r^2 scale to
+    integers by one common power, so each entry is one Fraction of
+    integers."""
+    (tn, *xn), _ = _numerators((t, *xs))
+    i = max(range(len(xn)), key=lambda j: abs(xn[j]))
+    a = abs(xn[i]) + abs(tn)
+    r2 = sum(c * c for j, c in enumerate(xn) if j != i)
     den = a * a + r2
-    e = [2 * a * c / den for c in xs]
-    e[i] = (a * a - r2) / den if xs[i] > 0 else (r2 - a * a) / den
+    e = [Fraction(2 * a * c, den) for c in xn]
+    e[i] = Fraction(a * a - r2 if xn[i] > 0 else r2 - a * a, den)
     return tuple(e)
 
 
 def _householder(dim: int, e: Vector) -> Matrix:
     """diag(1, H) for the spatial Householder reflection H that swaps the
-    unit vector e and the first axis (the identity when they agree)."""
-    v = (e[0] - 1, *e[1:])
-    vv = sum((c * c for c in v), Fraction(0))
-    rows = [list(r) for r in _identity(dim + 1)]
-    if vv:
-        for i in range(dim):
-            for j in range(dim):
-                rows[i + 1][j + 1] -= 2 * v[i] * v[j] / vv
-    return tuple(tuple(r) for r in rows)
+    unit vector e and the first axis (the identity when they agree).
+
+    With v = e - e_1 over a common denominator, H = I - 2 v v^T / (v . v)
+    has one integer numerator per entry over v . v."""
+    en, d = _numerators(e)
+    v = (en[0] - d, *en[1:])
+    vv = sum(c * c for c in v)
+    if not vv:
+        return _identity(dim + 1)
+    spatial = [
+        [Fraction((i == j) * vv - 2 * vi * vj, vv) for j, vj in enumerate(v)]
+        for i, vi in enumerate(v)
+    ]
+    zero = Fraction(0)
+    return (
+        (Fraction(1), *(zero,) * dim),
+        *((zero, *row) for row in spatial),
+    )
 
 
 def find_loop_transform(

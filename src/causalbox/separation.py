@@ -73,9 +73,10 @@ def verify_separation_witness(
     return _gathers(order._precedes, gather, avoid, q)
 
 
-def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) -> bool:
+def _gathers(prec, gather: Sequence, avoid: Sequence, q) -> bool:
     """The witness property for validated events, with prec the order's
-    unchecked strict relation."""
+    unchecked strict relation; or for location ids, with prec the
+    relation on ids."""
     return all(g == q or prec(g, q) for g in gather) and not any(
         prec(p, q) for p in avoid
     )
@@ -404,14 +405,22 @@ def _samples(values: list[Value]) -> list[Sample]:
     return out
 
 
-def _critical_x1(L: int, gather: list[IntEv], avoid: list[IntEv]) -> list[Value]:
-    """The critical x1 values of a cut problem."""
+def _critical_x1(
+    L: int, gather: list[IntEv], avoid: list[IntEv], ties: dict
+) -> list[Value]:
+    """The critical x1 values of a cut problem.  ties memoises
+    _tie_extrema by (L, *tie): its values are over L, so a tie of the
+    same ints over another denominator is another key."""
     events = [*gather, *avoid]
     n, crit = len(gather), []
     for size in range(2, len(gather[0][1]) + 2):
         for tie in combinations(range(len(events)), size):
             if tie[0] < n <= tie[-1]:  # at least one gathered and one avoided
-                crit += _tie_extrema(L, [events[i] for i in tie])
+                key = (L, *map(events.__getitem__, tie))
+                values = ties.get(key)
+                if values is None:
+                    values = ties[key] = _tie_extrema(L, key[1:])
+                crit += values
     return crit
 
 
@@ -451,25 +460,25 @@ def _cut(L: int, events: list[IntEv], x1: Sample) -> tuple[int, list[IntEv]]:
 
 
 def _sweep_scaled(
-    L: int, gather: list[IntEv], avoid: list[IntEv]
+    L: int, gather: list[IntEv], avoid: list[IntEv], ties: dict
 ) -> tuple[Fraction, Vec] | None:
     """_sweep on events scaled to the common denominator L."""
     if not gather[0][1]:
         tau = _gathers_at(L, gather, avoid)
         return None if tau is None else (tau, ())
-    for x1 in _samples(_critical_x1(L, gather, avoid)):
+    for x1 in _samples(_critical_x1(L, gather, avoid, ties)):
         L1, cut = _cut(L, [*gather, *avoid], x1)
-        found = _sweep_scaled(L1, cut[: len(gather)], cut[len(gather):])
+        found = _sweep_scaled(L1, cut[: len(gather)], cut[len(gather):], ties)
         if found is not None:
             return found[0], (Fraction(*x1), *found[1])
     return None
 
 
 def _sweep(
-    gather: Sequence[Event], avoid: Sequence[Event]
+    gather: Sequence[Event], avoid: Sequence[Event], ties: dict
 ) -> tuple[Fraction, Vec] | None:
     """A rational (tau, x) with x in W, or None when W is empty, for
-    validated point events."""
+    validated point events; ties is _critical_x1's memo."""
     events = [*gather, *avoid]
     L = math.lcm(*(c.denominator for e in events for c in (e.t, *e.x)))  # type: ignore
 
@@ -477,7 +486,7 @@ def _sweep(
         return c.numerator * (L // c.denominator)
 
     ints = [(scaled(e.t), tuple(map(scaled, e.x)), 0) for e in events]  # type: ignore
-    return _sweep_scaled(L, ints[: len(gather)], ints[len(gather):])
+    return _sweep_scaled(L, ints[: len(gather)], ints[len(gather):], ties)
 
 
 # ----------------------------------------------------------------------
@@ -548,37 +557,70 @@ def separated(
     """
     if not gather:
         raise ValueError("gather family must be nonempty")
-    gathered, avoided = dict.fromkeys(gather), dict.fromkeys(avoid)
-    # The merge reuses the stored hashes.
-    for e in {**gathered, **avoided}:
+    # Each distinct event gets the next location id, hashed once per
+    # occurrence; an avoided event that is also gathered keeps its id.
+    ids: dict[Event, int] = {}
+    for e in gather:
+        ids.setdefault(e, len(ids))
+    gathered = range(len(ids))
+    avoided = dict.fromkeys([ids.setdefault(e, len(ids)) for e in avoid])
+    events = list(ids)
+    for e in events:
         order.validate_event(e)
-    return _separated(order, list(gathered), list(avoided))
+    return _separated(order, events, gathered, list(avoided), {}, {})
+
+
+def _related(prec, events: Sequence[Event], relation: dict):
+    """prec on location ids into events, each ordered pair asked once per
+    relation memo."""
+
+    def related(p: int, q: int) -> bool:
+        known = relation.get((p, q))
+        if known is None:
+            known = relation[p, q] = prec(events[p], events[q])
+        return known
+
+    return related
 
 
 def _separated(
-    order: CausalOrder, gather: list[Event], avoid: list[Event]
+    order: CausalOrder,
+    events: Sequence[Event],
+    gather: Sequence[int],
+    avoid: Sequence[int],
+    ties: dict,
+    relation: dict,
 ) -> SeparationResult:
-    """separated() on duplicate-free families, gather nonempty, of events
-    the order has already validated."""
-    prec = order._precedes
+    """separated() on location ids: gather (nonempty) and avoid are
+    duplicate-free ids into events, each validated by the order.
+
+    ties memoises the sweep's _tie_extrema by (L, *tie), and relation
+    the order's _precedes by ordered id pair.  A caller may share both
+    across calls on the same events: every entry is a pure function of
+    its key.  Only ids are keys, never the temporary candidates of a
+    finite scan."""
+    related = _related(order._precedes, events, relation)
     for p in avoid:
         for q in gather:
-            if prec(p, q):
+            if related(p, q):
                 return SeparationResult(
                     Verdict.NOT_SEPARATED,
                     reason="blocked_by_strict_past",
-                    detail=f"{p!r} strictly precedes gathered {q!r}",
+                    detail=f"{events[p]!r} strictly precedes gathered {events[q]!r}",
                 )
     if len(gather) == 1:
         # Nothing strictly precedes the single member, so it gathers itself.
         return SeparationResult(
-            Verdict.SEPARATED, witness=gather[0], reason="single_gather"
+            Verdict.SEPARATED, witness=events[gather[0]], reason="single_gather"
         )
 
+    gathered = [events[i] for i in gather]
+    avoided = [events[i] for i in avoid]
     if isinstance(order, FiniteOrder):
+        prec = order._precedes
         for label in order.elements:
             cand = Event.named(label)
-            if _gathers(prec, gather, avoid, cand):
+            if _gathers(prec, gathered, avoided, cand):
                 return SeparationResult(
                     Verdict.SEPARATED, witness=cand, reason="exhaustive"
                 )
@@ -587,22 +629,22 @@ def _separated(
     if isinstance(order, TerminatedDiagram) or (
         isinstance(order, Minkowski) and order.dim == 1
     ):
-        return _quadrant_decide(order, gather, avoid)
+        return _quadrant_decide(order, gathered, avoided)
 
     assert isinstance(order, Minkowski)
     if not avoid:
         return SeparationResult(
             Verdict.SEPARATED,
-            witness=_cone_future(gather),
+            witness=_cone_future(gathered),
             reason="common_future",
         )
 
     for p in avoid:
-        if _gathers(prec, gather, avoid, p):
+        if _gathers(related, gather, avoid, p):
             return SeparationResult(
-                Verdict.SEPARATED, witness=p, reason="gather_at_avoid_point"
+                Verdict.SEPARATED, witness=events[p], reason="gather_at_avoid_point"
             )
-    found = _sweep(gather, avoid)
+    found = _sweep(gathered, avoided, ties)
     if found is None:
         return SeparationResult(
             Verdict.NOT_SEPARATED,

@@ -3,10 +3,13 @@ tests as a reference for the integer one.
 
 It is the arithmetic as it stood before the integer rewrite: every
 product sums `Fraction` products entry by entry, the isometry check
-compares the `Fraction` Gram matrix with eta, and the determinant is
-Gaussian elimination over `Fraction`s.  `product(*factors)` and
-`matvec(a, v)` take the same arguments as `poincare._product` and
-`poincare._matvec`; patching them in gives the reference
+compares the `Fraction` Gram matrix with eta, the determinant is
+Gaussian elimination over `Fraction`s, and the loop direction and its
+Householder alignment divide `Fraction`s entry by entry.
+`product(*factors)`, `matvec(a, v)`, `loop_direction(t, xs)` and
+`householder(dim, e)` take the same arguments as `poincare._product`,
+`poincare._matvec`, `poincare._loop_direction` and
+`poincare._householder`; patching them in gives the reference
 `find_loop_transform`.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from causalbox.poincare import Matrix, Vector, _eta, _transpose
+from causalbox.poincare import Matrix, Vector, _eta, _identity, _transpose
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -58,3 +61,24 @@ def det(a: Matrix) -> Fraction:
             if factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return result
+
+
+def loop_direction(t: Fraction, xs: Vector) -> Vector:
+    i = max(range(len(xs)), key=lambda j: abs(xs[j]))
+    a = abs(xs[i]) + abs(t)
+    r2 = sum((c * c for j, c in enumerate(xs) if j != i), Fraction(0))
+    den = a * a + r2
+    e = [2 * a * c / den for c in xs]
+    e[i] = (a * a - r2) / den if xs[i] > 0 else (r2 - a * a) / den
+    return tuple(e)
+
+
+def householder(dim: int, e: Vector) -> Matrix:
+    v = (e[0] - 1, *e[1:])
+    vv = sum((c * c for c in v), Fraction(0))
+    rows = [list(r) for r in _identity(dim + 1)]
+    if vv:
+        for i in range(dim):
+            for j in range(dim):
+                rows[i + 1][j + 1] -= 2 * v[i] * v[j] / vv
+    return tuple(tuple(r) for r in rows)

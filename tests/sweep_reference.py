@@ -4,10 +4,11 @@ reference for the integer one in `causalbox.separation`.
 It is the sweep as it stood before the integer rewrite, with the same
 tie sets at every depth down to a point, as the integer sweep has now:
 every coefficient, tie line, Lagrange family and root is a `Fraction`
-or a `QuadExt` over Fractions in the original units.  `sweep(gather, avoid)`
-takes validated point events, as `separation._sweep` does, and returns
-the same rational (tau, x) or None; patching it in for `_sweep` gives
-the reference verdict, reason and witness of `separated()`.
+or a `QuadExt` over Fractions in the original units.
+`sweep(gather, avoid, ties)` takes validated point events, as
+`separation._sweep` does, and returns the same rational (tau, x) or
+None; patching it in for `_sweep` gives the reference verdict, reason
+and witness of `separated()`.
 """
 
 from __future__ import annotations
@@ -230,6 +231,10 @@ def _sweep(gather: list[Ev], avoid: list[Ev]) -> tuple[Fraction, Vec] | None:
     return None
 
 
-def sweep(gather: Sequence[Event], avoid: Sequence[Event]) -> tuple[Fraction, Vec] | None:
-    """A rational (tau, x) with x in W, or None when W is empty."""
+def sweep(
+    gather: Sequence[Event], avoid: Sequence[Event], ties: dict | None = None
+) -> tuple[Fraction, Vec] | None:
+    """A rational (tau, x) with x in W, or None when W is empty.  ties
+    stands in for the library's tie memo and is not read: the reference
+    solves every tie afresh."""
     return _sweep([_plane_ev(g) for g in gather], [_plane_ev(p) for p in avoid])

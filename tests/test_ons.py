@@ -222,7 +222,21 @@ def _points(rng, k, t_lo, t_hi):
     return pts
 
 
+def _plane_points(rng, k):
+    """k Minkowski(2) events; about a quarter repeat an earlier location."""
+    pts = []
+    for _ in range(k):
+        if pts and rng.random() < 0.25:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append(Event.at(_rat(rng, -2, 2), _rat(rng, -3, 3), _rat(rng, -3, 3)))
+    return pts
+
+
 def seeded_layout(backend, seed):
+    """(order, box) of a seeded layout.  colocated draws every input and
+    output location of a 1+1 layout from three points, so inputs share
+    locations with each other and with outputs."""
     rng = random.Random(f"{backend}:{seed}")
     n_in, n_out = rng.randint(1, 4), rng.randint(1, 3)
     k = n_in + n_out
@@ -231,6 +245,11 @@ def seeded_layout(backend, seed):
     elif backend == "terminated":
         order = TerminatedDiagram([(x, _rat(rng, 3, 5)) for x in (-8, -3, 2, 7)])
         pts = _points(rng, k, -2, 1)
+    elif backend == "minkowski2":
+        order, pts = M2, _plane_points(rng, k)
+    elif backend == "colocated":
+        pool = _points(rng, 3, -2, 2)
+        order, pts = M1, [rng.choice(pool) for _ in range(k)]
     else:
         labels = [f"e{i}" for i in range(k)]
         order = FiniteOrder(
@@ -245,7 +264,9 @@ def seeded_layout(backend, seed):
 
 
 class TestLatticePruning:
-    @pytest.mark.parametrize("backend", ["minkowski1", "terminated", "finite"])
+    @pytest.mark.parametrize(
+        "backend", ["minkowski1", "terminated", "finite", "minkowski2", "colocated"]
+    )
     def test_matches_all_pairs_reference(self, backend, monkeypatch):
         calls = []
 
@@ -253,15 +274,121 @@ class TestLatticePruning:
             calls.append(args)
             return _separated(*args, **kwargs)
 
-        lattice = 0
+        lattice = decided = 0
         for seed in range(40):
             order, box = seeded_layout(backend, seed)
             expected = all_pairs_reference(order, box)
+            del calls[:]
             with monkeypatch.context() as patch:
                 patch.setattr(causalbox.ons, "_separated", counting)
                 assert enumerate_constraints(order, box) == expected
+            # No (gather ids, avoid ids) family is decided twice.
+            families = [(gather, avoid) for _, _, gather, avoid, _, _ in calls]
+            assert len(set(families)) == len(families)
             lattice += (2 ** len(box.inputs) - 1) * (2 ** len(box.outputs) - 1)
-        assert len(calls) < lattice
+            decided += len(calls)
+        assert decided < lattice
+
+    def test_colocated_inputs_decide_each_family_once(self, monkeypatch):
+        # X0 and X1 share a location, so F = (0,), (1,) and (0, 1) avoid
+        # one location, and F = (0, 2), (1, 2) and (0, 1, 2) avoid two.
+        # Every one of the 7 * 3 pairs is SEPARATED, so none is pruned,
+        # and the 3 gathered sets against the 3 avoided sets make 9
+        # distinct families: one _separated call each.
+        ins = tuple(
+            Srv(f"X{i}", BITS, e)
+            for i, e in enumerate((Event.at(0, 0), Event.at(0, 0), Event.at(0, 10)))
+        )
+        outs = (Srv("A0", BITS, Event.at(1, -5)), Srv("A1", BITS, Event.at(1, -7)))
+        box = CorrelationBox(ins, outs, {x: {} for x in itertools.product("01", repeat=3)})
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _separated(*args, **kwargs)
+
+        monkeypatch.setattr(causalbox.ons, "_separated", counting)
+        got = enumerate_constraints(M1, box)
+        monkeypatch.undo()
+        assert got == all_pairs_reference(M1, box)
+        assert {(i.F, i.G) for i in got} == {
+            (F, G)
+            for F in itertools.chain.from_iterable(
+                itertools.combinations(range(3), r) for r in (1, 2, 3)
+            )
+            for G in ((0,), (1,), (0, 1))
+        }
+        assert len(calls) == 9
+
+    def test_plane_tie_under_two_denominators(self, monkeypatch):
+        # The second input and the last two outputs are the first input
+        # and outputs halved.  Over their common denominators, 1 and 2,
+        # both families have the same integer events, so their sweeps
+        # solve the same integer ties; the tie memo keeps them apart by L.
+        full = [Event.at(1, 0, 1), Event.at(3, 4, -4), Event.at(3, 3, -1)]
+        half = [Event(t=e.t / 2, x=tuple(c / 2 for c in e.x)) for e in full]
+        ins = (Srv("X0", BITS, full[0]), Srv("X1", BITS, half[0]))
+        outs = tuple(
+            Srv(f"A{i}", BITS, e) for i, e in enumerate((*full[1:], *half[1:]))
+        )
+        box = CorrelationBox(ins, outs, {x: {} for x in itertools.product("01", repeat=2)})
+        solved = []
+
+        def recording(L, tie):
+            solved.append((L, tuple(tie)))
+            return tie_extrema(L, tie)
+
+        tie_extrema = causalbox.separation._tie_extrema
+        monkeypatch.setattr(causalbox.separation, "_tie_extrema", recording)
+        got = enumerate_constraints(M2, box)
+        monkeypatch.undo()
+        assert got == all_pairs_reference(M2, box)
+        by_tie: dict = {}
+        for L, tie in solved:
+            by_tie.setdefault(tie, set()).add(L)
+        assert any(dens == {1, 2} for dens in by_tie.values())
+        # Each (L, tie) is solved once per call.
+        assert len(set(solved)) == len(solved)
+        assert {(i.F, i.G) for i in got} >= {((0,), (0, 1)), ((1,), (2, 3))}
+
+    def test_each_location_pair_is_related_once(self, monkeypatch):
+        """Within one enumeration the order relates each ordered pair of
+        the box's locations at most once.  Only the candidates of a finite
+        scan, new events on every try, are related again."""
+        for backend in ("minkowski1", "terminated", "finite", "minkowski2", "colocated"):
+            for seed in range(20):
+                order, box = seeded_layout(backend, seed)
+                held = {id(s.location) for s in (*box.inputs, *box.outputs)}
+                asked = []
+                relation = order._precedes
+
+                def recording(p, q):
+                    asked.append((p, q))
+                    return relation(p, q)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(order, "_precedes", recording)
+                    got = enumerate_constraints(order, box)
+                assert got == all_pairs_reference(order, box)
+                pairs = [(p, q) for p, q in asked if id(p) in held and id(q) in held]
+                assert len(set(pairs)) == len(pairs)
+                if not isinstance(order, FiniteOrder):
+                    assert len(pairs) == len(asked)
+
+    def test_finite_scan_relates_each_candidate_afresh(self):
+        # The scan for a point above g1 and g2 tries a and b, which are
+        # above neither, before c.  Each try builds a new candidate event,
+        # and an earlier one may have been freed at the same address, so
+        # a relation keyed on event identity would answer for c with a's.
+        order = FiniteOrder([("g1", "c"), ("g2", "c"), ("x", "a")], ["b"])
+        ins = (Srv("X", BITS, Event.named("x")),)
+        outs = (Srv("A0", BITS, Event.named("g1")), Srv("A1", BITS, Event.named("g2")))
+        box = CorrelationBox(ins, outs, {x: {} for x in "01"})
+        for _ in range(3):
+            got = enumerate_constraints(order, box)
+            assert got == all_pairs_reference(order, box)
+            joint = [i for i in got if i.G == (0, 1)]
+            assert joint and joint[0].certificate.witness == Event.named("c")
 
     def test_agents_box_skips_most_of_the_lattice(self, monkeypatch):
         # Input i sits below output i, so each ({i}, {i}) is NOT_SEPARATED

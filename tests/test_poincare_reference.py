@@ -2,10 +2,11 @@
 
 Products, matrix-vector products, determinants and the isometry check
 of `causalbox.poincare` run in integers over each operand's common
-denominator.  On seeded rational matrices, some with numerators and
+denominator, and so do the loop direction and its Householder
+alignment.  On seeded rational matrices, some with numerators and
 denominators near 10^9, they must equal `poincare_reference` entry for
 entry, down to the type of each entry.  `find_loop_transform` must
-return the same map as with the reference products patched in, on
+return the same map as with the reference arithmetic patched in, on
 seeded pairs for d = 1, 2 and 3, with and without a reflection.
 """
 
@@ -129,14 +130,20 @@ def test_map_algebra_equals_the_reference(big):
         assert m.is_proper == (ref.det(m.matrix) == 1)
 
 
+NAMES = ("_product", "_matvec", "_loop_direction", "_householder")
+REFERENCE = (ref.product, ref.matvec, ref.loop_direction, ref.householder)
+
+
 def reference(call):
-    """call() with the reference products patched into poincare."""
-    saved = poincare._product, poincare._matvec
-    poincare._product, poincare._matvec = ref.product, ref.matvec
+    """call() with the reference arithmetic patched into poincare."""
+    saved = [getattr(poincare, name) for name in NAMES]
+    for name, f in zip(NAMES, REFERENCE):
+        setattr(poincare, name, f)
     try:
         return call()
     finally:
-        poincare._product, poincare._matvec = saved
+        for name, f in zip(NAMES, saved):
+            setattr(poincare, name, f)
 
 
 def pairs(rng, dim, big):
@@ -152,6 +159,31 @@ def pairs(rng, dim, big):
             # Lightlike or timelike: |t| at least the l1 norm of x.
             w[0] = rng.choice((1, -1)) * (sum(abs(c) for c in w[1:]) + rng.choice((0, 1)))
         yield Event.at(*p), Event.at(*(a + b for a, b in zip(p, w)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("big", [False, True])
+def test_loop_direction_and_alignment_equal_the_reference(dim, big):
+    """On the spacelike seeded pairs, the direction and the Householder
+    alignment equal the Fraction ones by value and by repr, and so do
+    the alignments of the first axis (the identity) and of its
+    negation."""
+    rng = random.Random(f"poincare_reference:direction:{dim}:{big}")
+    spacelike = 0
+    for p, q in pairs(rng, dim, big):
+        w = tuple(Fraction(b - a) for a, b in zip((p.t, *p.x), (q.t, *q.x)))
+        t, xs = w[0], w[1:]
+        if sum(c * c for c in xs) <= t * t:
+            continue
+        spacelike += 1
+        e = poincare._loop_direction(t, xs)
+        same(e, ref.loop_direction(t, xs))
+        assert sum(c * c for c in e) == 1
+        same(poincare._householder(dim, e), ref.householder(dim, e))
+    assert spacelike
+    for sign in (1, -1):
+        e = (Fraction(sign), *(Fraction(0),) * (dim - 1))
+        same(poincare._householder(dim, e), ref.householder(dim, e))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

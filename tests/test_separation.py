@@ -641,7 +641,7 @@ def tie_extrema(tie):
 def critical_x1(gather, avoid):
     """The sweep's critical x1 values of cut events (t, a, delta)."""
     L, events = _scaled([*gather, *avoid])
-    return _critical_x1(L, events[: len(gather)], events[len(gather) :])
+    return _critical_x1(L, events[: len(gather)], events[len(gather) :], {})
 
 
 def test_generic_critical_values_are_among_the_plane_engines():
