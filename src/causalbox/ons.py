@@ -213,9 +213,8 @@ def enumerate_constraints(
     gathered ids and distinct avoided ids, each in order of first
     appearance; each family is decided once, and every pair with that
     family shares its result.  The decisions share one memo of the
-    sweep's tie-set extrema, by common denominator and tie, and one of
-    the order's relation, by ordered pair of ids.  Each F's move table
-    is looked up once.  Nothing outlives the call.
+    sweep's tie-set extrema, by common denominator and tie.  Each F's
+    move table is looked up once.  Nothing outlives the call.
     """
     n_in = len(box.inputs)
     ids: dict = {}
@@ -224,8 +223,10 @@ def enumerate_constraints(
     events = list(ids)
     for e in events:
         order.validate_event(e)
-    in_ids = first_ids[1 : n_in + 1]
-    out_ids = first_ids[:1] + first_ids[n_in + 1 :]
+    # first leads with output 0 only when the box has an output.
+    k = min(1, len(box.outputs))
+    in_ids = first_ids[k : k + n_in]
+    out_ids = first_ids[:k] + first_ids[k + n_in :]
     # Each F in visiting order, with its bit mask and its avoided ids.
     input_sets = [
         (F, sum(1 << f for f in F), tuple(dict.fromkeys([in_ids[f] for f in F])))
@@ -234,7 +235,6 @@ def enumerate_constraints(
     ]
     families: dict[tuple[tuple[int, ...], tuple[int, ...]], SeparationResult] = {}
     ties: dict = {}
-    relation: dict = {}
     emitted: dict[tuple, SeparationResult] = {}
     # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
     # ones are ever added, because every other one is skipped.
@@ -251,7 +251,10 @@ def enumerate_constraints(
                 result = families.get((gather, avoid))
                 if result is None:
                     result = families[gather, avoid] = _separated(
-                        order, events, gather, avoid, ties, relation
+                        order,
+                        [events[i] for i in gather],
+                        [events[i] for i in avoid],
+                        ties,
                     )
                 if result.verdict is Verdict.NOT_SEPARATED:
                     blocked.append((f_mask, g_mask))

@@ -73,10 +73,9 @@ def verify_separation_witness(
     return _gathers(order._precedes, gather, avoid, q)
 
 
-def _gathers(prec, gather: Sequence, avoid: Sequence, q) -> bool:
+def _gathers(prec, gather: Sequence[Event], avoid: Sequence[Event], q: Event) -> bool:
     """The witness property for validated events, with prec the order's
-    unchecked strict relation; or for location ids, with prec the
-    relation on ids."""
+    unchecked strict relation."""
     return all(g == q or prec(g, q) for g in gather) and not any(
         prec(p, q) for p in avoid
     )
@@ -478,7 +477,7 @@ def _sweep(
     gather: Sequence[Event], avoid: Sequence[Event], ties: dict
 ) -> tuple[Fraction, Vec] | None:
     """A rational (tau, x) with x in W, or None when W is empty, for
-    validated point events; ties is _critical_x1's memo."""
+    validated point events."""
     events = [*gather, *avoid]
     L = math.lcm(*(c.denominator for e in events for c in (e.t, *e.x)))  # type: ignore
 
@@ -557,70 +556,39 @@ def separated(
     """
     if not gather:
         raise ValueError("gather family must be nonempty")
-    # Each distinct event gets the next location id, hashed once per
-    # occurrence; an avoided event that is also gathered keeps its id.
-    ids: dict[Event, int] = {}
-    for e in gather:
-        ids.setdefault(e, len(ids))
-    gathered = range(len(ids))
-    avoided = dict.fromkeys([ids.setdefault(e, len(ids)) for e in avoid])
-    events = list(ids)
-    for e in events:
+    gathered, avoided = dict.fromkeys(gather), dict.fromkeys(avoid)
+    # The merge reuses the stored hashes.
+    for e in {**gathered, **avoided}:
         order.validate_event(e)
-    return _separated(order, events, gathered, list(avoided), {}, {})
-
-
-def _related(prec, events: Sequence[Event], relation: dict):
-    """prec on location ids into events, each ordered pair asked once per
-    relation memo."""
-
-    def related(p: int, q: int) -> bool:
-        known = relation.get((p, q))
-        if known is None:
-            known = relation[p, q] = prec(events[p], events[q])
-        return known
-
-    return related
+    return _separated(order, list(gathered), list(avoided), {})
 
 
 def _separated(
-    order: CausalOrder,
-    events: Sequence[Event],
-    gather: Sequence[int],
-    avoid: Sequence[int],
-    ties: dict,
-    relation: dict,
+    order: CausalOrder, gather: list[Event], avoid: list[Event], ties: dict
 ) -> SeparationResult:
-    """separated() on location ids: gather (nonempty) and avoid are
-    duplicate-free ids into events, each validated by the order.
-
-    ties memoises the sweep's _tie_extrema by (L, *tie), and relation
-    the order's _precedes by ordered id pair.  A caller may share both
-    across calls on the same events: every entry is a pure function of
-    its key.  Only ids are keys, never the temporary candidates of a
-    finite scan."""
-    related = _related(order._precedes, events, relation)
+    """separated() on duplicate-free families, gather nonempty, of events
+    the order has already validated.  ties memoises the sweep's
+    _tie_extrema by (L, *tie); a caller may share it across calls, as
+    every entry is a pure function of its key."""
+    prec = order._precedes
     for p in avoid:
         for q in gather:
-            if related(p, q):
+            if prec(p, q):
                 return SeparationResult(
                     Verdict.NOT_SEPARATED,
                     reason="blocked_by_strict_past",
-                    detail=f"{events[p]!r} strictly precedes gathered {events[q]!r}",
+                    detail=f"{p!r} strictly precedes gathered {q!r}",
                 )
     if len(gather) == 1:
         # Nothing strictly precedes the single member, so it gathers itself.
         return SeparationResult(
-            Verdict.SEPARATED, witness=events[gather[0]], reason="single_gather"
+            Verdict.SEPARATED, witness=gather[0], reason="single_gather"
         )
 
-    gathered = [events[i] for i in gather]
-    avoided = [events[i] for i in avoid]
     if isinstance(order, FiniteOrder):
-        prec = order._precedes
         for label in order.elements:
             cand = Event.named(label)
-            if _gathers(prec, gathered, avoided, cand):
+            if _gathers(prec, gather, avoid, cand):
                 return SeparationResult(
                     Verdict.SEPARATED, witness=cand, reason="exhaustive"
                 )
@@ -629,22 +597,22 @@ def _separated(
     if isinstance(order, TerminatedDiagram) or (
         isinstance(order, Minkowski) and order.dim == 1
     ):
-        return _quadrant_decide(order, gathered, avoided)
+        return _quadrant_decide(order, gather, avoid)
 
     assert isinstance(order, Minkowski)
     if not avoid:
         return SeparationResult(
             Verdict.SEPARATED,
-            witness=_cone_future(gathered),
+            witness=_cone_future(gather),
             reason="common_future",
         )
 
     for p in avoid:
-        if _gathers(related, gather, avoid, p):
+        if _gathers(prec, gather, avoid, p):
             return SeparationResult(
-                Verdict.SEPARATED, witness=events[p], reason="gather_at_avoid_point"
+                Verdict.SEPARATED, witness=p, reason="gather_at_avoid_point"
             )
-    found = _sweep(gathered, avoided, ties)
+    found = _sweep(gather, avoid, ties)
     if found is None:
         return SeparationResult(
             Verdict.NOT_SEPARATED,

@@ -208,6 +208,21 @@ class TestConstraints:
             assert inst["F"] == [0]
             assert inst["certificate"]["verdict"] == "separated"
 
+    def test_box_without_outputs_lists_no_instances(self, capsys, tmp_path):
+        # "outputs" defaults to none, so this document has one input and
+        # no output, and no (F, G) pair.
+        doc = {
+            "backend": {"kind": "minkowski", "dim": 1},
+            "inputs": [{"name": "X", "alphabet": ["0", "1"], "point": ["0", "0"]}],
+            "table": {"0": {"": "1"}, "1": {"": "1"}},
+        }
+        path = tmp_path / "no_outputs.json"
+        path.write_text(json.dumps(doc))
+        code, doc = out_json(capsys, "constraints", "--scenario", str(path))
+        assert (code, doc) == (PASS, {"instances": []})
+        code, doc = out_json(capsys, "check", "--scenario", str(path))
+        assert (code, doc) == (PASS, {"instances": 0, "violations": []})
+
     def test_compass_preset_uses_named_family(self, capsys):
         code, doc = out_json(capsys, "constraints", "--preset", "compass")
         assert code == PASS
