@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .geometry import CausalOrder, Event
@@ -202,11 +202,21 @@ class ValidationReport:
 def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
     """Report every defect of a box: negative or non-normalised rows,
     missing or stray settings, malformed outcome keys, and matched agent
-    pairs whose output does not lie strictly after its input."""
+    pairs whose output does not lie strictly after its input.
+
+    Issues come in a fixed order: missing settings, then the rows of the
+    table in setting order, each with its defects in outcome-key order,
+    then the pairings.  The same pass fills the box's integer-row cache:
+    a declared row whose keys are all outcomes of the box is stored as
+    `_integer_row` would build it, so a later check reads no table entry
+    again.  A row with a stray key is not stored, and `_integer_row`
+    raises on its first read.
+    """
     issues: list[Issue] = []
     declared = set(box.settings())
     index = box._outcome_index
     D = box._denominator
+    rows = box._integer_rows
     for x in sorted(declared):
         if x not in box.table:
             issues.append(Issue("missing_setting", f"x={','.join(x) or '()'}"))
@@ -215,19 +225,29 @@ def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:
         if x not in declared:
             issues.append(Issue("unknown_setting", f"x={label}"))
             continue
-        # The row total, in units of 1 / D.
+        # The row as (outcome index, n) entries and its total, both in
+        # units of 1 / D, with its defects keyed by outcome.
+        entries = []
         total = 0
-        for a, p in sorted(row.items()):
-            if a not in index:
-                issues.append(
-                    Issue("unknown_outcome", f"x={label} a={','.join(a)}")
+        defects = []
+        for a, p in row.items():
+            i = index.get(a)
+            if i is None:
+                defects.append(
+                    (a, Issue("unknown_outcome", f"x={label} a={','.join(a)}"))
                 )
                 continue
-            if p.numerator < 0:
-                issues.append(
-                    Issue("negativity", f"x={label} a={','.join(a)} p={p}")
+            num, den = p.as_integer_ratio()
+            if num < 0:
+                defects.append(
+                    (a, Issue("negativity", f"x={label} a={','.join(a)} p={p}"))
                 )
-            total += p.numerator * (D // p.denominator)
+            n = num * (D // den)
+            entries.append((i, n))
+            total += n
+        if len(entries) == len(row):
+            rows[x] = entries
+        issues += [issue for _, issue in sorted(defects, key=itemgetter(0))]
         if total != D:
             issues.append(
                 Issue("normalization", f"x={label} sums to {Fraction(total, D)}")
@@ -252,10 +272,12 @@ def _outcomes_of(box: CorrelationBox, G: Sequence[int]) -> Iterator[tuple[str, .
 
 
 def _integer_row(box: CorrelationBox, x) -> list[tuple[int, int]]:
-    """The row at setting x as (i, n) pairs: n / D is the probability of
-    the i-th outcome of the box in canonical order, cached under x as
-    the caller holds it.  Raises ValidationError for a key that is not
-    an outcome of the box."""
+    """The row at setting x as (i, n) pairs, in the row's own order: n / D
+    is the probability of the i-th outcome of the box in canonical order.
+    Rows are cached in `box._integer_rows`, under x as the caller holds
+    it; validate_box fills the cache for every row it finds sound, so
+    after it this only looks rows up.  Raises ValidationError for a key
+    that is not an outcome of the box."""
     rows = box._integer_rows
     if x in rows:
         return rows[x]
@@ -286,6 +308,14 @@ def _projection(sizes: tuple[int, ...], G: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+def _check_outputs(box: CorrelationBox, G: Sequence[int]) -> None:
+    """Raise IndexError for an index in G that names no output of the box."""
+    n = len(box.outputs)
+    for g in G:
+        if not 0 <= g < n:
+            raise IndexError(f"output index {g} out of range")
+
+
 class _Vectors(dict):
     """The marginal vectors of one box on the output indices G, keyed by
     setting, each computed on first use: entry i of a vector is D times
@@ -302,10 +332,8 @@ class _Vectors(dict):
 
     def __init__(self, box: CorrelationBox, G: tuple[int, ...]):
         super().__init__()
+        _check_outputs(box, G)
         sizes = tuple(len(s.alphabet) for s in box.outputs)
-        for g in G:
-            if not 0 <= g < len(sizes):
-                raise IndexError(f"output index {g} out of range")
         self.box, self.G = weakref.ref(box), G
         self.projection = _projection(sizes, G)
         self.outcomes = list(_outcomes_of(box, G))

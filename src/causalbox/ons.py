@@ -21,7 +21,9 @@ from .boxes import (
     Alphabet,
     CorrelationBox,
     Srv,
+    _check_outputs,
     _first_difference,
+    _integer_row,
     _vectors,
     marginalize,
 )
@@ -205,7 +207,10 @@ def enumerate_constraints(
     NOT_SEPARATED pair (F a superset of F0 and G of G0) is skipped
     without a separated() call: any witness for Separated(G; F) also
     witnesses every smaller G and F, so the pair is NOT_SEPARATED too.
-    Every other pair is decided, and SEPARATED pairs emit instances.
+    For each G the F masks of the NOT_SEPARATED pairs with G0 inside G
+    are collected once, and grow as that G's own pairs are decided;
+    each F is tested against that list only.  Every other pair is
+    decided, and SEPARATED pairs emit instances.
 
     One call shares its geometric work across its pairs.  Each distinct
     location gets an integer id and is validated once, up front, in the
@@ -243,10 +248,11 @@ def enumerate_constraints(
         for G in itertools.combinations(range(len(out_ids)), size_g):
             g_mask = sum(1 << g for g in G)
             gather = tuple(dict.fromkeys([out_ids[g] for g in G]))
+            # The F masks of the blocked pairs whose G0 lies inside G;
+            # only these can contain a pair (F, G).
+            g_blocked = [f0 for f0, g0 in blocked if g0 & g_mask == g0]
             for F, f_mask, avoid in input_sets:
-                if blocked and any(
-                    f0 & f_mask == f0 and g0 & g_mask == g0 for f0, g0 in blocked
-                ):
+                if g_blocked and any(f0 & f_mask == f0 for f0 in g_blocked):
                     continue
                 result = families.get((gather, avoid))
                 if result is None:
@@ -258,6 +264,7 @@ def enumerate_constraints(
                     )
                 if result.verdict is Verdict.NOT_SEPARATED:
                     blocked.append((f_mask, g_mask))
+                    g_blocked.append(f_mask)
                     continue
                 emitted[F, G] = result
     # Sorted by (F, G), the pairs of one F are adjacent, and each lists
@@ -273,31 +280,68 @@ def enumerate_constraints(
     return instances
 
 
+class _RowClasses(dict):
+    """Each setting of one box -> its row's class, assigned on first use.
+
+    A class is the set of the row's nonzero (outcome index, n) entries,
+    one object per distinct set, so two settings hold the same
+    distribution exactly when their classes are the same object.
+    Reading a setting's class reads its integer row, which raises
+    ValidationError for a key that is not an outcome of the box.
+    """
+
+    __slots__ = ("box", "distinct")
+
+    def __init__(self, box: CorrelationBox):
+        super().__init__()
+        self.box = box
+        self.distinct: dict[frozenset, frozenset] = {}
+
+    def __missing__(self, x) -> frozenset:
+        entries = frozenset(e for e in _integer_row(self.box, x) if e[1])
+        cls = self[x] = self.distinct.setdefault(entries, entries)
+        return cls
+
+
 def _violations(
     box: CorrelationBox, instances: Iterable[ConstraintInstance]
 ) -> Iterator[ViolationReport]:
     """One report per violated instance, in the given order, each carrying
     the first differing outcome in canonical order.
 
-    Marginals are compared as integer vectors over the box's common
-    denominator, read from the box's vector table for each output set
-    G, so each distinct (G, x) vector is computed once; the first
-    difference of each distinct violated (G, x, x') is found once.
-    Nothing is computed ahead of the report asked for.
+    A move whose two settings share a row class (their rows agree on
+    every nonzero entry) agrees on every marginal, so it yields nothing
+    and reads no marginal vector.  Every other distinct (G, x, x') is
+    decided once: its integer vectors over the box's common denominator
+    are read from the box's vector table for G, taken at its first such
+    move, so each distinct (G, x) vector is computed once, and its first
+    difference is found once.  G itself is range-checked where the scan
+    reaches it, so an output index out of range raises IndexError there
+    even when no move reads its table.  Nothing is computed ahead of the
+    report asked for.
     """
-    diffs: dict = {}
+    classes = _RowClasses(box)
+    # (G, x, x') -> its first difference, or None where the marginals
+    # agree; the dict itself marks a move not yet decided.
+    decided: dict = {}
     G = table = None
     for inst in instances:
         if inst.G != G:
-            G = inst.G
-            table = _vectors(box, G)
-        left, right = table[inst.x], table[inst.x_prime]
-        if left != right:
-            key = (G, inst.x, inst.x_prime)
-            diff = diffs.get(key)
-            if diff is None:
-                diff = _first_difference(box, table.outcomes, left, right)
-                diffs[key] = diff
+            G, table = inst.G, None
+            _check_outputs(box, G)
+        x, y = inst.x, inst.x_prime
+        if classes[x] is classes[y]:
+            continue
+        key = (G, x, y)
+        diff = decided.get(key, decided)
+        if diff is decided:
+            if table is None:
+                table = _vectors(box, G)
+            left, right = table[x], table[y]
+            diff = decided[key] = (
+                None if left == right else _first_difference(box, table.outcomes, left, right)
+            )
+        if diff is not None:
             yield ViolationReport(inst, *diff)
 
 

@@ -10,6 +10,7 @@ from causalbox.boxes import (
     IDLE,
     Alphabet,
     CorrelationBox,
+    Issue,
     Srv,
     ValidationError,
     _first_difference,
@@ -145,6 +146,70 @@ class TestValidate:
             {("0",): {("0",): 1}, ("1",): {("1",): 1}},
         )
         assert validate_box(box, M1).ok
+
+    @staticmethod
+    def defective_box():
+        """A missing setting (1,1), an unknown setting (2,0), a row (1,0)
+        whose keys are out of canonical order and which holds an unknown
+        outcome, a negative entry and a total of 5/6, and a pairing whose
+        output B lies before its input Y."""
+        ins = (Srv("X", BITS, Event.at(0, 0)), Srv("Y", BITS, Event.at(0, 6)))
+        outs = (Srv("A", BITS, Event.at(1, 0)), Srv("B", BITS, Event.at(-1, 6)))
+        table = {
+            ("0", "0"): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)},
+            ("1", "0"): {
+                ("1", "1"): Fraction(3, 4),
+                ("0", "2"): Fraction(1, 8),
+                ("0", "1"): Fraction(-1, 4),
+                ("0", "0"): Fraction(1, 3),
+            },
+            ("0", "1"): {("0", "1"): 1},
+            ("2", "0"): {("0", "0"): 1},
+        }
+        return CorrelationBox(ins, outs, table, {0: 0, 1: 1})
+
+    def test_every_defect_reported_in_a_fixed_order(self):
+        assert validate_box(self.defective_box(), M1).issues == (
+            Issue("missing_setting", "x=1,1"),
+            Issue("negativity", "x=1,0 a=0,1 p=-1/4"),
+            Issue("unknown_outcome", "x=1,0 a=0,2"),
+            Issue("normalization", "x=1,0 sums to 5/6"),
+            Issue("unknown_setting", "x=2,0"),
+            Issue(
+                "causal_ordering",
+                "input Y at Event(t=0, x=(6)) does not strictly precede "
+                "output B at Event(t=-1, x=(6))",
+            ),
+        )
+
+    def test_validation_caches_each_sound_row_and_no_row_with_a_stray_key(self):
+        box = self.defective_box()
+        validate_box(box, M1)
+        # D = 24; the unknown setting is not a row of the box.
+        assert box._integer_rows == {
+            ("0", "0"): [(0, 12), (3, 12)],
+            ("0", "1"): [(1, 24)],
+        }
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=r"x=1,0: \('0', '2'\)"):
+                _integer_row(box, ("1", "0"))
+        assert ("1", "0") not in box._integer_rows
+
+    def test_cached_rows_are_the_rows_integer_row_builds(self):
+        # Rows with negative entries, wrong totals, zero entries and keys
+        # out of canonical order are cached all the same.
+        box = self.defective_box()
+        table = dict(box.table)
+        del table[("1", "0")]
+        table[("1", "1")] = {("1", "0"): Fraction(-1, 6), ("0", "0"): 0, ("0", "1"): 2}
+        validated = CorrelationBox(box.inputs, box.outputs, table, box.pairing)
+        assert not validate_box(validated, M1).ok
+        fresh = CorrelationBox(box.inputs, box.outputs, table, box.pairing)
+        cached = validated._integer_rows
+        assert sorted(cached) == [("0", "0"), ("0", "1"), ("1", "1")]
+        for x, row in cached.items():
+            assert row == _integer_row(fresh, x)
+        assert cached[("1", "1")] == [(2, -1), (0, 0), (1, 12)]  # D = 6
 
 
 class TestMarginalize:

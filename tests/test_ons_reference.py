@@ -5,7 +5,10 @@ Seeded boxes on all four backends go through `check_instances` and
 `exhaustive_protocol_search` and through the reference code in
 `ons_reference.py`; the reports and the protocol must agree exactly,
 and `build_protocol` on the first report must give the searched
-protocol.
+protocol.  Three more boxes have settings whose rows are equal: a
+product table, a table that ignores one input, and twin rows that differ
+only in an explicit zero entry; a move between equal rows must read no
+marginal vector.
 Tables are products of per-output factors that read a random subset of
 the inputs, so some moves keep a marginal and others change it, with
 denominators 3, 7 and 10.  Two variants drop a setting from the table,
@@ -23,7 +26,7 @@ from fractions import Fraction
 import pytest
 
 import ons_reference as ref
-from causalbox.boxes import Alphabet, CorrelationBox, Srv
+from causalbox.boxes import Alphabet, CorrelationBox, Srv, _Vectors
 from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.ons import _move_pairs, check_instances, enumerate_constraints
 from causalbox.protocol import build_protocol, exhaustive_protocol_search
@@ -120,6 +123,28 @@ def seeded_box(backend, kind, seed):
     return order, CorrelationBox(inputs, outputs, table)
 
 
+def _assert_matches_reference(order, box, instances) -> int:
+    """check_instances and exhaustive_protocol_search against the
+    reference; the number of reports."""
+    got = check_instances(box, instances)
+    want = ref.check_instances(box, instances)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.instance is w.instance
+        assert g.outcome == w.outcome
+        assert (g.p_x, g.p_x_prime) == (w.p_x, w.p_x_prime)
+        assert type(g.p_x) is Fraction and type(g.p_x_prime) is Fraction
+    proto = exhaustive_protocol_search(order, box, instances)
+    expected = ref.protocol_search(box, instances)
+    assert (proto is None) == (expected is None)
+    if proto is not None:
+        report, sender, x_a, x_b, dist_a, dist_b = expected
+        assert (proto.sender, proto.setting_a, proto.setting_b) == (sender, x_a, x_b)
+        assert proto.G == report.instance.G
+        assert proto.dist_a == dist_a and proto.dist_b == dist_b
+    return len(want)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_reports_and_protocol_match_reference(backend, kind):
@@ -127,30 +152,102 @@ def test_reports_and_protocol_match_reference(backend, kind):
     for seed in SEEDS:
         order, box = seeded_box(backend, kind, seed)
         instances = enumerate_constraints(order, box)
-        got = check_instances(box, instances)
-        want = ref.check_instances(box, instances)
-        assert len(got) == len(want), seed
-        for g, w in zip(got, want):
-            assert g.instance is w.instance
-            assert g.outcome == w.outcome
-            assert (g.p_x, g.p_x_prime) == (w.p_x, w.p_x_prime)
-            assert type(g.p_x) is Fraction and type(g.p_x_prime) is Fraction
-        proto = exhaustive_protocol_search(order, box, instances)
-        expected = ref.protocol_search(box, instances)
-        assert (proto is None) == (expected is None), seed
-        if proto is not None:
-            report, sender, x_a, x_b, dist_a, dist_b = expected
-            assert (proto.sender, proto.setting_a, proto.setting_b) == (
-                sender,
-                x_a,
-                x_b,
-            )
-            assert proto.G == report.instance.G
-            assert proto.dist_a == dist_a and proto.dist_b == dist_b
-        violated += len(want)
-        held += len(instances) - len(want)
+        reports = _assert_matches_reference(order, box, instances)
+        violated += reports
+        held += len(instances) - reports
     # Both verdicts occur, so neither side can pass by saying one thing.
     assert violated and held
+
+
+_H, _Q, _E = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
+
+# Tables over a ternary X0 and a binary X1, two binary outputs.
+EQUAL_ROW_TABLES = {
+    # One product row at every setting.
+    "product": {
+        x: {
+            (a0, a1): Fraction(1 + int(a0), 3) * Fraction(1 + 2 * int(a1), 4)
+            for a0, a1 in itertools.product("01", repeat=2)
+        }
+        for x in itertools.product("012", "01")
+    },
+    # X1 is ignored, so its moves join equal rows.  Rows 0 and 1 have one
+    # support and both outputs uniform but differ jointly; row 2 keeps
+    # A0 uniform and moves A1.
+    "ignores_x1": {
+        (x0, x1): row
+        for x0, row in (
+            ("0", {("0", "0"): _Q, ("0", "1"): _Q, ("1", "0"): _Q, ("1", "1"): _Q}),
+            (
+                "1",
+                {("0", "0"): 3 * _E, ("0", "1"): _E, ("1", "0"): _E, ("1", "1"): 3 * _E},
+            ),
+            ("2", {("0", "0"): _Q, ("0", "1"): _Q, ("1", "0"): _H}),
+        )
+        for x1 in "01"
+    },
+    # Each X1 twin lists an explicit zero that the other leaves out
+    # (keys in the comma-joined form).
+    "explicit_zero": {
+        (x0, x1): row
+        for x0, twins in (
+            ("0", ({"0,0": _H, "1,1": _H, "0,1": 0}, {"0,0": _H, "1,1": _H})),
+            ("1", ({"0,1": _H, "1,0": _H}, {"1,0": _H, "0,1": _H, "1,1": 0})),
+            ("2", ({"0,0": _H, "0,1": _H}, {"0,0": _H, "0,1": _H, "1,0": 0})),
+        )
+        for x1, row in zip("01", twins)
+    },
+}
+# Reports on each table, and the protocol's (sender, setting_a, setting_b).
+EQUAL_ROW_VERDICTS = {
+    "product": (0, None),
+    "ignores_x1": (30, (0, ("0", "0"), ("1", "0"))),
+    "explicit_zero": (30, (0, ("0", "0"), ("2", "0"))),
+}
+
+
+def _far_box(table):
+    """Inputs at t = 0 to the right of both outputs, far enough that every
+    (F, G) pair is separated, so every move is an instance for every G."""
+    ins = (
+        Srv("X0", Alphabet.of(0, 1, 2), Event.at(0, 10)),
+        Srv("X1", Alphabet.binary(), Event.at(0, 12)),
+    )
+    outs = tuple(Srv(f"A{i}", Alphabet.binary(), Event.at(0, -2 * i)) for i in range(2))
+    return CorrelationBox(ins, outs, table)
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_ROW_TABLES))
+def test_moves_between_equal_rows_match_reference(name):
+    order, box = Minkowski(1), _far_box(EQUAL_ROW_TABLES[name])
+    instances = enumerate_constraints(order, box)
+    assert len({(i.F, i.G) for i in instances}) == 9
+    reports, protocol = EQUAL_ROW_VERDICTS[name]
+    assert _assert_matches_reference(order, box, instances) == reports
+    found = exhaustive_protocol_search(order, box, instances)
+    if protocol is None:
+        assert found is None
+    else:
+        assert (found.sender, found.setting_a, found.setting_b) == protocol
+
+
+def test_twin_rows_read_no_marginal_vector(monkeypatch):
+    # Rows equal but for an explicit zero share a class: a move between
+    # them yields nothing and computes no vector.
+    computed = []
+    missing = _Vectors.__missing__
+
+    def counting_missing(table, x):
+        computed.append((table.G, x))
+        return missing(table, x)
+
+    monkeypatch.setattr(_Vectors, "__missing__", counting_missing)
+    box = _far_box(EQUAL_ROW_TABLES["explicit_zero"])
+    instances = enumerate_constraints(Minkowski(1), box)
+    twins = [i for i in instances if i.x[0] == i.x_prime[0]]
+    assert len(twins) == 18 and check_instances(box, twins) == []
+    assert computed == []
+    assert check_instances(box, instances) and computed
 
 
 @pytest.mark.parametrize("kind", KINDS)
