@@ -50,9 +50,7 @@ _EXPORTS = {
         "NJamConfig",
         "Unsupported",
         "VerdictBundle",
-        "boundary_functions",
         "build_config",
-        "valid_h_range",
         "verify_config",
     ),
     "monogamy": (

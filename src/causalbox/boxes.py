@@ -165,12 +165,6 @@ class CorrelationBox:
     def prob(self, x, a) -> Fraction:
         return self.row(x).get(_as_key(a), Fraction(0))
 
-    def input_index(self, name: str) -> int:
-        for i, s in enumerate(self.inputs):
-            if s.name == name:
-                return i
-        raise KeyError(name)
-
     def output_index(self, name: str) -> int:
         for i, s in enumerate(self.outputs):
             if s.name == name:
@@ -194,9 +188,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    def of_kind(self, kind: str) -> list[Issue]:
-        return [i for i in self.issues if i.kind == kind]
 
 
 def validate_box(box: CorrelationBox, order: CausalOrder) -> ValidationReport:

@@ -206,9 +206,6 @@ class AffectsRelation:
 class AffectsReport:
     relations: tuple[AffectsRelation, ...]
 
-    def affected(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-        return tuple((r.sources, r.targets) for r in self.relations if r.affects)
-
     def lookup(self, sources: Sequence[str], targets: Sequence[str]) -> AffectsRelation:
         want = (tuple(sources), tuple(targets))
         for r in self.relations:

@@ -268,12 +268,6 @@ class FiniteOrder(CausalOrder):
         return None
 
 
-def null_coords(e: Event) -> tuple[Fraction, Fraction]:
-    """Lightcone coordinates (u, v) = (t - x, t + x) of a 1+1 point event."""
-    assert e.t is not None and e.x is not None and len(e.x) == 1
-    return e.t - e.x[0], e.t + e.x[0]
-
-
 def _scaled_null_coords(events: Sequence[Event]) -> tuple[int, list[tuple[int, int]]]:
     """One common denominator D of the coordinates of validated 1+1 point
     events, and the lightcone coordinates (u, v) of each event times D,

@@ -38,48 +38,9 @@ class Enclosure:
         if self.lo > self.hi:
             raise ArithmeticError("enclosure endpoints out of order")
 
-    @staticmethod
-    def point(value: Fraction | int) -> "Enclosure":
-        q = Fraction(value)
-        return Enclosure(q, q)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def __contains__(self, value) -> bool:
-        q = Fraction(value)
-        return self.lo <= q <= self.hi
-
-    # Three-way certainty tests against an exact rational.  True and
-    # False are certified; None means the enclosure straddles the value.
-    def lt(self, value) -> bool | None:
-        q = Fraction(value)
-        if self.hi < q:
-            return True
-        if self.lo >= q:
-            return False
-        return None
-
-    def le(self, value) -> bool | None:
-        q = Fraction(value)
-        if self.hi <= q:
-            return True
-        if self.lo > q:
-            return False
-        return None
-
-    def gt(self, value) -> bool | None:
-        flip = self.le(value)
-        return None if flip is None else not flip
-
-    def ge(self, value) -> bool | None:
-        flip = self.lt(value)
-        return None if flip is None else not flip
 
 
 class IntervalSession:
@@ -93,30 +54,12 @@ class IntervalSession:
         self.ctx = ctx
         self.prec = prec
 
-    def rational(self, value: Fraction | int):
-        q = Fraction(value)
-        return self.ctx.mpf(q.numerator) / self.ctx.mpf(q.denominator)
-
     def cos_pi_frac(self, k: int, n: int):
         """Enclosure of cos(k*pi/n)."""
         return self.ctx.cos(self.ctx.pi * self.ctx.mpf(k) / self.ctx.mpf(n))
 
     def sin_pi_frac(self, k: int, n: int):
         return self.ctx.sin(self.ctx.pi * self.ctx.mpf(k) / self.ctx.mpf(n))
-
-    def sqrt_clamped(self, x):
-        """Square root after intersecting the radicand with [0, inf).
-
-        The caller vouches that the exact radicand is nonnegative; only
-        rounding noise may push the lower endpoint below zero.  A
-        radicand that is entirely negative is a logic error.
-        """
-        enc = self.enclosure(x)
-        if enc.hi < 0:
-            raise ArithmeticError("radicand certainly negative")
-        if enc.lo < 0:
-            x = self.ctx.mpf([0, x.b])
-        return self.ctx.sqrt(x)
 
     def enclosure(self, x) -> Enclosure:
         lo_raw, hi_raw = x._mpi_

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import DomainError
 from .intervals import Enclosure, IntervalSession, _session, refine
 from .rational import format_rational, parse_rational
 from .separation import Verdict
@@ -32,9 +31,7 @@ __all__ = [
     "RouteVerdicts",
     "Unsupported",
     "VerdictBundle",
-    "boundary_functions",
     "build_config",
-    "valid_h_range",
     "verify_config",
 ]
 
@@ -118,49 +115,6 @@ def _above_cos(h: Fraction, m: int, n: int) -> bool:
         if cur and (cur > 0) != positive:
             positive, changes = not positive, changes + 1
     return changes < f
-
-
-# -- range endpoints and boundary functions ----------------------------
-
-
-def valid_h_range(n: int) -> tuple[Enclosure, Enclosure]:
-    """Endpoints of the admissible jammer height window.
-
-    Returns (lower, upper) enclosures of cos(2*pi/n) and cos(pi/n); the
-    window is open at the lower endpoint and closed at the upper one.
-    Rational endpoints come back as exact point enclosures.
-    """
-    _require_n(n)
-    ring = _ring(DEFAULT_PREC, n)
-    lower, upper = (
-        ring[m][0] if (exact := _rational_cos(m, n)) is None else Enclosure.point(exact)
-        for m in (2, 1)
-    )
-    return lower, upper
-
-
-def boundary_functions(n: int, t) -> tuple[Enclosure, Enclosure]:
-    """Enclosures of the full-tuple and subtuple escape margins at slice t.
-
-    The first value is t minus the largest radial coordinate reachable
-    by all n discs jointly; the second is the same quantity with one
-    receiver dropped.  Both are certified enclosures; t must be >= 1.
-    """
-    _require_n(n)
-    t = parse_rational(t)
-    if t < 1:
-        raise DomainError("boundary functions are defined for t >= 1")
-    session = _session(DEFAULT_PREC)
-    tv = session.rational(t)
-    t2 = tv * tv
-    c1 = session.cos_pi_frac(1, n)
-    c2 = session.cos_pi_frac(2, n)
-    s1 = session.sin_pi_frac(1, n)
-    s2 = session.sin_pi_frac(2, n)
-    inner = session.sqrt_clamped(t2 - s1 * s1)
-    f = tv - session.sqrt_clamped(t2 + c2 - 2 * c1 * inner)
-    g = tv + c2 - session.sqrt_clamped(t2 - s2 * s2)
-    return session.enclosure(f), session.enclosure(g)
 
 
 # -- configurations -----------------------------------------------------

@@ -377,9 +377,6 @@ class NamedFamily:
     family: str
     lines: tuple[FamilyLine, ...]
 
-    def all_instances(self) -> list[ConstraintInstance]:
-        return [inst for line in self.lines for inst in line.instances]
-
     def line(self, label: str) -> FamilyLine:
         for ln in self.lines:
             if ln.label == label:

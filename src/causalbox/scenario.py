@@ -481,10 +481,6 @@ def safe_report_to_json(report: SafeReport) -> dict:
 # games
 
 
-def game_to_json(game: XorGame) -> dict:
-    return {"m": game.m, "f": [list(row) for row in game.f]}
-
-
 def game_from_json(obj: Mapping) -> XorGame:
     from .monogamy import XorGame
 

@@ -8,6 +8,10 @@ over those candidates encloses it.  A slice escapes for height h when
 r(t) > t - h is certified.  `grid_verdict` is the oracle as it was built
 on this grid: probe 1 + 2^i for i = -2..20, then compare h with the
 directional limit, and report UNKNOWN where the two disagree.
+
+The interval helpers the grid is built from live here too: a rational
+and a clamped square root in a session's context, and three-way
+comparisons of an enclosure with an exact rational.
 """
 
 from __future__ import annotations
@@ -25,6 +29,47 @@ from causalbox.jamming import (
 )
 from causalbox.rational import parse_rational, sqrt_bounds
 from causalbox.separation import Verdict
+
+
+def rational(session: IntervalSession, value):
+    """The interval of session's context around the rational value."""
+    q = Fraction(value)
+    return session.ctx.mpf(q.numerator) / session.ctx.mpf(q.denominator)
+
+
+def sqrt_clamped(session: IntervalSession, x):
+    """Square root after intersecting the radicand with [0, inf).
+
+    The caller vouches that the exact radicand is nonnegative; only
+    rounding noise may push the lower endpoint below zero.  A radicand
+    that is entirely negative is a logic error.
+    """
+    enc = session.enclosure(x)
+    if enc.hi < 0:
+        raise ArithmeticError("radicand certainly negative")
+    if enc.lo < 0:
+        x = session.ctx.mpf([0, x.b])
+    return session.ctx.sqrt(x)
+
+
+# Three-way certainty tests of an enclosure against an exact rational.
+# True and False are certified; None means the enclosure straddles it.
+def lt(enc: Enclosure, value) -> bool | None:
+    q = Fraction(value)
+    if enc.hi < q:
+        return True
+    if enc.lo >= q:
+        return False
+    return None
+
+
+def le(enc: Enclosure, value) -> bool | None:
+    q = Fraction(value)
+    if enc.hi <= q:
+        return True
+    if enc.lo > q:
+        return False
+    return None
 
 
 def _receivers(session: IntervalSession, n: int):
@@ -46,19 +91,19 @@ def _candidates(session: IntervalSession, cs, J, t: Fraction):
     by construction; membership there is exact and must not be re-tested
     through rounded arithmetic.
     """
-    tv = session.rational(t)
+    tv = rational(session, t)
     t2 = tv * tv
-    far_scale = session.rational(1 + t)
+    far_scale = rational(session, 1 + t)
     for j in J:
         yield far_scale * cs[j][0], far_scale * cs[j][1], frozenset((j,))
     for i, j in itertools.combinations(J, 2):
         wx = cs[i][0] - cs[j][0]
         wy = cs[i][1] - cs[j][1]
         norm_sq = wx * wx + wy * wy
-        norm = session.sqrt_clamped(norm_sq)
+        norm = sqrt_clamped(session, norm_sq)
         mx = (cs[i][0] + cs[j][0]) / 2
         my = (cs[i][1] + cs[j][1]) / 2
-        span = session.sqrt_clamped(t2 - norm_sq / 4)
+        span = sqrt_clamped(session, t2 - norm_sq / 4)
         ux = -wy / norm
         uy = wx / norm
         for sgn in (1, -1):
@@ -86,7 +131,7 @@ def max_radial_sq_bounds(
             dx = vx - cs[k][0]
             dy = vy - cs[k][1]
             dist_sq = session.enclosure(dx * dx + dy * dy)
-            verdict = dist_sq.le(t_sq)
+            verdict = le(dist_sq, t_sq)
             if verdict is False:
                 certainly_out = True
                 break

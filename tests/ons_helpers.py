@@ -47,4 +47,4 @@ def check_standard_ns(box: CorrelationBox) -> bool:
 
 
 def check_family(fam: NamedFamily, box: CorrelationBox) -> list[ViolationReport]:
-    return check_instances(box, fam.all_instances())
+    return check_instances(box, [inst for line in fam.lines for inst in line.instances])

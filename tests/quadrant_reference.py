@@ -11,8 +11,16 @@ coordinates.  It takes duplicate-free families of validated events, as
 
 from __future__ import annotations
 
-from causalbox.geometry import TerminatedDiagram, event_from_null, null_coords
+from fractions import Fraction
+
+from causalbox.geometry import Event, TerminatedDiagram, event_from_null
 from causalbox.separation import SeparationResult, Verdict
+
+
+def null_coords(e: Event) -> tuple[Fraction, Fraction]:
+    """Lightcone coordinates (u, v) = (t - x, t + x) of a 1+1 point event."""
+    assert e.t is not None and e.x is not None and len(e.x) == 1
+    return e.t - e.x[0], e.t + e.x[0]
 
 
 def quadrant_decide(order, gather, avoid) -> SeparationResult:

@@ -85,10 +85,13 @@ class TestConstruction:
 
     def test_index_lookup(self):
         box = pr_box()
-        assert box.input_index("Y") == 1
         assert box.output_index("A") == 0
         with pytest.raises(KeyError):
-            box.input_index("Z")
+            box.output_index("Z")
+
+
+def _of_kind(report, kind):
+    return [i for i in report.issues if i.kind == kind]
 
 
 class TestValidate:
@@ -102,30 +105,30 @@ class TestValidate:
         del table[("1", "1")]
         broken = CorrelationBox(box.inputs, box.outputs, table, box.pairing)
         report = validate_box(broken, M1)
-        assert len(report.of_kind("missing_setting")) == 1
+        assert len(_of_kind(report, "missing_setting")) == 1
 
     def test_negative_and_unnormalised(self):
         out = (Srv("A", BITS, Event.at(1, 0)),)
         box = CorrelationBox((), out, {(): {("0",): "3/2", ("1",): "-1/4"}})
         report = validate_box(box, M1)
-        assert report.of_kind("negativity")
-        assert report.of_kind("normalization")
+        assert _of_kind(report, "negativity")
+        assert _of_kind(report, "normalization")
 
     def test_negativity_on_a_negative_entry_and_not_on_a_zero_one(self):
         out = (Srv("A", BITS, Event.at(1, 0)),)
         for p, negative in ((Fraction(-1, 3), True), (Fraction(0), False), (0, False)):
             row = {("0",): 1 - p, ("1",): p}
             report = validate_box(CorrelationBox((), out, {(): row}), M1)
-            assert bool(report.of_kind("negativity")) == negative
+            assert bool(_of_kind(report, "negativity")) == negative
             assert report.ok == (not negative)
 
     def test_unknown_outcome_key(self):
         out = (Srv("A", BITS, Event.at(1, 0)),)
         box = CorrelationBox((), out, {(): {("2",): 1}})
         report = validate_box(box, M1)
-        assert report.of_kind("unknown_outcome")
+        assert _of_kind(report, "unknown_outcome")
         # The stray mass is also excluded from the row total.
-        assert report.of_kind("normalization")
+        assert _of_kind(report, "normalization")
 
     def test_colocated_pair_fails_causal_ordering(self):
         here = Event.at(0, 0)
@@ -136,7 +139,7 @@ class TestValidate:
             pairing={0: 0},
         )
         report = validate_box(box, M1)
-        assert report.of_kind("causal_ordering")
+        assert _of_kind(report, "causal_ordering")
 
     def test_unpaired_colocated_agents_are_fine(self):
         here = Event.at(0, 0)

@@ -10,14 +10,18 @@ point mapped by a `PoincareMap`, and the document loaded back.
 
 The maps are seeded: a boost along a random axis, a spatial reflection
 half the time, a rotation in the (x, y) plane where there is one, and a
-translation.  They move seeded 1+1 and 2+1 layouts, some of whose
+translation.  They move seeded 1+1, 2+1 and 3+1 layouts, some of whose
 points lie on each other's light cones, and every Minkowski scenario of
-the golden ONS corpus.  A terminated diagram is moved by x -> -x, with
-its boundary reflected too.  Time reversal is not a symmetry of the
-constraints, and one layout pins a verdict that t -> -t changes, so the
-comparison cannot pass by seeing nothing.
+the golden ONS corpus.  On the moved layouts a loop certificate exists
+exactly when it does on the original, and the original loop map,
+conjugated by the move, closes the moved loop.  A terminated diagram is
+moved by x -> -x and by shifts along x, with its boundary moved too.
+Time reversal is not a symmetry of the constraints, and one layout pins
+a verdict that t -> -t changes, so the comparison cannot pass by seeing
+nothing.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -29,7 +33,11 @@ from causalbox.boxes import Alphabet, CorrelationBox, Srv
 from causalbox.geometry import Event, Minkowski, TerminatedDiagram
 from causalbox.ons import check_instances, enumerate_constraints, named_constraints
 from causalbox.poincare import PoincareMap
-from causalbox.protocol import exhaustive_protocol_search
+from causalbox.protocol import (
+    LoopCertificate,
+    exhaustive_protocol_search,
+    loop_paradox_certificate,
+)
 from causalbox.scenario import (
     box_from_json,
     box_to_json,
@@ -144,7 +152,7 @@ def _minkowski_layout(seed, dim):
     return rng, order, _layout_box(rng, order, point, n_in, n_out)
 
 
-@pytest.mark.parametrize("dim, layouts", [(1, 48), (2, 32)])
+@pytest.mark.parametrize("dim, layouts", [(1, 48), (2, 32), (3, 300)])
 def test_seeded_layouts_are_covariant(dim, layouts):
     violated = reflected = 0
     for seed in range(layouts):
@@ -205,23 +213,81 @@ def test_golden_scenarios_are_covariant(name):
             )
 
 
-def test_terminated_diagram_is_covariant_under_spatial_reflection():
-    reflect = PoincareMap.spatial_reflection(1).apply
+def _terminated_violations(move, move_vertices):
+    """Seeded layouts on a terminated diagram, each moved by move onto the
+    diagram of the moved vertices and checked; how many violate."""
     violated = 0
     for seed in range(24):
         rng = random.Random(f"covariance:terminated:{seed}")
         # Vertex gaps of 5 and heights in [3, 5] keep every segment spacelike.
         vertices = [(x, _rat(rng, 3, 5)) for x in (-8, -3, 2, 7)]
         order = TerminatedDiagram(vertices)
-        mirror = TerminatedDiagram([(-x, s) for x, s in reversed(vertices)])
         n_in, n_out = rng.choice(((1, 2), (2, 2), (2, 3), (3, 2)))
         point = lambda: Event.at(_rat(rng, -2, 2), _rat(rng, -6, 6))
         box = _layout_box(rng, order, point, n_in, n_out)
         if not all(order.in_domain(s.location) for s in (*box.inputs, *box.outputs)):
             continue
-        moved_order, moved_box = _moved(order, box, reflect, backend=mirror)
+        backend = TerminatedDiagram(move_vertices(vertices))
+        moved_order, moved_box = _moved(order, box, move, backend=backend)
         violated += _assert_covariant(order, box, moved_order, moved_box) > 0
-    assert violated
+    return violated
+
+
+def test_terminated_diagram_is_covariant_under_spatial_reflection():
+    reflect = PoincareMap.spatial_reflection(1).apply
+    assert _terminated_violations(reflect, lambda vs: [(-x, s) for x, s in reversed(vs)])
+
+
+@pytest.mark.parametrize("dx", (Fraction(-7, 3), Fraction(5)))
+def test_terminated_diagram_is_covariant_under_a_shift_along_x(dx):
+    shift = PoincareMap.translation_map(0, [dx]).apply
+    assert _terminated_violations(shift, lambda vs: [(x + dx, s) for x, s in vs])
+
+
+def test_loop_certificates_are_covariant():
+    # A moved box has a loop certificate exactly when the original has
+    # one, and M o L o M^-1 closes the moved loop: the original map L,
+    # conjugated by the move M, makes all four relations hold on the
+    # moved sender and relay points.
+    outcomes = set()
+    for dim, layouts in ((1, 24), (2, 12), (3, 12)):
+        for seed in range(layouts):
+            rng, order, box = _minkowski_layout(seed, dim)
+            move, _ = _poincare(rng, dim)
+            moved_order, moved_box = _moved(order, box, move.apply)
+            pairs = zip(
+                check_instances(box, enumerate_constraints(order, box)),
+                check_instances(moved_box, enumerate_constraints(moved_order, moved_box)),
+            )
+            # The first violation of each (F, G) keeps the case small.
+            firsts: dict = {}
+            for v, mv in pairs:
+                firsts.setdefault((v.instance.F, v.instance.G), (v, mv))
+            for (v, mv), allow in itertools.product(firsts.values(), (False, True)):
+                cert = loop_paradox_certificate(order, box, v, allow_reflection=allow)
+                moved = loop_paradox_certificate(
+                    moved_order, moved_box, mv, allow_reflection=allow
+                )
+                found = isinstance(cert, LoopCertificate)
+                assert isinstance(moved, LoopCertificate) is found
+                outcomes.add((dim, found))
+                if not found:
+                    assert moved.reason == cert.reason
+                    continue
+                assert moved.consistent
+                loop = move.compose(cert.transform).compose(move.inverse())
+                p, q = move.apply(cert.sender_point), move.apply(cert.relay_point)
+                lp, lq = loop.apply(p), loop.apply(q)
+                assert (lp, lq) == (
+                    move.apply(cert.mirrored_sender),
+                    move.apply(cert.mirrored_relay),
+                )
+                assert not moved_order.strictly_precedes(p, q)
+                assert moved_order.strictly_precedes(q, lp)
+                assert not moved_order.strictly_precedes(lp, lq)
+                assert moved_order.strictly_precedes(lq, p)
+    # Certificates and obstructions both occur in every dimension.
+    assert outcomes == {(dim, found) for dim in (1, 2, 3) for found in (False, True)}
 
 
 def test_time_reversal_changes_a_verdict():

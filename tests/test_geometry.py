@@ -13,9 +13,9 @@ from causalbox.geometry import (
     Minkowski,
     TerminatedDiagram,
     event_from_null,
-    null_coords,
 )
 from causalbox.separation import separated
+from quadrant_reference import null_coords
 
 coord = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 

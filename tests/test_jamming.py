@@ -16,81 +16,16 @@ from causalbox.jamming import (
     _above_cos,
     _limit_index,
     _oracle_verdict,
-    boundary_functions,
     build_config,
-    valid_h_range,
     verify_config,
 )
 from causalbox.poincare import PoincareMap
 from causalbox.separation import Verdict, separated
-from jam_grid import grid_lower_bounds, grid_verdict, oracle_grid, timeslice_max_radius
+from jam_grid import grid_lower_bounds, grid_verdict, lt, rational, timeslice_max_radius
 from test_acceptance import Budget
 
 F = Fraction
 M2 = Minkowski(2)
-
-
-class TestValidHRange:
-    def test_n3_exact_rational_endpoints(self):
-        lower, upper = valid_h_range(3)
-        assert lower.lo == lower.hi == F(-1, 2)
-        assert upper.lo == upper.hi == F(1, 2)
-
-    def test_n4_endpoints(self):
-        lower, upper = valid_h_range(4)
-        assert lower.lo == lower.hi == 0
-        assert upper.lo**2 < F(1, 2) < upper.hi**2
-        assert upper.width < F(1, 10**30)
-
-    def test_n5_endpoints_bracket_known_values(self):
-        lower, upper = valid_h_range(5)
-        # cos(2pi/5) = (sqrt(5)-1)/4, cos(pi/5) = (sqrt(5)+1)/4
-        assert (4 * lower.lo + 1) ** 2 < 5 < (4 * lower.hi + 1) ** 2
-        assert (4 * upper.lo - 1) ** 2 < 5 < (4 * upper.hi - 1) ** 2
-
-    def test_small_n_rejected(self):
-        with pytest.raises(Unsupported):
-            valid_h_range(2)
-        with pytest.raises(ValueError):
-            valid_h_range(1)
-
-
-class TestBoundaryFunctions:
-    def test_f_at_one_is_one(self):
-        for n in (3, 5, 8):
-            f, _ = boundary_functions(n, 1)
-            assert 1 in f
-            assert f.width < F(1, 10**12)
-
-    def test_domain_error_below_one(self):
-        with pytest.raises(DomainError):
-            boundary_functions(3, F(1, 2))
-
-    def test_f_strictly_decreasing_on_grid(self):
-        grid = (1, 2, 4, 8, 16)
-        for n in (3, 5, 7):
-            values = [boundary_functions(n, t)[0] for t in grid]
-            for a, b in zip(values, values[1:]):
-                assert a.lo > b.hi
-
-    def test_g_strictly_decreasing_on_grid(self):
-        grid = (1, 2, 4, 8, 16)
-        for n in (3, 5, 7):
-            values = [boundary_functions(n, t)[1] for t in grid]
-            for a, b in zip(values, values[1:]):
-                assert a.lo > b.hi
-
-    def test_f_stays_above_upper_endpoint(self):
-        _, upper = valid_h_range(5)
-        for t in oracle_grid():
-            f, _ = boundary_functions(5, t)
-            assert f.lo > upper.hi
-
-    def test_g_limit_reaches_lower_endpoint(self):
-        for n in (3, 5, 9):
-            lower, _ = valid_h_range(n)
-            _, g = boundary_functions(n, 10**6)
-            assert abs(g.midpoint - lower.midpoint) < F(1, 10**4)
 
 
 class TestBuildConfig:
@@ -110,20 +45,25 @@ class TestBuildConfig:
         with pytest.raises(Unsupported):
             build_config(2, F(1, 4))
 
+    def test_n_below_two_rejected(self):
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="n >= 2"):
+                build_config(n, F(1, 4))
+
     def test_receiver_enclosures(self):
         cfg = build_config(4, F(7, 10))
         assert isinstance(cfg, NJamConfig)
         assert len(cfg.points) == 4
         exact = ((1, 0), (0, 1), (-1, 0), (0, -1))
         for (ex, ey), (px, py) in zip(exact, cfg.points):
-            assert ex in px and ey in py
-            assert px.width < F(1, 10**30)
+            assert px.lo <= ex <= px.hi and py.lo <= ey <= py.hi
+            assert px.hi - px.lo < F(1, 10**30)
 
     def test_string_heights_accepted(self):
         assert build_config(4, "7/10").h == F(7, 10)
 
     def test_ring_is_evaluated_once(self, monkeypatch):
-        # Receivers and window ends share one table of cos(m*pi/n), m < 2n.
+        # Every configuration reads one table of cos(m*pi/n), m < 2n.
         calls = []
         cos = IntervalSession.cos_pi_frac
 
@@ -134,11 +74,9 @@ class TestBuildConfig:
         jamming._ring.cache_clear()
         monkeypatch.setattr(IntervalSession, "cos_pi_frac", counted)
         configs = [build_config(5, h) for h in (F(1, 2), F(7, 10), F(4, 5))]
-        lower, upper = valid_h_range(5)
         assert len(calls) == 10
         ring = jamming._ring(jamming.DEFAULT_PREC, 5)
         assert all(c.points == ring[::2] for c in configs)
-        assert (lower, upper) == (ring[2][0], ring[1][0])
 
 
 class TestVerifyConfig:
@@ -200,25 +138,9 @@ class TestVerifyConfig:
 
 
 class TestTimesliceOracle:
-    def test_matches_closed_form_full_tuple(self):
-        for n, t in ((3, F(5, 4)), (3, 2), (5, 16)):
-            m = timeslice_max_radius(n, range(n), t)
-            f, _ = boundary_functions(n, t)
-            residual_lo = t - m.hi
-            residual_hi = t - m.lo
-            assert max(f.lo, residual_lo) <= min(f.hi, residual_hi)
-
-    def test_matches_closed_form_subtuple(self):
-        for n, t in ((3, 2), (5, F(5, 4)), (6, 4)):
-            m = timeslice_max_radius(n, range(1, n), t)
-            _, g = boundary_functions(n, t)
-            residual_lo = t - m.hi
-            residual_hi = t - m.lo
-            assert max(g.lo, residual_lo) <= min(g.hi, residual_hi)
-
     def test_singleton_reaches_its_antipode(self):
         m = timeslice_max_radius(4, (2,), 3)
-        assert 4 in m and m.width < F(1, 10**20)
+        assert m.lo <= 4 <= m.hi and m.hi - m.lo < F(1, 10**20)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -354,7 +276,7 @@ class TestDirectionalLimit:
             if n <= 8:
                 heights += GRID_HEIGHTS
             for h in heights:
-                below = reference.lt(h)
+                below = lt(reference, h)
                 if below is None:
                     continue
                 decided += 1
@@ -380,7 +302,7 @@ class TestSturmCount:
                     F(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(4)
                 ]
                 for h in (*fixed, *randoms, near - eps, near + eps):
-                    below = cos.lt(h)
+                    below = lt(cos, h)
                     if below is None:
                         continue
                     decided += 1
@@ -400,7 +322,7 @@ def _dihedral_representative(n: int, J) -> tuple[int, ...]:
 def _near(session: IntervalSession, m: int, n: int) -> Fraction:
     """A rational within 1e-12 of cos(m*pi/n), exact when it is rational."""
     cos = session.enclosure(session.cos_pi_frac(m, n))
-    return cos.lo if cos.width == 0 else F(float(cos.midpoint)).limit_denominator(10**12)
+    return cos.lo if cos.lo == cos.hi else F(float(cos.midpoint)).limit_denominator(10**12)
 
 
 def _oracle_cases():
@@ -433,8 +355,8 @@ def reverify_witness(n: int, h: Fraction, J, witness, prec: int = 256) -> None:
     session, ring = _verifier_ring(n, prec)
     assert t >= 0
     for j in J:
-        dx = session.rational(x) - ring[j][0]
-        dy = session.rational(y) - ring[j][1]
+        dx = rational(session, x) - ring[j][0]
+        dy = rational(session, y) - ring[j][1]
         assert session.enclosure(dx * dx + dy * dy).hi <= t * t, (n, J, j, witness)
     assert t < h or (t - h) ** 2 < x * x + y * y, (n, h, J, witness)
 

@@ -2,8 +2,10 @@
 defining module, and a command loads only the modules it runs."""
 
 import argparse
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,13 +36,39 @@ def _loaded_after(script: str) -> set[str]:
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(causalbox.__all__) == 71
-    for removed in ("canonical_box", "embed_general", "restrict_embedded"):
-        assert removed not in causalbox.__all__
-        assert not hasattr(causalbox.boxes, removed)
+    assert len(causalbox.__all__) == 69
+    for module, removed in (
+        (causalbox.boxes, ("canonical_box", "embed_general", "restrict_embedded")),
+        (causalbox.jamming, ("boundary_functions", "valid_h_range")),
+    ):
+        for name in removed:
+            assert name not in causalbox.__all__
+            assert not hasattr(causalbox, name)
+            assert not hasattr(module, name)
     for name in causalbox.__all__:
         module = importlib.import_module(f"causalbox.{causalbox._MODULE_OF[name]}")
         assert getattr(causalbox, name) is getattr(module, name), name
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # A public name that only tests call is test code: the package, the
+    # benchmark or the README must use it.  A use is a load of the name,
+    # bare or as an attribute; a definition, an import or a string is not.
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in (*(root / "src" / "causalbox").glob("*.py"), *(root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unused = [
+        name
+        for name in causalbox.__all__
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
 
 
 def test_lookup_follows_a_patched_module_and_is_not_cached(monkeypatch):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import quadrant_reference as ref
-from causalbox.geometry import Minkowski, TerminatedDiagram, event_from_null, null_coords
+from causalbox.geometry import Minkowski, TerminatedDiagram, event_from_null
 from causalbox.separation import _quadrant_decide
 
 # A dip between two shelves: pairs on opposite sides cannot gather.
@@ -52,7 +52,7 @@ def test_integer_engine_matches_reference():
             if got.reason == "gather_at_avoid_point":
                 assert got.witness in avoid
             reasons.add((type(order).__name__, got.reason))
-            coords = [null_coords(e) for e in events]
+            coords = [ref.null_coords(e) for e in events]
             ties += any(
                 a != b and (a[0] == b[0] or a[1] == b[1])
                 for i, a in enumerate(coords)

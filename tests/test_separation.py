@@ -13,7 +13,6 @@ from causalbox.geometry import (
     Minkowski,
     TerminatedDiagram,
     event_from_null,
-    null_coords,
 )
 from causalbox.rational import QuadExt
 from causalbox.separation import (
@@ -26,6 +25,7 @@ from causalbox.separation import (
     verify_separation_witness,
 )
 from plane_reference import plane_critical_x1, search_witness
+from quadrant_reference import null_coords
 from quad_helpers import quad_sqrt
 
 
