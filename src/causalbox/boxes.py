@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from operator import itemgetter, ne
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .geometry import CausalOrder, Event
 from .rational import parse_rational
@@ -140,6 +140,7 @@ class CorrelationBox:
             math.lcm(*(p.denominator for row in table.values() for p in row.values())),
         )
         object.__setattr__(self, "_integer_rows", {})
+        object.__setattr__(self, "_row_classes", _RowClasses(self))
         object.__setattr__(self, "_marginals", {})
         object.__setattr__(self, "_probabilities", {})
 
@@ -285,6 +286,30 @@ def _integer_row(box: CorrelationBox, x) -> list[tuple[int, int]]:
         ) from None
     rows[x] = out
     return out
+
+
+class _RowClasses(dict):
+    """Each setting of one box -> its row's class, assigned on first use.
+
+    A class is the set of the row's nonzero (outcome index, n) entries,
+    one object per distinct set, so two settings hold the same
+    distribution exactly when their classes are the same object.
+    Reading a setting's class reads its integer row, which raises
+    ValidationError for a key that is not an outcome of the box.  The
+    box holds its classes, by a weak reference as its vector tables do.
+    """
+
+    __slots__ = ("box", "distinct")
+
+    def __init__(self, box: CorrelationBox):
+        super().__init__()
+        self.box = weakref.ref(box)
+        self.distinct: dict[frozenset, frozenset] = {}
+
+    def __missing__(self, x) -> frozenset:
+        entries = frozenset(e for e in _integer_row(self.box(), x) if e[1])
+        cls = self[x] = self.distinct.setdefault(entries, entries)
+        return cls
 
 
 @functools.lru_cache(maxsize=1024)

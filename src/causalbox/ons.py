@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Iterator, Sequence
 
 from .boxes import (
     Alphabet,
@@ -23,7 +24,6 @@ from .boxes import (
     Srv,
     _check_outputs,
     _first_difference,
-    _integer_row,
     _vectors,
     marginalize,
 )
@@ -198,9 +198,10 @@ def _move_pairs(
 
 def enumerate_constraints(
     order: CausalOrder, box: CorrelationBox
-) -> list[ConstraintInstance]:
+) -> Sequence[ConstraintInstance]:
     """All constraint instances this scenario generates, sorted by
-    (F, G) and then by move pair.
+    (F, G) and then by move pair, as a read-only sequence that builds
+    each instance on first read (see `_Constraints`).
 
     Nonempty (F, G) pairs are visited with G, then F, in order of size,
     so every sub-pair of a pair comes first.  A pair that contains a
@@ -219,7 +220,9 @@ def enumerate_constraints(
     appearance; each family is decided once, and every pair with that
     family shares its result.  The decisions share one memo of the
     sweep's tie-set extrema, by common denominator and tie.  Each F's
-    move table is looked up once.  Nothing outlives the call.
+    move table is looked up once.  Nothing else outlives the call: the
+    result holds one run per emitting (F, G), its certificate and F's
+    move table.
     """
     n_in = len(box.inputs)
     ids: dict = {}
@@ -267,93 +270,180 @@ def enumerate_constraints(
                     g_blocked.append(f_mask)
                     continue
                 emitted[F, G] = result
-    # Sorted by (F, G), the pairs of one F are adjacent, and each lists
-    # its moves in _move_pairs' sorted order.
+    # Sorted by (F, G), the pairs of one F are adjacent and share F's
+    # move table, which lists the moves in sorted order.
     alphabets = tuple(s.alphabet for s in box.inputs)
-    instances: list[ConstraintInstance] = []
+    runs = []
     moves_of = moves = None
     for F, G in sorted(emitted):
         if F != moves_of:
             moves_of, moves = F, _move_pairs(alphabets, F)
-        result = emitted[F, G]
-        instances += [ConstraintInstance(F, G, x, y, result) for x, y in moves]
-    return instances
+        runs.append((F, G, emitted[F, G], moves))
+    return _Constraints(runs)
 
 
-class _RowClasses(dict):
-    """Each setting of one box -> its row's class, assigned on first use.
+class _BuiltOnRead(Sequence):
+    """A read-only sequence that builds each member on first read and
+    keeps it in its slot of `_items`, so every read of one index returns
+    the same object; a subclass builds member i in `_member(i)`.
 
-    A class is the set of the row's nonzero (outcome index, n) entries,
-    one object per distinct set, so two settings hold the same
-    distribution exactly when their classes are the same object.
-    Reading a setting's class reads its integer row, which raises
-    ValidationError for a key that is not an outcome of the box.
+    Indexing, negative indices, slices (as lists) and IndexError behave
+    as on a list, and it compares equal to a list, or to another such
+    sequence, with equal members in the same order.  `.append`, `+` and
+    `isinstance(..., list)` do not work on it.
     """
 
-    __slots__ = ("box", "distinct")
+    __slots__ = ("_items",)
+    __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, box: CorrelationBox):
-        super().__init__()
-        self.box = box
-        self.distinct: dict[frozenset, frozenset] = {}
+    def __len__(self) -> int:
+        return len(self._items)
 
-    def __missing__(self, x) -> frozenset:
-        entries = frozenset(e for e in _integer_row(self.box, x) if e[1])
-        cls = self[x] = self.distinct.setdefault(entries, entries)
-        return cls
+    def __getitem__(self, i):
+        at = range(len(self._items))[i]
+        if type(at) is range:
+            return [self._member(k) for k in at]
+        return self._member(at)
+
+    def __iter__(self):
+        return map(self._member, range(len(self._items)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _BuiltOnRead)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class _Constraints(_BuiltOnRead):
+    """The instances of one enumeration: one run (F, G, certificate,
+    moves) per emitting (F, G), whose members are F's moves in order.
+    Members of one F share one move table.  `_starts` holds each run's
+    first index, then the length; a slot is None until it is read."""
+
+    __slots__ = ("_runs", "_starts")
+
+    def __init__(self, runs: list[tuple]):
+        self._runs = runs
+        self._starts = [0, *itertools.accumulate(len(run[3]) for run in runs)]
+        self._items: list = [None] * self._starts[-1]
+
+    def _member(self, i: int) -> ConstraintInstance:
+        inst = self._items[i]
+        if inst is None:
+            r = bisect_right(self._starts, i) - 1
+            F, G, certificate, moves = self._runs[r]
+            x, y = moves[i - self._starts[r]]
+            inst = self._items[i] = ConstraintInstance(F, G, x, y, certificate)
+        return inst
+
+
+class _Reports(_BuiltOnRead):
+    """The reports of one check of `instances` on `box`.  A slot holds
+    the index j of a violated instance until it is read, then that
+    instance's report (see `_report`)."""
+
+    __slots__ = ("_box", "_instances")
+
+    def __init__(self, box: CorrelationBox, instances: Sequence, found: list[int]):
+        self._box = box
+        self._instances = instances
+        self._items: list = found
+
+    def _member(self, i: int) -> ViolationReport:
+        rep = self._items[i]
+        if type(rep) is int:
+            rep = self._items[i] = _report(self._box, self._instances[rep])
+        return rep
+
+
+def _runs(
+    instances: Iterable[ConstraintInstance],
+) -> Iterator[tuple[int, tuple[int, ...], Sequence[tuple]]]:
+    """(first index, G, moves) of each run of the instances: each
+    maximal stretch of consecutive members with equal F and G and the
+    same certificate object, with its members' (x, x') moves in order.
+    An enumeration's runs are read as they are; any other iterable is
+    grouped as it is read, each run's moves a fresh list."""
+    if type(instances) is _Constraints:
+        for start, (_, G, _, moves) in zip(instances._starts, instances._runs):
+            yield start, G, moves
+        return
+    moves: list = []
+    for j, inst in enumerate(instances):
+        if not (
+            moves
+            and inst.F == head.F
+            and inst.G == head.G
+            and inst.certificate is head.certificate
+        ):
+            if moves:
+                yield start, head.G, moves
+            head, start, moves = inst, j, []
+        moves.append((inst.x, inst.x_prime))
+    if moves:
+        yield start, head.G, moves
 
 
 def _violations(
     box: CorrelationBox, instances: Iterable[ConstraintInstance]
-) -> Iterator[ViolationReport]:
-    """One report per violated instance, in the given order, each carrying
-    the first differing outcome in canonical order.
+) -> Iterator[int]:
+    """The index of each violated instance, in the given order.
 
-    A move whose two settings share a row class (their rows agree on
-    every nonzero entry) agrees on every marginal, so it yields nothing
-    and reads no marginal vector.  Every other distinct (G, x, x') is
-    decided once: its integer vectors over the box's common denominator
-    are read from the box's vector table for G, taken at its first such
-    move, so each distinct (G, x) vector is computed once, and its first
-    difference is found once.  G itself is range-checked where the scan
-    reaches it, so an output index out of range raises IndexError there
-    even when no move reads its table.  Nothing is computed ahead of the
-    report asked for.
+    The scan walks runs (see `_runs`).  Each run's G is range-checked
+    first, so an output index out of range raises IndexError even when
+    no move reads its table.  The live moves of a move list, those whose
+    two settings have different row classes (the box's `_row_classes`),
+    are listed once and reused while the next run holds the same list:
+    every G of one enumerated F.  A move between equal rows agrees on
+    every marginal, so it yields nothing and reads no vector, and a run
+    with no live move costs no per-member work.  A live move compares
+    its two integer vectors over the box's common denominator, read from
+    the box's vector table for G, so each distinct (G, x) vector is
+    computed once.  Nothing is computed past the run of the index asked
+    for.
     """
-    classes = _RowClasses(box)
-    # (G, x, x') -> its first difference, or None where the marginals
-    # agree; the dict itself marks a move not yet decided.
-    decided: dict = {}
-    G = table = None
-    for inst in instances:
-        if inst.G != G:
-            G, table = inst.G, None
-            _check_outputs(box, G)
-        x, y = inst.x, inst.x_prime
-        if classes[x] is classes[y]:
-            continue
-        key = (G, x, y)
-        diff = decided.get(key, decided)
-        if diff is decided:
-            if table is None:
-                table = _vectors(box, G)
-            left, right = table[x], table[y]
-            diff = decided[key] = (
-                None if left == right else _first_difference(box, table.outcomes, left, right)
-            )
-        if diff is not None:
-            yield ViolationReport(inst, *diff)
+    classes = box._row_classes
+    moves_of = live = None
+    for start, G, moves in _runs(instances):
+        _check_outputs(box, G)
+        if moves is not moves_of:
+            moves_of = moves
+            live = [k for k, (x, y) in enumerate(moves) if classes[x] is not classes[y]]
+        if live:
+            table = _vectors(box, G)
+            for k in live:
+                x, y = moves[k]
+                if table[x] != table[y]:
+                    yield start + k
+
+
+def _report(box: CorrelationBox, inst: ConstraintInstance) -> ViolationReport:
+    """The report of an instance whose two marginals differ, at the
+    first outcome of G where they differ."""
+    table = _vectors(box, inst.G)
+    left, right = table[inst.x], table[inst.x_prime]
+    return ViolationReport(inst, *_first_difference(box, table.outcomes, left, right))
 
 
 def check_instances(
-    box: CorrelationBox, instances: Sequence[ConstraintInstance]
-) -> list[ViolationReport]:
-    """Exact check of each instance; one report per violated instance,
-    carrying the first differing outcome in canonical order."""
-    return list(_violations(box, instances))
+    box: CorrelationBox, instances: Iterable[ConstraintInstance]
+) -> Sequence[ViolationReport]:
+    """Exact check of each instance: one report per violated instance,
+    in order, carrying the first differing outcome in canonical order.
+
+    One scan (`_violations`) finds every violated instance; the result
+    is a read-only sequence that builds each report on first read,
+    around the caller's own `instances[j]` (an iterable that is not a
+    sequence is read into a list first)."""
+    if not isinstance(instances, Sequence):
+        instances = list(instances)
+    return _Reports(box, instances, list(_violations(box, instances)))
 
 
-def check_ons(order: CausalOrder, box: CorrelationBox) -> list[ViolationReport]:
+def check_ons(order: CausalOrder, box: CorrelationBox) -> Sequence[ViolationReport]:
     return check_instances(box, enumerate_constraints(order, box))
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .boxes import CorrelationBox, _marginal_vector, marginalize
 from .geometry import CausalOrder, Event, Minkowski
-from .ons import ConstraintInstance, ViolationReport, _violations
+from .ons import ConstraintInstance, ViolationReport, _report, _violations
 from .poincare import PoincareMap, find_loop_transform
 from .rational import _plain_int
 from .separation import verify_separation_witness
@@ -141,14 +141,17 @@ def exhaustive_protocol_search(
 ) -> SignallingProtocol | None:
     """The protocol of the first instance, in the given order, whose two
     marginals differ.  It runs check_instances' scan and stops at its
-    first report, so a caller holding those reports can pass the first
-    one to build_protocol instead.
+    first violated instance, so a caller holding those reports can pass
+    the first one to build_protocol instead.
 
     Returns None only when no instance exhibits differing marginals, so
     a box that satisfies every constraint admits no protocol at all.
     """
-    first = next(_violations(box, instances), None)
-    return None if first is None else build_protocol(order, box, first)
+    if not isinstance(instances, Sequence):
+        instances = list(instances)
+    for j in _violations(box, instances):
+        return build_protocol(order, box, _report(box, instances[j]))
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,9 @@ from causalbox.boxes import (
     ValidationError,
     do_label,
     extend_with_intervention,
-    marginalize,
 )
 from causalbox.casestudies import (
     CausalMechanism,
-    ContradictionTrace,
     LoopLayout,
     affects_relations,
     build_model,

@@ -11,7 +11,6 @@ from causalbox.boxes import Alphabet, Srv
 from causalbox.geometry import Event, Minkowski
 from causalbox.monogamy import (
     EntropicProbeReport,
-    GameValueReport,
     XorGame,
     _triangle_rows,
     brute_force_signalling,

@@ -32,7 +32,7 @@ from causalbox.ons import (
     enumerate_constraints,
     named_constraints,
 )
-from causalbox.protocol import exhaustive_protocol_search
+from causalbox.protocol import build_protocol, exhaustive_protocol_search
 from causalbox.scenario import preset
 from causalbox.separation import Verdict, _separated, separated
 
@@ -527,8 +527,6 @@ class TestChecking:
     def test_int_locations_certify_and_build(self, order):
         # The joint instance on (A, B) is licensed at the half-integer
         # lightcone corner t = 7/2, x = 1/2 of two int-located outputs.
-        from causalbox.protocol import build_protocol
-
         ins = (Srv("X", BITS, Event(t=0, x=(10,))),)
         outs = (
             Srv("A", BITS, Event(t=0, x=(-3,))),
@@ -557,6 +555,167 @@ class TestChecking:
         )
         assert not tampered.verify(M1, box)
         assert inst.verify(M1, box)
+
+
+def far_box(rows, n_in=4, n_out=4):
+    """Binary inputs far right of binary outputs on Minkowski(1), so every
+    (F, G) pair is separated; rows(x) gives the row at setting x."""
+    ins = tuple(Srv(f"X{i}", BITS, Event.at(0, 10 + 2 * i)) for i in range(n_in))
+    outs = tuple(Srv(f"A{i}", BITS, Event.at(0, -2 * i)) for i in range(n_out))
+    settings = itertools.product("01", repeat=n_in)
+    return CorrelationBox(ins, outs, {x: rows(x) for x in settings})
+
+
+def random_rows(seed, reads=None, n_out=4):
+    """A random row per setting of the inputs in `reads` (all of them by
+    default); the others are ignored, so their moves join equal rows."""
+    rng = random.Random(f"far_box:{seed}")
+    outcomes = list(itertools.product("01", repeat=n_out))
+    table = {}
+
+    def rows(x):
+        key = x if reads is None else tuple(x[i] for i in reads)
+        if key not in table:
+            weights = [rng.randrange(1, 5) for _ in outcomes]
+            table[key] = {a: Fraction(w, sum(weights)) for a, w in zip(outcomes, weights)}
+        return table[key]
+
+    return rows
+
+
+class TestBuiltOnRead:
+    """enumerate_constraints and check_instances return read-only
+    sequences that hold one run per (F, G) and build each instance and
+    report on first read."""
+
+    def test_nothing_is_built_until_read(self, monkeypatch):
+        built = []
+        for cls in (ConstraintInstance, ViolationReport):
+            def counting(record, *args, _init=cls.__init__, _cls=cls):
+                built.append(_cls)
+                _init(record, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        box = far_box(random_rows(0))
+        instances = enumerate_constraints(M1, box)
+        reports = check_instances(box, instances)
+        assert len(instances) == 15 * 344 and len(reports) > 1000
+        assert built == []
+        first = reports[0]
+        assert built == [ConstraintInstance, ViolationReport]
+        assert reports[0] is first and instances[0] is first.instance
+        assert built == [ConstraintInstance, ViolationReport]
+        assert exhaustive_protocol_search(M1, box, instances) is not None
+        assert built == [ConstraintInstance, ViolationReport, ViolationReport]
+
+    def test_sequences_behave_as_lists(self):
+        box = far_box(random_rows(1, n_out=2), n_in=3, n_out=2)
+        instances = enumerate_constraints(M1, box)
+        # Read out of order, each member is the reference's.
+        expected = all_pairs_reference(M1, box)
+        for i in random.Random(1).sample(range(len(expected)), len(expected)):
+            assert instances[i] == expected[i]
+        reports = check_instances(box, instances)
+        for seq in (instances, reports):
+            as_list = list(seq)
+            n = len(seq)
+            assert n == len(as_list) > 20
+            for i in (0, 1, 7, n - 1, -1, -2, -n):
+                assert seq[i] is as_list[i]
+            for cut in (slice(None), slice(3, 20, 4), slice(-5, None), slice(9, 2)):
+                assert type(seq[cut]) is list and seq[cut] == as_list[cut]
+            assert seq[::-3] == as_list[::-3]
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    seq[i]
+            with pytest.raises(TypeError):
+                seq["0"]
+            assert seq == as_list and as_list == seq
+            assert not (seq != as_list or as_list != seq)
+            assert seq != as_list[:-1] and as_list[:-1] != seq
+            assert seq != tuple(as_list) and seq != as_list[::-1]
+            assert repr(seq) == repr(as_list)
+            assert seq.index(as_list[-1]) == n - 1 and as_list[2] in seq
+            with pytest.raises(TypeError):
+                hash(seq)
+            for name in ("append", "extend", "__setitem__", "__delitem__", "__iadd__"):
+                assert not hasattr(seq, name)
+        assert check_instances(box, instances) == reports
+        assert enumerate_constraints(M1, box) == instances
+
+    def test_a_reread_returns_the_same_object(self):
+        box = far_box(random_rows(2, n_out=3), n_in=3, n_out=3)
+        instances = enumerate_constraints(M1, box)
+        reports = check_instances(box, instances)
+
+        def read():
+            return instances[5], instances[-1], reports[3], reports[-1]
+
+        first = read()
+        assert all(a is b for a, b in zip(read(), first))
+        for seq in (instances, reports):
+            assert all(a is b for a, b in zip(seq, list(seq)))
+        assert instances[instances.index(first[2].instance)] is first[2].instance
+
+    @pytest.mark.parametrize("reads", [range(4), range(1, 4), (0, 2), (3,)])
+    def test_reports_point_at_the_callers_members(self, reads):
+        # A table that ignores inputs has F's with no live move next to
+        # F's with many, so a live-move list or run offset that leaks
+        # from one run into the next changes the reports.
+        box = far_box(random_rows(3, reads, n_out=3), n_out=3)
+        instances = enumerate_constraints(M1, box)
+        members = list(instances)
+        own = [dataclasses.replace(inst) for inst in members]
+        # Ordered by the size of F, F's with equal move counts are next
+        # to each other.
+        by_size = sorted(own, key=lambda inst: (len(inst.F), inst.F, inst.G))
+        checks = ((members, (instances,)), (own, (own, iter(own))), (by_size, (by_size,)))
+        for held, given in checks:
+            want = ref.check_instances(box, held)
+            for checked in given:
+                got = check_instances(box, checked)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.instance is w.instance and g == w
+            proto = exhaustive_protocol_search(M1, box, iter(held))
+            assert proto == build_protocol(M1, box, got[0])
+        assert 0 < len(want) < len(members)
+        # No report has an F of ignored inputs only, and such F's occur.
+        ignored = set(range(4)) - set(reads)
+        assert not any(set(w.instance.F) <= ignored for w in want)
+        assert any(set(inst.F) <= ignored for inst in members) == bool(ignored)
+
+    def test_g_is_range_checked_in_every_run(self):
+        # Checked against a one-output box whose rows are all equal, the
+        # runs of G = (1,) and (0, 1) read no vector, yet name output 1.
+        box = far_box(random_rows(4, reads=(0,), n_out=2), n_in=2, n_out=2)
+        instances = enumerate_constraints(M1, box)
+        one = far_box(lambda x: {("0",): Fraction(1)}, n_in=2, n_out=1)
+        with pytest.raises(IndexError, match="output index 1 out of range"):
+            check_instances(one, instances)
+        with pytest.raises(IndexError, match="output index 1 out of range"):
+            check_instances(one, list(instances))
+        with pytest.raises(IndexError, match="output index 1 out of range"):
+            exhaustive_protocol_search(M1, one, instances)
+        kept = [inst for inst in instances if inst.G == (0,)]
+        assert check_instances(one, kept) == []
+
+    def test_product_table_builds_no_vector_and_classes_each_setting_once(self, monkeypatch):
+        classed = []
+        missing = causalbox.boxes._RowClasses.__missing__
+
+        def counting_missing(classes, x):
+            classed.append(x)
+            return missing(classes, x)
+
+        monkeypatch.setattr(causalbox.boxes._RowClasses, "__missing__", counting_missing)
+        box = far_box(random_rows(5, reads=()))
+        instances = enumerate_constraints(M1, box)
+        assert check_instances(box, instances) == []
+        assert box._marginals == {}
+        assert sorted(classed) == sorted(box.settings())
+        assert exhaustive_protocol_search(M1, box, instances) is None
+        assert len(classed) == 16 and box._marginals == {}
 
 
 def _nonzero_row(box, x):

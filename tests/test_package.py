@@ -71,6 +71,30 @@ def test_every_public_name_has_a_use_outside_the_tests():
     assert unused == []
 
 
+def test_every_import_is_used():
+    # An imported name must be loaded as a bare name in its module, or
+    # named by a string there (as in `__all__`); `__future__` imports
+    # bind nothing.
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    paths = (*(root / "src" / "causalbox").glob("*.py"), *(root / "tests").glob("*.py"))
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+        where = f"{path.parent.name}/{path.name}"
+        unused += [f"{where}: {name}" for name in imported if name not in used]
+    assert unused == []
+
+
 def test_lookup_follows_a_patched_module_and_is_not_cached(monkeypatch):
     original = causalbox.jamming.verify_config
     assert causalbox.verify_config is original

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from causalbox import scenario as sc
-from causalbox.boxes import Alphabet, CorrelationBox, Srv, validate_box
+from causalbox.boxes import Alphabet, validate_box
 from causalbox.casestudies import degenerate_embedding_check, safe_embedding_check
 from causalbox.geometry import Event, FiniteOrder, Minkowski, TerminatedDiagram
 from causalbox.jamming import build_config, verify_config

@@ -16,7 +16,6 @@ from causalbox.geometry import (
 )
 from causalbox.rational import QuadExt
 from causalbox.separation import (
-    SeparationResult,
     Verdict,
     _critical_x1,
     _gathers_at,
