@@ -16,7 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from operator import add
 from typing import Mapping, Sequence
 
 from .boxes import CorrelationBox, _marginal_vector, marginalize
@@ -187,6 +187,21 @@ _CHUNK = 2**13
 _SPLIT = 255
 
 
+def _times_repunit(x: int, trials: int, width: int) -> int:
+    """x * (1 + b + ... + b**(trials - 1)) for b = 2**(8 * width).
+
+    A repunit shorter than 40 bytes is multiplied in.  A product's cost
+    per digit of x grows with the repunit's length, so a longer repunit
+    goes through the same integer as an exact quotient, ((x << 8 * width
+    * trials) - x) // (b - 1), whose cost per digit does not.  The two
+    cost about the same at 40 bytes.
+    """
+    bits = 8 * width
+    if trials * width < 40:
+        return x * (((1 << bits * trials) - 1) // ((1 << bits) - 1))
+    return ((x << bits * trials) - x) // ((1 << bits) - 1)
+
+
 class _Sampler:
     """Inverse-CDF sampling with exact integer cut points, drawn in bulk.
 
@@ -255,32 +270,92 @@ class _Sampler:
                 p = cells.find(_SPLIT, p + 1)
         return counts
 
-    def sequence(self, rng: random.Random, n: int):
-        """The cells of n draws from rng, in draw order, one list per
-        chunk."""
-        for raw, cells in self._chunks(rng, n):
-            out = list(cells)
+    def round_counts(self, rng: random.Random, trials: int, mc_rounds: int):
+        """The cell counts of mc_rounds rounds of two `trials`-draw arms,
+        a then b, drawn from rng in order, one pair (a, b) per block of
+        max(1, _CHUNK // (2 * trials)) rounds: a[i][r] is cell i's count
+        in arm a of the block's r-th round.
+
+        A cell the guide names gets its counts from one big-integer
+        product.  Its 0/1 indicator bytes, spread to digits of `width`
+        bytes (the fewest that hold `trials`), times the repunit 1 + b +
+        ... + b**(trials - 1) in base b = 2**(8 * width) put the count of
+        the block's j-th arm in digit j * trials + trials - 1.  A digit
+        sums at most `trials` ones and b exceeds `trials`, so no digit
+        carries.  Draws marked _SPLIT are bisected one at a time.
+        """
+        width = (trials.bit_length() + 7) // 8
+        marks = [
+            (i, bytes(i) + b"\1" + bytes(255 - i)) for i in set(self.guide) - {_SPLIT}
+        ]
+        per_block = max(1, _CHUNK // (2 * trials))
+        while mc_rounds > 0:
+            m = min(per_block, mc_rounds)
+            n = 2 * trials * m
+            raw, cells = (b"".join(part) for part in zip(*self._chunks(rng, n)))
+            arms = ([[0] * m for _ in self.cuts], [[0] * m for _ in self.cuts])
+            stop, step = n * width, 2 * trials * width
+            for i, mark in marks:
+                spread = bytearray(stop)
+                spread[::width] = cells.translate(mark)
+                x = _times_repunit(int.from_bytes(spread, "little"), trials, width)
+                digits = x.to_bytes((n + trials) * width, "little")
+                for arm, counts in enumerate(arms):
+                    low = ((arm + 1) * trials - 1) * width
+                    count = list(digits[low:stop:step])
+                    for byte in range(1, width):
+                        high = digits[low + byte : stop : step]
+                        count = [c | h << 8 * byte for c, h in zip(count, high)]
+                    counts[i] = count
             p = cells.find(_SPLIT)
             while p >= 0:
-                out[p] = self._bisect(raw, p)
+                j = p // trials
+                arms[j & 1][self._bisect(raw, p)][j >> 1] += 1
                 p = cells.find(_SPLIT, p + 1)
-            yield out
+            yield arms
+            mc_rounds -= m
 
 
 class _GTerms(dict):
     """The G-statistic terms 2 o log(o / e) of one cell with expected
     count e, keyed by the count o and each computed on first use, so the
-    memo holds only the counts that actually occur."""
+    memo holds only the counts that actually occur.  A zero count reads
+    +0.0."""
 
     __slots__ = ("expected",)
 
     def __init__(self, expected: float):
         super().__init__()
         self.expected = expected
+        self[0] = 0.0
 
     def __missing__(self, o: int) -> float:
         t = self[o] = 2.0 * o * math.log(o / self.expected)
         return t
+
+
+def _round_statistics(
+    sampler: _Sampler,
+    rng: random.Random,
+    trials: int,
+    mc_rounds: int,
+    terms: Sequence[_GTerms],
+):
+    """The G statistic of each Monte-Carlo round, in round order.
+
+    Each block's statistics are summed column by column: arm a's cells
+    in order and then arm b's, each column's terms added to every round
+    of the block with one map.  So each round's G takes its additions
+    in the order the observed G does, zero counts included: they add
+    +0.0, which changes no sum, since a term 2 o log(o / e) with o >= 1
+    is never -0.0 and G starts at +0.0.
+    """
+    for arms in sampler.round_counts(rng, trials, mc_rounds):
+        g = [0.0] * len(arms[0][0])
+        for counts in arms:
+            for count, row in zip(counts, terms):
+                g = list(map(add, g, map(row.__getitem__, count)))
+        yield from g
 
 
 def simulate(
@@ -304,12 +379,14 @@ def simulate(
     (mc_rounds + 1).  Every stream, the rounds' included, is drawn in
     bulk chunks of at most _CHUNK draws that hold the same draws as one
     getrandbits(53) call each (see _Sampler): an arm's counts come from
-    bytes.count on its cells, and each round reads arm a's cells and then
-    arm b's off the "mc" cells in draw order.  The G terms 2 o log(o / e)
-    are memoised per (cell, count) pair on first use and summed in a
-    fixed order (arm a's cells, then arm b's, skipping zero counts), the
-    order the observed G is summed in.  A single observed cell gives
-    method "degenerate" with p = 1.
+    bytes.count on its cells.  The rounds are counted in blocks of about
+    _CHUNK draws, whole rounds each: every cell's counts in every arm of
+    a block come from one big-integer product (see
+    _Sampler.round_counts).  The G terms 2 o log(o / e) are memoised per
+    (cell, count) pair on first use, a zero count reading +0.0, and each
+    round sums them in the order the observed G is summed in: arm a's
+    cells, then arm b's.  A single observed cell gives method
+    "degenerate" with p = 1.
 
     Raises ValueError, before any draw, unless trials and mc_rounds are
     ints >= 1, seed is an int in [0, 2**64) and alpha is an int or a
@@ -357,27 +434,13 @@ def simulate(
         stat = 0.0
         for arm in observed:
             for o, row in zip(arm, terms):
-                if o:
-                    stat += row[o]
+                stat += row[o]
         threshold = stat - 1e-12
-        draws = chain.from_iterable(
-            _Sampler(dict(zip(cells, pooled))).sequence(
-                _stream(seed, "mc"), 2 * trials * mc_rounds
-            )
+        pooled_sampler = _Sampler(dict(zip(cells, pooled)))
+        rounds = _round_statistics(
+            pooled_sampler, _stream(seed, "mc"), trials, mc_rounds, terms
         )
-        k = len(cells)
-        hits = 0
-        for _ in range(mc_rounds):
-            g = 0.0
-            for _arm in "ab":
-                arm = [0] * k
-                for i in islice(draws, trials):
-                    arm[i] += 1
-                for o, row in zip(arm, terms):
-                    if o:
-                        g += row[o]
-            if g >= threshold:
-                hits += 1
+        hits = sum(g >= threshold for g in rounds)
         p = (hits + 1) / (mc_rounds + 1)
         method = "exact_mc"
     return SimulationResult(
