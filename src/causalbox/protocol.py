@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from operator import add
 from typing import Mapping, Sequence
 
@@ -185,21 +186,15 @@ def _stream(seed: int, label: str) -> random.Random:
 _CHUNK = 2**13
 # The guide byte of a draw that its top byte alone does not place.
 _SPLIT = 255
-
-
-def _times_repunit(x: int, trials: int, width: int) -> int:
-    """x * (1 + b + ... + b**(trials - 1)) for b = 2**(8 * width).
-
-    A repunit shorter than 40 bytes is multiplied in.  A product's cost
-    per digit of x grows with the repunit's length, so a longer repunit
-    goes through the same integer as an exact quotient, ((x << 8 * width
-    * trials) - x) // (b - 1), whose cost per digit does not.  The two
-    cost about the same at 40 bytes.
-    """
-    bits = 8 * width
-    if trials * width < 40:
-        return x * (((1 << bits * trials) - 1) // ((1 << bits) - 1))
-    return ((x << bits * trials) - x) // ((1 << bits) - 1)
+# The Monte-Carlo rounds are counted in blocks while cells * trials is at
+# most this, and one draw at a time above it.  A block costs about 8 ns
+# per draw for every cell, its G columns included, and a draw counted on
+# its own about 80 ns whatever the number of cells, so blocks pay only
+# for few cells.  On one Intel Xeon core under Python 3.11, blocks were
+# the faster up to cells * trials of about 110 at 8 trials, 220 at 16,
+# 350 at 32 and 420 at 64, and 2.4 times slower at 32 cells and 64
+# trials; at 96 they took 0.7 to 0.8 of the time.
+_BLOCK_CELL_TRIALS = 96
 
 
 class _Sampler:
@@ -243,13 +238,17 @@ class _Sampler:
             lo = c
         self.guide = bytes(guide)
 
+    def _draw(self, rng: random.Random, m: int) -> tuple[bytes, bytes]:
+        """The raw bytes and the guide bytes of m draws from rng."""
+        raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        return raw, raw[7::8].translate(self.guide)
+
     def _chunks(self, rng: random.Random, n: int):
-        """The raw bytes and the guide bytes of n draws from rng, in
-        chunks of at most _CHUNK draws."""
+        """_draw's pairs for n draws from rng, in chunks of at most
+        _CHUNK draws."""
         while n > 0:
             m = min(n, _CHUNK)
-            raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
-            yield raw, raw[7::8].translate(self.guide)
+            yield self._draw(rng, m)
             n -= m
 
     def _bisect(self, raw: bytes, p: int) -> int:
@@ -270,43 +269,44 @@ class _Sampler:
                 p = cells.find(_SPLIT, p + 1)
         return counts
 
+    def sequence(self, rng: random.Random, n: int):
+        """The cells of n draws from rng, in draw order, one list per
+        chunk."""
+        for raw, cells in self._chunks(rng, n):
+            out = list(cells)
+            p = cells.find(_SPLIT)
+            while p >= 0:
+                out[p] = self._bisect(raw, p)
+                p = cells.find(_SPLIT, p + 1)
+            yield out
+
     def round_counts(self, rng: random.Random, trials: int, mc_rounds: int):
         """The cell counts of mc_rounds rounds of two `trials`-draw arms,
         a then b, drawn from rng in order, one pair (a, b) per block of
-        max(1, _CHUNK // (2 * trials)) rounds: a[i][r] is cell i's count
-        in arm a of the block's r-th round.
+        _CHUNK // (2 * trials) rounds: a[i][r] is cell i's count in arm a
+        of the block's r-th round.  trials must be at most 255.
 
         A cell the guide names gets its counts from one big-integer
-        product.  Its 0/1 indicator bytes, spread to digits of `width`
-        bytes (the fewest that hold `trials`), times the repunit 1 + b +
-        ... + b**(trials - 1) in base b = 2**(8 * width) put the count of
-        the block's j-th arm in digit j * trials + trials - 1.  A digit
-        sums at most `trials` ones and b exceeds `trials`, so no digit
-        carries.  Draws marked _SPLIT are bisected one at a time.
+        product: its 0/1 indicator bytes times the repunit 1 + 256 + ...
+        + 256**(trials - 1) put the count of the block's j-th arm in byte
+        j * trials + trials - 1.  A byte sums at most trials <= 255 ones,
+        so none carries.  Draws marked _SPLIT are bisected one at a time.
         """
-        width = (trials.bit_length() + 7) // 8
         marks = [
             (i, bytes(i) + b"\1" + bytes(255 - i)) for i in set(self.guide) - {_SPLIT}
         ]
-        per_block = max(1, _CHUNK // (2 * trials))
+        repunit = ((1 << 8 * trials) - 1) // 255
+        per_block = _CHUNK // (2 * trials)
         while mc_rounds > 0:
             m = min(per_block, mc_rounds)
             n = 2 * trials * m
-            raw, cells = (b"".join(part) for part in zip(*self._chunks(rng, n)))
+            raw, cells = self._draw(rng, n)
             arms = ([[0] * m for _ in self.cuts], [[0] * m for _ in self.cuts])
-            stop, step = n * width, 2 * trials * width
             for i, mark in marks:
-                spread = bytearray(stop)
-                spread[::width] = cells.translate(mark)
-                x = _times_repunit(int.from_bytes(spread, "little"), trials, width)
-                digits = x.to_bytes((n + trials) * width, "little")
-                for arm, counts in enumerate(arms):
-                    low = ((arm + 1) * trials - 1) * width
-                    count = list(digits[low:stop:step])
-                    for byte in range(1, width):
-                        high = digits[low + byte : stop : step]
-                        count = [c | h << 8 * byte for c, h in zip(count, high)]
-                    counts[i] = count
+                x = int.from_bytes(cells.translate(mark), "little") * repunit
+                digits = x.to_bytes(n + trials, "little")
+                arms[0][i] = list(digits[trials - 1 : n : 2 * trials])
+                arms[1][i] = list(digits[2 * trials - 1 : n : 2 * trials])
             p = cells.find(_SPLIT)
             while p >= 0:
                 j = p // trials
@@ -341,7 +341,8 @@ def _round_statistics(
     mc_rounds: int,
     terms: Sequence[_GTerms],
 ):
-    """The G statistic of each Monte-Carlo round, in round order.
+    """The G statistic of each Monte-Carlo round, in round order, with
+    the rounds counted in blocks (see _Sampler.round_counts).
 
     Each block's statistics are summed column by column: arm a's cells
     in order and then arm b's, each column's terms added to every round
@@ -356,6 +357,34 @@ def _round_statistics(
             for count, row in zip(counts, terms):
                 g = list(map(add, g, map(row.__getitem__, count)))
         yield from g
+
+
+def _hits_by_draw(
+    sampler: _Sampler,
+    rng: random.Random,
+    trials: int,
+    mc_rounds: int,
+    terms: Sequence[_GTerms],
+    threshold: float,
+) -> int:
+    """The number of Monte-Carlo rounds whose G statistic reaches
+    threshold, each round counting its draws one at a time and adding
+    the terms of its nonzero counts in the order the observed G does."""
+    draws = chain.from_iterable(sampler.sequence(rng, 2 * trials * mc_rounds))
+    k = len(terms)
+    hits = 0
+    for _ in range(mc_rounds):
+        g = 0.0
+        for _arm in "ab":
+            arm = [0] * k
+            for i in islice(draws, trials):
+                arm[i] += 1
+            for o, row in zip(arm, terms):
+                if o:
+                    g += row[o]
+        if g >= threshold:
+            hits += 1
+    return hits
 
 
 def simulate(
@@ -379,13 +408,15 @@ def simulate(
     (mc_rounds + 1).  Every stream, the rounds' included, is drawn in
     bulk chunks of at most _CHUNK draws that hold the same draws as one
     getrandbits(53) call each (see _Sampler): an arm's counts come from
-    bytes.count on its cells.  The rounds are counted in blocks of about
-    _CHUNK draws, whole rounds each: every cell's counts in every arm of
-    a block come from one big-integer product (see
-    _Sampler.round_counts).  The G terms 2 o log(o / e) are memoised per
-    (cell, count) pair on first use, a zero count reading +0.0, and each
-    round sums them in the order the observed G is summed in: arm a's
-    cells, then arm b's.  A single observed cell gives method
+    bytes.count on its cells.  While cells * trials is at most
+    _BLOCK_CELL_TRIALS, the rounds are counted in blocks of about _CHUNK
+    draws, whole rounds each: every cell's counts in every arm of a block
+    come from one big-integer product (see _Sampler.round_counts).  With
+    more cells or trials, each round counts its draws one at a time,
+    whose cost does not grow with the number of cells.  The G terms
+    2 o log(o / e) are memoised per (cell, count) pair on first use, and
+    each round sums them in the order the observed G is summed in: arm
+    a's cells, then arm b's.  A single observed cell gives method
     "degenerate" with p = 1.
 
     Raises ValueError, before any draw, unless trials and mc_rounds are
@@ -436,11 +467,12 @@ def simulate(
             for o, row in zip(arm, terms):
                 stat += row[o]
         threshold = stat - 1e-12
-        pooled_sampler = _Sampler(dict(zip(cells, pooled)))
-        rounds = _round_statistics(
-            pooled_sampler, _stream(seed, "mc"), trials, mc_rounds, terms
-        )
-        hits = sum(g >= threshold for g in rounds)
+        sampler, rng = _Sampler(dict(zip(cells, pooled))), _stream(seed, "mc")
+        if len(cells) * trials <= _BLOCK_CELL_TRIALS:
+            rounds = _round_statistics(sampler, rng, trials, mc_rounds, terms)
+            hits = sum(map(threshold.__le__, rounds))
+        else:
+            hits = _hits_by_draw(sampler, rng, trials, mc_rounds, terms, threshold)
         p = (hits + 1) / (mc_rounds + 1)
         method = "exact_mc"
     return SimulationResult(

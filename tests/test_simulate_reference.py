@@ -15,12 +15,12 @@ to G.
 whose trials or Monte-Carlo draws end just before, on and just after a
 chunk boundary are compared too, as is a non-dyadic distribution with
 more cells than a guide byte can name, and each stream's state after a
-bulk tally and after blocks of Monte-Carlo rounds, whose per-arm counts
-must equal the reference's tallies.
+bulk tally.
 """
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -196,12 +196,7 @@ def test_bulk_draws_leave_the_stream_where_single_draws_do(n):
     bulk, single = _stream(9, "a"), _stream(9, "a")
     assert sampler.tally(bulk, n) == ref._tally(sampler, single, n)
     assert bulk.getrandbits(53) == single.getrandbits(53)
-    # Rounds of two n-draw arms: one whole block of rounds and one more.
-    per_block = max(1, _CHUNK // (2 * n))
-    blocks = list(sampler.round_counts(bulk, n, per_block + 1))
-    assert [len(a[0]) for a, _ in blocks] == [per_block, 1]
-    for block in blocks:
-        for r in range(len(block[0][0])):
-            for arm in block:
-                assert [count[r] for count in arm] == ref._tally(sampler, single, n)
+    cells = list(itertools.chain.from_iterable(sampler.sequence(bulk, n)))
+    cuts = sampler.cuts
+    assert cells == [bisect_right(cuts, single.getrandbits(53)) for _ in range(n)]
     assert bulk.getrandbits(53) == single.getrandbits(53)

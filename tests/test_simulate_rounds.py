@@ -1,14 +1,18 @@
 """Every Monte-Carlo round of `simulate`, bit for bit, against the
 two-tally reference in `simulate_reference.py`.
 
-`simulate` counts its rounds in blocks of max(1, _CHUNK // (2 * trials))
-whole rounds, reads every arm's cell counts off one big-integer product
-per cell and sums each block's G statistics column by column.  Each
-round's G must have the reference's bits.  The cases are: 2, 4, 8 and
-16 cells at trials 1 to 16; the trials at which the digit width of the
-product changes; mc_rounds one short of, equal to and one past a block;
-a non-dyadic pooled distribution, whose marked draws are bisected inside
-rounds; and 300 cells, more than a guide byte can name.
+While cells * trials is at most _BLOCK_CELL_TRIALS, `simulate` counts
+its rounds in blocks of _CHUNK // (2 * trials) whole rounds, reads every
+arm's cell counts off one big-integer product per cell and sums each
+block's G statistics column by column; above it, each round counts its
+draws one at a time.  The block counts are compared round by round, also
+past the bound, up to the 255 trials they allow; `simulate` itself is
+compared on both sides of the bound.  The cases are: 2, 4, 8 and 16
+cells at trials 1 to 16; mc_rounds one short of, equal to and one past
+a block; a non-dyadic pooled distribution, whose marked draws are
+bisected inside rounds; arms whose whole count falls in one cell, at the
+most trials a block of simulate takes and at 255; and more cells than a
+guide byte can name.
 """
 
 import math
@@ -18,7 +22,9 @@ from fractions import Fraction
 import pytest
 
 import simulate_reference as ref
+from causalbox import protocol
 from causalbox.protocol import (
+    _BLOCK_CELL_TRIALS,
     _CHUNK,
     _SPLIT,
     _GTerms,
@@ -30,7 +36,7 @@ from test_simulate_reference import _distribution, _protocol, seeded_protocol
 
 
 def per_block(trials: int) -> int:
-    return max(1, _CHUNK // (2 * trials))
+    return _CHUNK // (2 * trials)
 
 
 def assert_rounds_match(proto, trials, seed, mc_rounds):
@@ -81,9 +87,9 @@ def test_marked_draws_inside_rounds():
 def test_more_cells_than_a_guide_byte_names():
     """Cells past index 254 are never named by the guide, so every count
     they get comes from a bisected draw."""
-    rng = random.Random("many-cells:300")
-    dist = _distribution(rng, 300)
-    proto, trials, seed = _protocol(dist, _distribution(rng, 300)), 400, 3
+    rng = random.Random("many-cells:512")
+    dist = _distribution(rng, 512)
+    proto, trials, seed = _protocol(dist, _distribution(rng, 512)), 255, 3
     _, cells, _, pooled, _ = ref._arms(proto, trials, seed)
     assert len(cells) > 255
     sampler = _Sampler(dict(zip(cells, pooled)))
@@ -93,26 +99,56 @@ def test_more_cells_than_a_guide_byte_names():
     assert_rounds_match(proto, trials, seed, mc_rounds)
 
 
-@pytest.mark.parametrize("trials", [255, 256, 257, 65_535, 65_536])
-def test_counts_at_the_digit_width_boundaries(trials):
-    """A count of `trials` needs one more digit byte at 256 and at 65,536.
-    With one cell in 2 * trials pooled draws, most arms draw no other
-    cell, so their first cell's count is `trials`: a digit too narrow
-    for it would carry into the next arm's."""
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_rounds_either_way_match_reference(monkeypatch, k):
+    """simulate counts its rounds in blocks exactly when cells * trials
+    is at most _BLOCK_CELL_TRIALS, and one draw at a time otherwise;
+    either way its result has the reference's bits."""
+    used = []
+    for name in ("_round_statistics", "_hits_by_draw"):
+        monkeypatch.setattr(
+            protocol,
+            name,
+            lambda *args, f=getattr(protocol, name), name=name: (
+                used.append(name) or f(*args)
+            ),
+        )
+    for null in (False, True):
+        proto = seeded_protocol(k, null)
+        for trials in range(1, 17):
+            used.clear()
+            mc_rounds = per_block(trials) + 1
+            got = protocol.simulate(proto, trials, 1, mc_rounds=mc_rounds)
+            want = ref.simulate(proto, trials, 1, mc_rounds=mc_rounds)
+            assert got == want and got.p_value.hex() == want.p_value.hex()
+            if got.method != "exact_mc":
+                assert used == []
+                continue
+            cells = len(set(got.counts_a) | set(got.counts_b))
+            blocks = cells * trials <= _BLOCK_CELL_TRIALS
+            assert used == ["_round_statistics" if blocks else "_hits_by_draw"]
+
+
+@pytest.mark.parametrize("trials", [_BLOCK_CELL_TRIALS // 2, 255])
+def test_a_whole_arm_in_one_cell_does_not_carry(trials):
+    """With one cell in 2 * trials pooled draws, most arms draw no other
+    cell, so their first cell's count is `trials`, the most a digit of
+    the product holds: a carry would show in the next arm's count."""
     cells = [("0",), ("1",)]
     pooled = [1 - Fraction(1, 2 * trials), Fraction(1, 2 * trials)]
     expected = [float(trials * f) for f in pooled]
     sampler = _Sampler(dict(zip(cells, pooled)))
     seed, mc_rounds = 1, per_block(trials) + 2
-    single = _stream(seed, "mc")
+    bulk, single = _stream(seed, "mc"), _stream(seed, "mc")
     full = 0
-    for block in sampler.round_counts(_stream(seed, "mc"), trials, mc_rounds):
+    for block in sampler.round_counts(bulk, trials, mc_rounds):
         for r in range(len(block[0][0])):
             for arm in block:
                 counts = [count[r] for count in arm]
                 assert counts == ref._tally(sampler, single, trials)
                 full += counts[0] == trials
     assert full >= 1
+    assert bulk.getrandbits(53) == single.getrandbits(53)
     rounds = _round_statistics(
         sampler, _stream(seed, "mc"), trials, mc_rounds, [_GTerms(e) for e in expected]
     )
@@ -123,19 +159,16 @@ def test_counts_at_the_digit_width_boundaries(trials):
     assert [g.hex() for g in rounds] == [g.hex() for g in reference]
 
 
-@pytest.mark.parametrize(
-    "trials", [1, 3, 5, _CHUNK // 2, _CHUNK // 2 + 1, 2 * _CHUNK + 3]
-)
-def test_a_block_holds_at_most_a_chunk_or_one_round(trials):
+@pytest.mark.parametrize("trials", [1, 3, 5, _BLOCK_CELL_TRIALS // 2, 255])
+def test_a_block_holds_at_most_a_chunk(trials):
     sampler = _Sampler({("0",): Fraction(1, 3), ("1",): Fraction(2, 3)})
     mc_rounds = 2 * per_block(trials) + 1
     sizes = [
         len(block[0][0])
         for block in sampler.round_counts(_stream(0, "mc"), trials, mc_rounds)
     ]
-    assert sum(sizes) == mc_rounds
-    assert max(sizes) == per_block(trials)
-    assert 2 * trials * max(sizes) <= max(_CHUNK, 2 * trials)
+    assert sizes == [per_block(trials)] * 2 + [1]
+    assert 2 * trials * max(sizes) <= _CHUNK
 
 
 def test_a_zero_count_adds_positive_zero():
