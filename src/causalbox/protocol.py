@@ -186,15 +186,16 @@ def _stream(seed: int, label: str) -> random.Random:
 _CHUNK = 2**13
 # The guide byte of a draw that its top byte alone does not place.
 _SPLIT = 255
-# The Monte-Carlo rounds are counted in blocks while cells * trials is at
-# most this, and one draw at a time above it.  A block costs about 8 ns
-# per draw for every cell, its G columns included, and a draw counted on
-# its own about 80 ns whatever the number of cells, so blocks pay only
-# for few cells.  On one Intel Xeon core under Python 3.11, blocks were
-# the faster up to cells * trials of about 110 at 8 trials, 220 at 16,
-# 350 at 32 and 420 at 64, and 2.4 times slower at 32 cells and 64
-# trials; at 96 they took 0.7 to 0.8 of the time.
-_BLOCK_CELL_TRIALS = 96
+# The Monte-Carlo rounds are counted in blocks while there are at most
+# _BLOCK_CELLS cells and cells * trials is at most _BLOCK_CELL_TRIALS,
+# and one draw at a time otherwise.  A block pays one product and two G
+# columns per cell, and its product grows with trials; a draw counted on
+# its own costs the same whatever the number of cells.  On one Intel
+# Xeon core under Python 3.11, blocks took 0.26 to 0.95 of the per-draw
+# time inside both bounds, and 1.0 to 1.9 times it at 16 to 32 cells,
+# at 10 cells and 32 trials, and at 6 cells and 48 or 64 trials.
+_BLOCK_CELLS = 12
+_BLOCK_CELL_TRIALS = 256
 
 
 class _Sampler:
@@ -408,12 +409,13 @@ def simulate(
     (mc_rounds + 1).  Every stream, the rounds' included, is drawn in
     bulk chunks of at most _CHUNK draws that hold the same draws as one
     getrandbits(53) call each (see _Sampler): an arm's counts come from
-    bytes.count on its cells.  While cells * trials is at most
-    _BLOCK_CELL_TRIALS, the rounds are counted in blocks of about _CHUNK
-    draws, whole rounds each: every cell's counts in every arm of a block
-    come from one big-integer product (see _Sampler.round_counts).  With
-    more cells or trials, each round counts its draws one at a time,
-    whose cost does not grow with the number of cells.  The G terms
+    bytes.count on its cells.  While there are at most _BLOCK_CELLS
+    cells and cells * trials is at most _BLOCK_CELL_TRIALS, the rounds
+    are counted in blocks of about _CHUNK draws, whole rounds each: every
+    cell's counts in every arm of a block come from one big-integer
+    product (see _Sampler.round_counts).  With more cells or trials, each
+    round counts its draws one at a time, whose cost does not grow with
+    the number of cells.  The G terms
     2 o log(o / e) are memoised per (cell, count) pair on first use, and
     each round sums them in the order the observed G is summed in: arm
     a's cells, then arm b's.  A single observed cell gives method
@@ -468,7 +470,8 @@ def simulate(
                 stat += row[o]
         threshold = stat - 1e-12
         sampler, rng = _Sampler(dict(zip(cells, pooled))), _stream(seed, "mc")
-        if len(cells) * trials <= _BLOCK_CELL_TRIALS:
+        k = len(cells)
+        if k <= _BLOCK_CELLS and k * trials <= _BLOCK_CELL_TRIALS:
             rounds = _round_statistics(sampler, rng, trials, mc_rounds, terms)
             hits = sum(map(threshold.__le__, rounds))
         else:

@@ -1,18 +1,19 @@
 """Every Monte-Carlo round of `simulate`, bit for bit, against the
 two-tally reference in `simulate_reference.py`.
 
-While cells * trials is at most _BLOCK_CELL_TRIALS, `simulate` counts
-its rounds in blocks of _CHUNK // (2 * trials) whole rounds, reads every
-arm's cell counts off one big-integer product per cell and sums each
-block's G statistics column by column; above it, each round counts its
-draws one at a time.  The block counts are compared round by round, also
-past the bound, up to the 255 trials they allow; `simulate` itself is
-compared on both sides of the bound.  The cases are: 2, 4, 8 and 16
-cells at trials 1 to 16; mc_rounds one short of, equal to and one past
-a block; a non-dyadic pooled distribution, whose marked draws are
-bisected inside rounds; arms whose whole count falls in one cell, at the
-most trials a block of simulate takes and at 255; and more cells than a
-guide byte can name.
+While there are at most _BLOCK_CELLS cells and cells * trials is at
+most _BLOCK_CELL_TRIALS, `simulate` counts its rounds in blocks of
+_CHUNK // (2 * trials) whole rounds, reads every arm's cell counts off
+one big-integer product per cell and sums each block's G statistics
+column by column; otherwise each round counts its draws one at a time.
+The block counts are compared round by round, also past the bounds, up
+to the 255 trials they allow; `simulate` itself is compared on both
+sides of each bound.  The cases are: 2, 4, 8 and 16 cells at trials 1
+to 16; mc_rounds one short of, equal to and one past a block; a
+non-dyadic pooled distribution, whose marked draws are bisected inside
+rounds; arms whose whole count falls in one cell, at the most trials a
+block of simulate takes and at 255; and more cells than a guide byte
+can name.
 """
 
 import math
@@ -25,6 +26,7 @@ import simulate_reference as ref
 from causalbox import protocol
 from causalbox.protocol import (
     _BLOCK_CELL_TRIALS,
+    _BLOCK_CELLS,
     _CHUNK,
     _SPLIT,
     _GTerms,
@@ -99,13 +101,22 @@ def test_more_cells_than_a_guide_byte_names():
     assert_rounds_match(proto, trials, seed, mc_rounds)
 
 
-@pytest.mark.parametrize("k", [2, 4, 8, 16])
-def test_rounds_either_way_match_reference(monkeypatch, k):
-    """simulate counts its rounds in blocks exactly when cells * trials
-    is at most _BLOCK_CELL_TRIALS, and one draw at a time otherwise;
-    either way its result has the reference's bits."""
-    used = []
-    for name in ("_round_statistics", "_hits_by_draw"):
+BLOCKS, BY_DRAW = "_round_statistics", "_hits_by_draw"
+
+
+@pytest.mark.parametrize(
+    "k, paths",
+    [(2, {BLOCKS}), (4, {BLOCKS}), (8, {BLOCKS, BY_DRAW}), (16, {BLOCKS, BY_DRAW})],
+)
+def test_rounds_either_way_match_reference(monkeypatch, k, paths):
+    """simulate counts its rounds in blocks exactly when there are at
+    most _BLOCK_CELLS cells and cells * trials is at most
+    _BLOCK_CELL_TRIALS, and one draw at a time otherwise; either way its
+    result has the reference's bits.  The 16-cell protocols cross the
+    cell bound below 16 trials, and the violating 8-cell one crosses the
+    product bound between 32 and 33 trials."""
+    used, seen = [], set()
+    for name in (BLOCKS, BY_DRAW):
         monkeypatch.setattr(
             protocol,
             name,
@@ -115,7 +126,7 @@ def test_rounds_either_way_match_reference(monkeypatch, k):
         )
     for null in (False, True):
         proto = seeded_protocol(k, null)
-        for trials in range(1, 17):
+        for trials in [*range(1, 17), 32, 33]:
             used.clear()
             mc_rounds = per_block(trials) + 1
             got = protocol.simulate(proto, trials, 1, mc_rounds=mc_rounds)
@@ -125,8 +136,10 @@ def test_rounds_either_way_match_reference(monkeypatch, k):
                 assert used == []
                 continue
             cells = len(set(got.counts_a) | set(got.counts_b))
-            blocks = cells * trials <= _BLOCK_CELL_TRIALS
-            assert used == ["_round_statistics" if blocks else "_hits_by_draw"]
+            blocks = cells <= _BLOCK_CELLS and cells * trials <= _BLOCK_CELL_TRIALS
+            assert used == [BLOCKS if blocks else BY_DRAW]
+            seen.update(used)
+    assert seen == paths
 
 
 @pytest.mark.parametrize("trials", [_BLOCK_CELL_TRIALS // 2, 255])
