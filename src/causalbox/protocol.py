@@ -191,9 +191,10 @@ _SPLIT = 255
 # and one draw at a time otherwise.  A block pays one product and two G
 # columns per cell, and its product grows with trials; a draw counted on
 # its own costs the same whatever the number of cells.  On one Intel
-# Xeon core under Python 3.11, blocks took 0.26 to 0.95 of the per-draw
-# time inside both bounds, and 1.0 to 1.9 times it at 16 to 32 cells,
-# at 10 cells and 32 trials, and at 6 cells and 48 or 64 trials.
+# Xeon core under Python 3.11, over a grid of 2 to 32 cells and 1 to
+# 128 trials, blocks took 0.26 to 0.95 of the per-draw time at the 53
+# points inside both bounds, and 0.89 to 2.75 times it at the 47
+# outside them, more than 1 at all but four.
 _BLOCK_CELLS = 12
 _BLOCK_CELL_TRIALS = 256
 
