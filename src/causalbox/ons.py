@@ -19,7 +19,6 @@ from fractions import Fraction
 from operator import getitem
 
 from .boxes import (
-    Alphabet,
     CorrelationBox,
     Srv,
     _check_outputs,
@@ -165,18 +164,20 @@ _set_instance, _set_outcome, _set_p_x, _set_p_x_prime = _seal(ViolationReport)
 
 @functools.lru_cache(maxsize=1024)
 def _move_pairs(
-    alphabets: tuple[Alphabet, ...], F: tuple[int, ...]
+    labels: tuple[tuple[str, ...], ...], F: tuple[int, ...]
 ) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-    """Canonical move pairs for F over inputs with these alphabets: pairs
-    of settings that agree outside F and differ in exactly one F
+    """Canonical move pairs for F over inputs with these label tuples:
+    pairs of settings that agree outside F and differ in exactly one F
     coordinate or in every F coordinate, the lower setting first.
 
     Settings are built as tuples of alphabet positions, so plain tuple
     order is the canonical order, and labelled only at the end.  The
-    table is shared by every caller with the same alphabets and F, so it
-    is an immutable tuple.
+    memo is keyed by the inputs' label tuples, not by `Alphabet`
+    records, whose generated `__hash__` runs in Python on every lookup.
+    The table is shared by every caller with the same labels and F, so
+    it is an immutable tuple.
     """
-    sizes = [len(a) for a in alphabets]
+    sizes = [len(a) for a in labels]
     pairs = []
     for x in itertools.product(*map(range, sizes)):
         for f in F:
@@ -189,7 +190,6 @@ def _move_pairs(
                 ranges[f] = [v for v in range(sizes[f]) if v != x[f]]
             ranges[F[0]] = range(x[F[0]] + 1, sizes[F[0]])
             pairs += ((x, y) for y in itertools.product(*ranges))
-    labels = [a.labels for a in alphabets]
     return tuple(
         (tuple(map(getitem, labels, x)), tuple(map(getitem, labels, y)))
         for x, y in sorted(pairs)
@@ -208,21 +208,25 @@ def enumerate_constraints(
     NOT_SEPARATED pair (F a superset of F0 and G of G0) is skipped
     without a separated() call: any witness for Separated(G; F) also
     witnesses every smaller G and F, so the pair is NOT_SEPARATED too.
-    For each G the F masks of the NOT_SEPARATED pairs with G0 inside G
-    are collected once, and grow as that G's own pairs are decided;
-    each F is tested against that list only.  Every other pair is
+    Each G keeps one int bit set over F masks: bit f is set when F mask
+    f contains the F0 of some NOT_SEPARATED pair with G0 inside G.  It
+    starts as the OR of the sets of G's subsets one member smaller, all
+    visited before G, and each NOT_SEPARATED pair of G ORs in the
+    supersets of its F mask, one shift-OR per input outside it.  A
+    skipped pair costs one shift and one mask.  Every other pair is
     decided, and SEPARATED pairs emit instances.
 
     One call shares its geometric work across its pairs.  Each distinct
     location gets an integer id and is validated once, up front, in the
     order the pairs first meet them.  A pair's family is its distinct
     gathered ids and distinct avoided ids, each in order of first
-    appearance; each family is decided once, and every pair with that
-    family shares its result.  The decisions share one memo of the
-    sweep's tie-set extrema, by common denominator and tie.  Each F's
-    move table is looked up once.  Nothing else outlives the call: the
-    result holds one run per emitting (F, G), its certificate and F's
-    move table.
+    appearance.  Each distinct avoided tuple gets a small int, which
+    indexes the row of results kept for each distinct gathered tuple;
+    each family is decided once, and every pair with that family shares
+    its result.  The decisions share one memo of the sweep's tie-set
+    extrema, by common denominator and tie.  Each F's move table is
+    looked up once.  Nothing else outlives the call: the result holds
+    one run per emitting (F, G), its certificate and F's move table.
     """
     n_in = len(box.inputs)
     ids: dict = {}
@@ -235,50 +239,63 @@ def enumerate_constraints(
     k = min(1, len(box.outputs))
     in_ids = first_ids[k : k + n_in]
     out_ids = first_ids[:k] + first_ids[k + n_in :]
-    # Each F in visiting order, with its bit mask and its avoided ids.
+    n_out = len(out_ids)
+    # Each F in visiting order, with its bit mask and the number of its
+    # avoided ids, numbered in order of first appearance.
+    avoids: dict = {}
     input_sets = [
-        (F, sum(1 << f for f in F), tuple(dict.fromkeys([in_ids[f] for f in F])))
+        (F, sum(1 << f for f in F), avoids.setdefault(avoid, len(avoids)))
         for size_f in range(1, n_in + 1)
         for F in itertools.combinations(range(n_in), size_f)
+        for avoid in [tuple(dict.fromkeys([in_ids[f] for f in F]))]
     ]
-    families: dict[tuple[tuple[int, ...], tuple[int, ...]], SeparationResult] = {}
+    avoided = list(avoids)
+    # families[gathered ids][avoided number]: the family's result.
+    families: dict[tuple[int, ...], list] = {}
     ties: dict = {}
-    emitted: dict[tuple, SeparationResult] = {}
-    # Bit masks (F, G) of the pairs found NOT_SEPARATED; only minimal
-    # ones are ever added, because every other one is skipped.
-    blocked: list[tuple[int, int]] = []
-    for size_g in range(1, len(out_ids) + 1):
-        for G in itertools.combinations(range(len(out_ids)), size_g):
+    emitted = []
+    # pruned[g_mask]: G's bit set, with bit f_mask set when (F, G)
+    # contains a NOT_SEPARATED pair.
+    pruned = [0] * (1 << n_out)
+    for size_g in range(1, n_out + 1):
+        for G in itertools.combinations(range(n_out), size_g):
             g_mask = sum(1 << g for g in G)
+            skip = 0
+            for g in G:
+                skip |= pruned[g_mask ^ 1 << g]
             gather = tuple(dict.fromkeys([out_ids[g] for g in G]))
-            # The F masks of the blocked pairs whose G0 lies inside G;
-            # only these can contain a pair (F, G).
-            g_blocked = [f0 for f0, g0 in blocked if g0 & g_mask == g0]
-            for F, f_mask, avoid in input_sets:
-                if g_blocked and any(f0 & f_mask == f0 for f0 in g_blocked):
+            decided = families.setdefault(gather, [None] * len(avoided))
+            for F, f_mask, a in input_sets:
+                if skip >> f_mask & 1:
                     continue
-                result = families.get((gather, avoid))
+                result = decided[a]
                 if result is None:
-                    result = families[gather, avoid] = _separated(
+                    result = decided[a] = _separated(
                         order,
                         [events[i] for i in gather],
-                        [events[i] for i in avoid],
+                        [events[i] for i in avoided[a]],
                         ties,
                     )
                 if result.verdict is Verdict.NOT_SEPARATED:
-                    blocked.append((f_mask, g_mask))
-                    g_blocked.append(f_mask)
+                    up = 1 << f_mask
+                    for i in range(n_in):
+                        if not f_mask >> i & 1:
+                            up |= up << (1 << i)
+                    skip |= up
                     continue
-                emitted[F, G] = result
+                emitted.append((F, G, result))
+            pruned[g_mask] = skip
     # Sorted by (F, G), the pairs of one F are adjacent and share F's
-    # move table, which lists the moves in sorted order.
-    alphabets = tuple(s.alphabet for s in box.inputs)
+    # move table, which lists the moves in sorted order.  No two pairs
+    # are equal, so the sort never compares results.
+    emitted.sort()
+    labels = tuple(s.alphabet.labels for s in box.inputs)
     runs = []
     moves_of = moves = None
-    for F, G in sorted(emitted):
+    for F, G, result in emitted:
         if F != moves_of:
-            moves_of, moves = F, _move_pairs(alphabets, F)
-        runs.append((F, G, emitted[F, G], moves))
+            moves_of, moves = F, _move_pairs(labels, F)
+        runs.append((F, G, result, moves))
     return _Constraints(runs)
 
 
@@ -512,7 +529,7 @@ def named_constraints(
         raise KeyError(f"unknown constraint family {family!r}")
     inputs = tuple(inputs)
     outputs = tuple(outputs)
-    alphabets = tuple(s.alphabet for s in inputs)
+    labels = tuple(s.alphabet.labels for s in inputs)
     if family == "six_config_triangle":
         if len(inputs) != 3 or len(outputs) != 3:
             raise LayoutMismatch("triangle family needs 3 inputs and 3 outputs")
@@ -553,7 +570,7 @@ def named_constraints(
         if jammer is not None:
             _require_jammed(order, gather, [inputs[jammer].location], f"{label} (jam)")
         insts = tuple(
-            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(alphabets, F)
+            ConstraintInstance(F, G, x, y, cert) for x, y in _move_pairs(labels, F)
         )
         lines.append(FamilyLine(label, F, G, cert, insts))
     return NamedFamily(family, tuple(lines))

@@ -46,11 +46,12 @@ def parse_rational(value: RationalLike | float) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as ``"num/den"``, or just ``"num"`` for integers."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a Fraction as ``"num/den"``, or just ``"num"`` for integers;
+    an int, string or float is read as a Fraction first.  A Fraction's
+    own ``str`` already has that form."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return str(q)
 
 
 def isqrt_exact(n: int) -> int | None:

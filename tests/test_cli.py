@@ -345,7 +345,7 @@ class TestJamGeometry:
         assert code == PASS
         assert doc["bundle"]["ok"] is True
         assert doc["bundle"]["closed_form"]["full"] == "not_separated"
-        content = open(doc["svg"], encoding="utf-8").read()
+        content = Path(doc["svg"]).read_text(encoding="utf-8")
         assert content.startswith("<svg")
 
     def test_escaping_layout_still_passes(self, capsys, tmp_path):
@@ -384,7 +384,7 @@ class TestJamGeometry:
         )
         assert code == PASS
         assert doc["svg"] == str(tmp_path / "njam_n5_h7_10_t2.svg")
-        content = open(doc["svg"], encoding="utf-8").read()
+        content = Path(doc["svg"]).read_text(encoding="utf-8")
         # unit circle + 5 reach discs + escape disc + 5 dots
         assert content.count("<circle") == 12
 
@@ -486,9 +486,9 @@ class TestJamGeometry:
         argv = ("jam-geometry", "--n", "4", "--h", "7/10", "--out", str(tmp_path))
         code, out1, _ = run(capsys, *argv)
         assert code == PASS
-        data1 = open(tmp_path / "njam_n4_h7_10_t2.svg", "rb").read()
+        data1 = (tmp_path / "njam_n4_h7_10_t2.svg").read_bytes()
         _, out2, _ = run(capsys, *argv)
-        data2 = open(tmp_path / "njam_n4_h7_10_t2.svg", "rb").read()
+        data2 = (tmp_path / "njam_n4_h7_10_t2.svg").read_bytes()
         assert out1 == out2
         assert data1 == data2
 
@@ -616,7 +616,7 @@ class TestRender:
             capsys, "render", "--preset", preset, "--out", str(tmp_path)
         )
         assert code == PASS
-        content = open(doc["written"], encoding="utf-8").read()
+        content = Path(doc["written"]).read_text(encoding="utf-8")
         assert content.startswith("<svg")
         assert content.endswith("</svg>\n")
 
@@ -661,7 +661,7 @@ class TestRender:
             capsys, "render", "--scenario", str(path), "--out", str(tmp_path)
         )
         assert code == PASS
-        content = open(report["written"], encoding="utf-8").read()
+        content = Path(report["written"]).read_text(encoding="utf-8")
         assert content.count("<circle") == 4
         assert content.count("<line") == 4
 
@@ -675,7 +675,7 @@ class TestRender:
             capsys, "render", "--scenario", str(path), "--out", str(tmp_path)
         )
         assert code == PASS
-        content = open(report["written"], encoding="utf-8").read()
+        content = Path(report["written"]).read_text(encoding="utf-8")
         assert content == svg.axes_only("empty")
 
     def test_terminated_diagram_renders_boundary(self, capsys, tmp_path):
@@ -698,15 +698,15 @@ class TestRender:
             capsys, "render", "--scenario", str(path), "--out", str(tmp_path)
         )
         assert code == PASS
-        content = open(report["written"], encoding="utf-8").read()
+        content = Path(report["written"]).read_text(encoding="utf-8")
         assert "<polyline" in content
 
     def test_render_is_deterministic(self, capsys, tmp_path):
         argv = ("render", "--preset", "fig5", "--out", str(tmp_path))
         run(capsys, *argv)
-        first = open(tmp_path / "fig5.svg", "rb").read()
+        first = (tmp_path / "fig5.svg").read_bytes()
         run(capsys, *argv)
-        assert open(tmp_path / "fig5.svg", "rb").read() == first
+        assert (tmp_path / "fig5.svg").read_bytes() == first
 
     def test_out_directory_created(self, capsys, tmp_path):
         target = tmp_path / "nested" / "figs"

@@ -186,24 +186,39 @@ class TestEnumeration:
 # lattice pruning against the unpruned all-pairs enumeration
 
 
+def _subsets(n):
+    """The nonempty subsets of range(n), in order of size."""
+    return [F for size in range(1, n + 1) for F in itertools.combinations(range(n), size)]
+
+
+def all_pairs(order, box):
+    """separated() on every nonempty (F, G) pair, as (F, G, result) in
+    the order enumeration visits them: G, then F, in order of size."""
+    return [
+        (
+            F,
+            G,
+            separated(
+                order,
+                [box.outputs[g].location for g in G],
+                [box.inputs[f].location for f in F],
+            ),
+        )
+        for G in _subsets(len(box.outputs))
+        for F in _subsets(len(box.inputs))
+    ]
+
+
 def all_pairs_reference(order, box):
     """The enumeration without pruning: separated() on every nonempty
     (F, G) pair, with the reference move pairs, sorted by (F, G, x, x')
     label indices."""
-    n_in, n_out = len(box.inputs), len(box.outputs)
-    instances = []
-    for size_g in range(1, n_out + 1):
-        for G in itertools.combinations(range(n_out), size_g):
-            gather = [box.outputs[g].location for g in G]
-            for size_f in range(1, n_in + 1):
-                for F in itertools.combinations(range(n_in), size_f):
-                    avoid = [box.inputs[f].location for f in F]
-                    result = separated(order, gather, avoid)
-                    if result.verdict is Verdict.SEPARATED:
-                        for x, y in ref.move_pairs(box.inputs, F):
-                            instances.append(
-                                ConstraintInstance(F, G, x, y, result)
-                            )
+    instances = [
+        ConstraintInstance(F, G, x, y, result)
+        for F, G, result in all_pairs(order, box)
+        if result.verdict is Verdict.SEPARATED
+        for x, y in ref.move_pairs(box.inputs, F)
+    ]
 
     def label_indices(x):
         return tuple(s.alphabet.index(v) for s, v in zip(box.inputs, x))
@@ -212,6 +227,31 @@ def all_pairs_reference(order, box):
         key=lambda c: (c.F, c.G, label_indices(c.x), label_indices(c.x_prime))
     )
     return instances
+
+
+def unpruned_families(order, box):
+    """The (gathered, avoided) location families a pruned enumeration
+    decides, in order: the family of each pair, in visiting order, that
+    contains no NOT_SEPARATED pair but possibly itself, each family at
+    its first such pair only.  A family lists its distinct locations in
+    order of first appearance."""
+    pairs = all_pairs(order, box)
+    blocking = [
+        (set(F), set(G)) for F, G, result in pairs
+        if result.verdict is Verdict.NOT_SEPARATED
+    ]
+    families = []
+    for F, G, _ in pairs:
+        F, G = set(F), set(G)
+        if any(f0 <= F and g0 <= G and (f0, g0) != (F, G) for f0, g0 in blocking):
+            continue
+        family = (
+            tuple(dict.fromkeys(box.outputs[g].location for g in sorted(G))),
+            tuple(dict.fromkeys(box.inputs[f].location for f in sorted(F))),
+        )
+        if family not in families:
+            families.append(family)
+    return families
 
 
 def _rat(rng, lo, hi):
@@ -293,6 +333,31 @@ class TestLatticePruning:
             # No (gathered, avoided) family is decided twice.
             families = [(tuple(gather), tuple(avoid)) for _, gather, avoid, _ in calls]
             assert len(set(families)) == len(families)
+            lattice += (2 ** len(box.inputs) - 1) * (2 ** len(box.outputs) - 1)
+            decided += len(calls)
+        assert decided < lattice
+
+    @pytest.mark.parametrize(
+        "backend", ["minkowski1", "terminated", "finite", "minkowski2", "colocated"]
+    )
+    def test_decides_exactly_the_unpruned_families(self, backend, monkeypatch):
+        # Every pair that contains a NOT_SEPARATED pair, and only those,
+        # is skipped, whether the blocking pair has the same G or a
+        # smaller one; each remaining family is decided once, in
+        # visiting order.
+        calls = []
+
+        def recording(order, gather, avoid, ties):
+            calls.append((tuple(gather), tuple(avoid)))
+            return _separated(order, gather, avoid, ties)
+
+        monkeypatch.setattr(causalbox.ons, "_separated", recording)
+        lattice = decided = 0
+        for seed in range(40):
+            order, box = seeded_layout(backend, seed)
+            del calls[:]
+            enumerate_constraints(order, box)
+            assert calls == unpruned_families(order, box), seed
             lattice += (2 ** len(box.inputs) - 1) * (2 ** len(box.outputs) - 1)
             decided += len(calls)
         assert decided < lattice

@@ -293,7 +293,7 @@ def test_move_pairs_match_reference():
         for F in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(1, n + 1)
         ):
-            got = _move_pairs(alphabets, F)
+            got = _move_pairs(tuple(a.labels for a in alphabets), F)
             assert type(got) is tuple
             assert list(got) == ref.move_pairs(inputs, F), (seed, F)
     assert sizes == {1, 2, 3} and interventions
@@ -331,11 +331,12 @@ def test_move_pair_memo_keeps_each_boxs_alphabets():
         } == set(alpha.labels)
     # F = (0,), (1,) and (0, 1) for each of the three alphabets.
     assert _move_pairs.cache_info().currsize == 9
-    table = _move_pairs(alphabets[1:3], (0, 1))
+    labels = tuple(a.labels for a in alphabets[1:3])
+    table = _move_pairs(labels, (0, 1))
     with pytest.raises(TypeError):
         table[0] = table[1]  # type: ignore[index]
     with pytest.raises(AttributeError):
         table.append(table[0])  # type: ignore[attr-defined]
     with pytest.raises(TypeError):
         table[0][0] = table[0][1]  # type: ignore[index]
-    assert _move_pairs(alphabets[1:3], (0, 1)) is table
+    assert _move_pairs(labels, (0, 1)) is table

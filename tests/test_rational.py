@@ -41,6 +41,37 @@ def test_format_rational_roundtrip():
         assert format_rational(parse_rational(s)) == s
 
 
+def test_format_rational_matches_str_of_fraction():
+    big = 10**40 + 7
+    values = [
+        0,
+        5,
+        -5,
+        True,
+        False,
+        Fraction(0),
+        Fraction(-0, 3),
+        Fraction(3, 4),
+        Fraction(-3, 4),
+        Fraction(-12, 1),
+        Fraction(big, 3),
+        Fraction(-3, big),
+        Fraction(big, big + 2),
+        big,
+        -big,
+        0.5,
+        -0.375,
+        1e-3,
+        2.0**70,
+        "7",
+        "-22/7",
+        " 5/10 ",
+        "0.25",
+    ]
+    for q in values:
+        assert format_rational(q) == str(Fraction(q)), q
+
+
 def test_isqrt_exact():
     assert isqrt_exact(49) == 7
     assert isqrt_exact(50) is None
